@@ -72,6 +72,16 @@ func readBenchmarkFile(t *testing.T) benchmarkFile {
 	return b
 }
 
+// exercised names, per workload, per-layer metrics its choice rests on
+// (BENCHMARK.json's `why`): a test-size traced run measures them above 0.
+var exercised = map[string][]string{
+	"table2":     {"egraph.opt_egraph_s", "egraph.nodes"},
+	"industrial": {"core.satmux_s", "core.satmux.queries"},
+	"seq":        {"opt.opt_dff_s", "dff.proved"},
+	"serve_mix": {"rtlil.read_json_ms.warm", "server.handler_ms.warm", "server.outside_handler_ms.warm",
+		"cache.hit_ratio", "cache.module_hits", "api.response_decode_ms"},
+}
+
 // Every metric BENCHMARK.json names is printed, with its unit, by every
 // workload it names, and perfbench runs exactly those workloads.
 func TestEveryMetricPrintedWithUnit(t *testing.T) {
@@ -101,6 +111,11 @@ func TestEveryMetricPrintedWithUnit(t *testing.T) {
 				}
 				if !trace && got.Value == 0 {
 					t.Errorf("%s: end-to-end metric %s reads 0", w, m.Name)
+				}
+			}
+			for _, name := range exercised[w] {
+				if trace && r.Metrics[name].Value <= 0 {
+					t.Errorf("%s: per-layer metric %s reads %v", w, name, r.Metrics[name].Value)
 				}
 			}
 		}
@@ -175,16 +190,13 @@ func TestCorruptedEngineOutputCaught(t *testing.T) {
 			t.Fatalf("%s: corrupted output passed the check", r.Name)
 		}
 		pool := [][]engineCase{{{slot: r.Name, make: orig.Clone, ref: ref}}}
-		d := rtlil.NewDesign()
-		d.AddModule(out)
-		raw, err := encodeDesign(d)
-		if err != nil {
+		oc := newOutcomes()
+		hash := rtlil.CanonicalHash(out)
+		if err := oc.record([2]int{0, 0}, pool[0][0], out, hash, smartly.RunReport{}); err != nil {
 			t.Fatal(err)
 		}
 		rep := &report{values: map[string]float64{}}
-		if _, err := checkEngine(pool, []engineRun{{out: raw, hash: rtlil.CanonicalHash(out)}}, rep); err != nil {
-			t.Fatal(err)
-		}
+		checkEngine(pool, []engineRun{{hash: hash}}, oc, rep)
 		if rep.failed != 1 {
 			t.Fatalf("%s: corrupted run counted failed=%d, want 1", r.Name, rep.failed)
 		}
@@ -203,20 +215,38 @@ func TestCorruptedResponseCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	logs, _, _ := servePhase(s, 0.1, false, nil)
-	d, err := rtlil.ReadJSON(bytes.NewReader(logs[0].payloads[0]))
+	logs, _, _ := servePhase(s, 0.1, 0, false, nil)
+	d, err := rtlil.ReadJSON(bytes.NewReader(s.warmJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := flow.RunDesign(d); err != nil {
+		t.Fatal(err)
+	}
 	invertOutput(d.Modules()[0])
-	if logs[0].payloads[0], err = encodeDesign(d); err != nil {
+	raw, err := encodeDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first warm reply now carries the corrupted design.
+	var smp *serveSample
+	for i := range logs[0].samples {
+		if logs[0].samples[i].class == classWarm {
+			smp = &logs[0].samples[i]
+			break
+		}
+	}
+	if smp == nil || smp.err != nil {
+		t.Fatalf("no successful warm reply to corrupt (%+v)", smp)
+	}
+	if smp.hash, smp.area, err = s.digest(raw); err != nil {
 		t.Fatal(err)
 	}
 	rep := &report{values: map[string]float64{}}
 	if _, err := s.check(logs, rep); err != nil && !strings.Contains(err.Error(), "no warm response") {
 		t.Fatal(err)
 	}
-	if rep.failed == 0 {
-		t.Fatal("corrupted response passed the check")
+	if rep.failed != 1 {
+		t.Fatalf("corrupted response counted failed=%d, want 1", rep.failed)
 	}
 }

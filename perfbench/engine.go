@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,9 +29,10 @@ import (
 // when the draws split into two modes.
 //
 // The process keeps no netlist between runs: each run regenerates its
-// input from the recipe, and each first output is kept as JSON bytes,
-// which the garbage collector does not scan. A pool of live netlists
-// would make every GC cycle of the measured flow mark it.
+// input from the recipe, and each first output is checked at once and
+// dropped. A pool of live netlists would make every GC cycle of the
+// measured flow mark it, and outputs kept until the end would make the
+// live heap grow with the number of runs.
 
 // engineCase is one case of one pool variant.
 type engineCase struct {
@@ -168,19 +168,56 @@ type engineRun struct {
 	alloc uint64
 	// peakHeap is the largest live heap sampled during the run.
 	peakHeap float64
-	rep      smartly.RunReport
-	err      error
-	// hash is the output's canonical hash; out is the output as JSON,
-	// kept for the first run of (v, i) only.
+	// hash is the output's canonical hash.
 	hash string
-	out  []byte
+	err  error
+}
+
+// outcomes is what the phases keep of each case's first run, checked
+// as soon as it is produced: its output hash, simulation verdict and
+// AIG area. Its report's counters are summed as they arrive, so no
+// output or report outlives its run.
+type outcomes struct {
+	first    map[[2]int]firstRun
+	counters map[string]float64
+	iters    int
+}
+
+type firstRun struct {
+	hash  string
+	check error
+	area  int
+}
+
+func newOutcomes() *outcomes {
+	return &outcomes{first: map[[2]int]firstRun{}, counters: map[string]float64{}}
+}
+
+// record checks a case's first optimized output against its original
+// by simulation and keeps its hash, verdict and area.
+func (oc *outcomes) record(k [2]int, c engineCase, out *rtlil.Module, hash string, rep smartly.RunReport) error {
+	area, err := smartly.Area(out)
+	if err != nil {
+		return fmt.Errorf("area of %s: %w", c.slot, err)
+	}
+	oc.first[k] = firstRun{hash: hash, check: c.ref.check(out), area: area}
+	for _, p := range rep.Passes {
+		for name, n := range p.Counters {
+			oc.counters[name] += float64(n)
+		}
+	}
+	for _, f := range rep.Fixpoints {
+		oc.iters += f.Iterations
+	}
+	return nil
 }
 
 // enginePhase runs rounds over the pool until the phase has lasted
 // secs and at least minRounds rounds ran. It returns every run plus
-// the per-round runtime counters.
+// the per-round runtime counters. The first output of each case is
+// checked right after its run, outside the run's timed region.
 func enginePhase(o options, flow *smartly.Flow, pool [][]engineCase, secs float64, minRounds int,
-	seen map[[2]int]bool, tr *tracer) (runs []engineRun, rounds []roundStats) {
+	oc *outcomes, tr *tracer) (runs []engineRun, rounds []roundStats) {
 	var peak heapPeak
 	defer peak.sample()()
 	start := time.Now()
@@ -197,7 +234,7 @@ func enginePhase(o options, flow *smartly.Flow, pool [][]engineCase, secs float6
 			rep, err := flow.Run(m, smartly.WithWorkers(o.workers), smartly.WithTimings())
 			d := time.Since(t0)
 			run := engineRun{v: v, i: i, dur: d, alloc: readRuntime(false).allocBytes - before.allocBytes,
-				peakHeap: float64(peak.max.Load()), rep: rep, err: err}
+				peakHeap: float64(peak.max.Load()), err: err}
 			if tr != nil {
 				id := tr.add("smartly.Flow.Run", roundID, t0, d)
 				for _, p := range rep.Passes {
@@ -206,13 +243,9 @@ func enginePhase(o options, flow *smartly.Flow, pool [][]engineCase, secs float6
 			}
 			if err == nil {
 				run.hash = rtlil.CanonicalHash(m)
-				if !seen[[2]int{v, i}] {
-					seen[[2]int{v, i}] = true
-					out := rtlil.NewDesign()
-					out.AddModule(m)
-					if run.out, err = encodeDesign(out); err != nil {
-						run.err = err
-					}
+				k := [2]int{v, i}
+				if _, done := oc.first[k]; !done {
+					run.err = oc.record(k, c, m, run.hash, rep)
 				}
 			}
 			runs = append(runs, run)
@@ -256,7 +289,7 @@ func runEngine(o options, fam family) (*report, error) {
 		genTimes = append(genTimes, seconds(st.selfTimes(1)["genbench.Generate"]))
 	}
 
-	seen := map[[2]int]bool{}
+	oc := newOutcomes()
 	rep := &report{values: map[string]float64{}}
 	var runs []engineRun
 	if o.trace {
@@ -264,11 +297,11 @@ func runEngine(o options, fam family) (*report, error) {
 		// output check see every case; the traced half measures the
 		// leading variants, and the overhead compares the two halves on
 		// the variants both ran.
-		untraced, _ := enginePhase(o, flow, pool, o.seconds/2, len(pool), seen, nil)
-		traced, rounds := enginePhase(o, flow, pool, o.seconds/2, min(3, len(pool)), seen, tr)
+		untraced, _ := enginePhase(o, flow, pool, o.seconds/2, len(pool), oc, nil)
+		traced, rounds := enginePhase(o, flow, pool, o.seconds/2, min(3, len(pool)), oc, tr)
 		runs = append(untraced, traced...)
 		rep.spans = tr
-		fillEngineLayers(rep.values, runs, rounds, tr)
+		fillEngineLayers(rep.values, oc, rounds, tr)
 		rep.values["genbench.generate_s"] = median(genTimes)
 		measured := map[int]bool{}
 		for _, r := range traced {
@@ -282,13 +315,10 @@ func runEngine(o options, fam family) (*report, error) {
 		}
 		rep.values["trace.flow_overhead_frac"] = ratio(flowSeconds(pool, traced), flowSeconds(pool, matched)) - 1
 	} else {
-		runs, _ = enginePhase(o, flow, pool, o.seconds, len(pool), seen, nil)
+		runs, _ = enginePhase(o, flow, pool, o.seconds, len(pool), oc, nil)
 	}
 
-	area, err := checkEngine(pool, runs, rep)
-	if err != nil {
-		return nil, err
-	}
+	area := checkEngine(pool, runs, oc, rep)
 	rep.values["setup_s"] = median(setups)
 	rep.values["flow_s"] = flowSeconds(pool, runs)
 	rep.values["aig_area"] = float64(area)
@@ -320,38 +350,18 @@ func acrossSlots(pool [][]engineCase, runs []engineRun, f func(engineRun) float6
 	return total
 }
 
-// checkEngine checks every run's output and returns the summed AIG
+// checkEngine counts every run's outcome and returns the summed AIG
 // area of the pool's optimized cases. The first optimized copy of each
-// case is simulated against its original; every later run of the case
+// case was simulated against its original; every later run of the case
 // must produce the same canonical netlist (the engine is
 // deterministic). A run that errs or mismatches counts as failed.
-func checkEngine(pool [][]engineCase, runs []engineRun, rep *report) (int, error) {
-	type verdict struct {
-		hash string
-		ok   bool
-	}
-	first := map[[2]int]verdict{}
+func checkEngine(pool [][]engineCase, runs []engineRun, oc *outcomes, rep *report) int {
 	area := 0
-	for _, r := range runs {
-		if r.out == nil {
-			continue
+	for k, f := range oc.first {
+		if f.check != nil {
+			fmt.Fprintf(logOut, "check %s variant %d: %v\n", pool[k[0]][k[1]].slot, k[0], f.check)
 		}
-		c := pool[r.v][r.i]
-		d, err := rtlil.ReadJSON(bytes.NewReader(r.out))
-		if err != nil {
-			return 0, fmt.Errorf("decoding the output of %s: %w", c.slot, err)
-		}
-		out := d.Modules()[0]
-		err = c.ref.check(out)
-		if err != nil {
-			fmt.Fprintf(logOut, "check %s variant %d: %v\n", c.slot, r.v, err)
-		}
-		a, aerr := smartly.Area(out)
-		if aerr != nil {
-			return 0, fmt.Errorf("area of %s: %w", c.slot, aerr)
-		}
-		area += a
-		first[[2]int{r.v, r.i}] = verdict{hash: r.hash, ok: err == nil}
+		area += f.area
 	}
 	for _, r := range runs {
 		rep.attempted++
@@ -360,19 +370,18 @@ func checkEngine(pool [][]engineCase, runs []engineRun, rep *report) (int, error
 			rep.failed++
 			continue
 		}
-		f := first[[2]int{r.v, r.i}]
-		if !f.ok || (r.out == nil && r.hash != f.hash) {
+		if f := oc.first[[2]int{r.v, r.i}]; f.check != nil || r.hash != f.hash {
 			rep.failed++
 		}
 	}
-	return area, nil
+	return area
 }
 
 // fillEngineLayers derives the engine per-layer metrics: pass self
 // times and runtime counters are medians over the traced rounds;
 // counters are summed over the first run of every pool case, so they
 // repeat exactly for a seed.
-func fillEngineLayers(vals map[string]float64, runs []engineRun, rounds []roundStats, tr *tracer) {
+func fillEngineLayers(vals map[string]float64, oc *outcomes, rounds []roundStats, tr *tracer) {
 	passMetric := map[string]string{
 		"smartly.Flow.Run": "smartly.flow_self_s",
 		"opt_expr":         "opt.opt_expr_s",
@@ -402,26 +411,8 @@ func fillEngineLayers(vals map[string]float64, runs []engineRun, rounds []roundS
 	vals["go.gc_pause_ms"] = median(pauses)
 	vals["go.gc_cpu_frac"] = ratio(gcCPU, totalCPU)
 
-	counted := map[[2]int]bool{}
-	sum := map[string]float64{}
-	iters := 0
-	for _, r := range runs {
-		k := [2]int{r.v, r.i}
-		if r.err != nil || counted[k] {
-			continue
-		}
-		counted[k] = true
-		for _, p := range r.rep.Passes {
-			for c, n := range p.Counters {
-				sum[c] += float64(n)
-			}
-		}
-		for _, f := range r.rep.Fixpoints {
-			iters += f.Iterations
-		}
-	}
-	fillCounters(vals, sum)
-	vals["opt.fixpoint_iters"] = float64(iters)
+	fillCounters(vals, oc.counters)
+	vals["opt.fixpoint_iters"] = float64(oc.iters)
 }
 
 // fillCounters maps summed pass counters onto the per-layer metrics.

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -23,12 +25,17 @@ import (
 // serve_mix drives one in-process smartlyd (server.New behind real
 // loopback HTTP) with a closed loop of o.clients clients: each sends a
 // request, waits for the reply and sends the next, as client.Wait and
-// `smartly -remote` callers do. A client's cycle is twenty warm
-// whole-design hits on a ~1 MB design, one design-mode resubmission of
-// a 4-module design with one module regenerated (a fresh generation
-// each time, so the module tier answers a partial hit), and one
-// no_cache cold request on the warm design. flow_s is the median cycle
-// time, so a fast path for hits that costs misses shows.
+// `smartly -remote` callers do. A client's cycle is one no_cache cold
+// request on a ~1 MB design, three warm whole-design hits on it, and
+// one design-mode resubmission of a 4-module design with one module
+// regenerated (a fresh generation each cycle, so the module tier
+// answers a partial hit), in a seeded random order per cycle. flow_s is
+// the interquartile mean of the cycle times (each the sum of the
+// cycle's round trips), so a fast path for hits that costs misses
+// shows. Whether a client's cold request overlaps the other client's
+// splits cycle times into two modes of similar weight, so a median
+// jumps between them from run to run where the interquartile mean does
+// not.
 
 // Request classes.
 const (
@@ -37,17 +44,19 @@ const (
 	classCold   = "cold"
 )
 
-// cycle is each client's request schedule.
-var cycle = func() []string {
-	var c []string
-	for _, tail := range []string{classDesign, classCold} {
-		for i := 0; i < 10; i++ {
-			c = append(c, classWarm)
-		}
-		c = append(c, tail)
-	}
-	return c
-}()
+// cycle is each client's request mix: the per-round mix of the
+// repository's load bench (harness.RunLoadBench), which calls it the
+// shape a fleet cache sees in steady state. No traffic measurement
+// backs the ratio; it weights cold, warm and design time in flow_s.
+// Each cycle sends it in a fresh seeded order: in a fixed order the
+// clients fall into step or out of step for a whole run (their cold
+// requests overlapping or not), and the run's cycle time then takes
+// one of two values ~30% apart.
+var cycle = []string{classCold, classWarm, classWarm, classDesign, classWarm}
+
+// tailSamples is how many warm replies a traced phase wants beyond the
+// warm p95, so that the p95 is not set by a handful of samples.
+const tailSamples = 10
 
 // serveSizes scales the served designs.
 type serveSizes struct {
@@ -58,13 +67,16 @@ type serveSizes struct {
 	warmVariants  int
 	designScale   float64
 	designModules int
+	// minWarm is how many warm replies a traced phase runs for at
+	// least.
+	minWarm int
 }
 
 func sizesFor(o options) serveSizes {
 	if o.small {
 		return serveSizes{warmScale: 0.005, warmVariants: 1, designScale: 0.005, designModules: 4}
 	}
-	return serveSizes{warmScale: 0.004, warmVariants: 2, designScale: 0.01, designModules: 4}
+	return serveSizes{warmScale: 0.004, warmVariants: 2, designScale: 0.01, designModules: 4, minWarm: 20 * tailSamples}
 }
 
 // serveSetup is one set-up: designs, local references and a primed
@@ -88,6 +100,17 @@ type serveSetup struct {
 	// nextGen numbers design-mode generations (1, 2, ...).
 	nextGen atomic.Int64
 	peak    heapPeak
+
+	// digests maps the sha256 of each distinct response design to its
+	// canonical hash and AIG area, so a response repeated byte for byte
+	// (every warm and cold one) is decoded once.
+	digestMu sync.Mutex
+	digests  map[[32]byte]digest
+}
+
+type digest struct {
+	hash string
+	area int
 }
 
 func (s *serveSetup) close() {
@@ -103,7 +126,8 @@ func encodeDesign(d *rtlil.Design) ([]byte, error) {
 }
 
 func newServeSetup(o options, flow *smartly.Flow, tr *tracer) (*serveSetup, error) {
-	s := &serveSetup{o: o, sz: sizesFor(o), flow: flow}
+	s := &serveSetup{o: o, sz: sizesFor(o), flow: flow, digests: map[[32]byte]digest{}}
+	s.peak.keep = true
 	root := tr.add("setup", 0, time.Now(), 0)
 	warm := rtlil.NewDesign()
 	for j := 0; j < s.sz.warmVariants; j++ {
@@ -210,51 +234,68 @@ type serveSample struct {
 	rtt     time.Duration
 	handler time.Duration
 	err     error
-	resp    *api.OptimizeResponse
-	// payload indexes the client's distinct response designs.
-	payload int
+	// resp is the response without its design and, unless the request
+	// asked for timings, without its reports.
+	resp *api.OptimizeResponse
+	// hash is the canonical hash of the response design, area its AIG
+	// area.
+	hash string
+	area int
+	// design is the response design, kept for the first reply of each
+	// class in a traced phase (the stage re-timing reads it).
+	design []byte
 }
 
 // clientLog is what one client recorded.
 type clientLog struct {
-	samples  []serveSample
-	cycles   []time.Duration
-	payloads [][]byte
+	samples []serveSample
+	cycles  []time.Duration
 }
 
-// keep records a response design, storing each distinct byte string
-// once (warm and cold responses repeat the same bytes).
-func (c *clientLog) keep(design []byte) int {
-	for i, p := range c.payloads {
-		if bytes.Equal(p, design) {
-			return i
-		}
-	}
-	c.payloads = append(c.payloads, design)
-	return len(c.payloads) - 1
-}
-
-// servePhase runs the closed loop for secs and returns each client's
-// log, the phase wall time and the heap bytes allocated.
-func servePhase(s *serveSetup, secs float64, timings bool, tr *tracer) ([]*clientLog, time.Duration, uint64) {
+// servePhase runs the closed loop for secs and, when minWarm > 0,
+// until that many warm replies arrived. It returns each client's log,
+// the phase wall time and the heap bytes allocated.
+func servePhase(s *serveSetup, secs float64, minWarm int64, timings bool, tr *tracer) ([]*clientLog, time.Duration, uint64) {
 	logs := make([]*clientLog, s.o.clients)
 	ctx := context.Background()
 	defer s.peak.sample()()
 	a0 := readRuntime(false).allocBytes
 	start := time.Now()
+	var warm atomic.Int64
 	var wg sync.WaitGroup
 	for c := range logs {
 		log := &clientLog{}
 		logs[c] = log
+		rng := rand.New(rand.NewSource(s.o.seed<<8 + int64(c)))
+		order := append([]string(nil), cycle...)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Since(start).Seconds() < secs {
-				c0 := time.Now()
-				for _, class := range cycle {
-					log.samples = append(log.samples, s.send(ctx, log, class, timings, tr))
+			kept := map[string]bool{}
+			for time.Since(start).Seconds() < secs || warm.Load() < minWarm {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				// The design-mode request body is built before the cycle,
+				// and the cycle time sums round trips only, so the
+				// benchmark's own work between requests stays out of it.
+				gen := int(s.nextGen.Add(1))
+				body, bodyErr := s.designBody(gen)
+				var total time.Duration
+				for _, class := range order {
+					smp := serveSample{class: class}
+					if class == classDesign {
+						smp.gen, smp.err = gen, bodyErr
+					}
+					if smp.err == nil {
+						s.send(ctx, &smp, body, timings, timings && !kept[class], tr)
+					}
+					kept[class] = kept[class] || smp.design != nil
+					if class == classWarm && smp.err == nil {
+						warm.Add(1)
+					}
+					total += smp.rtt
+					log.samples = append(log.samples, smp)
 				}
-				log.cycles = append(log.cycles, time.Since(c0))
+				log.cycles = append(log.cycles, total)
 			}
 		}()
 	}
@@ -262,37 +303,67 @@ func servePhase(s *serveSetup, secs float64, timings bool, tr *tracer) ([]*clien
 	return logs, time.Since(start), readRuntime(false).allocBytes - a0
 }
 
-// send issues one request of the class and records its outcome.
-func (s *serveSetup) send(ctx context.Context, log *clientLog, class string, timings bool, tr *tracer) serveSample {
-	smp := serveSample{class: class, payload: -1}
-	var body []byte
-	if class == classDesign {
-		smp.gen = int(s.nextGen.Add(1))
-		d, _ := s.mutated(smp.gen)
-		var err error
-		if body, err = encodeDesign(d); err != nil {
-			smp.err = err
-			return smp
-		}
-	}
-	req := s.request(class, body)
-	req.Timings = timings && class == classCold
+// designBody is the request body of design-mode generation gen.
+func (s *serveSetup) designBody(gen int) ([]byte, error) {
+	d, _ := s.mutated(gen)
+	return encodeDesign(d)
+}
+
+// send issues the sample's request (design requests carry body) and
+// records its outcome. The response design is reduced to its canonical
+// hash and area as it arrives, outside the round trip; keep keeps the
+// design bytes too.
+func (s *serveSetup) send(ctx context.Context, smp *serveSample, body []byte, timings, keep bool, tr *tracer) {
+	req := s.request(smp.class, body)
+	req.Timings = timings && smp.class == classCold
 	t0 := time.Now()
 	resp, err := s.cl.Optimize(ctx, req)
 	smp.rtt = time.Since(t0)
 	if err != nil {
 		smp.err = err
-		return smp
+		return
 	}
-	smp.resp = resp
 	smp.handler = time.Duration(resp.ElapsedMS * float64(time.Millisecond))
 	id := tr.add("client.Optimize", 0, t0, smp.rtt)
-	tr.add("server.optimize."+class, id, t0, smp.handler)
-	smp.payload = log.keep(resp.Design)
-	// Only the design bytes are checked later; drop them here so the
-	// log does not hold every copy.
+	tr.add("server.optimize."+smp.class, id, t0, smp.handler)
+	if smp.hash, smp.area, err = s.digest(resp.Design); err != nil {
+		smp.err = fmt.Errorf("response design: %w", err)
+		return
+	}
+	if keep {
+		smp.design = resp.Design
+	} else {
+		resp.CacheByModule = nil
+		if !req.Timings {
+			resp.Reports = nil
+		}
+	}
 	resp.Design = nil
-	return smp
+	smp.resp = resp
+}
+
+// digest returns the canonical hash and AIG area of a response design,
+// decoding each distinct byte string once.
+func (s *serveSetup) digest(design []byte) (string, int, error) {
+	key := sha256.Sum256(design)
+	s.digestMu.Lock()
+	dg, ok := s.digests[key]
+	s.digestMu.Unlock()
+	if ok {
+		return dg.hash, dg.area, nil
+	}
+	d, err := rtlil.ReadJSON(bytes.NewReader(design))
+	if err != nil {
+		return "", 0, err
+	}
+	if dg.area, err = designArea(d); err != nil {
+		return "", 0, err
+	}
+	dg.hash = rtlil.CanonicalHashDesign(d)
+	s.digestMu.Lock()
+	s.digests[key] = dg
+	s.digestMu.Unlock()
+	return dg.hash, dg.area, nil
 }
 
 // runServe measures serve_mix.
@@ -321,13 +392,13 @@ func runServe(o options) (*report, error) {
 	var logs []*clientLog
 	if o.trace {
 		// The untraced quarter only anchors the overhead; the traced
-		// three quarters hold enough warm requests for a p95 with ten
+		// three quarters run on until the warm p95 has tailSamples
 		// samples beyond it.
 		tr := newTracer()
-		untraced, _, _ := servePhase(s, o.seconds/4, false, nil)
+		untraced, _, _ := servePhase(s, o.seconds/4, 0, false, nil)
 		c0 := s.srv.Cache().Stats()
 		r0 := readRuntime(true)
-		traced, wall, _ := servePhase(s, o.seconds*3/4, true, tr)
+		traced, wall, _ := servePhase(s, o.seconds*3/4, int64(s.sz.minWarm), true, tr)
 		r1 := readRuntime(true)
 		c1 := s.srv.Cache().Stats()
 		rep.spans = tr
@@ -340,7 +411,7 @@ func runServe(o options) (*report, error) {
 		logs = append(untraced, traced...)
 	} else {
 		var alloc uint64
-		logs, _, alloc = servePhase(s, o.seconds, false, nil)
+		logs, _, alloc = servePhase(s, o.seconds, 0, false, nil)
 		n := 0
 		for _, l := range logs {
 			n += len(l.cycles)
@@ -354,11 +425,14 @@ func runServe(o options) (*report, error) {
 	}
 	rep.values["setup_s"] = median(setups)
 	rep.values["aig_area"] = float64(area)
-	rep.values["peak_heap_mb"] = s.peak.mb()
+	// The phase's largest sample follows single GC cycles that happen to
+	// meet both clients' heaviest moments; a high quantile of the
+	// samples does not.
+	rep.values["peak_heap_mb"] = quantile(s.peak.samples, 0.95) / 1e6
 	return rep, nil
 }
 
-// cycleSeconds is the median client cycle time.
+// cycleSeconds is the interquartile mean client cycle time.
 func cycleSeconds(logs []*clientLog) float64 {
 	var xs []float64
 	for _, l := range logs {
@@ -366,7 +440,7 @@ func cycleSeconds(logs []*clientLog) float64 {
 			xs = append(xs, seconds(c))
 		}
 	}
-	return median(xs)
+	return interquartileMean(xs)
 }
 
 // classQuantile is the q-quantile of the class's round-trip times, in
@@ -420,9 +494,6 @@ func (s *serveSetup) check(logs []*clientLog, rep *report) (int, error) {
 	}
 	area := -1
 	for _, l := range logs {
-		// payloadOK caches each distinct payload's verdict per
-		// expected hash.
-		payloadOK := map[[2]string]bool{}
 		for _, smp := range l.samples {
 			rep.attempted++
 			if err := smp.err; err != nil {
@@ -439,21 +510,13 @@ func (s *serveSetup) check(logs []*clientLog, rep *report) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			key := [2]string{fmt.Sprint(smp.payload), want}
-			ok, done := payloadOK[key]
-			if !done {
-				d, err := rtlil.ReadJSON(bytes.NewReader(l.payloads[smp.payload]))
-				ok = err == nil && rtlil.CanonicalHashDesign(d) == want
-				payloadOK[key] = ok
-				if ok && smp.class == classWarm && area < 0 {
-					if area, err = designArea(d); err != nil {
-						return 0, err
-					}
-				}
-			}
-			if !ok {
+			if smp.hash != want {
 				fmt.Fprintf(logOut, "%s response (generation %d) differs from the local run\n", smp.class, smp.gen)
 				rep.failed++
+				continue
+			}
+			if smp.class == classWarm && area < 0 {
+				area = smp.area
 			}
 		}
 	}
@@ -609,14 +672,13 @@ func (s *serveSetup) fillStageTimes(vals map[string]float64, logs []*clientLog) 
 	var byClass = map[string]*pair{}
 	for _, l := range logs {
 		for _, smp := range l.samples {
-			if smp.err != nil || byClass[smp.class] != nil {
+			if smp.err != nil || smp.design == nil || byClass[smp.class] != nil {
 				continue
 			}
-			p := &pair{body: s.warmJSON, optimized: l.payloads[smp.payload], resp: smp.resp}
+			p := &pair{body: s.warmJSON, optimized: smp.design, resp: smp.resp}
 			if smp.class == classDesign {
-				d, _ := s.mutated(smp.gen)
 				var err error
-				if p.body, err = encodeDesign(d); err != nil {
+				if p.body, err = s.designBody(smp.gen); err != nil {
 					return err
 				}
 			}
