@@ -216,18 +216,6 @@ func TestCorruptedResponseCaught(t *testing.T) {
 	}
 	defer s.close()
 	logs, _, _ := servePhase(s, 0.1, 0, false, nil)
-	d, err := rtlil.ReadJSON(bytes.NewReader(s.warmJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flow.RunDesign(d); err != nil {
-		t.Fatal(err)
-	}
-	invertOutput(d.Modules()[0])
-	raw, err := encodeDesign(d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The first warm reply now carries the corrupted design.
 	var smp *serveSample
 	for i := range logs[0].samples {
@@ -238,6 +226,18 @@ func TestCorruptedResponseCaught(t *testing.T) {
 	}
 	if smp == nil || smp.err != nil {
 		t.Fatalf("no successful warm reply to corrupt (%+v)", smp)
+	}
+	d, err := rtlil.ReadJSON(bytes.NewReader(s.warm[smp.warm]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flow.RunDesign(d); err != nil {
+		t.Fatal(err)
+	}
+	invertOutput(d.Modules()[0])
+	raw, err := encodeDesign(d)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if smp.hash, smp.area, err = s.digest(raw); err != nil {
 		t.Fatal(err)

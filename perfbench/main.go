@@ -40,9 +40,9 @@ type options struct {
 	// root is the checkout root: corpus inputs are read and trace files
 	// written relative to it.
 	root string
-	// workers is the engine worker budget of every flow run and
-	// request; clients is serve_mix's closed-loop client count. Both
-	// are the machine's usable cores.
+	// workers is the engine worker budget of every flow run, shared
+	// equally by serve_mix's requests; clients is serve_mix's
+	// closed-loop client count. Both are the machine's usable cores.
 	workers int
 	clients int
 	// small shrinks every workload to test size.
@@ -237,6 +237,9 @@ func run(o options) ([]byte, error) {
 		"workload": o.workload, "seed": o.seed, "seconds": o.seconds, "trace": o.trace,
 		"nproc": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "go": runtime.Version(),
 		"clients": o.clients, "workers": o.workers,
+	}
+	if o.workload == "serve_mix" {
+		env["request_workers"] = requestWorkers(o)
 	}
 	if rep.spans != nil {
 		path, err := rep.spans.write(o, env)

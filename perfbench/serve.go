@@ -26,10 +26,16 @@ import (
 // loopback HTTP) with a closed loop of o.clients clients: each sends a
 // request, waits for the reply and sends the next, as client.Wait and
 // `smartly -remote` callers do. A client's cycle is one no_cache cold
-// request on a ~1 MB design, three warm whole-design hits on it, and
-// one design-mode resubmission of a 4-module design with one module
+// request on a ~0.5 MB warm design, three warm whole-design hits on it,
+// and one design-mode resubmission of a 4-module design with one module
 // regenerated (a fresh generation each cycle, so the module tier
-// answers a partial hit), in a seeded random order per cycle. flow_s is
+// answers a partial hit), in a seeded random order per cycle.
+// Successive cycles rotate through a pool of warm designs, all cached
+// at set-up: what one draw of the recipes costs to optimize varies by
+// ~8% from seed to seed, and a run that averages over the pool's
+// draws keeps that out of the run-to-run spread. Each request gets an
+// equal share of the worker budget, so the clients together never run
+// more engine workers than there are cores. flow_s is
 // the interquartile mean of the cycle times (each the sum of the
 // cycle's round trips), so a fast path for hits that costs misses
 // shows. Whether a client's cold request overlaps the other client's
@@ -60,10 +66,11 @@ const tailSamples = 10
 
 // serveSizes scales the served designs.
 type serveSizes struct {
-	// The warm design holds every Table II recipe warmVariants times
-	// at warmScale; the design-mode design has designModules modules
-	// at designScale.
+	// The warm pool holds warmDesigns designs, each holding every
+	// Table II recipe warmVariants times at warmScale; the design-mode
+	// design has designModules modules at designScale.
 	warmScale     float64
+	warmDesigns   int
 	warmVariants  int
 	designScale   float64
 	designModules int
@@ -74,13 +81,17 @@ type serveSizes struct {
 
 func sizesFor(o options) serveSizes {
 	if o.small {
-		return serveSizes{warmScale: 0.005, warmVariants: 1, designScale: 0.005, designModules: 4}
+		return serveSizes{warmScale: 0.005, warmDesigns: 2, warmVariants: 1, designScale: 0.005, designModules: 4}
 	}
-	return serveSizes{warmScale: 0.004, warmVariants: 2, designScale: 0.01, designModules: 4, minWarm: 20 * tailSamples}
+	return serveSizes{warmScale: 0.004, warmDesigns: 8, warmVariants: 1, designScale: 0.01, designModules: 4,
+		minWarm: 20 * tailSamples}
 }
 
-// serveSetup is one set-up: designs, local references and a primed
-// server.
+// requestWorkers is the engine worker budget of each request: the
+// clients' equal shares of o.workers.
+func requestWorkers(o options) int { return max(1, o.workers/o.clients) }
+
+// serveSetup is one set-up: designs and a primed server.
 type serveSetup struct {
 	o     options
 	sz    serveSizes
@@ -90,13 +101,11 @@ type serveSetup struct {
 	httpc *http.Client
 	cl    *client.Client
 
-	warmJSON []byte
-	// warmRef is the canonical hash of a local `full` run of warmJSON.
-	warmRef string
-	dr      genbench.DesignRecipe
-	base    *rtlil.Design
-	// baseOpt holds the locally optimized base modules, by index.
-	baseOpt []*rtlil.Module
+	// warm holds the request body of each warm design.
+	warm     [][]byte
+	dr       genbench.DesignRecipe
+	base     *rtlil.Design
+	baseJSON []byte
 	// nextGen numbers design-mode generations (1, 2, ...).
 	nextGen atomic.Int64
 	peak    heapPeak
@@ -129,37 +138,33 @@ func newServeSetup(o options, flow *smartly.Flow, tr *tracer) (*serveSetup, erro
 	s := &serveSetup{o: o, sz: sizesFor(o), flow: flow, digests: map[[32]byte]digest{}}
 	s.peak.keep = true
 	root := tr.add("setup", 0, time.Now(), 0)
-	warm := rtlil.NewDesign()
-	for j := 0; j < s.sz.warmVariants; j++ {
-		for _, r := range genbench.Recipes() {
-			r.Seed += variantOffset(o.seed, j)
-			m := generate(r, s.sz.warmScale, tr, root)
-			m.Name = fmt.Sprintf("%s_v%d", r.Name, j)
-			warm.AddModule(m)
+	// Warm design k holds pool variants k*warmVariants and up.
+	for k := 0; k < s.sz.warmDesigns; k++ {
+		warm := rtlil.NewDesign()
+		for j := 0; j < s.sz.warmVariants; j++ {
+			v := k*s.sz.warmVariants + j
+			for _, r := range genbench.Recipes() {
+				r.Seed += variantOffset(o.seed, v)
+				m := generate(r, s.sz.warmScale, tr, root)
+				m.Name = fmt.Sprintf("%s_v%d", r.Name, v)
+				warm.AddModule(m)
+			}
 		}
+		body, err := encodeDesign(warm)
+		if err != nil {
+			return nil, err
+		}
+		s.warm = append(s.warm, body)
 	}
-	var err error
-	if s.warmJSON, err = encodeDesign(warm); err != nil {
-		return nil, err
-	}
-	local, err := s.localRun(s.warmJSON)
-	if err != nil {
-		return nil, err
-	}
-	s.warmRef = rtlil.CanonicalHashDesign(local)
 
 	s.dr = genbench.DesignRecipe{Name: "serve_mix", Modules: s.sz.designModules, Seed: 43 + variantOffset(o.seed, 0)}
 	start := time.Now()
 	s.base = genbench.GenerateDesign(s.dr, s.sz.designScale)
 	tr.add("genbench.GenerateDesign", root, start, time.Since(start))
-	baseJSON, err := encodeDesign(s.base)
-	if err != nil {
+	var err error
+	if s.baseJSON, err = encodeDesign(s.base); err != nil {
 		return nil, err
 	}
-	if local, err = s.localRun(baseJSON); err != nil {
-		return nil, err
-	}
-	s.baseOpt = local.Modules()
 
 	// The queue absorbs every client at once: the benchmark measures
 	// latency under load, not the 503 path.
@@ -169,14 +174,16 @@ func newServeSetup(o options, flow *smartly.Flow, tr *tracer) (*serveSetup, erro
 	s.cl = client.New(s.ts.URL)
 	s.cl.SetHTTPClient(s.httpc)
 
-	// Priming fills the whole-design entry and the module tier, so
+	// Priming fills the whole-design entries and the module tier, so
 	// warm requests hit and design requests hit all but one module.
 	ctx := context.Background()
-	if resp, err := s.cl.Optimize(ctx, s.request(classWarm, nil)); err != nil || resp.Cache != "miss" {
-		s.close()
-		return nil, fmt.Errorf("priming the warm design: cache=%v err=%v", cacheOf(resp), err)
+	for k, body := range s.warm {
+		if resp, err := s.cl.Optimize(ctx, s.request(classWarm, body)); err != nil || resp.Cache != "miss" {
+			s.close()
+			return nil, fmt.Errorf("priming warm design %d: cache=%v err=%v", k, cacheOf(resp), err)
+		}
 	}
-	prime := s.request(classDesign, baseJSON)
+	prime := s.request(classDesign, s.baseJSON)
 	if resp, err := s.cl.Optimize(ctx, prime); err != nil || resp.Cache != "miss" {
 		s.close()
 		return nil, fmt.Errorf("priming the design-mode design: cache=%v err=%v", cacheOf(resp), err)
@@ -202,34 +209,35 @@ func cacheOf(r *api.OptimizeResponse) string {
 	return r.Cache
 }
 
-// request builds a request of the class; design requests carry body.
+// request builds a request of the class carrying the design in body.
 func (s *serveSetup) request(class string, body []byte) api.OptimizeRequest {
-	req := api.OptimizeRequest{Design: s.warmJSON, Flow: "full", Workers: s.o.workers}
+	req := api.OptimizeRequest{Design: body, Flow: "full", Workers: requestWorkers(s.o)}
 	switch class {
 	case classCold:
 		req.NoCache = true
 	case classDesign:
-		req.Design = body
 		req.Mode = api.ModeDesign
 	}
 	return req
 }
 
 // mutated returns generation gen of the design-mode design: the base
-// with module gen%modules regenerated, and that module's index.
-func (s *serveSetup) mutated(gen int) (*rtlil.Design, int) {
+// with module gen%modules regenerated.
+func (s *serveSetup) mutated(gen int) *rtlil.Design {
 	d := rtlil.NewDesign()
 	for _, m := range s.base.Modules() {
 		d.AddModule(m)
 	}
-	i := gen % s.sz.designModules
-	genbench.MutateModule(d, s.dr, s.sz.designScale, i, gen)
-	return d, i
+	genbench.MutateModule(d, s.dr, s.sz.designScale, gen%s.sz.designModules, gen)
+	return d
 }
 
 // serveSample is one request's outcome.
 type serveSample struct {
-	class   string
+	class string
+	// warm indexes the warm design of a warm or cold request; gen is a
+	// design request's generation.
+	warm    int
 	gen     int
 	rtt     time.Duration
 	handler time.Duration
@@ -272,21 +280,24 @@ func servePhase(s *serveSetup, secs float64, minWarm int64, timings bool, tr *tr
 		go func() {
 			defer wg.Done()
 			kept := map[string]bool{}
-			for time.Since(start).Seconds() < secs || warm.Load() < minWarm {
+			for n := c; time.Since(start).Seconds() < secs || warm.Load() < minWarm; n++ {
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 				// The design-mode request body is built before the cycle,
 				// and the cycle time sums round trips only, so the
 				// benchmark's own work between requests stays out of it.
 				gen := int(s.nextGen.Add(1))
 				body, bodyErr := s.designBody(gen)
+				k := n % len(s.warm)
 				var total time.Duration
 				for _, class := range order {
-					smp := serveSample{class: class}
+					smp := serveSample{class: class, warm: k}
+					reqBody := s.warm[k]
 					if class == classDesign {
 						smp.gen, smp.err = gen, bodyErr
+						reqBody = body
 					}
 					if smp.err == nil {
-						s.send(ctx, &smp, body, timings, timings && !kept[class], tr)
+						s.send(ctx, &smp, reqBody, timings, timings && !kept[class], tr)
 					}
 					kept[class] = kept[class] || smp.design != nil
 					if class == classWarm && smp.err == nil {
@@ -305,11 +316,10 @@ func servePhase(s *serveSetup, secs float64, minWarm int64, timings bool, tr *tr
 
 // designBody is the request body of design-mode generation gen.
 func (s *serveSetup) designBody(gen int) ([]byte, error) {
-	d, _ := s.mutated(gen)
-	return encodeDesign(d)
+	return encodeDesign(s.mutated(gen))
 }
 
-// send issues the sample's request (design requests carry body) and
+// send issues the sample's request carrying the design in body and
 // records its outcome. The response design is reduced to its canonical
 // hash and area as it arrives, outside the round trip; keep keeps the
 // design bytes too.
@@ -463,18 +473,35 @@ func classValues(logs []*clientLog, class string, f func(serveSample) float64) [
 
 // check verifies every response: the cache outcome its class implies,
 // and a design whose canonical hash equals a local `full` run of the
-// same request bytes. It returns the AIG area of the warm response.
+// same request bytes. It returns the AIG area of the warm responses,
+// summed over the warm designs.
 func (s *serveSetup) check(logs []*clientLog, rep *report) (int, error) {
-	refs := map[int]string{} // design generation -> reference hash
-	ref := func(class string, gen int) (string, error) {
-		if class != classDesign {
-			return s.warmRef, nil
+	warmRefs := map[int]string{} // warm design -> reference hash
+	refs := map[int]string{}     // design generation -> reference hash
+	var baseOpt []*rtlil.Module  // the locally optimized base modules
+	ref := func(smp serveSample) (string, error) {
+		if smp.class != classDesign {
+			if h, ok := warmRefs[smp.warm]; ok {
+				return h, nil
+			}
+			local, err := s.localRun(s.warm[smp.warm])
+			if err != nil {
+				return "", err
+			}
+			warmRefs[smp.warm] = rtlil.CanonicalHashDesign(local)
+			return warmRefs[smp.warm], nil
 		}
-		if h, ok := refs[gen]; ok {
+		if h, ok := refs[smp.gen]; ok {
 			return h, nil
 		}
-		d, i := s.mutated(gen)
-		body, err := encodeDesign(d)
+		if baseOpt == nil {
+			local, err := s.localRun(s.baseJSON)
+			if err != nil {
+				return "", err
+			}
+			baseOpt = local.Modules()
+		}
+		body, err := s.designBody(smp.gen)
 		if err != nil {
 			return "", err
 		}
@@ -482,17 +509,18 @@ func (s *serveSetup) check(logs []*clientLog, rep *report) (int, error) {
 		if err != nil {
 			return "", err
 		}
+		i := smp.gen % s.sz.designModules
 		opt := rtlil.NewDesign()
-		for j, b := range s.baseOpt {
+		for j, b := range baseOpt {
 			if j == i {
 				b = local.Modules()[i]
 			}
 			opt.AddModule(b)
 		}
-		refs[gen] = rtlil.CanonicalHashDesign(opt)
-		return refs[gen], nil
+		refs[smp.gen] = rtlil.CanonicalHashDesign(opt)
+		return refs[smp.gen], nil
 	}
-	area := -1
+	areas := map[int]int{} // warm design -> area of its response
 	for _, l := range logs {
 		for _, smp := range l.samples {
 			rep.attempted++
@@ -506,22 +534,28 @@ func (s *serveSetup) check(logs []*clientLog, rep *report) (int, error) {
 				rep.failed++
 				continue
 			}
-			want, err := ref(smp.class, smp.gen)
+			want, err := ref(smp)
 			if err != nil {
 				return 0, err
 			}
 			if smp.hash != want {
-				fmt.Fprintf(logOut, "%s response (generation %d) differs from the local run\n", smp.class, smp.gen)
+				fmt.Fprintf(logOut, "%s response (warm design %d, generation %d) differs from the local run\n",
+					smp.class, smp.warm, smp.gen)
 				rep.failed++
 				continue
 			}
-			if smp.class == classWarm && area < 0 {
-				area = smp.area
+			if _, ok := areas[smp.warm]; smp.class == classWarm && !ok {
+				areas[smp.warm] = smp.area
 			}
 		}
 	}
-	if area < 0 {
-		return 0, fmt.Errorf("no warm response passed the check")
+	area := 0
+	for k := range s.warm {
+		a, ok := areas[k]
+		if !ok {
+			return 0, fmt.Errorf("no warm response passed the check for warm design %d", k)
+		}
+		area += a
 	}
 	return area, nil
 }
@@ -675,7 +709,7 @@ func (s *serveSetup) fillStageTimes(vals map[string]float64, logs []*clientLog) 
 			if smp.err != nil || smp.design == nil || byClass[smp.class] != nil {
 				continue
 			}
-			p := &pair{body: s.warmJSON, optimized: smp.design, resp: smp.resp}
+			p := &pair{body: s.warm[smp.warm], optimized: smp.design, resp: smp.resp}
 			if smp.class == classDesign {
 				var err error
 				if p.body, err = s.designBody(smp.gen); err != nil {
@@ -731,7 +765,7 @@ func (s *serveSetup) fillStageTimes(vals map[string]float64, logs []*clientLog) 
 		vals["rtlil.write_json_ms."+class] = write
 	}
 	if p := byClass[classWarm]; p != nil {
-		req := s.request(classWarm, nil)
+		req := s.request(classWarm, p.body)
 		enc, err := timeIt(func() error { _, err := json.Marshal(req); return err })
 		if err != nil {
 			return err
