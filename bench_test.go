@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/genbench"
 	"repro/internal/harness"
-	"repro/internal/opt"
 	"repro/internal/rtlil"
 	"repro/internal/subgraph"
 )
@@ -116,10 +115,14 @@ func BenchmarkFigure3(b *testing.B) {
 		m.AddMux("root", c, inner, s, y)
 		return m
 	}
+	flow, err := smartly.NamedFlow("full")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var after int
 	for i := 0; i < b.N; i++ {
 		m := build()
-		if _, err := smartly.Optimize(m, smartly.PipelineFull); err != nil {
+		if _, err := flow.Run(m); err != nil {
 			b.Fatal(err)
 		}
 		a, err := smartly.Area(m)
@@ -272,24 +275,22 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelines measures wall-clock of the four pipelines on a
-// mixed mid-size circuit (runtime comparison, not in the paper's tables
-// but useful for regressions).
+// BenchmarkPipelines measures wall-clock of the paper's four named
+// flows on a mixed mid-size circuit (runtime comparison, not in the
+// paper's tables but useful for regressions).
 func BenchmarkPipelines(b *testing.B) {
 	recipe := genbench.Recipes()[2] // wb_conmax: mixed content
-	pipelines := map[string]func() opt.Pass{
-		"yosys":   core.PipelineYosys,
-		"sat":     func() opt.Pass { return core.PipelineSAT(core.SatMuxOptions{}) },
-		"rebuild": func() opt.Pass { return core.PipelineRebuild(core.RebuildOptions{}) },
-		"full":    func() opt.Pass { return core.PipelineFull(core.SatMuxOptions{}, core.RebuildOptions{}) },
-	}
-	for name, mk := range pipelines {
+	for _, name := range []string{"yosys", "sat", "rebuild", "full"} {
+		flow, err := smartly.NamedFlow(name)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := genbench.Generate(recipe, benchScale())
 				b.StartTimer()
-				if _, err := mk().Run(nil, m); err != nil {
+				if _, err := flow.Run(m); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	smartly-bench [-scale 1.0] [-table 2|3|all] [-industrial n] [-j n] [-check] [-v]
+//	smartly-bench [-scale 1.0] [-table 2|3|all|none] [-industrial n] [-j n] [-check] [-v]
 //	              [-json] [-server] [-replica n] [-design n] [-load n] [-sat] [-egraph] [-corpus dir] [-flow name|name=script]...
 //
 // Scale 1.0 runs the calibrated case sizes (minutes); smaller scales
@@ -66,7 +66,7 @@ type benchConfig struct {
 func main() {
 	var cfg benchConfig
 	flag.Float64Var(&cfg.scale, "scale", 1.0, "benchmark scale factor")
-	flag.StringVar(&cfg.table, "table", "all", "which table to regenerate: 2, 3 or all")
+	flag.StringVar(&cfg.table, "table", "all", "which table to regenerate: 2, 3, all, or none (\"\" also means none)")
 	flag.IntVar(&cfg.industrial, "industrial", 0, "also run n industrial test points")
 	flag.BoolVar(&cfg.check, "check", false, "equivalence-check every optimized netlist (slow)")
 	flag.IntVar(&cfg.jobs, "j", 0, "benchmark cases and SAT-mux queries run concurrently (0 = all cores, 1 = sequential); results are identical for every value")
@@ -76,7 +76,7 @@ func main() {
 	flag.IntVar(&cfg.replica, "replica", 0, "also measure the two-replica shared cache tier (HTTP peer protocol) on an n-module design (0 = off)")
 	flag.IntVar(&cfg.design, "design", 0, "also measure design-mode sharding cold/warm/incremental latency on an n-module design (0 = off)")
 	flag.IntVar(&cfg.load, "load", 0, "also measure the daemon under n concurrent clients on a mixed cold/warm/design workload: throughput + p50/p95/p99 per class (0 = off)")
-	flag.BoolVar(&cfg.sat, "sat", false, "also measure the incremental SAT oracle (counters + wall-clock vs the sim_filter=false ablation and the per-query-solver oracle) on the sat and full flows")
+	flag.BoolVar(&cfg.sat, "sat", false, "also measure the SAT oracle (counters + wall-clock vs the sim_filter=false ablation) on the sat and full flows")
 	flag.BoolVar(&cfg.egraph, "egraph", false, "also measure verified e-graph rewriting on the datapath benchmark set (yosys vs pre-egraph full vs datapath vs full)")
 	flag.StringVar(&cfg.corpus, "corpus", "", "also measure an external benchmark-corpus directory (manifest.json + Verilog) under the yosys/seq/full flows")
 	var flows flowList
@@ -91,6 +91,11 @@ func main() {
 }
 
 func runBench(cfg benchConfig, out io.Writer) error {
+	switch cfg.table {
+	case "2", "3", "all", "none", "":
+	default:
+		return fmt.Errorf("-table %q: want 2, 3, all, none or \"\"", cfg.table)
+	}
 	opts := harness.Options{Scale: cfg.scale, Check: cfg.check, Jobs: cfg.jobs, Workers: cfg.jobs}
 	if cfg.verbose {
 		opts.Logf = func(format string, args ...any) {

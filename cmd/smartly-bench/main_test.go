@@ -143,9 +143,8 @@ func TestBenchDesignMode(t *testing.T) {
 	}
 }
 
-// TestBenchSatMode: -sat attaches the incremental-SAT-oracle section to
-// the JSON report, with counters populated and both wall-clocks
-// measured.
+// TestBenchSatMode: -sat attaches the SAT-oracle section to the JSON
+// report, with counters populated and both wall-clocks measured.
 func TestBenchSatMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the SAT-exercising flows twice over the benchmark set")
@@ -175,7 +174,7 @@ func TestBenchSatMode(t *testing.T) {
 	if err := runBench(benchConfig{scale: 0.05, table: "", sat: true, flows: []string{"yosys"}}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Incremental SAT oracle") {
+	if !strings.Contains(buf.String(), "SAT oracle") {
 		t.Errorf("table output:\n%s", buf.String())
 	}
 }
@@ -184,6 +183,24 @@ func TestBenchBadFlowSpec(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runBench(benchConfig{scale: 0.02, table: "2", flows: []string{"bad=no_such_pass"}}, &buf); err == nil {
 		t.Error("invalid flow spec accepted")
+	}
+}
+
+// TestBenchBadTable: an unknown -table value is an error naming the
+// accepted values, not a silent run without tables.
+func TestBenchBadTable(t *testing.T) {
+	var buf bytes.Buffer
+	err := runBench(benchConfig{scale: 0.02, table: "4"}, &buf)
+	if err == nil {
+		t.Fatal("-table 4 accepted")
+	}
+	for _, want := range []string{"2", "3", "all", "none"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("output before the error:\n%s", buf.String())
 	}
 }
 

@@ -50,7 +50,6 @@ type options struct {
 
 func main() {
 	var o options
-	pipeline := flag.String("pipeline", "", "deprecated alias of -flow")
 	flag.StringVar(&o.flowName, "flow", "full", "named optimization flow: yosys|sat|rebuild|full")
 	flag.StringVar(&o.script, "script", "", "run this flow script instead of a named flow (e.g. \"opt_expr; satmux(conflicts=64); opt_clean\")")
 	flag.StringVar(&o.remote, "remote", "", "optimize via a smartlyd daemon at this base URL instead of in-process")
@@ -72,7 +71,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	flowSet := *pipeline != ""
+	flowSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "flow" {
 			flowSet = true
@@ -90,9 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smartly: -module-jobs tunes the local shard scheduler; the daemon manages its own split (drop it, or tune -j)")
 		os.Exit(2)
 	}
-	if *pipeline != "" {
-		o.flowName = *pipeline
-	}
 	if err := run(flag.Arg(0), o); err != nil {
 		fmt.Fprintln(os.Stderr, "smartly:", err)
 		os.Exit(1)
@@ -100,8 +96,7 @@ func main() {
 }
 
 // checkFlowFlags rejects contradictory flow selections: an explicit
-// -flow (or -pipeline) combined with -script would silently ignore one
-// of them.
+// -flow combined with -script would silently ignore one of them.
 func checkFlowFlags(flowSet bool, script string) error {
 	if flowSet && script != "" {
 		return fmt.Errorf("-flow and -script are mutually exclusive; pass a named flow (-flow full) OR a script (-script \"opt_expr; opt_clean\"), not both")
@@ -134,15 +129,8 @@ func selectFlow(name, script string) (*smartly.Flow, string, error) {
 		}
 		return f, f.String(), nil
 	}
-	// Any registered named flow works; the legacy pipeline aliases
-	// ("baseline", "smartly", ...) are accepted as a fallback.
 	f, err := smartly.NamedFlow(name)
 	if err != nil {
-		if p, aliasErr := smartly.ParsePipeline(name); aliasErr == nil {
-			if f, err2 := smartly.NamedFlow(p.String()); err2 == nil {
-				return f, p.String(), nil
-			}
-		}
 		return nil, "", err
 	}
 	return f, name, nil

@@ -30,10 +30,9 @@
 //
 // Flows compose the registered passes (see Passes) with typed options;
 // NamedFlow("yosys"|"sat"|"rebuild"|"full") returns the paper's four
-// pipelines. Flow.Run/RunDesign take functional options (WithContext,
+// pipelines, and "datapath" and "seq" the verified e-graph and register
+// sweeps. Flow.Run/RunDesign take functional options (WithContext,
 // WithWorkers, WithLogf, WithTimings) and return structured RunReports.
-// The legacy Pipeline enum and Optimize remain as thin shims over the
-// named flows.
 //
 // # Content identity and serving
 //

@@ -22,7 +22,11 @@ endmodule`)
 	}
 	m := design.Top()
 	before, _ := smartly.Area(m)
-	if _, err := smartly.Optimize(m, smartly.PipelineFull); err != nil {
+	flow, err := smartly.NamedFlow("full")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := flow.Run(m); err != nil {
 		log.Fatal(err)
 	}
 	after, _ := smartly.Area(m)
@@ -51,7 +55,11 @@ endmodule`)
 	}
 	m := design.Top()
 	orig := m.Clone()
-	if _, err := smartly.Optimize(m, smartly.PipelineRebuild); err != nil {
+	flow, err := smartly.NamedFlow("rebuild")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := flow.Run(m); err != nil {
 		log.Fatal(err)
 	}
 	if err := smartly.CheckEquivalence(orig, m); err != nil {

@@ -44,6 +44,10 @@ module listing2(input [2:0] s, input [3:0] p0, input [3:0] p1,
 endmodule`
 
 func main() {
+	rebuild, err := smartly.NamedFlow("rebuild")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for name, src := range map[string]string{"Listing 1": listing1, "Listing 2": listing2} {
 		design, err := smartly.ParseVerilog(src)
 		if err != nil {
@@ -54,7 +58,7 @@ func main() {
 		before, _ := smartly.Area(m)
 		muxesBefore, eqsBefore := count(m)
 
-		if _, err := smartly.Optimize(m, smartly.PipelineRebuild); err != nil {
+		if _, err := rebuild.Run(m); err != nil {
 			log.Fatal(err)
 		}
 		if err := smartly.CheckEquivalence(orig, m); err != nil {

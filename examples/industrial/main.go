@@ -30,23 +30,26 @@ func main() {
 			log.Fatal(err)
 		}
 
-		areas := map[smartly.Pipeline]int{}
-		for _, pipe := range []smartly.Pipeline{smartly.PipelineYosys, smartly.PipelineFull} {
+		areas := map[string]int{}
+		for _, name := range []string{"yosys", "full"} {
+			flow, err := smartly.NamedFlow(name)
+			if err != nil {
+				log.Fatal(err)
+			}
 			work := m.Clone()
-			if _, err := smartly.Optimize(work, pipe); err != nil {
+			if _, err := flow.Run(work); err != nil {
 				log.Fatal(err)
 			}
 			a, err := smartly.Area(work)
 			if err != nil {
 				log.Fatal(err)
 			}
-			areas[pipe] = a
+			areas[name] = a
 		}
-		extra := 100 * float64(areas[smartly.PipelineYosys]-areas[smartly.PipelineFull]) /
-			float64(areas[smartly.PipelineYosys])
+		extra := 100 * float64(areas["yosys"]-areas["full"]) / float64(areas["yosys"])
 		sum += extra
 		fmt.Printf("%-8d %10d %10d %10d %9.1f%%   (%d cells, %d muxes)\n",
-			p, orig, areas[smartly.PipelineYosys], areas[smartly.PipelineFull], extra,
+			p, orig, areas["yosys"], areas["full"], extra,
 			stats.NumCells, stats.NumMuxes)
 	}
 	fmt.Printf("\naverage extra reduction vs Yosys: %.1f%% (paper reports 47.2%%)\n",

@@ -2,8 +2,8 @@
 // Figure 3 redundancy, optimize it with the full smaRTLy pipeline, and
 // compare against the Yosys baseline.
 //
-// This uses the legacy Pipeline enum; see examples/flows for the
-// composable Flow API (script DSL, pass registry, structured reports).
+// This runs two of the named flows; see examples/flows for flow scripts,
+// the pass registry and the structured run reports.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -26,7 +26,11 @@ module demo(input s, input r, input [7:0] a, input [7:0] b,
 endmodule`
 
 func main() {
-	for _, pipeline := range []smartly.Pipeline{smartly.PipelineYosys, smartly.PipelineFull} {
+	for _, name := range []string{"yosys", "full"} {
+		flow, err := smartly.NamedFlow(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		design, err := smartly.ParseVerilog(src)
 		if err != nil {
 			log.Fatal(err)
@@ -38,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report, err := smartly.Optimize(m, pipeline)
+		report, err := flow.Run(m)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,8 +54,8 @@ func main() {
 			log.Fatalf("optimization is unsound: %v", err)
 		}
 
-		fmt.Printf("pipeline %-7s AIG area %3d -> %3d", pipeline, before, after)
-		if n := report.Details["mux_collapsed"]; n > 0 {
+		fmt.Printf("pipeline %-7s AIG area %3d -> %3d", name, before, after)
+		if n := report.Counters()["mux_collapsed"]; n > 0 {
 			fmt.Printf("  (collapsed %d redundant mux)", n)
 		}
 		fmt.Println()

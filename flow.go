@@ -20,7 +20,7 @@ type (
 	RebuildOptions = core.RebuildOptions
 )
 
-// Structured run reporting, replacing the flat Report.Details map.
+// Structured run reporting.
 type (
 	// RunReport is the structured result of a flow run: per-pass
 	// counters and timings plus fixpoint iteration counts.
@@ -80,7 +80,8 @@ func ParseFlow(script string) (*Flow, error) {
 }
 
 // NamedFlow returns a registered named flow. The built-in names are the
-// paper's four pipelines: "yosys", "sat", "rebuild" and "full".
+// paper's four pipelines — "yosys", "sat", "rebuild" and "full" — plus
+// "datapath" and "seq"; see FlowNames.
 func NamedFlow(name string) (*Flow, error) {
 	f, err := opt.NamedFlow(name)
 	if err != nil {
@@ -192,15 +193,8 @@ func newRunConfig(opts []RunOption) runConfig {
 // structured run report.
 func (f *Flow) Run(m *Module, opts ...RunOption) (RunReport, error) {
 	cfg := newRunConfig(opts)
-	rep, _, err := f.run(cfg, m)
-	return rep, err
-}
-
-// run executes the flow under cfg, returning both the structured report
-// and the flat legacy result (for the Optimize shims).
-func (f *Flow) run(cfg runConfig, m *Module) (RunReport, opt.Result, error) {
 	if f == nil || f.flow == nil {
-		return RunReport{}, opt.Result{}, fmt.Errorf("smartly: nil flow")
+		return RunReport{}, fmt.Errorf("smartly: nil flow")
 	}
 	ec := opt.NewCtx(cfg.ctx, opt.Config{Workers: cfg.workers, Logf: cfg.logf, Progress: cfg.progress})
 	start := time.Now()
@@ -213,7 +207,7 @@ func (f *Flow) run(cfg runConfig, m *Module) (RunReport, opt.Result, error) {
 	} else {
 		rep.StripTimings()
 	}
-	return rep, res, err
+	return rep, err
 }
 
 // RunDesign executes the flow over every module of the design through

@@ -98,6 +98,5 @@ func (c *CNF) SatLit(l Lit) sat.Lit {
 
 // EncodedNodes reports how many AIG nodes have solver variables — i.e.
 // how much of the graph the lazy Tseitin encoding has materialized so
-// far. Long-lived CNF contexts (the SAT-mux cone cache) grow this
-// monotonically as queries reference new logic.
+// far. It grows monotonically as queries reference new logic.
 func (c *CNF) EncodedNodes() int { return len(c.varOf) }

@@ -6,10 +6,10 @@ import (
 	"repro/internal/sat"
 )
 
-// TestCNFIncrementalEncoding pins the property the SAT-mux cone cache
-// relies on: one CNF context over one solver encodes lazily — only the
-// cone of each requested literal — and repeated Solve calls interleaved
-// with encoding growth stay correct.
+// TestCNFIncrementalEncoding pins the property the SAT-mux oracle relies
+// on: one CNF context over one solver encodes lazily — only the cone of
+// each requested literal — and repeated Solve calls interleaved with
+// encoding growth stay correct.
 func TestCNFIncrementalEncoding(t *testing.T) {
 	g := New()
 	a, b, c := g.NewInput(), g.NewInput(), g.NewInput()

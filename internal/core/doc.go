@@ -7,7 +7,9 @@
 //     (internal/infer), and falls back to exhaustive simulation
 //     (internal/sim) or a CDCL SAT solver (internal/sat, via
 //     internal/aig CNF encoding) to prove controls constant along the
-//     path. SatMuxPass; options in SatMuxOptions.
+//     path. A 64-lane random-simulation pre-filter decides most
+//     SAT-bound queries first; the rest encode their cone into a fresh
+//     budgeted solver. SatMuxPass; options in SatMuxOptions.
 //   - Muxtree restructuring (paper §III): case-statement muxtrees whose
 //     controls compare a single selector against constants are rebuilt
 //     from an Algebraic Decision Diagram (internal/bdd) with the greedy
@@ -18,14 +20,17 @@
 // the paper's evaluation.
 //
 // At init, this package registers the passes in the internal/opt flow
-// registry under the script names "satmux", "rebuild" and "smartly"
-// (with typed option tables: satmux(conflicts=64, inference=false),
-// ...), and registers the paper's four pipelines as named flows:
+// registry under the script names "satmux", "rebuild", "smartly" and
+// "opt_egraph" (with typed option tables: satmux(conflicts=64,
+// inference=false), ...), and registers six named flows — the paper's
+// four pipelines plus e-graph datapath rewriting and the register sweep:
 //
-//	yosys    fixpoint { opt_expr; opt_muxtree; opt_clean }
-//	sat      fixpoint { opt_expr; satmux; opt_clean }
-//	rebuild  fixpoint { opt_expr; opt_muxtree; rebuild; opt_clean }
-//	full     fixpoint { opt_expr; smartly; opt_clean }
+//	yosys     fixpoint { opt_expr; opt_muxtree; opt_clean }
+//	sat       fixpoint { opt_expr; satmux; opt_clean }
+//	rebuild   fixpoint { opt_expr; opt_muxtree; rebuild; opt_clean }
+//	datapath  fixpoint { opt_expr; opt_egraph; opt_clean }
+//	seq       fixpoint { opt_expr; opt_dff; opt_clean }
+//	full      fixpoint { opt_expr; smartly; opt_egraph; opt_dff; opt_clean }
 //
 // Importing this package (directly, or via the repro facade or
 // internal/harness) is what populates the registry.

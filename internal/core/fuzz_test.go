@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cec"
-	"repro/internal/opt"
 	"repro/internal/rtlil"
 )
 
@@ -58,8 +57,7 @@ func TestFuzzSmartlyPreservesEquivalence(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := randomMuxModule(rng)
 		orig := m.Clone()
-		pipe := PipelineFull(SatMuxOptions{}, RebuildOptions{})
-		if _, err := pipe.Run(nil, m); err != nil {
+		if _, err := namedFlow(t, "full").Run(nil, m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := m.Validate(); err != nil {
@@ -80,10 +78,10 @@ func TestFuzzSmartlyNeverWorseThanBaseline(t *testing.T) {
 		m := randomMuxModule(rng)
 		base := m.Clone()
 		full := m.Clone()
-		if _, err := PipelineYosys().Run(nil, base); err != nil {
+		if _, err := namedFlow(t, "yosys").Run(nil, base); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := PipelineFull(SatMuxOptions{}, RebuildOptions{}).Run(nil, full); err != nil {
+		if _, err := namedFlow(t, "full").Run(nil, full); err != nil {
 			t.Fatal(err)
 		}
 		ab, af := area(t, base), area(t, full)
@@ -99,10 +97,10 @@ func TestSatMuxIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(125))
 	for trial := 0; trial < 10; trial++ {
 		m := randomMuxModule(rng)
-		if _, err := PipelineFull(SatMuxOptions{}, RebuildOptions{}).Run(nil, m); err != nil {
+		if _, err := namedFlow(t, "full").Run(nil, m); err != nil {
 			t.Fatal(err)
 		}
-		r, err := PipelineFull(SatMuxOptions{}, RebuildOptions{}).Run(nil, m)
+		r, err := namedFlow(t, "full").Run(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,5 +108,4 @@ func TestSatMuxIdempotent(t *testing.T) {
 			t.Errorf("trial %d: second run still changed the module (%s)", trial, r)
 		}
 	}
-	_ = opt.Result{}
 }

@@ -18,14 +18,11 @@ var satMuxOptionSpecs = []opt.OptionSpec{
 	{Key: "sim_inputs", Kind: opt.KindInt, Positive: true, Default: "11", Help: "exhaustive simulation up to this many inputs"},
 	{Key: "sat_inputs", Kind: opt.KindInt, Positive: true, Default: "200", Help: "skip SAT above this many inputs"},
 	{Key: "conflicts", Kind: opt.KindInt64, Positive: true, Default: "2000", Help: "CDCL conflict budget per query"},
-	{Key: "cone_cache", Kind: opt.KindInt, Positive: true, Default: "256", Help: "cone encodings (and live solvers) retained by the incremental oracle"},
 	{Key: "sim_rounds", Kind: opt.KindInt, Positive: true, Default: "4", Help: "64-vector simulation rounds per cone in the SAT pre-filter"},
 	{Key: "inference", Kind: opt.KindBool, Default: "true", Help: "enable the Table I inference rules"},
 	{Key: "sat", Kind: opt.KindBool, Default: "true", Help: "enable simulation/SAT queries"},
 	{Key: "subgraph_filter", Kind: opt.KindBool, Default: "true", Help: "enable the Theorem II.1 pruning"},
-	{Key: "incremental", Kind: opt.KindBool, Default: "true", Help: "reuse cone encodings and solvers across SAT queries (off: one solver per query)"},
 	{Key: "sim_filter", Kind: opt.KindBool, Default: "true", Help: "64-lane random-simulation pre-filter in front of the SAT stage"},
-	{Key: "portfolio", Kind: opt.KindBool, Default: "true", Help: "budgeted probe/retry solver portfolio with simulation-derived phase hints"},
 }
 
 var rebuildOptionSpecs = []opt.OptionSpec{
@@ -43,14 +40,11 @@ func satMuxOptionsFromArgs(a opt.Args) SatMuxOptions {
 		SimInputLimit:         a.Int("sim_inputs", 0),
 		SATInputLimit:         a.Int("sat_inputs", 0),
 		MaxConflicts:          a.Int64("conflicts", 0),
-		ConeCacheSize:         a.Int("cone_cache", 0),
 		SimFilterRounds:       a.Int("sim_rounds", 0),
 		DisableInference:      !a.Bool("inference", true),
 		DisableSAT:            !a.Bool("sat", true),
 		DisableSubgraphFilter: !a.Bool("subgraph_filter", true),
-		DisableIncremental:    !a.Bool("incremental", true),
 		DisableSimFilter:      !a.Bool("sim_filter", true),
-		DisablePortfolio:      !a.Bool("portfolio", true),
 	}
 }
 
@@ -80,10 +74,7 @@ func egraphOptionsFromArgs(a opt.Args) egraph.Options {
 	}
 }
 
-// The smaRTLy passes and the paper's named pipelines, exposed to the
-// flow registry. The named flows compile to exactly the pass structures
-// of PipelineYosys/PipelineSAT/PipelineRebuild/PipelineFull, so legacy
-// enum runs and script runs are bit-identical.
+// The smaRTLy passes and the named flows, exposed to the flow registry.
 func init() {
 	opt.Register(opt.PassSpec{
 		Name:    "satmux",

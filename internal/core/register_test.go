@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/egraph"
 	"repro/internal/opt"
-	"repro/internal/rtlil"
 )
 
 func TestSmartlyPassesRegistered(t *testing.T) {
@@ -91,58 +88,6 @@ func TestZeroBudgetRejected(t *testing.T) {
 	} {
 		if _, err := opt.ParseFlow(script); err == nil {
 			t.Errorf("ParseFlow(%q) accepted an explicit zero/negative budget", script)
-		}
-	}
-}
-
-// TestNamedFlowsMatchLegacyPipelines: each registered named flow must
-// rewrite a design bit-identically to the legacy pipeline constructor,
-// with identical counters.
-func TestNamedFlowsMatchLegacyPipelines(t *testing.T) {
-	legacy := map[string]func() opt.Pass{
-		"yosys":    func() opt.Pass { return PipelineYosys() },
-		"sat":      func() opt.Pass { return PipelineSAT(SatMuxOptions{}) },
-		"rebuild":  func() opt.Pass { return PipelineRebuild(RebuildOptions{}) },
-		"datapath": func() opt.Pass { return PipelineDatapath(egraph.Options{}) },
-		"seq":      func() opt.Pass { return PipelineSeq(opt.DffOptions{}) },
-		"full":     func() opt.Pass { return PipelineFull(SatMuxOptions{}, RebuildOptions{}) },
-	}
-	if got := opt.FlowNames(); len(got) != len(legacy) {
-		t.Fatalf("FlowNames = %v, want the paper pipelines plus datapath", got)
-	}
-	build := func() *rtlil.Module {
-		m := buildFigure3()
-		return m
-	}
-	for name, mk := range legacy {
-		flow, err := opt.NamedFlow(name)
-		if err != nil {
-			t.Fatalf("NamedFlow(%s): %v", name, err)
-		}
-		mLegacy, mFlow := build(), build()
-		rLegacy, err := opt.RunScript(nil, mLegacy, mk())
-		if err != nil {
-			t.Fatalf("%s legacy: %v", name, err)
-		}
-		rFlow, err := flow.Run(nil, mFlow)
-		if err != nil {
-			t.Fatalf("%s flow: %v", name, err)
-		}
-		if !reflect.DeepEqual(rLegacy.Details, rFlow.Details) || rLegacy.Changed != rFlow.Changed {
-			t.Errorf("%s: counters differ: legacy %v, flow %v", name, rLegacy.Details, rFlow.Details)
-		}
-		var a, b bytes.Buffer
-		dl, df := rtlil.NewDesign(), rtlil.NewDesign()
-		dl.AddModule(mLegacy)
-		df.AddModule(mFlow)
-		if err := rtlil.WriteJSON(&a, dl); err != nil {
-			t.Fatal(err)
-		}
-		if err := rtlil.WriteJSON(&b, df); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s: netlists differ between legacy pipeline and named flow", name)
 		}
 	}
 }

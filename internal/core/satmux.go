@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/aig"
@@ -33,9 +31,6 @@ type SatMuxOptions struct {
 	SATInputLimit int
 	// MaxConflicts bounds each SAT call (default 2000).
 	MaxConflicts int64
-	// ConeCacheSize caps how many cone encodings (AIG mapping + CNF +
-	// live solver) the incremental oracle retains (default 256).
-	ConeCacheSize int
 	// SimFilterRounds is how many 64-lane vector rounds the simulation
 	// pre-filter runs per SAT-bound cone before the solver is consulted
 	// (default 4, i.e. 256 input vectors). Negative disables rounds
@@ -47,20 +42,12 @@ type SatMuxOptions struct {
 	// DisableSimFilter turns the bit-parallel simulation pre-filter in
 	// front of the SAT stage off (ablation).
 	DisableSimFilter bool
-	// DisablePortfolio turns the budgeted probe/retry solver portfolio
-	// off: every SAT call is one Solve under the full conflict budget
-	// (ablation).
-	DisablePortfolio bool
 	// DisableSAT turns simulation/SAT off, leaving inference only
 	// (ablation).
 	DisableSAT bool
 	// DisableSubgraphFilter turns the Theorem II.1 pruning off
 	// (ablation).
 	DisableSubgraphFilter bool
-	// DisableIncremental makes every SAT query build a private
-	// mapping, CNF encoding and solver, as the pre-incremental oracle
-	// did (ablation and differential testing).
-	DisableIncremental bool
 }
 
 func (o SatMuxOptions) withDefaults() SatMuxOptions {
@@ -78,9 +65,6 @@ func (o SatMuxOptions) withDefaults() SatMuxOptions {
 	}
 	if o.MaxConflicts == 0 {
 		o.MaxConflicts = 2000
-	}
-	if o.ConeCacheSize == 0 {
-		o.ConeCacheSize = 256
 	}
 	if o.SimFilterRounds == 0 {
 		o.SimFilterRounds = 4
@@ -101,28 +85,22 @@ type SatMuxStats struct {
 	SubgraphCells   int // total kept cells across queries
 	CandidateCells  int // total pre-filter cells across queries
 
-	// Incremental-oracle counters (cone cache and solver lifetime).
-	Encodings     int // fresh cone encodings built (AIG map + CNF + solver)
-	EncodeReuse   int // SAT queries that reused a cached cone encoding
-	SolverReuse   int // Solve calls issued to a solver kept alive from an earlier query
+	// SAT-stage counters.
 	LearntClauses int // learnt clauses produced across all SAT calls
 	MapFailures   int // SAT queries abandoned because a cone cell is not AIG-mappable
-	Evictions     int // learnt-state resets after conflict-budget trips, plus cache-capacity evictions
+	BudgetTrips   int // Solve calls that exhausted the conflict budget
 
-	// Simulation pre-filter and solver-portfolio counters.
-	SimFiltered      int // SAT-bound queries decided unknowable by the pre-filter (no solver call)
-	SimVectors       int // 64-lane simulation words evaluated (pre-filter rounds + exhaustive sweep)
-	HintedSolves     int // logical SAT calls issued with simulation-derived phase hints
-	PortfolioRetries int // probe attempts that fell back to the diversified retry
+	// Simulation pre-filter counters.
+	SimFiltered int // SAT-bound queries decided unknowable by the pre-filter (no solver call)
+	SimVectors  int // 64-lane simulation words evaluated (pre-filter rounds + exhaustive sweep)
 }
 
 // String renders the counters.
 func (s SatMuxStats) String() string {
-	return fmt.Sprintf("queries=%d facts=%d unreachable=%d inference=%d sim=%d sat=%d/%d unknown=%d subgraph=%d/%d encode=%d reuse=%d/%d learnt=%d mapfail=%d evict=%d simfilter=%d/%d hinted=%d retries=%d",
+	return fmt.Sprintf("queries=%d facts=%d unreachable=%d inference=%d sim=%d sat=%d/%d unknown=%d subgraph=%d/%d learnt=%d mapfail=%d trips=%d simfilter=%d/%d",
 		s.Queries, s.FactHits, s.UnreachablePath, s.InferenceHits, s.SimHits,
 		s.SATHits, s.SATCalls, s.Unknown, s.SubgraphCells, s.CandidateCells,
-		s.Encodings, s.EncodeReuse, s.SolverReuse, s.LearntClauses, s.MapFailures, s.Evictions,
-		s.SimFiltered, s.SimVectors, s.HintedSolves, s.PortfolioRetries)
+		s.LearntClauses, s.MapFailures, s.BudgetTrips, s.SimFiltered, s.SimVectors)
 }
 
 // Details renders the oracle counters as report-sink counter entries,
@@ -139,16 +117,11 @@ func (s SatMuxStats) Details() map[string]int {
 		"oracle_sat_hits":       s.SATHits,
 		"oracle_unknown":        s.Unknown,
 		"sat_calls":             s.SATCalls,
-		"sat_encodings":         s.Encodings,
-		"sat_encode_reuse":      s.EncodeReuse,
-		"sat_solver_reuse":      s.SolverReuse,
 		"sat_learnt":            s.LearntClauses,
 		"sat_map_failures":      s.MapFailures,
-		"sat_evictions":         s.Evictions,
+		"sat_budget_trips":      s.BudgetTrips,
 		"oracle_sim_filtered":   s.SimFiltered,
 		"oracle_sim_vectors":    s.SimVectors,
-		"sat_hinted_solves":     s.HintedSolves,
-		"sat_portfolio_retries": s.PortfolioRetries,
 	}
 	for k, v := range all {
 		if v == 0 {
@@ -159,23 +132,16 @@ func (s SatMuxStats) Details() map[string]int {
 }
 
 // SmartOracle is the smaRTLy control-value oracle: path facts first, then
-// sub-graph inference, then exhaustive simulation or SAT.
-//
-// The SAT stage is incremental: the AIG mapping, CNF encoding and CDCL
-// solver of each cone are cached by the cone's structural fingerprint
-// (subgraph.Canonicalize) and kept alive across queries, which re-solve
-// under fresh assumption sets and retain the learnt clauses of earlier
-// calls. Structurally identical cones reached from different selects —
-// or from later pass iterations over unchanged logic — share one
-// encoding.
+// sub-graph inference, then exhaustive simulation or — for cones with
+// too many inputs — the simulation pre-filter and a one-shot SAT call.
+// Each SAT-bound query encodes its own cone into a fresh AIG mapping,
+// CNF and budgeted solver; the pre-filter settles most such queries
+// before any encoding happens.
 //
 // The oracle is not safe for concurrent use from the outside, but
 // ValueBatch fans independent queries out to Ctx.Workers() goroutines
-// internally: the extraction/inference/simulation stages of each query
-// run on worker-private state over the shared read-only Index, SAT
-// queries are grouped by cone fingerprint (same-cone queries run in
-// submission order on their shared solver; distinct cones run
-// concurrently), and results, cache writes and counters are merged in
+// internally: every query runs on worker-private state over the shared
+// read-only Index, and results, cache writes and counters are merged in
 // submission order — bit-identical to the sequential path for every
 // worker count.
 type SmartOracle struct {
@@ -190,7 +156,6 @@ type SmartOracle struct {
 	facts *opt.FactOracle
 	o     SatMuxOptions
 	cache map[string]cacheEntry
-	cones *coneCache
 }
 
 type cacheEntry struct {
@@ -200,7 +165,6 @@ type cacheEntry struct {
 
 // NewSmartOracle builds an oracle over the module index.
 func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
-	od := o.withDefaults()
 	return &SmartOracle{
 		ix: ix,
 		// One adjacency build amortized over every query of the pass:
@@ -208,73 +172,9 @@ func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
 		// has culled the SAT calls.
 		graph: subgraph.NewGraph(ix),
 		facts: opt.NewFactOracle(),
-		o:     od,
+		o:     o.withDefaults(),
 		cache: map[string]cacheEntry{},
-		cones: newConeCache(od.ConeCacheSize),
 	}
-}
-
-// coneEntry is one cached cone encoding: the Tseitin CNF of the cone's
-// AIG inside a live solver, plus the AIG literal of every canonical bit
-// slot, so any instance of the cone can translate its bits into solver
-// literals. A bad entry records that the cone contains an unmappable
-// cell (negative caching).
-type coneEntry struct {
-	solver  *sat.Solver
-	cnf     *aig.CNF
-	aigLits []aig.Lit
-	mapped  []bool
-	bad     bool
-	solved  bool // at least one query has issued Solve calls
-	lastUse int  // deterministic LRU tick, assigned in submission order
-}
-
-// coneCache maps cone fingerprints to entries with a deterministic LRU
-// bound. All access happens on the oracle's sequential path (or the
-// sequential merge phase of a batch), never from worker goroutines.
-type coneCache struct {
-	entries map[string]*coneEntry
-	cap     int
-	tick    int
-}
-
-func newConeCache(capacity int) *coneCache {
-	if capacity < 1 {
-		// Negative "disable"-style values would make the eviction loop
-		// spin (len > cap forever); a one-entry cache is the smallest
-		// honest interpretation. Disabling reuse is incremental=false.
-		capacity = 1
-	}
-	return &coneCache{entries: map[string]*coneEntry{}, cap: capacity}
-}
-
-func (cc *coneCache) get(fp string) *coneEntry { return cc.entries[fp] }
-
-// update publishes the post-query state of a cone: a nil entry evicts
-// (conflict-budget trip), otherwise the entry is stored and its LRU tick
-// bumped. Returns how many entries the capacity bound evicted.
-func (cc *coneCache) update(fp string, e *coneEntry) int {
-	if e == nil {
-		delete(cc.entries, fp)
-		return 0
-	}
-	cc.tick++
-	e.lastUse = cc.tick
-	cc.entries[fp] = e
-	evicted := 0
-	for len(cc.entries) > cc.cap {
-		oldestFP := ""
-		oldest := -1
-		for k, v := range cc.entries {
-			if oldest == -1 || v.lastUse < oldest {
-				oldest = v.lastUse
-				oldestFP = k
-			}
-		}
-		delete(cc.entries, oldestFP)
-		evicted++
-	}
-	return evicted
 }
 
 // Push implements opt.Oracle.
@@ -309,29 +209,19 @@ func (s *SmartOracle) Value(bit rtlil.SigBit) (rtlil.State, bool) {
 
 // ValueBatch implements opt.BatchOracle: the independent control-value
 // queries of one pmux select scan are deduplicated by cache key and
-// resolved in two parallel stages. Extraction, inference and simulation
-// run per-query on a bounded worker pool; queries that fall through to
-// SAT are then grouped by cone fingerprint — each group re-solves its
-// shared cached solver in submission order (the learnt-clause state a
-// query sees must not depend on scheduling), while distinct cones run
-// concurrently. Results, cache contents and counters are bit-identical
-// for every worker count, and match calling Value sequentially —
-// including the cone cache's LRU tick stream, published per query in
-// submission order — except that a batch resolves each cone's entry
-// once up front, so a capacity eviction that a strict per-query
-// sequence would interleave *inside* the batch cannot force a re-encode
-// mid-batch (a cache-pressure performance difference only).
+// solved on a bounded worker pool, each on worker-private state. Results,
+// cache contents and counters are merged in submission order, so they
+// are bit-identical for every worker count and match calling Value
+// sequentially.
 func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
 	out := make([]opt.BatchValue, len(bits))
 	type job struct {
-		bit       rtlil.SigBit
-		key       string
-		idxs      []int
-		v         rtlil.State
-		known     bool
-		st        SatMuxStats
-		pend      *pendingSAT
-		coneAfter *coneEntry // cone state after this query
+		bit   rtlil.SigBit
+		key   string
+		idxs  []int
+		v     rtlil.State
+		known bool
+		st    SatMuxStats
 	}
 	var jobs []*job
 	byKey := map[string]*job{}
@@ -357,64 +247,15 @@ func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
 		byKey[key] = j
 		jobs = append(jobs, j)
 	}
-	if len(jobs) == 0 {
-		return out
-	}
-	// Stage 1: worker-private extraction, inference and simulation.
 	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(jobs), func(i int) {
 		j := jobs[i]
-		j.v, j.known, j.pend = s.solvePrep(j.bit, &j.st)
+		j.v, j.known = s.solve(j.bit, &j.st)
 	})
-	// Stage 2: group the pending SAT queries by cone fingerprint, in
-	// submission order. With incremental solving disabled every query
-	// keys itself, degenerating to the old one-solver-per-query fan-out.
-	type group struct {
-		fp    string
-		jobs  []*job
-		entry *coneEntry
-	}
-	var groups []*group
-	byFP := map[string]*group{}
-	for i, j := range jobs {
-		if j.pend == nil {
-			continue
-		}
-		fp := j.pend.canon.Fingerprint
-		if s.o.DisableIncremental {
-			fp = fmt.Sprintf("#%d", i)
-		}
-		g := byFP[fp]
-		if g == nil {
-			g = &group{fp: fp}
-			if !s.o.DisableIncremental {
-				g.entry = s.cones.get(fp)
-			}
-			byFP[fp] = g
-			groups = append(groups, g)
-		}
-		g.jobs = append(g.jobs, j)
-	}
-	if len(groups) > 0 {
-		opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(groups), func(gi int) {
-			g := groups[gi]
-			e := g.entry
-			for _, j := range g.jobs {
-				e, j.v, j.known = s.satRun(e, j.pend, &j.st)
-				j.coneAfter = e
-			}
-		})
-	}
-	// Deterministic merge: stats, query-cache and cone-cache writes in
-	// submission order — one cone publish (and LRU tick) per query,
-	// exactly the sequence the per-query Value path produces.
 	for _, j := range jobs {
 		accumulate(&s.Stats, j.st)
 		s.cache[j.key] = cacheEntry{j.v, j.known}
 		for _, i := range j.idxs {
 			out[i] = opt.BatchValue{V: j.v, Known: j.known}
-		}
-		if j.pend != nil && !s.o.DisableIncremental {
-			s.Stats.Evictions += s.cones.update(j.pend.canon.Fingerprint, j.coneAfter)
 		}
 	}
 	return out
@@ -430,57 +271,30 @@ func (s *SmartOracle) cacheKey(bit rtlil.SigBit) string {
 	return bit.String() + "|" + strings.Join(keys, ",")
 }
 
-// pendingSAT is a query that fell through the inference and simulation
-// stages and needs the (incremental) SAT machinery: the extracted cone,
-// its canonical form, the fact snapshot the assumptions come from, and
-// what the simulation pre-filter learned about it.
-type pendingSAT struct {
-	sg     *subgraph.Result
-	canon  *subgraph.Canon
-	facts  map[rtlil.SigBit]rtlil.State
-	knowns []rtlil.SigBit
-
-	// seen0/seen1 record fact-consistent simulation witnesses of the
-	// target value: a witnessed polarity is known Sat, so satRun skips
-	// that Solve call. (Both witnessed never reaches satRun — the query
-	// is decided unknowable in solvePrep.)
+// satQuery is a query that inference and exhaustive simulation left
+// open: the extracted cone in topological order, the fact snapshot the
+// SAT assumptions come from, and what the simulation pre-filter
+// witnessed. A witnessed target value is known Sat, so satSolve skips
+// that Solve call.
+type satQuery struct {
+	target       rtlil.SigBit // the queried bit, sigmapped
+	sg           *subgraph.Result
+	order        []*rtlil.Cell
+	facts        map[rtlil.SigBit]rtlil.State
+	knowns       []rtlil.SigBit
 	seen0, seen1 bool
-	// hint is the witness input pattern (aligned with sg.Inputs) of the
-	// polarity that was observed, applied as phase hints for the
-	// remaining proof attempt.
-	hint    []bool
-	hasHint bool
 }
 
-// solve runs the full sub-graph machinery for one query on the
-// sequential path, including the cone-cache interaction of the SAT
-// stage.
+// solve runs the §II stages for one query: sub-graph extraction,
+// inference, then exhaustive simulation for few inputs, or the
+// simulation pre-filter followed by SAT. It writes counters to st (a
+// worker-local sink during parallel batches, merged in order
+// afterwards) and touches no shared mutable state.
 func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool) {
-	v, known, pend := s.solvePrep(bit, st)
-	if pend == nil {
-		return v, known
-	}
-	var entry *coneEntry
-	if !s.o.DisableIncremental {
-		entry = s.cones.get(pend.canon.Fingerprint)
-	}
-	entry, v, known = s.satRun(entry, pend, st)
-	if !s.o.DisableIncremental {
-		st.Evictions += s.cones.update(pend.canon.Fingerprint, entry)
-	}
-	return v, known
-}
-
-// solvePrep runs the stages of one query that need no shared mutable
-// state — sub-graph extraction, inference and exhaustive simulation —
-// writing counters to st (a worker-local sink during parallel batches,
-// merged in order afterwards). A query the SAT stage must decide is
-// returned as a pendingSAT instead of a result.
-func (s *SmartOracle) solvePrep(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool, *pendingSAT) {
 	if s.Ctx.Err() != nil {
 		// Canceled: report unknown; the pass surfaces the context error.
 		st.Unknown++
-		return rtlil.Sx, false, nil
+		return rtlil.Sx, false
 	}
 	facts := s.facts.Facts()
 	// Deterministic fact order: it seeds the sub-graph BFS and the SAT
@@ -505,85 +319,73 @@ func (s *SmartOracle) solvePrep(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State,
 			// The path condition is unreachable: the mux output is
 			// never observed, so either branch is sound.
 			st.UnreachablePath++
-			return rtlil.S0, true, nil
+			return rtlil.S0, true
 		}
 		if v, ok := e.Value(bit); ok {
 			st.InferenceHits++
-			return v, true, nil
+			return v, true
 		}
 	}
 	if s.o.DisableSAT {
 		st.Unknown++
-		return rtlil.Sx, false, nil
+		return rtlil.Sx, false
 	}
 
 	// Stage 2: exhaustive simulation for few inputs, SAT otherwise.
 	if len(sg.Inputs) <= s.o.SimInputLimit {
 		if v, ok := s.simulate(sg, facts, bit, st); ok {
 			st.SimHits++
-			return v, true, nil
+			return v, true
 		}
 		st.Unknown++
-		return rtlil.Sx, false, nil
+		return rtlil.Sx, false
 	}
 	if len(sg.Inputs) > s.o.SATInputLimit {
 		st.Unknown++
-		return rtlil.Sx, false, nil
+		return rtlil.Sx, false
 	}
-	var canon *subgraph.Canon
-	if s.o.DisableIncremental && s.o.DisableSimFilter {
-		// The per-query-solver oracle never consults the cone cache, so
-		// the fingerprint would be discarded — compute only the slot
-		// translation the encoder needs. (The pre-filter seeds its RNG
-		// from the fingerprint, so it forces the full canonicalization.)
-		canon = subgraph.Slots(s.ix, sg, bit)
-	} else {
-		canon = subgraph.Canonicalize(s.ix, sg, bit)
-	}
-	p := &pendingSAT{
+	q := &satQuery{
+		target: s.ix.MapBit(bit),
 		sg:     sg,
-		canon:  canon,
+		order:  subgraph.TopoCells(s.ix, sg.Cells),
 		facts:  facts,
 		knowns: knowns,
 	}
-	if !s.o.DisableSimFilter && s.simPreFilter(p, st) {
+	if !s.o.DisableSimFilter && s.simPreFilter(q, st) {
 		// Both target values witnessed under the path facts: the solver
 		// would answer Sat twice, so the query is unknowable — decided
 		// here without touching SAT at all.
 		st.SimFiltered++
 		st.Unknown++
-		return rtlil.Sx, false, nil
+		return rtlil.Sx, false
 	}
-	return rtlil.Sx, false, p
+	return s.satSolve(q, st)
 }
 
 // simPreFilter runs the bit-parallel simulation pre-filter over one
 // SAT-bound cone: SimFilterRounds words of 64 random input vectors
 // (round 0's lanes 0/1 pinned to the all-zeros/all-ones inputs), each
 // evaluated through the lane cone evaluator with AIG-faithful semantics
-// and masked by the path facts. It records witnessed target values and
-// the witness pattern on p, and reports whether both values were seen.
+// and masked by the path facts. It records witnessed target values on q
+// and reports whether both values were seen.
 //
-// Determinism: the RNG is seeded from the cone's structural fingerprint
-// and the facts are scanned in sorted order, so the lane schedule — and
-// everything derived from it — depends only on the query, never on
-// worker count or scheduling.
-func (s *SmartOracle) simPreFilter(p *pendingSAT, st *SatMuxStats) bool {
-	if p.canon.TargetID < 0 {
-		return false
-	}
-	cone, err := sim.NewCone(s.ix, p.canon.Cells, false)
+// Determinism: the RNG is seeded from the query's own shape (its cell
+// and input counts) and the facts are scanned in sorted order, so the
+// lane schedule — and everything derived from it — depends only on the
+// query, never on worker count or scheduling.
+func (s *SmartOracle) simPreFilter(q *satQuery, st *SatMuxStats) bool {
+	cone, err := sim.NewCone(s.ix, q.order, false)
 	if err != nil {
 		// Unsupported cell (e.g. $div): the AIG mapper will reject the
 		// cone too; leave the accounting to the SAT stage.
 		return false
 	}
-	tslot, ok := cone.Slot(p.canon.Bits[p.canon.TargetID])
+	tslot, ok := cone.Slot(q.target)
 	if !ok {
 		return false
 	}
-	inSlots := make([]int, len(p.sg.Inputs))
-	for i, b := range p.sg.Inputs {
+	inSlots := make([]int, len(q.sg.Inputs))
+	for i, b := range q.sg.Inputs {
 		id, ok := cone.Slot(b)
 		if !ok {
 			return false
@@ -598,7 +400,7 @@ func (s *SmartOracle) simPreFilter(p *pendingSAT, st *SatMuxStats) bool {
 		slot int
 		want uint64
 	}
-	forced := make([]int8, len(p.sg.Inputs))
+	forced := make([]int8, len(q.sg.Inputs))
 	for i := range forced {
 		forced[i] = -1
 	}
@@ -607,17 +409,17 @@ func (s *SmartOracle) simPreFilter(p *pendingSAT, st *SatMuxStats) bool {
 		inputOf[slot] = i
 	}
 	var checks []factCheck
-	for _, b := range p.knowns {
+	for _, b := range q.knowns {
 		slot, ok := cone.Slot(b)
 		if !ok {
 			continue
 		}
-		if v := p.facts[b]; v != rtlil.S0 && v != rtlil.S1 {
+		if v := q.facts[b]; v != rtlil.S0 && v != rtlil.S1 {
 			// A non-boolean fact has no lane encoding; decline to filter.
 			return false
 		}
 		var want uint64
-		if p.facts[b] == rtlil.S1 {
+		if q.facts[b] == rtlil.S1 {
 			want = ^uint64(0)
 		}
 		if in, isIn := inputOf[slot]; isIn {
@@ -627,18 +429,8 @@ func (s *SmartOracle) simPreFilter(p *pendingSAT, st *SatMuxStats) bool {
 		checks = append(checks, factCheck{slot, want})
 	}
 
-	seed, _ := strconv.ParseUint(p.canon.Fingerprint[:16], 16, 64)
-	rng := rand.New(rand.NewSource(int64(seed)))
+	rng := rand.New(rand.NewSource(int64(len(q.order))<<32 | int64(len(q.sg.Inputs))))
 	vals := make([]uint64, cone.NumSlots())
-	patterns := make([]uint64, len(inSlots))
-	capture := func(lanes uint64) {
-		lane := uint(bits.TrailingZeros64(lanes))
-		p.hint = make([]bool, len(patterns))
-		for i, w := range patterns {
-			p.hint[i] = (w>>lane)&1 == 1
-		}
-		p.hasHint = true
-	}
 	for round := 0; round < s.o.SimFilterRounds; round++ {
 		if s.Ctx.Err() != nil {
 			// Canceled mid-filter: stop simulating; the pass discards
@@ -660,7 +452,6 @@ func (s *SmartOracle) simPreFilter(p *pendingSAT, st *SatMuxStats) bool {
 				}
 			}
 			vals[slot] = v
-			patterns[i] = v
 		}
 		cone.Eval(vals)
 		st.SimVectors++
@@ -669,23 +460,13 @@ func (s *SmartOracle) simPreFilter(p *pendingSAT, st *SatMuxStats) bool {
 			valid &= ^(vals[fc.slot] ^ fc.want)
 		}
 		tv := vals[tslot]
-		if m := ^tv & valid; m != 0 && !p.seen0 {
-			p.seen0 = true
-			if !p.hasHint {
-				capture(m)
-			}
-		}
-		if m := tv & valid; m != 0 && !p.seen1 {
-			p.seen1 = true
-			if !p.hasHint {
-				capture(m)
-			}
-		}
-		if p.seen0 && p.seen1 {
+		q.seen0 = q.seen0 || ^tv&valid != 0
+		q.seen1 = q.seen1 || tv&valid != 0
+		if q.seen0 && q.seen1 {
 			return true
 		}
 	}
-	return p.seen0 && p.seen1
+	return false
 }
 
 // sortedBits returns the fact keys in a deterministic order.
@@ -958,222 +739,91 @@ func (s *SmartOracle) evalCells(order []*rtlil.Cell, vals map[rtlil.SigBit]rtlil
 	return true
 }
 
-// buildConeEntry encodes one cone: the AIG mapping of the cells in
-// canonical topological order, a fresh budgeted solver, and the AIG
-// literal of every canonical bit slot. A cone containing an unmappable
-// cell yields a bad entry (negative caching).
-func (s *SmartOracle) buildConeEntry(p *pendingSAT) *coneEntry {
+// satSolve answers one SAT-bound query on a private encoding: the AIG
+// mapping of the cone's cells in topological order, its Tseitin CNF in a
+// fresh budgeted solver, and up to two assumption-based Solve calls —
+// the paper's "SAT(S=0)=false or SAT(S=1)=false" criterion. A polarity
+// the pre-filter witnessed is known Sat (the lane evaluator mirrors the
+// AIG mapping cell for cell), so its call is skipped.
+func (s *SmartOracle) satSolve(q *satQuery, st *SatMuxStats) (rtlil.State, bool) {
 	mp := aig.NewPartialMapping(s.ix)
-	for _, b := range p.sg.Inputs {
+	for _, b := range q.sg.Inputs {
 		mp.AddInputBit(b)
 	}
-	for _, c := range p.canon.Cells {
+	for _, c := range q.order {
 		if err := mp.MapCell(c); err != nil {
-			return &coneEntry{bad: true}
+			// The cone contains a cell the AIG mapper cannot encode; the
+			// query stays undecided.
+			st.MapFailures++
+			st.Unknown++
+			return rtlil.Sx, false
 		}
 	}
-	e := &coneEntry{
-		aigLits: make([]aig.Lit, len(p.canon.Bits)),
-		mapped:  make([]bool, len(p.canon.Bits)),
-		solver:  sat.NewSolver(),
-	}
-	e.solver.MaxConflicts = s.o.MaxConflicts
-	e.cnf = aig.NewCNF(mp.G, e.solver)
-	for id, b := range p.canon.Bits {
-		if mp.HasBit(b) {
-			e.aigLits[id] = mp.LitOf(b)
-			e.mapped[id] = true
-		}
-	}
-	return e
-}
-
-// satRun answers one pending SAT query against a cone entry (nil means
-// encode fresh), checking SAT(target=0) and SAT(target=1) under the path
-// facts — the paper's "SAT(S=0)=false or SAT(S=1)=false" criterion —
-// as two assumption-based Solve calls on the cone's long-lived solver.
-// It returns the entry to keep for the next query on this cone; after a
-// conflict-budget trip the solver's learnt state is Reset (an abandoned
-// search must not tax later queries) while the encoding is retained.
-// Counters go to the worker-local sink st; the shared cone cache is
-// never touched.
-func (s *SmartOracle) satRun(e *coneEntry, p *pendingSAT, st *SatMuxStats) (*coneEntry, rtlil.State, bool) {
-	fresh := e == nil
-	if fresh {
-		e = s.buildConeEntry(p)
-		if !e.bad {
-			st.Encodings++
-		}
-	} else if !e.bad {
-		st.EncodeReuse++
-	}
-	if e.bad {
-		// The cone contains a cell the AIG mapper cannot encode; the
-		// partial mapping is discarded and the query stays undecided.
-		st.MapFailures++
+	if q.target.IsConst() || !mp.HasBit(q.target) {
 		st.Unknown++
-		return e, rtlil.Sx, false
+		return rtlil.Sx, false
 	}
-	tid := p.canon.TargetID
-	if tid < 0 || !e.mapped[tid] {
-		st.Unknown++
-		return e, rtlil.Sx, false
-	}
+	solver := sat.NewSolver()
+	solver.MaxConflicts = s.o.MaxConflicts
+	cnf := aig.NewCNF(mp.G, solver)
 
 	// Assumptions in sorted fact order: under a conflict budget the
 	// solver outcome may depend on assumption order, which must not vary
-	// between runs or worker counts. SatLit lazily Tseitin-encodes any
-	// cone not yet in the solver, so reused entries only pay for newly
-	// referenced logic.
+	// between runs or worker counts. Constant facts (an x select pushed
+	// by the walker) and facts outside the cone have no literal.
 	var assumptions []sat.Lit
-	for _, b := range p.knowns {
-		id, ok := p.canon.BitID(b)
-		if !ok || !e.mapped[id] {
+	for _, b := range q.knowns {
+		if b.IsConst() || !mp.HasBit(b) {
 			continue
 		}
-		l := e.cnf.SatLit(e.aigLits[id])
-		if p.facts[b] == rtlil.S0 {
+		l := cnf.SatLit(mp.LitOf(b))
+		if q.facts[b] == rtlil.S0 {
 			l = l.Not()
 		}
 		assumptions = append(assumptions, l)
 	}
-	tl := e.cnf.SatLit(e.aigLits[tid])
-
-	// A polarity the simulation pre-filter witnessed is known Sat: the
-	// witness is a genuine model of the cone CNF under the assumptions
-	// (the lane evaluator mirrors the AIG mapping cell for cell), so the
-	// Solve call is skipped outright.
-	calls := 0
-	if !p.seen0 {
-		calls++
-	}
-	if !p.seen1 {
-		calls++
-	}
-	if e.solved {
-		// The calls below re-enter a solver kept alive from an earlier
-		// query, reusing its learnt clauses.
-		st.SolverReuse += calls
-	}
-	if calls > 0 {
-		e.solved = true
-	}
-	learntBefore := e.solver.Stats.Learnt
-	r0, r1 := sat.Sat, sat.Sat
-	if !p.seen0 {
-		st.SATCalls++
-		r0 = s.portfolioSolve(e, p, append(append([]sat.Lit(nil), assumptions...), tl.Not()), st)
-	}
-	if !p.seen1 {
-		st.SATCalls++
-		r1 = s.portfolioSolve(e, p, append(append([]sat.Lit(nil), assumptions...), tl), st)
-	}
-	st.LearntClauses += int(e.solver.Stats.Learnt - learntBefore)
-	if r0 == sat.Unknown || r1 == sat.Unknown {
-		// Conflict budget tripped: the learnt database reflects an
-		// abandoned search, so drop it — but keep the problem clauses
-		// and the encoding, which a full eviction would make the next
-		// query on this cone rebuild from scratch.
-		st.Evictions++
-		if !s.o.DisableIncremental {
-			e.solver.Reset()
+	tl := cnf.SatLit(mp.LitOf(q.target))
+	check := func(witnessed bool, target sat.Lit) sat.Result {
+		if witnessed {
+			return sat.Sat
 		}
+		st.SATCalls++
+		r := solver.Solve(append(assumptions[:len(assumptions):len(assumptions)], target)...)
+		if r == sat.Unknown {
+			st.BudgetTrips++
+		}
+		return r
 	}
+	r0 := check(q.seen0, tl.Not())
+	r1 := check(q.seen1, tl)
+	st.LearntClauses += int(solver.Stats.Learnt)
 	switch {
 	case r0 == sat.Unsat && r1 == sat.Unsat:
 		// Unreachable path; counted as a SAT-decided query like every
 		// other outcome of this stage.
 		st.SATHits++
 		st.UnreachablePath++
-		return e, rtlil.S0, true
+		return rtlil.S0, true
 	case r0 == sat.Unsat:
 		// target=0 impossible (even if the other call hit its budget,
 		// an Unsat verdict transfers through the abstraction).
 		st.SATHits++
-		return e, rtlil.S1, true
+		return rtlil.S1, true
 	case r1 == sat.Unsat:
 		st.SATHits++
-		return e, rtlil.S0, true
+		return rtlil.S0, true
 	}
 	st.Unknown++
-	return e, rtlil.Sx, false
-}
-
-// portfolioSolve issues one logical SAT call as a budgeted portfolio:
-// a short probe (a quarter of the conflict budget) with the simulation
-// witness applied as phase hints, then — if the probe ran out — one
-// diversified retry under the remaining budget, with inverted phases
-// and the restart schedule advanced past its short early intervals.
-// The total conflict spend never exceeds MaxConflicts, so a portfolio
-// Unknown implies the single-call oracle's budget would have tripped
-// on some schedule too (the eviction/equality bookkeeping treats both
-// the same way).
-func (s *SmartOracle) portfolioSolve(e *coneEntry, p *pendingSAT, as []sat.Lit, st *SatMuxStats) sat.Result {
-	if p.hasHint {
-		st.HintedSolves++
-		s.applyHint(e, p, false)
-	}
-	budget := s.o.MaxConflicts
-	if s.o.DisablePortfolio || budget <= 0 {
-		return e.solver.Solve(as...)
-	}
-	probe := budget / 4
-	if probe < 1 {
-		probe = 1
-	}
-	confBefore := e.solver.Stats.Conflicts
-	e.solver.MaxConflicts = probe
-	r := e.solver.Solve(as...)
-	if used := e.solver.Stats.Conflicts - confBefore; r == sat.Unknown && budget-used > 0 {
-		st.PortfolioRetries++
-		if p.hasHint {
-			s.applyHint(e, p, true)
-		} else {
-			e.solver.InvertPhases()
-		}
-		e.solver.RestartOffset = 6 // first restart interval: luby(7)*100 = 800 conflicts
-		e.solver.MaxConflicts = budget - used
-		r = e.solver.Solve(as...)
-		e.solver.RestartOffset = 0
-	}
-	e.solver.MaxConflicts = budget
-	return r
-}
-
-// applyHint seeds the solver's saved phases with the pre-filter's
-// witness pattern (or its complement): the witness satisfies the cone
-// and the path facts, so the search starts next to a known model of
-// everything but the target polarity under proof.
-func (s *SmartOracle) applyHint(e *coneEntry, p *pendingSAT, invert bool) {
-	for i, b := range p.sg.Inputs {
-		id, ok := p.canon.BitID(b)
-		if !ok || !e.mapped[id] {
-			continue
-		}
-		l := e.cnf.SatLit(e.aigLits[id])
-		v := p.hint[i] != invert
-		if l.Sign() {
-			v = !v
-		}
-		e.solver.SetPhase(l.Var(), v)
-	}
+	return rtlil.Sx, false
 }
 
 // SatMuxPass is smaRTLy's SAT-based redundancy elimination: the muxtree
 // walker driven by the SmartOracle, run to a fixpoint. It subsumes the
 // baseline opt_muxtree (path facts are consulted first).
-//
-// The pass instance owns the incremental oracle's cone cache: encodings
-// and live solvers persist across the internal fixpoint iterations and
-// across repeated Run calls on one instance (outer fixpoint wrappers),
-// where unchanged cones keep their structural fingerprints even though
-// every iteration rebuilds the module index.
 type SatMuxPass struct {
 	Opts SatMuxOptions
 	// LastStats holds the oracle counters of the most recent Run.
 	LastStats SatMuxStats
-
-	cones *coneCache
 }
 
 // Name implements opt.Pass.
@@ -1185,9 +835,6 @@ func (p *SatMuxPass) Name() string { return "smartly_satmux" }
 func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	var total opt.Result
 	p.LastStats = SatMuxStats{}
-	if p.cones == nil {
-		p.cones = newConeCache(p.Opts.withDefaults().ConeCacheSize)
-	}
 	for iter := 0; iter < 20; iter++ {
 		if err := c.Err(); err != nil {
 			return total, err
@@ -1195,7 +842,6 @@ func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 		ix := rtlil.NewIndex(m)
 		oracle := NewSmartOracle(ix, p.Opts)
 		oracle.Ctx = c
-		oracle.cones = p.cones
 		walk := &opt.MuxtreeWalk{Oracle: oracle}
 		r, err := walk.Run(c, m)
 		if err != nil {
@@ -1233,16 +879,11 @@ func accumulate(dst *SatMuxStats, s SatMuxStats) {
 	dst.Unknown += s.Unknown
 	dst.SubgraphCells += s.SubgraphCells
 	dst.CandidateCells += s.CandidateCells
-	dst.Encodings += s.Encodings
-	dst.EncodeReuse += s.EncodeReuse
-	dst.SolverReuse += s.SolverReuse
 	dst.LearntClauses += s.LearntClauses
 	dst.MapFailures += s.MapFailures
-	dst.Evictions += s.Evictions
+	dst.BudgetTrips += s.BudgetTrips
 	dst.SimFiltered += s.SimFiltered
 	dst.SimVectors += s.SimVectors
-	dst.HintedSolves += s.HintedSolves
-	dst.PortfolioRetries += s.PortfolioRetries
 }
 
 func mergeResults(dst *opt.Result, r opt.Result) {

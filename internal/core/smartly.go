@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/egraph"
 	"repro/internal/opt"
 	"repro/internal/rtlil"
 )
@@ -28,9 +27,7 @@ func (p *SmartlyPass) Name() string { return "smartly" }
 func (p *SmartlyPass) Composite() {}
 
 // Run implements opt.Pass. The child pass instances persist across Run
-// calls (their Run methods reset their own counters): the satmux child's
-// cone cache then carries SAT encodings and live solvers across the
-// outer fixpoint iterations of the full pipeline.
+// calls; their Run methods reset their own counters.
 func (p *SmartlyPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	p.satmux.Opts = p.SatOpts
 	p.rebuild.Opts = p.RebuildOpts
@@ -42,47 +39,3 @@ func (p *SmartlyPass) SatStats() SatMuxStats { return p.satmux.LastStats }
 
 // RebuildStats returns the restructuring counters of the last Run.
 func (p *SmartlyPass) RebuildStats() RebuildStats { return p.rebuild.LastStats }
-
-// The four pipelines evaluated in the paper's Tables II and III. Each is
-// an opt_expr / muxtree-optimizer / opt_clean fixpoint; they differ only
-// in which muxtree optimizer runs, exactly as the paper "replaced the
-// opt_muxtree pass in Yosys with smaRTLy".
-
-// PipelineYosys is the baseline: opt_expr; opt_muxtree; opt_clean.
-func PipelineYosys() opt.Pass {
-	return opt.Fixpoint(0, opt.ExprPass{}, opt.MuxtreePass{}, opt.CleanPass{})
-}
-
-// PipelineSAT runs only smaRTLy's SAT-based redundancy elimination
-// (Table III column "SAT"). It subsumes the baseline muxtree pruning.
-func PipelineSAT(o SatMuxOptions) opt.Pass {
-	return opt.Fixpoint(0, opt.ExprPass{}, &SatMuxPass{Opts: o}, opt.CleanPass{})
-}
-
-// PipelineRebuild runs the baseline plus muxtree restructuring
-// (Table III column "Rebuild").
-func PipelineRebuild(o RebuildOptions) opt.Pass {
-	return opt.Fixpoint(0, opt.ExprPass{}, opt.MuxtreePass{}, &RebuildPass{Opts: o}, opt.CleanPass{})
-}
-
-// PipelineDatapath runs only the verified e-graph datapath rewriting:
-// opt_expr; opt_egraph; opt_clean. It targets arithmetic sharing the
-// muxtree-centric passes never see.
-func PipelineDatapath(eo egraph.Options) opt.Pass {
-	return opt.Fixpoint(0, opt.ExprPass{}, &egraph.Pass{Opts: eo}, opt.CleanPass{})
-}
-
-// PipelineSeq runs the register-aware sequential sweep: opt_expr;
-// opt_dff; opt_clean. Every register removal or merge is proven by the
-// k-induction sequential equivalence check before it is applied.
-func PipelineSeq(o opt.DffOptions) opt.Pass {
-	return opt.Fixpoint(0, opt.ExprPass{}, &opt.DffPass{Opts: o}, opt.CleanPass{})
-}
-
-// PipelineFull runs the complete smaRTLy (Table II / Table III "Full")
-// plus the verified e-graph datapath stage, which shares and simplifies
-// the word-level arithmetic the muxtree passes leave untouched, and the
-// induction-verified register sweep for sequential designs.
-func PipelineFull(so SatMuxOptions, ro RebuildOptions) opt.Pass {
-	return opt.Fixpoint(0, opt.ExprPass{}, &SmartlyPass{SatOpts: so, RebuildOpts: ro}, &egraph.Pass{}, &opt.DffPass{}, opt.CleanPass{})
-}

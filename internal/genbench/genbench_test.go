@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/cec"
-	"repro/internal/core"
+	_ "repro/internal/core" // registers the named flows
 	"repro/internal/opt"
 	"repro/internal/rtlil"
 )
@@ -54,6 +54,17 @@ func TestScaleGrowsModule(t *testing.T) {
 	}
 }
 
+// namedFlow returns a registered named flow (the core import registers
+// them).
+func namedFlow(t *testing.T, name string) *opt.Flow {
+	t.Helper()
+	f, err := opt.NamedFlow(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestOptimizationPreservesEquivalence runs the full pipeline on small
 // instances of several recipes and equivalence-checks the result — the
 // guarantee the paper reports for all its results.
@@ -64,8 +75,7 @@ func TestOptimizationPreservesEquivalence(t *testing.T) {
 		r := recipes[i]
 		m := Generate(r, 0.03)
 		orig := m.Clone()
-		pipe := core.PipelineFull(core.SatMuxOptions{}, core.RebuildOptions{})
-		if _, err := pipe.Run(nil, m); err != nil {
+		if _, err := namedFlow(t, "full").Run(nil, m); err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
 		if err := cec.Check(orig, m, nil); err != nil {
@@ -82,9 +92,9 @@ func TestBlockClassBehaviour(t *testing.T) {
 		CaseSelBits: [2]int{3, 4}, DataWidth: 6,
 		PmuxFraction: 0.5, SparseTerminals: true,
 	}
-	area := func(m *rtlil.Module, p opt.Pass) int {
+	area := func(m *rtlil.Module, flow string) int {
 		w := m.Clone()
-		if _, err := p.Run(nil, w); err != nil {
+		if _, err := namedFlow(t, flow).Run(nil, w); err != nil {
 			t.Fatal(err)
 		}
 		a, err := aig.Area(w)
@@ -102,7 +112,7 @@ func TestBlockClassBehaviour(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := area(m, core.PipelineYosys())
+		y := area(m, "yosys")
 		if y*2 > orig {
 			t.Errorf("baseline removed too little: %d -> %d", orig, y)
 		}
@@ -112,12 +122,12 @@ func TestBlockClassBehaviour(t *testing.T) {
 		r := base
 		r.DepBlocks = 20
 		m := Generate(r, 1)
-		y := area(m, core.PipelineYosys())
-		s := area(m, core.PipelineSAT(core.SatMuxOptions{}))
+		y := area(m, "yosys")
+		s := area(m, "sat")
 		if s >= y {
 			t.Errorf("SAT pipeline (%d) did not beat baseline (%d)", s, y)
 		}
-		reb := area(m, core.PipelineRebuild(core.RebuildOptions{}))
+		reb := area(m, "rebuild")
 		if reb < y*97/100 {
 			t.Errorf("rebuild pipeline (%d) unexpectedly fired on dep blocks (baseline %d)", reb, y)
 		}
@@ -127,8 +137,8 @@ func TestBlockClassBehaviour(t *testing.T) {
 		r := base
 		r.CaseBlocks = 20
 		m := Generate(r, 1)
-		y := area(m, core.PipelineYosys())
-		reb := area(m, core.PipelineRebuild(core.RebuildOptions{}))
+		y := area(m, "yosys")
+		reb := area(m, "rebuild")
 		if reb >= y {
 			t.Errorf("rebuild pipeline (%d) did not beat baseline (%d)", reb, y)
 		}
@@ -142,7 +152,7 @@ func TestBlockClassBehaviour(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := area(m, core.PipelineFull(core.SatMuxOptions{}, core.RebuildOptions{}))
+		f := area(m, "full")
 		if f < orig*9/10 {
 			t.Errorf("full pipeline removed >10%% of plain logic: %d -> %d", orig, f)
 		}

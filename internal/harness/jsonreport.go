@@ -37,9 +37,9 @@ type BenchReport struct {
 	// daemon's own histogram summary for cross-checking; absent when
 	// the mode did not run.
 	Load *LoadBench `json:"load,omitempty"`
-	// Sat holds the incremental SAT oracle's counters and
-	// incremental-vs-per-query-solver wall-clock (smartly-bench -sat);
-	// absent when the mode did not run.
+	// Sat holds the SAT oracle's counters and its wall-clock against
+	// the sim_filter=false ablation (smartly-bench -sat); absent when
+	// the mode did not run.
 	Sat *SatBench `json:"sat,omitempty"`
 	// Egraph holds the verified e-graph rewriting measurement on the
 	// datapath benchmark set (smartly-bench -egraph); absent when the

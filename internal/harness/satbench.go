@@ -10,87 +10,57 @@ import (
 	"repro/internal/rtlil"
 )
 
-// SatBench is the incremental-SAT-oracle section of the bench report:
-// for each SAT-exercising flow, the oracle counters (queries, fresh
-// encodings, encoding and solver reuse, simulation pre-filter skips)
-// and the wall-clock of the whole public benchmark set, measured three
-// ways — the full incremental oracle, the sim_filter=false ablation
-// (incremental oracle, every SAT-bound query hits the solver), and the
-// pre-incremental one-solver-per-query oracle. The netlist hashes of
-// the runs are compared case by case: with no budget-tripped queries on
-// any side the hashes must match (hard error otherwise — the section
-// doubles as an equivalence assertion), while runs that tripped a
-// conflict budget may legitimately diverge (a budgeted verdict depends
-// on the learnt clauses a solver has accumulated) and only flip
-// NetlistsEqual.
+// SatBench is the SAT-oracle section of the bench report: for each
+// SAT-exercising flow, the oracle counters (queries, SAT calls,
+// simulation pre-filter skips, budget trips) and the wall-clock of the
+// whole public benchmark set, measured twice — the default oracle and
+// the sim_filter=false ablation (every SAT-bound query hits the
+// solver). The netlist hashes of the two runs are compared case by
+// case: with no budget-tripped Solve call on either side the hashes
+// must match (hard error otherwise — the section doubles as an
+// equivalence assertion), while runs that tripped a conflict budget may
+// legitimately diverge (a pre-filter witness can stand in for a Solve
+// call that would have run out of budget) and only flip NetlistsEqual.
 type SatBench struct {
 	Scale float64        `json:"scale"`
 	Flows []SatFlowBench `json:"flows"`
 }
 
-// SatFlowBench is one flow's incremental-vs-baseline measurement.
+// SatFlowBench is one flow's default-vs-ablation measurement.
 type SatFlowBench struct {
 	Flow          string `json:"flow"`
 	Queries       int    `json:"queries"`
 	SATCalls      int    `json:"sat_calls"`
-	Encodings     int    `json:"encodings"`
-	EncodeReuse   int    `json:"encode_reuse"`
-	SolverReuse   int    `json:"solver_reuse"`
 	LearntClauses int    `json:"learnt_clauses"`
 	// SimFiltered counts SAT-bound queries decided by the 64-lane
 	// random-simulation pre-filter without a solver call; SimVectors is
 	// the total 64-pattern rounds it (and the vectorized exhaustive
-	// stage) evaluated. HintedSolves counts solver calls seeded with a
-	// counterexample-derived phase hint, PortfolioRetries the budgeted
-	// probe/retry fallbacks.
-	SimFiltered      int `json:"sim_filtered"`
-	SimVectors       int `json:"sim_vectors"`
-	HintedSolves     int `json:"hinted_solves"`
-	PortfolioRetries int `json:"portfolio_retries"`
-	// Evictions sums the conflict-budget trips (learnt-state resets and
-	// capacity evictions) of the incremental and baseline runs; when it
-	// is zero no SAT verdict was budget-dependent, so the two oracles'
-	// netlists are provably identical and NetlistsEqual must be true.
-	Evictions     int  `json:"evictions"`
+	// stage) evaluated.
+	SimFiltered int `json:"sim_filtered"`
+	SimVectors  int `json:"sim_vectors"`
+	// BudgetTrips sums the conflict-budget trips of the default and
+	// ablation runs; when it is zero no SAT verdict was
+	// budget-dependent, so the two runs' netlists are provably identical
+	// and NetlistsEqual must be true.
+	BudgetTrips   int  `json:"budget_trips"`
 	NetlistsEqual bool `json:"netlists_equal"`
-	// ElapsedMS is the incremental oracle's wall-clock over the public
-	// benchmark cases; BaselineElapsedMS is the per-query-solver
-	// oracle's on the same cases; NoFilterElapsedMS (with
-	// NoFilterSATCalls) is the satmux(sim_filter=false) ablation — the
-	// incremental oracle with the simulation pre-filter and portfolio
-	// disabled, isolating the tentpole's contribution.
+	// ElapsedMS is the default oracle's wall-clock over the public
+	// benchmark cases; NoFilterElapsedMS (with NoFilterSATCalls) is the
+	// satmux(sim_filter=false) ablation on the same cases.
 	ElapsedMS         int64 `json:"elapsed_ms"`
-	BaselineElapsedMS int64 `json:"baseline_elapsed_ms"`
 	NoFilterSATCalls  int   `json:"no_filter_sat_calls"`
 	NoFilterElapsedMS int64 `json:"no_filter_elapsed_ms"`
 }
 
-// nonIncrementalFlow derives the ablation variant of a flow: the same
-// steps with every SAT-capable pass forced to the pre-incremental
-// one-solver-per-query oracle.
-func nonIncrementalFlow(f *opt.Flow) (*opt.Flow, error) {
-	f, err := f.WithArg("satmux", "incremental", "false")
+// noFilterFlow derives the sim_filter=false ablation of a flow: every
+// SAT-capable pass runs with the simulation pre-filter switched off, so
+// every SAT-bound query reaches the solver.
+func noFilterFlow(f *opt.Flow) (*opt.Flow, error) {
+	f, err := f.WithArg("satmux", "sim_filter", "false")
 	if err != nil {
 		return nil, err
 	}
-	return f.WithArg("smartly", "incremental", "false")
-}
-
-// noFilterFlow derives the sim_filter=false ablation of a flow: the
-// incremental oracle with the simulation pre-filter (and with it the
-// hint-seeded portfolio) switched off, so every SAT-bound query reaches
-// the solver.
-func noFilterFlow(f *opt.Flow) (*opt.Flow, error) {
-	for _, pass := range []string{"satmux", "smartly"} {
-		var err error
-		if f, err = f.WithArg(pass, "sim_filter", "false"); err != nil {
-			return nil, err
-		}
-		if f, err = f.WithArg(pass, "portfolio", "false"); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return f.WithArg("smartly", "sim_filter", "false")
 }
 
 // RunSatBench measures the named SAT-exercising flows (typically "sat"
@@ -102,10 +72,6 @@ func RunSatBench(flowNames []string, scale float64) (SatBench, error) {
 		if err != nil {
 			return bench, fmt.Errorf("harness: sat bench flow %q: %w", name, err)
 		}
-		baseline, err := nonIncrementalFlow(flow)
-		if err != nil {
-			return bench, fmt.Errorf("harness: sat bench baseline for %q: %w", name, err)
-		}
 		unfiltered, err := noFilterFlow(flow)
 		if err != nil {
 			return bench, fmt.Errorf("harness: sat bench sim_filter ablation for %q: %w", name, err)
@@ -113,37 +79,22 @@ func RunSatBench(flowNames []string, scale float64) (SatBench, error) {
 		fb := SatFlowBench{Flow: name, NetlistsEqual: true}
 		for _, recipe := range genbench.Recipes() {
 			m := genbench.Generate(recipe, scale)
+			const pass = "smartly_satmux"
 
-			inc := m.Clone()
+			def := m.Clone()
 			ec := opt.NewCtx(nil, opt.Config{})
 			start := time.Now()
-			if _, err := flow.Run(ec, inc); err != nil {
+			if _, err := flow.Run(ec, def); err != nil {
 				return bench, fmt.Errorf("harness: sat bench %s/%s: %w", name, recipe.Name, err)
 			}
 			fb.ElapsedMS += time.Since(start).Milliseconds()
 			rep := ec.Report()
-			const pass = "smartly_satmux"
 			fb.Queries += rep.Counter(pass, "oracle_queries")
 			fb.SATCalls += rep.Counter(pass, "sat_calls")
-			fb.Encodings += rep.Counter(pass, "sat_encodings")
-			fb.EncodeReuse += rep.Counter(pass, "sat_encode_reuse")
-			fb.SolverReuse += rep.Counter(pass, "sat_solver_reuse")
 			fb.LearntClauses += rep.Counter(pass, "sat_learnt")
 			fb.SimFiltered += rep.Counter(pass, "oracle_sim_filtered")
 			fb.SimVectors += rep.Counter(pass, "oracle_sim_vectors")
-			fb.HintedSolves += rep.Counter(pass, "sat_hinted_solves")
-			fb.PortfolioRetries += rep.Counter(pass, "sat_portfolio_retries")
-			evictions := rep.Counter(pass, "sat_evictions")
-
-			base := m.Clone()
-			bc := opt.NewCtx(nil, opt.Config{})
-			start = time.Now()
-			if _, err := baseline.Run(bc, base); err != nil {
-				return bench, fmt.Errorf("harness: sat bench baseline %s/%s: %w", name, recipe.Name, err)
-			}
-			fb.BaselineElapsedMS += time.Since(start).Milliseconds()
-			baseRep := bc.Report()
-			evictions += baseRep.Counter(pass, "sat_evictions")
+			trips := rep.Counter(pass, "sat_budget_trips")
 
 			nf := m.Clone()
 			nc := opt.NewCtx(nil, opt.Config{})
@@ -154,19 +105,17 @@ func RunSatBench(flowNames []string, scale float64) (SatBench, error) {
 			fb.NoFilterElapsedMS += time.Since(start).Milliseconds()
 			nfRep := nc.Report()
 			fb.NoFilterSATCalls += nfRep.Counter(pass, "sat_calls")
-			evictions += nfRep.Counter(pass, "sat_evictions")
-			fb.Evictions += evictions
+			trips += nfRep.Counter(pass, "sat_budget_trips")
+			fb.BudgetTrips += trips
 
-			if rtlil.CanonicalHash(inc) != rtlil.CanonicalHash(base) ||
-				rtlil.CanonicalHash(inc) != rtlil.CanonicalHash(nf) {
-				// With no budget trips every SAT verdict was a proof (and
-				// every pre-filter skip a concrete witness), all three
-				// oracles decided the same constants and the rewrites are
-				// forced: divergence is a bug. After a trip it is a
-				// legitimate learnt-clause effect, recorded rather than
-				// fatal.
-				if evictions == 0 {
-					return bench, fmt.Errorf("harness: sat bench %s/%s: oracle variant netlists differ with no budget-tripped queries",
+			if rtlil.CanonicalHash(def) != rtlil.CanonicalHash(nf) {
+				// With no budget trips every SAT verdict was a proof and
+				// every pre-filter skip a concrete witness, so both runs
+				// decided the same constants and the rewrites are forced:
+				// divergence is a bug. After a trip it is a legitimate
+				// budget effect, recorded rather than fatal.
+				if trips == 0 {
+					return bench, fmt.Errorf("harness: sat bench %s/%s: default and sim_filter=false netlists differ with no budget-tripped queries",
 						name, recipe.Name)
 				}
 				fb.NetlistsEqual = false
@@ -180,13 +129,13 @@ func RunSatBench(flowNames []string, scale float64) (SatBench, error) {
 // String renders the section for the human-readable bench output.
 func (b SatBench) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Incremental SAT oracle (scale %g, public benchmark set)\n", b.Scale)
-	fmt.Fprintf(&sb, "%-8s %9s %9s %11s %12s %10s %10s %12s\n",
-		"Flow", "Queries", "SATCalls", "SimFiltered", "SolverReuse", "Elapsed", "NoFilter", "Baseline")
+	fmt.Fprintf(&sb, "SAT oracle (scale %g, public benchmark set)\n", b.Scale)
+	fmt.Fprintf(&sb, "%-8s %9s %9s %11s %11s %10s %10s\n",
+		"Flow", "Queries", "SATCalls", "SimFiltered", "BudgetTrips", "Elapsed", "NoFilter")
 	for _, f := range b.Flows {
-		fmt.Fprintf(&sb, "%-8s %9d %9d %11d %12d %9dms %9dms %10dms\n",
-			f.Flow, f.Queries, f.SATCalls, f.SimFiltered, f.SolverReuse,
-			f.ElapsedMS, f.NoFilterElapsedMS, f.BaselineElapsedMS)
+		fmt.Fprintf(&sb, "%-8s %9d %9d %11d %11d %8dms %8dms\n",
+			f.Flow, f.Queries, f.SATCalls, f.SimFiltered, f.BudgetTrips,
+			f.ElapsedMS, f.NoFilterElapsedMS)
 	}
 	return sb.String()
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestRunSatBench runs the incremental-oracle section at a tiny scale:
-// the counters must be populated, the baseline comparison must pass
-// (RunSatBench errors on any netlist divergence), and the section must
-// round-trip through the bench JSON.
+// TestRunSatBench runs the SAT-oracle section at a tiny scale: the
+// counters must be populated, the sim_filter=false comparison must pass
+// (RunSatBench errors on any netlist divergence without a budget trip),
+// and the section must round-trip through the bench JSON.
 func TestRunSatBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAT-heavy; skipped under -short")
@@ -24,7 +24,7 @@ func TestRunSatBench(t *testing.T) {
 		if f.Queries == 0 {
 			t.Errorf("%s: no oracle queries recorded", f.Flow)
 		}
-		if !f.NetlistsEqual && f.Evictions == 0 {
+		if !f.NetlistsEqual && f.BudgetTrips == 0 {
 			t.Errorf("%s: netlists diverged with no budget-tripped queries", f.Flow)
 		}
 		if f.SimFiltered == 0 {

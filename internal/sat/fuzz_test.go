@@ -132,10 +132,11 @@ func checkModel(t *testing.T, s *Solver, clauses [][]int, assumptions []int) {
 // enumeration on small CNFs (<= fuzzMaxVars variables): the cnf bytes are
 // a DIMACS formula, and the script bytes drive a sequence of incremental
 // operations on ONE solver instance — Solve calls under varying
-// assumption sets, level-0 clause additions between calls, and Reset —
-// pinning the incremental contract the cone cache of the SAT-mux oracle
-// relies on (sound backtracking to level 0, learnt clauses that never
-// change satisfiability, models valid after any history).
+// assumption sets and level-0 clause additions between calls — pinning
+// the incremental contract that repeated assumption-based queries rely
+// on (the SAT-mux oracle's two polarity checks per cone, the k-induction
+// checker's unrolling): sound backtracking to level 0, learnt clauses
+// that never change satisfiability, models valid after any history.
 func FuzzSolverDifferential(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "*.cnf"))
 	if err != nil || len(seeds) == 0 {
@@ -147,7 +148,7 @@ func FuzzSolverDifferential(f *testing.F) {
 			f.Fatal(err)
 		}
 		// One seed per operation mix: plain solving, assumption rounds,
-		// clause growth, reset in the middle.
+		// clause growth in the middle.
 		f.Add(data, []byte{0})
 		f.Add(data, []byte{0, 3, 1, 2, 0, 4, 7, 1})
 		f.Add(data, []byte{5, 2, 9, 3, 0, 7, 0, 1, 2, 3, 4})
@@ -207,7 +208,7 @@ func FuzzSolverDifferential(f *testing.F) {
 					checkModel(t, s, clauses, ref)
 				}
 				solves++
-			case op < 7:
+			default:
 				// Grow the formula between Solve calls.
 				k := int(next())%3 + 1
 				var lits []Lit
@@ -225,12 +226,6 @@ func FuzzSolverDifferential(f *testing.F) {
 				clauses = append(clauses, ref)
 				if !ok && refSat(clauses, n, nil) {
 					t.Fatalf("AddClause(%v) reported unsat, reference disagrees", ref)
-				}
-			default:
-				// Drop learnt clauses; satisfiability must not move.
-				s.Reset()
-				if s.NumLearnts() != 0 {
-					t.Fatalf("NumLearnts = %d after Reset", s.NumLearnts())
 				}
 			}
 		}
@@ -284,27 +279,6 @@ func TestSolverIncrementalVsFresh(t *testing.T) {
 					path, i, set, got, want)
 			}
 		}
-	}
-}
-
-// TestSolverResetKeepsFacts asserts Reset retains problem clauses and
-// level-0 facts: an unsatisfiable formula stays unsatisfiable and a
-// forced literal stays forced.
-func TestSolverResetKeepsFacts(t *testing.T) {
-	s := NewSolver()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	s.AddClause(PosLit(a))
-	s.AddClause(NegLit(a), PosLit(b))
-	s.AddClause(NegLit(b), PosLit(c))
-	if s.Solve() != Sat {
-		t.Fatal("expected Sat")
-	}
-	s.Reset()
-	if s.Solve(NegLit(c)) != Unsat {
-		t.Fatal("level-0 chain lost after Reset")
-	}
-	if s.Solve() != Sat || !s.Value(c) {
-		t.Fatal("forced literal lost after Reset")
 	}
 }
 

@@ -43,12 +43,6 @@ type Solver struct {
 	// unlimited. When the budget is exhausted Solve returns Unknown.
 	MaxConflicts int64
 
-	// RestartOffset starts each Solve call's Luby restart schedule that
-	// many positions into the sequence, so a retry under a remaining
-	// budget begins with a long restart interval instead of replaying
-	// the short early ones. 0 is the standard schedule.
-	RestartOffset int64
-
 	// Statistics, cumulative across Solve calls.
 	Stats struct {
 		Conflicts    int64
@@ -77,47 +71,6 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // problem clauses, so reusing them across assumption sets is sound) and
 // are trimmed by the activity-based reduction.
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
-
-// Reset drops every learnt clause, keeping the problem clauses and the
-// level-0 facts already derived from them. It is the eviction path for
-// long-lived solvers: after a string of budget-exceeded Solve calls the
-// learnt database carries conflict analysis of abandoned searches, and
-// callers may prefer to restart clause learning from a clean slate
-// without re-encoding the problem. Statistics are kept (cumulative).
-func (s *Solver) Reset() {
-	s.backtrackTo(0)
-	// Level-0 assignments may cite learnt clauses as reasons; the facts
-	// themselves are formula-implied, so forget the derivations.
-	for _, l := range s.trail {
-		s.reason[l.Var()] = nil
-	}
-	for _, c := range s.learnts {
-		s.detach(c)
-	}
-	s.learnts = s.learnts[:0]
-}
-
-// SetPhase sets the saved phase of v: the next time the search branches
-// on v it tries value first. Solving overwrites phases as usual (phase
-// saving), so hints steer the early search without constraining it —
-// the classic use is seeding the solver with a near-model counterexample
-// pattern from simulation.
-func (s *Solver) SetPhase(v Var, value bool) {
-	if int(v) < len(s.polarity) {
-		// polarity holds the sign of the decision literal: true decides
-		// the variable false.
-		s.polarity[v] = !value
-	}
-}
-
-// InvertPhases flips every saved phase, sending the next search toward
-// the complementary region of the assignment space — the cheap
-// diversification for a portfolio retry without an external hint.
-func (s *Solver) InvertPhases() {
-	for i := range s.polarity {
-		s.polarity[i] = !s.polarity[i]
-	}
-}
 
 // NewVar creates a fresh variable.
 func (s *Solver) NewVar() Var {
@@ -484,7 +437,7 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 
 	conflictsAtStart := s.Stats.Conflicts
 	budget := s.MaxConflicts
-	restartNum := s.RestartOffset
+	var restartNum int64
 	learntLimit := len(s.clauses)/3 + 100
 	if len(s.learnts) > learntLimit {
 		// Learnt clauses retained from earlier Solve calls: bound the

@@ -248,10 +248,12 @@ type LatencySummary struct {
 type MetricsSummary struct {
 	// Requests counts every HTTP request served since startup.
 	Requests uint64 `json:"requests"`
-	// OptimizeSync summarizes successful synchronous optimize latency
-	// (admission to response ready); OptimizeAsync the run span of
-	// async jobs (background start to terminal state); QueueWait the
-	// run-slot wait of admitted requests.
+	// OptimizeSync summarizes successful synchronous optimize requests
+	// from admission to the end of serve (run-slot wait included; body
+	// decode, ReadJSON, Validate, HashDesign and the response encode
+	// excluded); OptimizeAsync the run span of async jobs (background
+	// start to terminal state); QueueWait the run-slot wait of admitted
+	// requests.
 	OptimizeSync  LatencySummary `json:"optimize_sync"`
 	OptimizeAsync LatencySummary `json:"optimize_async"`
 	QueueWait     LatencySummary `json:"queue_wait"`

@@ -29,11 +29,13 @@ type serverMetrics struct {
 	// healthz summary without walking the registry).
 	requests metrics.Counter
 
-	// optSync observes the full latency of successful synchronous
-	// optimize requests — admission, queue wait and serve — the span a
-	// client sees minus transport. optAsync observes an async job's run
-	// span: from its background goroutine starting (queued, holding an
-	// admission slot) to its terminal state.
+	// optSync observes successful synchronous optimize requests from
+	// admission in execute() to the end of serve(): admission, run-slot
+	// wait and serve. It excludes body decode, rtlil.ReadJSON, Validate
+	// and HashDesign (all in parseRequest) and the response encode.
+	// optAsync observes an async job's run span: from its background
+	// goroutine starting (queued, holding an admission slot) to its
+	// terminal state.
 	optSync  *metrics.Histogram
 	optAsync *metrics.Histogram
 	// queueWait observes the time an admitted request (sync or async)
@@ -72,7 +74,7 @@ func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
 		optSync: reg.Histogram(mOptimize,
-			"optimize latency: admission to response ready (successful requests)",
+			"successful sync optimize requests, from admission to the end of serve (run-slot wait included); excludes body decode, ReadJSON, Validate, HashDesign and the response encode",
 			metrics.Labels{"kind": "sync"}),
 		optAsync: reg.Histogram(mOptimize, "",
 			metrics.Labels{"kind": "async"}),

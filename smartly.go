@@ -1,9 +1,7 @@
 package smartly
 
 import (
-	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/aig"
 	"repro/internal/cec"
@@ -46,125 +44,6 @@ func ParseVerilog(src string) (*Design, error) {
 		return nil, err
 	}
 	return verilog.Elaborate(f)
-}
-
-// Pipeline selects an optimization flow from the paper's evaluation.
-//
-// Pipeline is the legacy closed enum; new code should use ParseFlow or
-// NamedFlow, which expose the same four pipelines plus arbitrary pass
-// combinations. Each enum value is a thin shim over its named flow and
-// produces bit-identical netlists and counters.
-type Pipeline int
-
-// The four flows compared in the paper's Tables II and III.
-const (
-	// PipelineYosys is the baseline: opt_expr; opt_muxtree; opt_clean.
-	PipelineYosys Pipeline = iota
-	// PipelineSAT replaces opt_muxtree with smaRTLy's SAT-based
-	// redundancy elimination.
-	PipelineSAT
-	// PipelineRebuild adds smaRTLy's muxtree restructuring to the
-	// baseline.
-	PipelineRebuild
-	// PipelineFull is complete smaRTLy: SAT elimination + restructuring.
-	PipelineFull
-)
-
-// String names the pipeline.
-func (p Pipeline) String() string {
-	switch p {
-	case PipelineYosys:
-		return "yosys"
-	case PipelineSAT:
-		return "sat"
-	case PipelineRebuild:
-		return "rebuild"
-	case PipelineFull:
-		return "full"
-	}
-	return fmt.Sprintf("Pipeline(%d)", int(p))
-}
-
-// ParsePipeline parses a pipeline name as printed by String.
-func ParsePipeline(name string) (Pipeline, error) {
-	switch strings.ToLower(name) {
-	case "yosys", "baseline":
-		return PipelineYosys, nil
-	case "sat", "satmux":
-		return PipelineSAT, nil
-	case "rebuild", "restructure":
-		return PipelineRebuild, nil
-	case "full", "smartly":
-		return PipelineFull, nil
-	}
-	return 0, fmt.Errorf("smartly: unknown pipeline %q (yosys|sat|rebuild|full)", name)
-}
-
-// Flow returns the named flow the pipeline value shims over (never
-// fails: the four names are registered at init).
-func (p Pipeline) Flow() *Flow {
-	name := p.String()
-	if _, err := ParsePipeline(name); err != nil {
-		name = PipelineFull.String()
-	}
-	f, err := NamedFlow(name)
-	if err != nil {
-		panic(fmt.Sprintf("smartly: built-in flow %q missing: %v", name, err))
-	}
-	return f
-}
-
-// Report summarizes an optimization run — the legacy flat shape kept
-// for Optimize/OptimizeContext/OptimizeDesign. Flow.Run returns the
-// structured RunReport instead.
-type Report struct {
-	// Changed reports whether any rewrite fired.
-	Changed bool
-	// Details maps pass counters (e.g. "mux_collapsed") to counts.
-	Details map[string]int
-}
-
-// OptimizeOptions tunes a context-aware optimization run.
-type OptimizeOptions struct {
-	// Workers bounds the goroutines of parallel stages: the SAT-mux
-	// query batches inside a pipeline and, for OptimizeDesign, the
-	// concurrently optimized modules. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces fully sequential execution. The optimized netlists are
-	// bit-identical for every value.
-	Workers int
-	// Logf receives structured pass-timing lines; nil discards them.
-	Logf func(format string, args ...any)
-}
-
-// Optimize runs the selected pipeline on the module in place.
-func Optimize(m *Module, p Pipeline) (Report, error) {
-	return OptimizeContext(context.Background(), m, p, OptimizeOptions{})
-}
-
-// OptimizeContext runs the selected pipeline on the module in place,
-// honoring ctx cancellation and deadlines. A canceled run returns the
-// context error; the rewrites applied before the cancellation are each
-// individually sound, so the module is still equivalent to the input.
-func OptimizeContext(ctx context.Context, m *Module, p Pipeline, o OptimizeOptions) (Report, error) {
-	cfg := newRunConfig([]RunOption{
-		WithContext(ctx), WithWorkers(o.Workers), WithLogf(o.Logf)})
-	_, r, err := p.Flow().run(cfg, m)
-	return Report{Changed: r.Changed, Details: r.Details}, err
-}
-
-// OptimizeDesign runs the selected pipeline over every module of the
-// design, optimizing up to o.Workers modules concurrently (modules are
-// disjoint netlists, so the per-module results are independent of the
-// schedule). It returns the reports keyed by module name and the first
-// error encountered.
-func OptimizeDesign(ctx context.Context, d *Design, p Pipeline, o OptimizeOptions) (map[string]Report, error) {
-	runs, err := p.Flow().RunDesign(d,
-		WithContext(ctx), WithWorkers(o.Workers), WithLogf(o.Logf))
-	out := make(map[string]Report, len(runs))
-	for name, r := range runs {
-		out[name] = Report{Changed: r.Changed, Details: r.Counters()}
-	}
-	return out, err
 }
 
 // Hash returns the canonical content hash of the module (hex SHA-256).

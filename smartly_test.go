@@ -1,7 +1,6 @@
 package smartly
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -24,7 +23,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Optimize(m, PipelineFull)
+	flow, err := NamedFlow("full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := flow.Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,64 +93,29 @@ func TestFacadeSequentialCheck(t *testing.T) {
 }
 
 func TestFacadeBaselineWeaker(t *testing.T) {
-	areas := map[Pipeline]int{}
-	for _, p := range []Pipeline{PipelineYosys, PipelineFull} {
+	areas := map[string]int{}
+	for _, name := range []string{"yosys", "full"} {
 		design, err := ParseVerilog(quickstartSrc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		flow, err := NamedFlow(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := design.Top()
-		if _, err := Optimize(m, p); err != nil {
+		if _, err := flow.Run(m); err != nil {
 			t.Fatal(err)
 		}
 		a, err := Area(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		areas[p] = a
+		areas[name] = a
 	}
-	if areas[PipelineFull] >= areas[PipelineYosys] {
+	if areas["full"] >= areas["yosys"] {
 		t.Errorf("full=%d should beat yosys=%d on the Figure 3 circuit",
-			areas[PipelineFull], areas[PipelineYosys])
-	}
-}
-
-func TestOptimizeContextMatchesOptimize(t *testing.T) {
-	run := func(opts OptimizeOptions) (Report, int) {
-		design, err := ParseVerilog(quickstartSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := design.Top()
-		rep, err := OptimizeContext(context.Background(), m, PipelineFull, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := Area(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, a
-	}
-	repSeq, areaSeq := run(OptimizeOptions{Workers: 1})
-	repPar, areaPar := run(OptimizeOptions{Workers: 8})
-	if areaSeq != areaPar {
-		t.Errorf("area differs by worker count: %d vs %d", areaSeq, areaPar)
-	}
-	if len(repSeq.Details) != len(repPar.Details) {
-		t.Errorf("details differ: %v vs %v", repSeq.Details, repPar.Details)
-	}
-}
-
-func TestOptimizeContextCanceled(t *testing.T) {
-	design, err := ParseVerilog(quickstartSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := OptimizeContext(ctx, design.Top(), PipelineFull, OptimizeOptions{}); err == nil {
-		t.Error("canceled optimize reported success")
+			areas["full"], areas["yosys"])
 	}
 }
 
@@ -167,58 +135,6 @@ module beta(input [1:0] s, input [3:0] p0, input [3:0] p1,
     endcase
   end
 endmodule`
-
-func TestOptimizeDesignAllModules(t *testing.T) {
-	design, err := ParseVerilog(twoModuleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := map[string]int{}
-	for _, m := range design.Modules() {
-		if before[m.Name], err = Area(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reports, err := OptimizeDesign(context.Background(), design, PipelineFull,
-		OptimizeOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports for %d modules, want 2", len(reports))
-	}
-	for _, m := range design.Modules() {
-		rep, ok := reports[m.Name]
-		if !ok {
-			t.Fatalf("no report for module %s", m.Name)
-		}
-		if !rep.Changed {
-			t.Errorf("module %s: nothing optimized", m.Name)
-		}
-		after, err := Area(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after >= before[m.Name] {
-			t.Errorf("module %s: area %d -> %d, expected reduction", m.Name, before[m.Name], after)
-		}
-	}
-}
-
-func TestPipelineNames(t *testing.T) {
-	for _, p := range []Pipeline{PipelineYosys, PipelineSAT, PipelineRebuild, PipelineFull} {
-		got, err := ParsePipeline(p.String())
-		if err != nil || got != p {
-			t.Errorf("round trip %v: got %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePipeline("bogus"); err == nil {
-		t.Error("bogus pipeline accepted")
-	}
-	if !strings.Contains(Pipeline(99).String(), "99") {
-		t.Error("unknown pipeline String")
-	}
-}
 
 func TestBenchmarkGeneration(t *testing.T) {
 	names := BenchmarkNames()
