@@ -262,6 +262,9 @@ func (js *jobStore) forget(id string) *job {
 // payloads of older finished jobs.
 func (js *jobStore) setState(j *job, state, errMsg string, result *api.OptimizeResponse, request json.RawMessage) {
 	terminal := state == api.JobDone || state == api.JobFailed
+	// Count the transition before it becomes visible, so a poller that
+	// sees the new state also finds it on /metrics.
+	js.onTransition(state)
 	js.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
@@ -274,7 +277,6 @@ func (js *jobStore) setState(j *job, state, errMsg string, result *api.OptimizeR
 		js.pruneResultsLocked()
 	}
 	js.mu.Unlock()
-	js.onTransition(state)
 	rec := jobRecord{ID: j.id, State: state, Error: errMsg, Epoch: j.epoch,
 		SubmittedAt: j.submitted, FinishedAt: j.finished}
 	if result != nil {
@@ -426,14 +428,16 @@ func (s *Server) runJob(j *job, pr *request, request json.RawMessage, release fu
 			s.jobs.setState(j, api.JobFailed, s.runCtx.Err().Error(), nil, nil)
 			return
 		}
+		s.jobs.setState(j, api.JobRunning, "", nil, request)
+		resp, err := s.serve(pr)
 		// The async histogram observes the run span of every completed
 		// job — slot wait included, failures included: an async caller's
 		// Wait experiences the whole span either way, unlike the sync
 		// histogram where a fast rejection would pollute the latency of
-		// served responses.
-		defer func() { s.metrics.optAsync.Observe(time.Since(start)) }()
-		s.jobs.setState(j, api.JobRunning, "", nil, request)
-		resp, err := s.serve(pr)
+		// served responses. It is observed before the terminal
+		// transition, so a client that sees the job finished also finds
+		// it counted on /metrics.
+		s.metrics.optAsync.Observe(time.Since(start))
 		if err != nil {
 			s.jobs.setState(j, api.JobFailed, err.Error(), nil, nil)
 			return

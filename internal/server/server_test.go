@@ -43,6 +43,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		// A poller can see a job finished while its goroutine is still
+		// persisting the terminal record; wait for every admitted job so
+		// no record lands after the test's TempDir is removed.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("admitted work still running 30s after Close: %v", err)
+		}
 	})
 	return s, ts
 }
