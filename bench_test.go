@@ -44,19 +44,25 @@ func benchScale() float64 {
 	return 0.1
 }
 
+// benchCase measures one case under the paper's four flows b.N times.
+func benchCase(b *testing.B, c harness.Case) harness.CaseResult {
+	var sec harness.Section
+	var err error
+	for i := 0; i < b.N; i++ {
+		sec, err = harness.RunCases([]harness.Case{c}, harness.Options{Scale: benchScale()})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sec.Cases[0]
+}
+
 // BenchmarkTableII regenerates the Table II rows: original/Yosys/smaRTLy
 // areas and the extra-reduction ratio per benchmark case.
 func BenchmarkTableII(b *testing.B) {
-	for _, r := range genbench.Recipes() {
-		b.Run(r.Name, func(b *testing.B) {
-			var cr harness.CaseResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				cr, err = harness.RunCase(r, harness.Options{Scale: benchScale()})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	for _, c := range harness.RecipeCases(genbench.Recipes()) {
+		b.Run(c.Name, func(b *testing.B) {
+			cr := benchCase(b, c)
 			b.ReportMetric(float64(cr.Original), "area_original")
 			b.ReportMetric(float64(cr.Area(harness.FlowYosys)), "area_yosys")
 			b.ReportMetric(float64(cr.Area(harness.FlowFull)), "area_smartly")
@@ -68,16 +74,9 @@ func BenchmarkTableII(b *testing.B) {
 // BenchmarkTableIII regenerates the Table III splits: the reduction each
 // individual method achieves versus the combined optimization.
 func BenchmarkTableIII(b *testing.B) {
-	for _, r := range genbench.Recipes() {
-		b.Run(r.Name, func(b *testing.B) {
-			var cr harness.CaseResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				cr, err = harness.RunCase(r, harness.Options{Scale: benchScale()})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	for _, c := range harness.RecipeCases(genbench.Recipes()) {
+		b.Run(c.Name, func(b *testing.B) {
+			cr := benchCase(b, c)
 			b.ReportMetric(cr.RatioSAT(), "sat_%")
 			b.ReportMetric(cr.RatioRebuild(), "rebuild_%")
 			b.ReportMetric(cr.RatioFull(), "full_%")
@@ -89,15 +88,15 @@ func BenchmarkTableIII(b *testing.B) {
 // reduction over Yosys on industrial-style selection-heavy netlists
 // (paper: 47.2%).
 func BenchmarkIndustrial(b *testing.B) {
-	var res harness.IndustrialResult
+	var res harness.Section
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = harness.RunIndustrial(2, harness.Options{Scale: benchScale()})
+		res, err = harness.RunCases(harness.IndustrialCases(2), harness.Options{Scale: benchScale()})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(res.AvgExtra, "extra_reduction_%")
+	b.ReportMetric(res.AvgRatio(harness.FlowYosys, harness.FlowFull), "extra_reduction_%")
 }
 
 // BenchmarkFigure3 measures the flagship single-circuit optimization:

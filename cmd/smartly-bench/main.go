@@ -5,22 +5,26 @@
 // Usage:
 //
 //	smartly-bench [-scale 1.0] [-table 2|3|all|none] [-industrial n] [-j n] [-check] [-v]
-//	              [-json] [-server] [-replica n] [-design n] [-load n] [-sat] [-egraph] [-corpus dir] [-flow name|name=script]...
+//	              [-json] [-replica n] [-design n] [-load n] [-sat] [-egraph] [-corpus dir] [-flow name|name=script]...
 //
 // Scale 1.0 runs the calibrated case sizes (minutes); smaller scales
 // reproduce the table shape faster. The paper's absolute circuit sizes
-// correspond to roughly scale 100 — see EXPERIMENTS.md.
+// correspond to roughly scale 100.
 //
 // -flow selects the measured flows (repeatable): either a registered
 // named flow ("full") or "name=script" with a flow script, e.g.
 // -flow "tuned=fixpoint { opt_expr; satmux(conflicts=64); opt_clean }".
 // Without -flow the paper's four pipelines run.
 //
+// The engine sections (the tables, -industrial, -sat, -egraph and
+// -corpus) all run through harness.RunCases; -check proves every
+// result of every engine section, and -corpus always does.
+//
 // -json replaces the tables with one machine-readable report on stdout
-// (schema smartly-bench/v1): per-case areas for every flow, reduction
-// ratios vs the first flow, and wall times. BENCH_baseline.json in the
-// repository root holds the committed reference run
-// (-json -scale 0.25).
+// (schema smartly-bench/v2): every engine section as its flows plus,
+// per case and flow, the AIG area, state bits, netlist hash, wall time
+// and pass counters. BENCH_baseline.json in the repository root holds
+// the committed reference run.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/genbench"
 	"repro/internal/harness"
 )
 
@@ -53,7 +58,6 @@ type benchConfig struct {
 	jobs       int
 	verbose    bool
 	jsonOut    bool
-	server     bool
 	replica    int
 	design     int
 	load       int
@@ -69,16 +73,15 @@ func main() {
 	flag.StringVar(&cfg.table, "table", "all", "which table to regenerate: 2, 3, all, or none (\"\" also means none)")
 	flag.IntVar(&cfg.industrial, "industrial", 0, "also run n industrial test points")
 	flag.BoolVar(&cfg.check, "check", false, "equivalence-check every optimized netlist (slow)")
-	flag.IntVar(&cfg.jobs, "j", 0, "benchmark cases and SAT-mux queries run concurrently (0 = all cores, 1 = sequential); results are identical for every value")
+	flag.IntVar(&cfg.jobs, "j", 0, "case x flow runs and SAT-mux queries run concurrently (0 = all cores, 1 = sequential); results are identical for every value")
 	flag.BoolVar(&cfg.verbose, "v", false, "log per-flow progress")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one machine-readable JSON report instead of tables")
-	flag.BoolVar(&cfg.server, "server", false, "also measure serving-layer cold vs warm cache latency (in-process smartlyd)")
 	flag.IntVar(&cfg.replica, "replica", 0, "also measure the two-replica shared cache tier (HTTP peer protocol) on an n-module design (0 = off)")
 	flag.IntVar(&cfg.design, "design", 0, "also measure design-mode sharding cold/warm/incremental latency on an n-module design (0 = off)")
 	flag.IntVar(&cfg.load, "load", 0, "also measure the daemon under n concurrent clients on a mixed cold/warm/design workload: throughput + p50/p95/p99 per class (0 = off)")
 	flag.BoolVar(&cfg.sat, "sat", false, "also measure the SAT oracle (counters + wall-clock vs the sim_filter=false ablation) on the sat and full flows")
 	flag.BoolVar(&cfg.egraph, "egraph", false, "also measure verified e-graph rewriting on the datapath benchmark set (yosys vs pre-egraph full vs datapath vs full)")
-	flag.StringVar(&cfg.corpus, "corpus", "", "also measure an external benchmark-corpus directory (manifest.json + Verilog) under the yosys/seq/full flows")
+	flag.StringVar(&cfg.corpus, "corpus", "", "also measure an external benchmark-corpus directory (manifest.json + Verilog) under the yosys/seq/full flows, proving every result")
 	var flows flowList
 	flag.Var(&flows, "flow", "flow to measure: a named flow or name=script (repeatable; default: the paper's four pipelines)")
 	flag.Parse()
@@ -103,161 +106,125 @@ func runBench(cfg benchConfig, out io.Writer) error {
 		}
 	}
 	custom := len(cfg.flows) > 0
+	flows := harness.DefaultFlows()
 	if custom {
-		fs, err := harness.ParseFlows(cfg.flows)
-		if err != nil {
+		var err error
+		if flows, err = harness.ParseFlows(cfg.flows); err != nil {
 			return err
 		}
-		opts.Flows = fs
-	} else {
-		opts.Flows = harness.DefaultFlows()
+	}
+	// The serving sections run one daemon-side flow: the first -flow
+	// spec when it is a bare registered name, else "full".
+	daemonFlow := harness.FlowFull
+	if custom && !strings.Contains(cfg.flows[0], "=") {
+		daemonFlow = cfg.flows[0]
 	}
 
 	start := time.Now()
-	var results, points []harness.CaseResult
-	var industrialSummary string
+	rep := harness.BenchReport{Schema: harness.BenchSchema, Scale: cfg.scale}
+	// text collects the human-readable sections in run order.
+	var text []string
+	// run measures one engine section and renders it.
+	run := func(cases []harness.Case, flows []harness.FlowSpec, check bool,
+		render ...func(harness.Section) string) (*harness.Section, error) {
+		o := opts
+		o.Flows, o.Check = flows, o.Check || check
+		sec, err := harness.RunCases(cases, o)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range render {
+			text = append(text, r(sec))
+		}
+		return &sec, nil
+	}
+	var err error
 	if cfg.table == "2" || cfg.table == "3" || cfg.table == "all" {
-		var err error
-		if results, err = harness.RunAll(opts); err != nil {
+		render := []func(harness.Section) string{harness.TableII, harness.TableIII}
+		switch {
+		case custom:
+			render = []func(harness.Section) string{harness.TableFlows}
+		case cfg.table == "2":
+			render = render[:1]
+		case cfg.table == "3":
+			render = render[1:]
+		}
+		if rep.Tables, err = run(harness.RecipeCases(genbench.Recipes()), flows, false, render...); err != nil {
 			return err
 		}
 	}
 	if cfg.industrial > 0 {
-		res, err := harness.RunIndustrial(cfg.industrial, opts)
-		if err != nil {
-			return err
-		}
-		points = res.Points
+		// The §IV-B summary hardcodes the yosys/full columns; custom
+		// flow sets get the generic table instead.
+		render := harness.IndustrialSummary
 		if custom {
-			// The §IV-B summary hardcodes the yosys/full columns;
-			// custom flow sets get the generic table instead.
-			industrialSummary = "Industrial test points\n" +
-				harness.TableFlows(points, opts.Flows)
-		} else {
-			industrialSummary = res.IndustrialSummary()
+			render = func(s harness.Section) string { return "Industrial test points\n" + harness.TableFlows(s) }
 		}
-	}
-	var serverBench *harness.ServerBench
-	if cfg.server {
-		sb, err := harness.RunServerBench(serverBenchCase, serverBenchFlow(cfg.flows), cfg.scale, 3)
-		if err != nil {
+		if rep.Industrial, err = run(harness.IndustrialCases(cfg.industrial), flows, false, render); err != nil {
 			return err
 		}
-		serverBench = &sb
 	}
-	var replicaBench *harness.ReplicaBench
 	if cfg.replica > 0 {
-		rb, err := harness.RunReplicaBench(cfg.replica, serverBenchFlow(cfg.flows), cfg.scale)
+		rb, err := harness.RunReplicaBench(cfg.replica, daemonFlow, cfg.scale)
 		if err != nil {
 			return err
 		}
-		replicaBench = &rb
+		rep.Replica = &rb
+		text = append(text, rb.String())
 	}
-	var designBench *harness.DesignBench
 	if cfg.design > 0 {
-		db, err := harness.RunDesignBench(cfg.design, serverBenchFlow(cfg.flows), cfg.scale, 2)
+		db, err := harness.RunDesignBench(cfg.design, daemonFlow, cfg.scale, 2)
 		if err != nil {
 			return err
 		}
-		designBench = &db
+		rep.Design = &db
+		text = append(text, db.String())
 	}
-	var loadBench *harness.LoadBench
 	if cfg.load > 0 {
-		lb, err := harness.RunLoadBench(loadBenchCase, cfg.load, serverBenchFlow(cfg.flows), cfg.scale, 2)
+		lb, err := harness.RunLoadBench(loadBenchCase, cfg.load, daemonFlow, cfg.scale, 2)
 		if err != nil {
 			return err
 		}
-		loadBench = &lb
+		rep.Load = &lb
+		text = append(text, lb.String())
 	}
-	var satBench *harness.SatBench
 	if cfg.sat {
-		sb, err := harness.RunSatBench([]string{harness.FlowSAT, harness.FlowFull}, cfg.scale)
+		satFlows, err := harness.SatFlows(harness.FlowSAT, harness.FlowFull)
 		if err != nil {
 			return err
 		}
-		satBench = &sb
+		if rep.Sat, err = run(harness.RecipeCases(genbench.Recipes()), satFlows, false, harness.SatTable); err != nil {
+			return err
+		}
+		if err := harness.CheckSimFilter(*rep.Sat); err != nil {
+			return err
+		}
 	}
-	var egraphBench *harness.EgraphBench
 	if cfg.egraph {
-		eb, err := harness.RunEgraphBench(cfg.scale)
-		if err != nil {
+		if rep.Egraph, err = run(harness.RecipeCases(genbench.DatapathRecipes()), harness.EgraphFlows(), false, harness.EgraphTable); err != nil {
 			return err
 		}
-		egraphBench = &eb
 	}
-	var corpusBench *harness.CorpusBench
 	if cfg.corpus != "" {
-		cb, err := harness.RunCorpusBench(cfg.corpus)
+		cases, err := harness.CorpusCases(cfg.corpus)
 		if err != nil {
 			return err
 		}
-		corpusBench = &cb
+		if rep.Corpus, err = run(cases, harness.CorpusFlows(), true, harness.CorpusTable); err != nil {
+			return err
+		}
 	}
 
 	if cfg.jsonOut {
-		rep := harness.NewBenchReport(cfg.scale, opts.Flows, results, points, time.Since(start))
-		rep.Server = serverBench
-		rep.Replica = replicaBench
-		rep.Design = designBench
-		rep.Load = loadBench
-		rep.Sat = satBench
-		rep.Egraph = egraphBench
-		rep.Corpus = corpusBench
+		rep.ElapsedMS = time.Since(start).Milliseconds()
 		return rep.WriteJSON(out)
 	}
-	if results != nil {
-		switch {
-		case custom:
-			fmt.Fprintln(out, harness.TableFlows(results, opts.Flows))
-		default:
-			if cfg.table != "3" {
-				fmt.Fprintln(out, harness.TableII(results))
-			}
-			if cfg.table != "2" {
-				fmt.Fprintln(out, harness.TableIII(results))
-			}
-		}
-	}
-	if industrialSummary != "" {
-		fmt.Fprintln(out, industrialSummary)
-	}
-	if serverBench != nil {
-		fmt.Fprintln(out, serverBench.String())
-	}
-	if replicaBench != nil {
-		fmt.Fprintln(out, replicaBench.String())
-	}
-	if designBench != nil {
-		fmt.Fprintln(out, designBench.String())
-	}
-	if loadBench != nil {
-		fmt.Fprintln(out, loadBench.String())
-	}
-	if satBench != nil {
-		fmt.Fprintln(out, satBench.String())
-	}
-	if egraphBench != nil {
-		fmt.Fprintln(out, egraphBench.String())
-	}
-	if corpusBench != nil {
-		fmt.Fprintln(out, corpusBench.String())
+	for _, t := range text {
+		fmt.Fprintln(out, t)
 	}
 	return nil
 }
 
-// serverBenchCase is the fixed case the -server latency smoke measures:
-// the first public benchmark, so numbers are comparable across runs.
-const serverBenchCase = "top_cache_axi"
-
 // loadBenchCase is the fixed case of the -load concurrent smoke: the
 // smallest public benchmark, so n clients' cold requests stay CI-sized.
 const loadBenchCase = "ethernet"
-
-// serverBenchFlow picks the daemon-side flow for -server: the first
-// -flow spec when it is a bare registered name, else "full".
-func serverBenchFlow(flowSpecs []string) string {
-	if len(flowSpecs) > 0 && !strings.Contains(flowSpecs[0], "=") {
-		return flowSpecs[0]
-	}
-	return "full"
-}

@@ -23,18 +23,21 @@ func TestBenchJSONReport(t *testing.T) {
 	if rep.Schema != harness.BenchSchema {
 		t.Errorf("schema = %q", rep.Schema)
 	}
-	if len(rep.Flows) != 4 || rep.Flows[0] != harness.FlowYosys {
-		t.Errorf("flows = %v", rep.Flows)
+	if rep.Tables == nil || rep.Industrial == nil {
+		t.Fatalf("tables = %v, industrial = %v", rep.Tables, rep.Industrial)
 	}
-	if len(rep.Cases) == 0 || len(rep.Industrial) != 1 {
-		t.Fatalf("cases = %d, industrial = %d", len(rep.Cases), len(rep.Industrial))
+	if len(rep.Tables.Flows) != 4 || rep.Tables.Flows[0] != harness.FlowYosys {
+		t.Errorf("flows = %v", rep.Tables.Flows)
 	}
-	for _, c := range rep.Cases {
-		if c.OriginalArea <= 0 {
-			t.Errorf("case %s: original area %d", c.Name, c.OriginalArea)
+	if len(rep.Tables.Cases) == 0 || len(rep.Industrial.Cases) != 1 {
+		t.Fatalf("cases = %d, industrial = %d", len(rep.Tables.Cases), len(rep.Industrial.Cases))
+	}
+	for _, c := range rep.Tables.Cases {
+		if c.Original <= 0 {
+			t.Errorf("case %s: original area %d", c.Name, c.Original)
 		}
-		for _, f := range rep.Flows {
-			if _, ok := c.Areas[f]; !ok {
+		for _, f := range rep.Tables.Flows {
+			if r, ok := c.Runs[f]; !ok || r.Hash == "" {
 				t.Errorf("case %s: flow %s missing", c.Name, f)
 			}
 		}
@@ -73,41 +76,6 @@ func TestBenchCustomFlowsIndustrial(t *testing.T) {
 	}
 	if strings.Contains(out, "smaRTLy removes") {
 		t.Errorf("custom flows used the hardcoded yosys/full summary:\n%s", out)
-	}
-}
-
-// TestBenchServerMode: -server attaches the warm-vs-cold latency smoke
-// to the JSON report.
-func TestBenchServerMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins a server and optimizes repeatedly")
-	}
-	var buf bytes.Buffer
-	if err := runBench(benchConfig{scale: 0.05, table: "", server: true, jsonOut: true}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var rep harness.BenchReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if rep.Server == nil {
-		t.Fatal("report has no server section")
-	}
-	if rep.Server.Case != "top_cache_axi" || rep.Server.Flow != "full" {
-		t.Errorf("server bench %+v", rep.Server)
-	}
-	if rep.Server.ColdMS <= 0 || rep.Server.WarmMS <= 0 {
-		t.Errorf("latencies not measured: %+v", rep.Server)
-	}
-
-	// The table mode prints the human-readable line.
-	buf.Reset()
-	if err := runBench(benchConfig{scale: 0.05, table: "", server: true, flows: []string{"yosys"}}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Server cache latency") ||
-		!strings.Contains(buf.String(), "flow=yosys") {
-		t.Errorf("table output:\n%s", buf.String())
 	}
 }
 
@@ -160,12 +128,17 @@ func TestBenchSatMode(t *testing.T) {
 	if rep.Sat == nil {
 		t.Fatal("report has no sat section")
 	}
-	if len(rep.Sat.Flows) != 2 || rep.Sat.Flows[0].Flow != harness.FlowSAT || rep.Sat.Flows[1].Flow != harness.FlowFull {
-		t.Fatalf("sat section flows: %+v", rep.Sat.Flows)
+	want := []string{harness.FlowSAT, harness.FlowSAT + "_nofilter", harness.FlowFull, harness.FlowFull + "_nofilter"}
+	if strings.Join(rep.Sat.Flows, ",") != strings.Join(want, ",") {
+		t.Fatalf("sat section flows: %v, want %v", rep.Sat.Flows, want)
 	}
-	for _, f := range rep.Sat.Flows {
-		if f.Queries == 0 {
-			t.Errorf("flow %s: no oracle queries recorded", f.Flow)
+	for _, f := range want {
+		queries := 0
+		for _, c := range rep.Sat.Cases {
+			queries += c.Runs[f].Counter("smartly_satmux", "oracle_queries")
+		}
+		if queries == 0 {
+			t.Errorf("flow %s: no oracle queries recorded", f)
 		}
 	}
 

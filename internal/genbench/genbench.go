@@ -403,8 +403,7 @@ func (g *generator) freshSelector(bits int) rtlil.SigSpec {
 // dependent-control mux. SAT elimination removes the dependent mux,
 // restructuring removes the chain's eq gates; the full pipeline removes
 // both (the paper's Full column, which is near-additive in 9 of 10
-// cases — see EXPERIMENTS.md for the pci_bridge32 superadditivity
-// approximation).
+// cases).
 func (g *generator) synergyBlock() {
 	w := g.r.DataWidth
 	s := g.pickBit()

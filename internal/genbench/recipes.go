@@ -3,7 +3,7 @@ package genbench
 // Recipes returns the ten public-benchmark substitutes, one per case of
 // the paper's Table II, with block mixes calibrated so the reduction
 // ratios reproduce the table's shape: which technique wins on each case
-// and roughly by how much (see EXPERIMENTS.md for paper-vs-measured).
+// and roughly by how much.
 //
 // Calibration rationale per case (paper Table III):
 //   - top_cache_axi: Rebuild dominates (24.91% vs SAT 0.01%) — almost

@@ -11,9 +11,9 @@ func TestCalibrationIndustrial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration print skipped in -short mode")
 	}
-	res, err := RunIndustrial(3, Options{Scale: 0.3})
+	sec, err := RunCases(IndustrialCases(3), Options{Scale: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(res.IndustrialSummary())
+	fmt.Println(IndustrialSummary(sec))
 }

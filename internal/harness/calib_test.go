@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/genbench"
 )
 
 // TestCalibrationPrint is a development aid: run with
@@ -12,10 +14,10 @@ func TestCalibrationPrint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration print skipped in -short mode")
 	}
-	results, err := RunAll(Options{Scale: 0.3})
+	sec, err := RunCases(RecipeCases(genbench.Recipes()), Options{Scale: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(TableII(results))
-	fmt.Println(TableIII(results))
+	fmt.Println(TableII(sec))
+	fmt.Println(TableIII(sec))
 }

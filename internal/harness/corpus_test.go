@@ -91,36 +91,41 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunCorpusBench runs the corpus section as smartly-bench does,
+// with Check on: a failed k-induction proof of any flow's result fails
+// the run.
 func TestRunCorpusBench(t *testing.T) {
-	bench, err := RunCorpusBench(corpusDir)
+	cases, err := CorpusCases(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bench.Cases) != 3 {
-		t.Fatalf("got %d cases, want 3", len(bench.Cases))
+	s, err := RunCases(cases, Options{Flows: CorpusFlows(), Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Cases) != 3 {
+		t.Fatalf("got %d cases, want 3", len(s.Cases))
 	}
 	sawSweep := false
-	for _, c := range bench.Cases {
-		if c.OriginalArea <= 0 || c.Registers == 0 {
+	for _, c := range s.Cases {
+		if c.Original <= 0 || c.OriginalStateBits == 0 {
 			t.Errorf("%s: bad original stats: %+v", c.Name, c)
 		}
-		if !c.SeqProved {
-			t.Errorf("%s: seq flow result not proven equivalent", c.Name)
+		seq := c.Runs["seq"]
+		if seq.StateBits >= c.OriginalStateBits {
+			t.Errorf("%s: registers %d -> %d: no sweep", c.Name, c.OriginalStateBits, seq.StateBits)
 		}
-		if c.RegistersAfter >= c.Registers {
-			t.Errorf("%s: registers %d -> %d: no sweep", c.Name, c.Registers, c.RegistersAfter)
-		}
-		if c.DffConst+c.DffMerged+c.DffUnused > 0 {
+		if seq.Counter("opt_dff", "dff_const")+seq.Counter("opt_dff", "dff_merged")+seq.Counter("opt_dff", "dff_unused") > 0 {
 			sawSweep = true
 		}
-		if c.Areas["seq"] <= 0 || c.Areas[FlowYosys] <= 0 || c.Areas[FlowFull] <= 0 {
-			t.Errorf("%s: missing flow areas: %+v", c.Name, c.Areas)
+		if c.Area("seq") <= 0 || c.Area(FlowYosys) <= 0 || c.Area(FlowFull) <= 0 {
+			t.Errorf("%s: missing flow areas: %+v", c.Name, c.Runs)
 		}
 	}
 	if !sawSweep {
 		t.Error("no corpus case reported dff counters")
 	}
-	if s := bench.String(); !strings.Contains(s, "pipeline") || !strings.Contains(s, "SeqProved") {
-		t.Errorf("String() = %q", s)
+	if out := CorpusTable(s); !strings.Contains(out, "pipeline") || !strings.Contains(out, "RegsAft") {
+		t.Errorf("CorpusTable = %q", out)
 	}
 }

@@ -30,10 +30,7 @@ func TestDiagnoseBlocks(t *testing.T) {
 	for name, set := range classes {
 		r := base
 		set(&r)
-		cr, err := RunCase(r, Options{Scale: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		cr := runCase(t, r, Options{Scale: 1})
 		fmt.Printf("%-10s orig=%6d yosys=%6d sat=%6d reb=%6d full=%6d  satR=%5.1f%% rebR=%5.1f%% fullR=%5.1f%%\n",
 			name, cr.Original, cr.Area(FlowYosys), cr.Area(FlowSAT),
 			cr.Area(FlowRebuild), cr.Area(FlowFull),

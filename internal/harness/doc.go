@@ -1,25 +1,33 @@
-// Package harness runs the paper's experiments end to end: it
-// generates each benchmark case (internal/genbench), optimizes it with
-// a set of flows (by default the paper's four pipelines: Yosys
-// baseline, smaRTLy SAT-only, Rebuild-only, Full), measures AIG areas
-// and renders the rows of Table II, Table III and the industrial
-// summary (§IV-B).
+// Package harness runs the paper's experiments end to end and the
+// repository's other benchmark sections.
 //
-// Arbitrary flows — ablations, tuned budgets, custom pass orders —
-// plug in through Options.Flows; ParseFlows builds them from CLI
-// "name=script" specs. RunAll/RunCase/RunIndustrial fan cases (and the
-// flows within a case) out to Options.Jobs workers with deterministic
-// result merging: every number is identical for every job count.
-// Optional equivalence checking (Options.Check) proves each optimized
-// netlist against its input.
+// One runner serves every engine section: RunCases takes a case set
+// (Case: a name plus a builder for its module — a genbench recipe at a
+// scale via RecipeCases and IndustrialCases, or a loaded corpus module
+// via CorpusCases) and a flow set (Options.Flows), runs cases × flows
+// on Options.Jobs workers with deterministic result merging, and
+// returns a Section: per case and flow the AIG area, state bits,
+// canonical netlist hash, wall time and run-report counters. With
+// Options.Check every result is proved equivalent to its input, by
+// k-induction when registers are involved. A section is then a case
+// set, a flow set and a renderer:
 //
-// Two machine-readable outputs feed CI:
+//   - the paper's Tables II and III (TableII, TableIII, or TableFlows
+//     for custom flows) and the §IV-B industrial summary
+//     (IndustrialSummary) over DefaultFlows;
+//   - sat: SatFlows pairs each flow with its sim_filter=false ablation,
+//     CheckSimFilter enforces that the pair's netlists match unless a
+//     Solve call ran out of its conflict budget, SatTable renders;
+//   - egraph: EgraphFlows over the datapath recipes, EgraphTable;
+//   - corpus: CorpusCases under CorpusFlows with Check on, CorpusTable.
 //
-//   - BenchReport (schema "smartly-bench/v1", written by
-//     cmd/smartly-bench -json) carries per-case areas, reduction
-//     ratios vs the baseline flow and wall times; BENCH_baseline.json
-//     in the repository root is the committed reference run.
-//   - RunServerBench (cmd/smartly-bench -server) spins an in-process
-//     smartlyd serving stack and measures cold-vs-warm result-cache
-//     latency, attached to the report as its "server" section.
+// ParseFlows builds custom flows from CLI "name=script" specs.
+//
+// BenchReport (schema "smartly-bench/v2", written by cmd/smartly-bench
+// -json) carries every engine section in that one shape, plus the
+// serving sections: RunReplicaBench, RunDesignBench and RunLoadBench
+// spin in-process smartlyd stacks and measure the shared cache tier,
+// design-mode sharding and latency under concurrent load.
+// BENCH_baseline.json in the repository root is the committed
+// reference run.
 package harness

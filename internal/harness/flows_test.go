@@ -3,8 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/genbench"
 )
@@ -46,15 +46,12 @@ func TestRunCaseCustomFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := genbench.Recipes()[9] // ac97_ctrl: smallest mixed case
-	cr, err := RunCase(r, Options{Scale: 0.03, Flows: flows, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Areas) != 2 {
-		t.Fatalf("areas = %+v, want 2 flows", cr.Areas)
+	cr := runCase(t, r, Options{Scale: 0.03, Flows: flows, Check: true})
+	if len(cr.Runs) != 2 {
+		t.Fatalf("runs = %+v, want 2 flows", cr.Runs)
 	}
 	if cr.Area("base") <= 0 || cr.Area("tuned") <= 0 {
-		t.Errorf("bad areas: %+v", cr.Areas)
+		t.Errorf("bad areas: %+v", cr.Runs)
 	}
 	if cr.Area("tuned") > cr.Area("base") {
 		t.Errorf("tuned satmux (%d) worse than baseline (%d)", cr.Area("tuned"), cr.Area("base"))
@@ -65,31 +62,14 @@ func TestRunCaseCustomFlows(t *testing.T) {
 }
 
 func TestBenchReportJSON(t *testing.T) {
-	flows := DefaultFlows()
 	cases := []CaseResult{
-		{Name: "alpha", Original: 1000, Elapsed: 1500 * time.Millisecond, Areas: map[string]int{
-			FlowYosys: 500, FlowSAT: 480, FlowRebuild: 450, FlowFull: 430}},
+		{Name: "alpha", Original: 1000, Runs: map[string]FlowRun{
+			FlowYosys: {Area: 500}, FlowSAT: {Area: 480}, FlowRebuild: {Area: 450},
+			FlowFull: {Area: 430, Hash: "abc", ElapsedMS: 1500,
+				Counters: map[string]map[string]int{"opt_clean": {"cells_removed": 3}}}}},
 	}
-	rep := NewBenchReport(0.25, flows, cases, nil, 2*time.Second)
-	if rep.Schema != BenchSchema || rep.Scale != 0.25 || rep.ElapsedMS != 2000 {
-		t.Errorf("header = %+v", rep)
-	}
-	if len(rep.Flows) != 4 || rep.Flows[0] != FlowYosys {
-		t.Errorf("flows = %v", rep.Flows)
-	}
-	c := rep.Cases[0]
-	if c.OriginalArea != 1000 || c.Areas[FlowFull] != 430 || c.ElapsedMS != 1500 {
-		t.Errorf("case = %+v", c)
-	}
-	if _, ok := c.RatiosPct[FlowYosys]; ok {
-		t.Error("baseline flow has a ratio against itself")
-	}
-	if got := c.RatiosPct[FlowFull]; got != 14 {
-		t.Errorf("full ratio = %v, want 14", got)
-	}
-	if got := rep.AvgRatioPct[FlowFull]; got != 14 {
-		t.Errorf("avg full ratio = %v, want 14", got)
-	}
+	tables := Section{Flows: []string{FlowYosys, FlowSAT, FlowRebuild, FlowFull}, Cases: cases}
+	rep := BenchReport{Schema: BenchSchema, Scale: 0.25, ElapsedMS: 2000, Tables: &tables}
 
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -99,7 +79,60 @@ func TestBenchReportJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}
-	if back.Schema != BenchSchema || len(back.Cases) != 1 {
-		t.Errorf("round trip = %+v", back)
+	if back.Schema != BenchSchema || back.Scale != 0.25 || back.ElapsedMS != 2000 {
+		t.Errorf("header = %+v", back)
+	}
+	if back.Tables == nil || len(back.Tables.Flows) != 4 || back.Tables.Flows[0] != FlowYosys {
+		t.Fatalf("tables = %+v", back.Tables)
+	}
+	if back.Sat != nil || back.Load != nil {
+		t.Error("sections that did not run are present")
+	}
+	c := back.Tables.Cases[0]
+	full := c.Runs[FlowFull]
+	if c.Original != 1000 || full.Area != 430 || full.Hash != "abc" || full.ElapsedMS != 1500 {
+		t.Errorf("case = %+v", c)
+	}
+	if got := full.Counter("opt_clean", "cells_removed"); got != 3 {
+		t.Errorf("counter = %d, want 3", got)
+	}
+	if got := c.RatioFull(); got != 14 {
+		t.Errorf("full ratio = %v, want 14", got)
+	}
+	if got := back.Tables.AvgRatio(FlowYosys, FlowFull); got != 14 {
+		t.Errorf("avg full ratio = %v, want 14", got)
+	}
+}
+
+// TestParseFlowsErrorsNameFlow is the regression test for flow-spec
+// error messages: whatever fails, the message must name the offending
+// flow (or echo the raw spec) so a -flow typo in a long command line is
+// attributable.
+func TestParseFlowsErrorsNameFlow(t *testing.T) {
+	cases := []struct {
+		specs []string
+		want  string
+	}{
+		{[]string{"nope"}, `"nope"`},                         // unknown named flow
+		{[]string{"tuned=opt_expr; bogus_pass"}, `"tuned"`},  // script error
+		{[]string{"yosys", "yosys"}, `"yosys"`},              // duplicate name
+		{[]string{"=opt_expr"}, `"=opt_expr"`},               // missing name echoes spec
+		{[]string{"tuned=satmux(conflicts=bad)"}, `"tuned"`}, // bad option value
+		{[]string{"full", "x=fixpoint { }"}, `"x"`},          // empty body
+	}
+	for _, c := range cases {
+		_, err := ParseFlows(c.specs)
+		if err == nil {
+			t.Errorf("ParseFlows(%q) accepted", c.specs)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseFlows(%q) error %q does not name %s", c.specs, err, c.want)
+		}
+	}
+	// Valid specs still parse.
+	fs, err := ParseFlows([]string{"yosys", "tuned=opt_expr; opt_clean"})
+	if err != nil || len(fs) != 2 {
+		t.Errorf("valid specs: %v %v", fs, err)
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"sync"
 	"time"
 
+	"repro"
 	"repro/internal/aig"
-	"repro/internal/cec"
 	_ "repro/internal/core" // registers the smaRTLy passes and named flows
 	"repro/internal/genbench"
 	"repro/internal/opt"
+	"repro/internal/rtlil"
 )
 
 // FlowSpec is one flow measured by the harness: a short column name and
@@ -33,16 +34,29 @@ const (
 // DefaultFlows returns the four pipelines compared in the paper's
 // Tables II and III, as registered named flows.
 func DefaultFlows() []FlowSpec {
-	names := []string{FlowYosys, FlowSAT, FlowRebuild, FlowFull}
+	return mustFlows(FlowYosys, FlowSAT, FlowRebuild, FlowFull)
+}
+
+// mustFlows looks up built-in named flows; a missing one is a bug.
+func mustFlows(names ...string) []FlowSpec {
+	flows, err := namedFlows(names...)
+	if err != nil {
+		panic(fmt.Sprintf("harness: built-in %v", err))
+	}
+	return flows
+}
+
+// namedFlows looks up registered named flows.
+func namedFlows(names ...string) ([]FlowSpec, error) {
 	out := make([]FlowSpec, 0, len(names))
 	for _, name := range names {
 		f, err := opt.NamedFlow(name)
 		if err != nil {
-			panic(fmt.Sprintf("harness: built-in flow %q missing: %v", name, err))
+			return nil, fmt.Errorf("harness: flow %q: %w", name, err)
 		}
 		out = append(out, FlowSpec{Name: name, Flow: f})
 	}
-	return out
+	return out, nil
 }
 
 // ParseFlows parses "name=script" (or bare named-flow "name") specs
@@ -75,22 +89,90 @@ func ParseFlows(specs []string) ([]FlowSpec, error) {
 	return out, nil
 }
 
-// CaseResult holds the measured areas for one benchmark case, keyed by
-// flow name.
-type CaseResult struct {
-	Name     string
-	Original int
-	Areas    map[string]int
-	Elapsed  time.Duration
+// Case is one benchmark case: a name and a builder for its unoptimized
+// module.
+type Case struct {
+	Name string
+	// Build returns the case's module at the run's scale. The harness
+	// only reads it: every flow optimizes a private clone.
+	Build func(scale float64) (*rtlil.Module, error)
 }
+
+// RecipeCases returns one case per genbench recipe, named after it.
+func RecipeCases(recipes []genbench.Recipe) []Case {
+	out := make([]Case, len(recipes))
+	for i, r := range recipes {
+		out[i] = recipeCase(r.Name, r)
+	}
+	return out
+}
+
+// IndustrialCases returns the §IV-B experiment's first n industrial
+// test points, named point-0 .. point-(n-1).
+func IndustrialCases(n int) []Case {
+	out := make([]Case, n)
+	for i := range out {
+		out[i] = recipeCase(fmt.Sprintf("point-%d", i), genbench.IndustrialRecipe(i))
+	}
+	return out
+}
+
+func recipeCase(name string, r genbench.Recipe) Case {
+	return Case{Name: name, Build: func(scale float64) (*rtlil.Module, error) {
+		m := genbench.Generate(r, scale)
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("generated %s invalid: %w", r.Name, err)
+		}
+		return m, nil
+	}}
+}
+
+// Section is the result of one RunCases call, and the shape of every
+// engine section of the bench report: the flows in run order and one
+// result per case, in case order.
+type Section struct {
+	Flows []string     `json:"flows"`
+	Cases []CaseResult `json:"cases"`
+}
+
+// CaseResult is one case measured under every flow of its section.
+type CaseResult struct {
+	Name string `json:"name"`
+	// Original and OriginalStateBits measure the unoptimized module.
+	Original          int `json:"original_area"`
+	OriginalStateBits int `json:"original_state_bits,omitempty"`
+	// Runs holds each flow's result, keyed by flow name.
+	Runs map[string]FlowRun `json:"runs"`
+}
+
+// FlowRun is one flow's result on one case.
+type FlowRun struct {
+	Area      int `json:"area"`
+	StateBits int `json:"state_bits,omitempty"`
+	// Hash is the optimized module's rtlil.CanonicalHash.
+	Hash string `json:"hash"`
+	// ElapsedMS is the flow's wall-clock; the only field that varies
+	// from run to run.
+	ElapsedMS float64 `json:"elapsed_ms"`
+	// Counters holds the run report's counters by pass, then by name.
+	Counters map[string]map[string]int `json:"counters,omitempty"`
+}
+
+// Counter returns one counter of one pass (0 when absent).
+func (r FlowRun) Counter(pass, key string) int { return r.Counters[pass][key] }
 
 // Area returns the optimized area of the named flow (0 if it did not
 // run).
-func (c CaseResult) Area(flow string) int { return c.Areas[flow] }
+func (c CaseResult) Area(flow string) int { return c.Runs[flow].Area }
 
 // Ratio is the extra reduction of flow vs base in percent.
 func (c CaseResult) Ratio(base, flow string) float64 {
-	return ratio(c.Areas[base], c.Areas[flow])
+	return ratio(c.Area(base), c.Area(flow))
+}
+
+// Reduction is flow's reduction vs the original area in percent.
+func (c CaseResult) Reduction(flow string) float64 {
+	return ratio(c.Original, c.Area(flow))
 }
 
 // RatioSAT is Table III's "SAT" column: extra reduction vs Yosys in %.
@@ -101,19 +183,6 @@ func (c CaseResult) RatioRebuild() float64 { return c.Ratio(FlowYosys, FlowRebui
 
 // RatioFull is the Table II/III "Full" ratio.
 func (c CaseResult) RatioFull() float64 { return c.Ratio(FlowYosys, FlowFull) }
-
-// equalAreas reports whether two results measured identical areas.
-func equalAreas(a, b CaseResult) bool {
-	if a.Name != b.Name || a.Original != b.Original || len(a.Areas) != len(b.Areas) {
-		return false
-	}
-	for k, v := range a.Areas {
-		if b.Areas[k] != v {
-			return false
-		}
-	}
-	return true
-}
 
 func ratio(base, opt int) float64 {
 	if base == 0 {
@@ -129,21 +198,21 @@ type Options struct {
 	Scale float64
 	// Flows are the optimization flows to measure; nil means
 	// DefaultFlows (the paper's four pipelines). Flow names must be
-	// unique: they key the result areas.
+	// unique: they key the results.
 	Flows []FlowSpec
-	// Check runs combinational equivalence checking on every
-	// optimized netlist (slow; intended for tests and small scales).
+	// Check proves every optimized module equivalent to its input
+	// (slow; intended for tests and small scales).
 	Check bool
 	// Verbose prints progress via Logf. The harness may call it from
 	// several goroutines; withDefaults wraps it in a mutex.
 	Logf func(format string, args ...any)
-	// Jobs bounds how many benchmark cases (and, within one case, how
-	// many of the flows) run concurrently. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the sequential path. Results are
-	// identical for every value.
+	// Jobs bounds how many builds and case × flow runs execute
+	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the
+	// sequential path. Results are identical for every value.
 	Jobs int
 	// Workers is the per-optimization worker budget forwarded to the
-	// pass engine (parallel SAT-mux queries). 0 means GOMAXPROCS.
+	// pass engine (parallel SAT-mux queries). 0 shares GOMAXPROCS
+	// between the concurrent runs.
 	Workers int
 	// Context cancels a run early; nil means context.Background().
 	Context context.Context
@@ -176,238 +245,109 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// perCase derives the options a case-level sweep (RunAll/RunIndustrial)
-// hands to each RunCase: when the cases themselves run concurrently they
-// already occupy the job budget, so each case runs sequentially inside —
-// "-j N" means roughly N concurrent workers in total, not N*4*N.
-// Explicitly set Workers are respected.
-func (o Options) perCase() Options {
-	inner := o
-	if inner.Jobs > 1 {
-		inner.Jobs = 1
-		if inner.Workers == 0 {
-			inner.Workers = 1
-		}
-	}
-	return inner
-}
-
-// RunCase generates one case and measures every configured flow.
-func RunCase(r genbench.Recipe, o Options) (CaseResult, error) {
+// RunCases builds every case, then optimizes a private clone of each
+// with every flow of o.Flows. Both the builds and the case × flow runs
+// fan out over o.Jobs workers (opt.ForEach) and merge by index, so
+// every field but the wall times is identical for every job count.
+// With o.Check each result is proved equivalent to its input — by
+// k-induction when either side holds registers — and a failed proof
+// fails the run.
+func RunCases(cases []Case, o Options) (Section, error) {
 	o = o.withDefaults()
-	start := time.Now()
-	res := CaseResult{Name: r.Name, Areas: map[string]int{}}
-
-	m := genbench.Generate(r, o.Scale)
-	if err := m.Validate(); err != nil {
-		return res, fmt.Errorf("harness: generated %s invalid: %w", r.Name, err)
-	}
-	var err error
-	res.Original, err = aig.Area(m)
-	if err != nil {
-		return res, err
+	sec := Section{Cases: make([]CaseResult, len(cases))}
+	for _, fs := range o.Flows {
+		sec.Flows = append(sec.Flows, fs.Name)
 	}
 
-	// The flows each optimize a private clone, so they run concurrently;
-	// every area lands in its own slot, keeping the result independent
-	// of scheduling. An unset Workers budget is shared between the
-	// concurrent flows rather than multiplied by them.
-	flows := o.Flows
+	inputs := make([]*rtlil.Module, len(cases))
+	errs := make([]error, len(cases))
+	opt.ForEach(o.Context, o.Jobs, len(cases), func(i int) {
+		m, err := cases[i].Build(o.Scale)
+		area := 0
+		if err == nil {
+			area, err = aig.Area(m)
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("harness: %s: %w", cases[i].Name, err)
+			return
+		}
+		inputs[i] = m
+		sec.Cases[i] = CaseResult{Name: cases[i].Name, Original: area,
+			OriginalStateBits: m.StateBits(), Runs: map[string]FlowRun{}}
+	})
+	if err := firstErr(o.Context, errs); err != nil {
+		return sec, err
+	}
+
+	// An unset Workers budget is shared between the concurrent runs
+	// rather than multiplied by them: "-j N" means roughly N busy
+	// cores in total.
+	nf := len(o.Flows)
+	runs := make([]FlowRun, len(cases)*nf)
+	errs = make([]error, len(runs))
 	workers := o.Workers
-	if workers == 0 && o.Jobs > 1 {
-		workers = max(1, runtime.GOMAXPROCS(0)/len(flows))
+	if workers == 0 && len(runs) > 0 {
+		workers = max(1, runtime.GOMAXPROCS(0)/min(o.Jobs, len(runs)))
 	}
-	areas := make([]int, len(flows))
-	errs := make([]error, len(flows))
-	opt.ForEach(o.Context, o.Jobs, len(flows), func(i int) {
-		fs := flows[i]
-		work := m.Clone()
-		ec := opt.NewCtx(o.Context, opt.Config{Workers: workers})
-		if _, err := fs.Flow.Run(ec, work); err != nil {
-			errs[i] = fmt.Errorf("harness: %s/%s: %w", r.Name, fs.Name, err)
+	opt.ForEach(o.Context, o.Jobs, len(runs), func(k int) {
+		name, fs := cases[k/nf].Name, o.Flows[k%nf]
+		var err error
+		if runs[k], err = runFlow(o, workers, inputs[k/nf], fs.Flow); err != nil {
+			errs[k] = fmt.Errorf("harness: %s/%s: %w", name, fs.Name, err)
 			return
 		}
-		if o.Check {
-			if err := cec.Check(m, work, nil); err != nil {
-				errs[i] = fmt.Errorf("harness: %s/%s not equivalent: %w", r.Name, fs.Name, err)
-				return
+		o.Logf("%s/%s: area %d", name, fs.Name, runs[k].Area)
+	})
+	if err := firstErr(o.Context, errs); err != nil {
+		return sec, err
+	}
+	for k, r := range runs {
+		sec.Cases[k/nf].Runs[o.Flows[k%nf].Name] = r
+	}
+	return sec, nil
+}
+
+// runFlow optimizes a clone of in with one flow and measures the result.
+func runFlow(o Options, workers int, in *rtlil.Module, flow *opt.Flow) (FlowRun, error) {
+	work := in.Clone()
+	ec := opt.NewCtx(o.Context, opt.Config{Workers: workers})
+	start := time.Now()
+	if _, err := flow.Run(ec, work); err != nil {
+		return FlowRun{}, err
+	}
+	elapsed := time.Since(start)
+	if o.Check {
+		if err := smartly.CheckEquivalence(in, work); err != nil {
+			return FlowRun{}, fmt.Errorf("not equivalent: %w", err)
+		}
+	}
+	area, err := aig.Area(work)
+	if err != nil {
+		return FlowRun{}, err
+	}
+	r := FlowRun{Area: area, StateBits: work.StateBits(),
+		Hash: rtlil.CanonicalHash(work), ElapsedMS: toMS(elapsed)}
+	for _, p := range ec.Report().Passes {
+		if len(p.Counters) > 0 {
+			if r.Counters == nil {
+				r.Counters = map[string]map[string]int{}
 			}
+			r.Counters[p.Name] = p.Counters
 		}
-		a, err := aig.Area(work)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		areas[i] = a
-		o.Logf("%s/%s: area %d (original %d)", r.Name, fs.Name, a, res.Original)
-	})
+	}
+	return r, nil
+}
+
+// firstErr returns the lowest-index error, else the context's.
+func firstErr(ctx context.Context, errs []error) error {
 	for _, err := range errs {
 		if err != nil {
-			return res, err
+			return err
 		}
 	}
-	if err := o.Context.Err(); err != nil {
-		return res, err
-	}
-	for i, fs := range flows {
-		res.Areas[fs.Name] = areas[i]
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return ctx.Err()
 }
 
-// RunAll measures every public-benchmark case, up to Options.Jobs of
-// them concurrently. The result order (and every number in it) is
-// independent of the job count.
-func RunAll(o Options) ([]CaseResult, error) {
-	o = o.withDefaults()
-	recipes := genbench.Recipes()
-	out := make([]CaseResult, len(recipes))
-	errs := make([]error, len(recipes))
-	inner := o.perCase()
-	opt.ForEach(o.Context, o.Jobs, len(recipes), func(i int) {
-		out[i], errs[i] = RunCase(recipes[i], inner)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, o.Context.Err()
-}
-
-// Averages computes the per-column averages used in the tables' last row.
-func Averages(results []CaseResult) CaseResult {
-	avg := CaseResult{Name: "Average", Areas: map[string]int{}}
-	n := len(results)
-	if n == 0 {
-		return avg
-	}
-	sums := map[string]int{}
-	for _, r := range results {
-		avg.Original += r.Original
-		for k, v := range r.Areas {
-			sums[k] += v
-		}
-	}
-	avg.Original /= n
-	for k, v := range sums {
-		avg.Areas[k] = v / n
-	}
-	return avg
-}
-
-// TableII renders the paper's Table II: Original / Yosys / smaRTLy
-// areas and the extra-reduction ratio.
-func TableII(results []CaseResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table II: AIG areas, Yosys vs smaRTLy (scaled reproduction)\n")
-	fmt.Fprintf(&sb, "%-15s %10s %10s %10s %8s\n", "Case", "Original", "Yosys", "smaRTLy", "Ratio")
-	for _, r := range results {
-		fmt.Fprintf(&sb, "%-15s %10d %10d %10d %7.2f%%\n",
-			r.Name, r.Original, r.Area(FlowYosys), r.Area(FlowFull), r.RatioFull())
-	}
-	avg := Averages(results)
-	fmt.Fprintf(&sb, "%-15s %10d %10d %10d %7.2f%%\n",
-		avg.Name, avg.Original, avg.Area(FlowYosys), avg.Area(FlowFull), avgRatioFull(results))
-	return sb.String()
-}
-
-// TableIII renders the paper's Table III: per-method reductions.
-func TableIII(results []CaseResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table III: reduction by individual methods and combined\n")
-	fmt.Fprintf(&sb, "%-15s %8s %8s %8s\n", "Case", "SAT", "Rebuild", "Full")
-	for _, r := range results {
-		fmt.Fprintf(&sb, "%-15s %7.2f%% %7.2f%% %7.2f%%\n",
-			r.Name, r.RatioSAT(), r.RatioRebuild(), r.RatioFull())
-	}
-	fmt.Fprintf(&sb, "%-15s %7.2f%% %7.2f%% %7.2f%%\n", "Average",
-		avgOf(results, CaseResult.RatioSAT),
-		avgOf(results, CaseResult.RatioRebuild),
-		avgOf(results, CaseResult.RatioFull))
-	return sb.String()
-}
-
-// TableFlows renders a generic area table for an arbitrary flow set:
-// one column per flow plus the reduction of the last flow vs the first.
-func TableFlows(results []CaseResult, flows []FlowSpec) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-15s %10s", "Case", "Original")
-	for _, f := range flows {
-		fmt.Fprintf(&sb, " %10s", f.Name)
-	}
-	if len(flows) >= 2 {
-		fmt.Fprintf(&sb, " %8s", "Ratio")
-	}
-	sb.WriteByte('\n')
-	rows := append([]CaseResult{}, results...)
-	rows = append(rows, Averages(results))
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-15s %10d", r.Name, r.Original)
-		for _, f := range flows {
-			fmt.Fprintf(&sb, " %10d", r.Area(f.Name))
-		}
-		if len(flows) >= 2 {
-			fmt.Fprintf(&sb, " %7.2f%%", r.Ratio(flows[0].Name, flows[len(flows)-1].Name))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-func avgRatioFull(results []CaseResult) float64 {
-	return avgOf(results, CaseResult.RatioFull)
-}
-
-func avgOf(results []CaseResult, f func(CaseResult) float64) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range results {
-		sum += f(r)
-	}
-	return sum / float64(len(results))
-}
-
-// IndustrialResult summarizes the §IV-B experiment.
-type IndustrialResult struct {
-	Points   []CaseResult
-	AvgExtra float64 // average extra reduction vs Yosys, %
-}
-
-// RunIndustrial measures n industrial test points, up to Options.Jobs
-// of them concurrently.
-func RunIndustrial(n int, o Options) (IndustrialResult, error) {
-	o = o.withDefaults()
-	out := IndustrialResult{Points: make([]CaseResult, n)}
-	errs := make([]error, n)
-	inner := o.perCase()
-	opt.ForEach(o.Context, o.Jobs, n, func(i int) {
-		out.Points[i], errs[i] = RunCase(genbench.IndustrialRecipe(i), inner)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	if err := o.Context.Err(); err != nil {
-		return out, err
-	}
-	out.AvgExtra = avgOf(out.Points, CaseResult.RatioFull)
-	return out, nil
-}
-
-// IndustrialSummary renders the §IV-B report.
-func (r IndustrialResult) IndustrialSummary() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Industrial benchmark (scaled reproduction, %d test points)\n", len(r.Points))
-	fmt.Fprintf(&sb, "%-15s %10s %10s %10s %8s\n", "Point", "Original", "Yosys", "smaRTLy", "Extra")
-	for i, p := range r.Points {
-		fmt.Fprintf(&sb, "point-%-9d %10d %10d %10d %7.2f%%\n",
-			i, p.Original, p.Area(FlowYosys), p.Area(FlowFull), p.RatioFull())
-	}
-	fmt.Fprintf(&sb, "smaRTLy removes %.1f%% more AIG area than Yosys (paper: 47.2%%)\n", r.AvgExtra)
-	return sb.String()
+func toMS(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
 }

@@ -7,12 +7,28 @@ import (
 	"repro/internal/genbench"
 )
 
-func TestRunCaseWithEquivalenceCheck(t *testing.T) {
-	r := genbench.Recipes()[9] // ac97_ctrl: smallest mixed case
-	cr, err := RunCase(r, Options{Scale: 0.03, Check: true})
+// runCase measures one recipe under o.
+func runCase(t testing.TB, r genbench.Recipe, o Options) CaseResult {
+	t.Helper()
+	sec, err := RunCases(RecipeCases([]genbench.Recipe{r}), o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sec.Cases[0]
+}
+
+// withAreas builds a case's runs from flow areas.
+func withAreas(areas map[string]int) map[string]FlowRun {
+	out := map[string]FlowRun{}
+	for f, a := range areas {
+		out[f] = FlowRun{Area: a}
+	}
+	return out
+}
+
+func TestRunCaseWithEquivalenceCheck(t *testing.T) {
+	r := genbench.Recipes()[9] // ac97_ctrl: smallest mixed case
+	cr := runCase(t, r, Options{Scale: 0.03, Check: true})
 	if cr.Original <= 0 || cr.Area(FlowYosys) <= 0 || cr.Area(FlowFull) <= 0 {
 		t.Errorf("bad areas: %+v", cr)
 	}
@@ -22,8 +38,8 @@ func TestRunCaseWithEquivalenceCheck(t *testing.T) {
 }
 
 func TestRatios(t *testing.T) {
-	cr := CaseResult{Areas: map[string]int{
-		FlowYosys: 200, FlowSAT: 180, FlowRebuild: 150, FlowFull: 140}}
+	cr := CaseResult{Runs: withAreas(map[string]int{
+		FlowYosys: 200, FlowSAT: 180, FlowRebuild: 150, FlowFull: 140})}
 	if got := cr.RatioSAT(); got != 10 {
 		t.Errorf("RatioSAT = %v", got)
 	}
@@ -41,18 +57,19 @@ func TestRatios(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	results := []CaseResult{
-		{Name: "alpha", Original: 1000, Areas: map[string]int{
-			FlowYosys: 500, FlowSAT: 480, FlowRebuild: 450, FlowFull: 430}},
-		{Name: "beta", Original: 2000, Areas: map[string]int{
-			FlowYosys: 900, FlowSAT: 850, FlowRebuild: 880, FlowFull: 820}},
+		{Name: "alpha", Original: 1000, Runs: withAreas(map[string]int{
+			FlowYosys: 500, FlowSAT: 480, FlowRebuild: 450, FlowFull: 430})},
+		{Name: "beta", Original: 2000, Runs: withAreas(map[string]int{
+			FlowYosys: 900, FlowSAT: 850, FlowRebuild: 880, FlowFull: 820})},
 	}
-	t2 := TableII(results)
+	sec := Section{Flows: []string{FlowYosys, FlowSAT, FlowRebuild, FlowFull}, Cases: results}
+	t2 := TableII(sec)
 	for _, want := range []string{"alpha", "beta", "Average", "Original", "smaRTLy"} {
 		if !strings.Contains(t2, want) {
 			t.Errorf("TableII missing %q:\n%s", want, t2)
 		}
 	}
-	t3 := TableIII(results)
+	t3 := TableIII(sec)
 	for _, want := range []string{"alpha", "SAT", "Rebuild", "Full", "Average"} {
 		if !strings.Contains(t3, want) {
 			t.Errorf("TableIII missing %q:\n%s", want, t3)
@@ -65,7 +82,7 @@ func TestTableRendering(t *testing.T) {
 	if Averages(nil).Name != "Average" {
 		t.Error("empty Averages broken")
 	}
-	tf := TableFlows(results, DefaultFlows())
+	tf := TableFlows(sec)
 	for _, want := range []string{"alpha", "beta", "Average", "yosys", "full", "Ratio"} {
 		if !strings.Contains(tf, want) {
 			t.Errorf("TableFlows missing %q:\n%s", want, tf)
@@ -87,11 +104,7 @@ func TestTableShape(t *testing.T) {
 			if r.Name != name {
 				continue
 			}
-			cr, err := RunCase(r, Options{Scale: 0.1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			byName[name] = cr
+			byName[name] = runCase(t, r, Options{Scale: 0.1})
 		}
 	}
 	for name, cr := range byName {
@@ -123,13 +136,11 @@ func TestTableShape(t *testing.T) {
 }
 
 func TestIndustrialSummaryRendering(t *testing.T) {
-	r := IndustrialResult{
-		Points: []CaseResult{{Name: "industrial", Original: 100,
-			Areas: map[string]int{FlowYosys: 90, FlowFull: 50}}},
-		AvgExtra: 44.4,
-	}
-	s := r.IndustrialSummary()
-	if !strings.Contains(s, "44.4") || !strings.Contains(s, "47.2") {
+	r := Section{Flows: []string{FlowYosys, FlowFull}, Cases: []CaseResult{
+		{Name: "point-0", Original: 100, Runs: withAreas(map[string]int{FlowYosys: 90, FlowFull: 50})},
+	}}
+	s := IndustrialSummary(r)
+	if !strings.Contains(s, "point-0") || !strings.Contains(s, "44.4") || !strings.Contains(s, "47.2") {
 		t.Errorf("summary missing figures:\n%s", s)
 	}
 }

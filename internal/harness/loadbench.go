@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -254,6 +255,37 @@ func (b LoadBench) Class(name string) *LoadClass {
 		}
 	}
 	return nil
+}
+
+// postOptimize is the harness's minimal HTTP client (the public client
+// package is not imported to keep the dependency direction
+// harness -> server only).
+func postOptimize(baseURL string, req api.OptimizeRequest) (*api.OptimizeResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hr, err := http.NewRequestWithContext(context.Background(),
+		http.MethodPost, baseURL+"/v1/optimize", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var e api.Error
+		json.NewDecoder(resp.Body).Decode(&e)
+		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, e.Error)
+	}
+	var out api.OptimizeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // getHealthz fetches and decodes the daemon health snapshot.

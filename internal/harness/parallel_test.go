@@ -1,61 +1,109 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
+
+	"repro/internal/genbench"
 )
 
-// stripElapsed zeroes the wall-clock field so results can be compared
-// structurally.
-func stripElapsed(rs []CaseResult) []CaseResult {
-	out := append([]CaseResult(nil), rs...)
-	for i := range out {
-		out[i].Elapsed = 0
+// timingFree encodes one case with its wall times zeroed: everything
+// else RunCases reports is deterministic.
+func timingFree(t *testing.T, c CaseResult) []byte {
+	t.Helper()
+	runs := map[string]FlowRun{}
+	for f, r := range c.Runs {
+		r.ElapsedMS = 0
+		runs[f] = r
 	}
-	return out
+	c.Runs = runs
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
-// TestRunAllParallelDeterministic: RunAll with Jobs/Workers=N must
-// report exactly the same areas, in the same order, as the fully
-// sequential run.
-func TestRunAllParallelDeterministic(t *testing.T) {
-	seq, err := RunAll(Options{Scale: 0.05, Jobs: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// sameSections fails unless two runs of a section agree on every field
+// but the wall times, case by case and in the same order.
+func sameSections(t *testing.T, name string, a, b Section) {
+	t.Helper()
+	if len(a.Cases) != len(b.Cases) || len(a.Flows) != len(b.Flows) {
+		t.Fatalf("%s: shapes differ: %d cases x %v vs %d cases x %v",
+			name, len(a.Cases), a.Flows, len(b.Cases), b.Flows)
 	}
-	par, err := RunAll(Options{Scale: 0.05, Jobs: 4, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := stripElapsed(seq), stripElapsed(par)
-	if len(a) != len(b) {
-		t.Fatalf("case counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !equalAreas(a[i], b[i]) {
-			t.Errorf("case %s: sequential %+v != parallel %+v", a[i].Name, a[i], b[i])
+	for i := range a.Flows {
+		if a.Flows[i] != b.Flows[i] {
+			t.Errorf("%s: flow %d: %q vs %q", name, i, a.Flows[i], b.Flows[i])
 		}
 	}
+	for i := range a.Cases {
+		if ja, jb := timingFree(t, a.Cases[i]), timingFree(t, b.Cases[i]); !bytes.Equal(ja, jb) {
+			t.Errorf("%s: case %s:\n sequential %s\n parallel   %s", name, a.Cases[i].Name, ja, jb)
+		}
+	}
+}
+
+// runJobs runs one case set under flows at -j 1 and -j 4.
+func runJobs(t *testing.T, cases []Case, o Options) (seq, par Section) {
+	t.Helper()
+	var err error
+	o.Jobs, o.Workers = 1, 1
+	if seq, err = RunCases(cases, o); err != nil {
+		t.Fatal(err)
+	}
+	o.Jobs, o.Workers = 4, 4
+	if par, err = RunCases(cases, o); err != nil {
+		t.Fatal(err)
+	}
+	return seq, par
+}
+
+// TestRunAllParallelDeterministic: the public benchmark set with
+// Jobs/Workers=N must report exactly the same areas, hashes and
+// counters, in the same order, as the fully sequential run.
+func TestRunAllParallelDeterministic(t *testing.T) {
+	seq, par := runJobs(t, RecipeCases(genbench.Recipes()), Options{Scale: 0.05})
+	sameSections(t, "tables", seq, par)
 }
 
 // TestRunIndustrialParallel mirrors the determinism check on the
 // industrial points.
 func TestRunIndustrialParallel(t *testing.T) {
-	seq, err := RunIndustrial(2, Options{Scale: 0.03, Jobs: 1, Workers: 1})
+	seq, par := runJobs(t, IndustrialCases(2), Options{Scale: 0.03})
+	if a, b := seq.AvgRatio(FlowYosys, FlowFull), par.AvgRatio(FlowYosys, FlowFull); a != b {
+		t.Errorf("average extra reduction differs: %v vs %v", a, b)
+	}
+	sameSections(t, "industrial", seq, par)
+}
+
+// TestSectionsParallelDeterministic: the sat, egraph and corpus
+// sections give the same report, timings removed, at -j 1 and -j 4.
+func TestSectionsParallelDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SAT-heavy; skipped under -short")
+	}
+	satFlows, err := SatFlows(FlowSAT, FlowFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunIndustrial(2, Options{Scale: 0.03, Jobs: 2, Workers: 2})
+	corpus, err := CorpusCases(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.AvgExtra != par.AvgExtra {
-		t.Errorf("AvgExtra differs: %v vs %v", seq.AvgExtra, par.AvgExtra)
-	}
-	for i := range seq.Points {
-		if !equalAreas(seq.Points[i], par.Points[i]) {
-			t.Errorf("point %d: %+v != %+v", i, seq.Points[i], par.Points[i])
-		}
+	for _, s := range []struct {
+		name  string
+		cases []Case
+		o     Options
+	}{
+		{"sat", RecipeCases(genbench.Recipes()), Options{Scale: 0.02, Flows: satFlows}},
+		{"egraph", RecipeCases(genbench.DatapathRecipes()), Options{Scale: minScale, Flows: EgraphFlows()}},
+		{"corpus", corpus, Options{Flows: CorpusFlows(), Check: true}},
+	} {
+		seq, par := runJobs(t, s.cases, s.o)
+		sameSections(t, s.name, seq, par)
 	}
 }
 
@@ -64,7 +112,7 @@ func TestRunIndustrialParallel(t *testing.T) {
 func TestRunAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunAll(Options{Scale: 0.05, Jobs: 2, Context: ctx}); err == nil {
-		t.Fatal("canceled RunAll reported success")
+	if _, err := RunCases(RecipeCases(genbench.Recipes()), Options{Scale: 0.05, Jobs: 2, Context: ctx}); err == nil {
+		t.Fatal("canceled RunCases reported success")
 	}
 }

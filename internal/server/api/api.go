@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"repro"
 	"repro/internal/cache"
 )
 
@@ -119,28 +118,6 @@ type FixpointReport struct {
 	Converged  bool   `json:"converged"`
 }
 
-// FromRunReport converts an engine report to its wire form.
-func FromRunReport(r smartly.RunReport) Report {
-	out := Report{Changed: r.Changed, DurationNS: int64(r.Duration)}
-	for _, p := range r.Passes {
-		out.Passes = append(out.Passes, PassReport{
-			Name:       p.Name,
-			Calls:      p.Calls,
-			Changed:    p.Changed,
-			Counters:   p.Counters,
-			DurationNS: int64(p.Duration),
-		})
-	}
-	for _, f := range r.Fixpoints {
-		out.Fixpoints = append(out.Fixpoints, FixpointReport{
-			Name:       f.Name,
-			Iterations: f.Iterations,
-			Converged:  f.Converged,
-		})
-	}
-	return out
-}
-
 // Counters flattens the per-pass counters into one merged map — the
 // same shape as smartly.RunReport.Counters.
 func (r Report) Counters() map[string]int {
@@ -249,11 +226,11 @@ type MetricsSummary struct {
 	// Requests counts every HTTP request served since startup.
 	Requests uint64 `json:"requests"`
 	// OptimizeSync summarizes successful synchronous optimize requests
-	// from admission to the end of serve (run-slot wait included; body
-	// decode, ReadJSON, Validate, HashDesign and the response encode
-	// excluded); OptimizeAsync the run span of async jobs (background
-	// start to terminal state); QueueWait the run-slot wait of admitted
-	// requests.
+	// from the start of the handler to just before the response write
+	// (body decode, ReadJSON, Validate, HashDesign, run-slot wait, serve
+	// and the response encode); OptimizeAsync the run span of async jobs
+	// (background start to terminal state); QueueWait the run-slot wait
+	// of admitted requests.
 	OptimizeSync  LatencySummary `json:"optimize_sync"`
 	OptimizeAsync LatencySummary `json:"optimize_async"`
 	QueueWait     LatencySummary `json:"queue_wait"`

@@ -163,7 +163,7 @@ func (s *Server) computeModule(pr *request, m *smartly.Module, perModule int) ([
 	if err := smartly.WriteJSON(&buf, one); err != nil {
 		return nil, err
 	}
-	return json.Marshal(modPayload{Module: buf.Bytes(), Report: api.FromRunReport(rep)})
+	return json.Marshal(modPayload{Module: buf.Bytes(), Report: fromRunReport(rep)})
 }
 
 // decodeModPayload decodes one cached module payload and checks it

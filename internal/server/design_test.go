@@ -115,7 +115,7 @@ func TestDesignModeMatchesWholeMode(t *testing.T) {
 			t.Errorf("workers=%d: design-mode netlist hash %s, whole mode %s", workers, got, want)
 		}
 		for mod, localRep := range localReports {
-			want := api.FromRunReport(localRep)
+			want := fromRunReport(localRep)
 			got, ok := resp.Reports[mod]
 			if !ok {
 				t.Errorf("workers=%d: no report for module %s", workers, mod)

@@ -170,9 +170,12 @@ func TestGCNeverCollectsLiveJobs(t *testing.T) {
 func TestGCBackgroundTicker(t *testing.T) {
 	designJSON := testDesignJSON(t, "../../testdata/fig3.v")
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
+	// The TTL must outlast the gap between two polls of pollJob, or the
+	// GC can collect the finished job before the poll sees it done; under
+	// CPU load a 5ms TTL lost that race.
 	s, ts := newTestServer(t, Config{
 		JobsDir:        jobsDir,
-		JobsTTL:        5 * time.Millisecond,
+		JobsTTL:        500 * time.Millisecond,
 		JobsGCInterval: 10 * time.Millisecond,
 	})
 

@@ -30,10 +30,10 @@ type serverMetrics struct {
 	requests metrics.Counter
 
 	// optSync observes successful synchronous optimize requests from
-	// admission in execute() to the end of serve(): admission, run-slot
-	// wait and serve. It excludes body decode, rtlil.ReadJSON, Validate
-	// and HashDesign (all in parseRequest) and the response encode.
-	// optAsync observes an async job's run span: from its background
+	// the top of handleOptimize to just before the response write: body
+	// decode, ReadJSON, Validate, HashDesign, admission, run-slot wait,
+	// serve and the response encode. Only the write itself and the
+	// HTTP transport are outside it. optAsync observes an async job's run span: from its background
 	// goroutine starting (queued, holding an admission slot) to its
 	// terminal state.
 	optSync  *metrics.Histogram
@@ -74,7 +74,7 @@ func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
 		optSync: reg.Histogram(mOptimize,
-			"successful sync optimize requests, from admission to the end of serve (run-slot wait included); excludes body decode, ReadJSON, Validate, HashDesign and the response encode",
+			"successful sync optimize requests, from the start of the handler to just before the response write: body decode, ReadJSON, Validate, HashDesign, run-slot wait, serve and response encode",
 			metrics.Labels{"kind": "sync"}),
 		optAsync: reg.Histogram(mOptimize, "",
 			metrics.Labels{"kind": "async"}),

@@ -318,6 +318,7 @@ func optionsKey(req api.OptimizeRequest) string {
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	pr, err := s.parseRequest(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -338,7 +339,22 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	// The sync histogram times the whole request up to the write, the
+	// response encode included. It observes before writing, so a client
+	// that has read its response always finds it counted. Only
+	// successes count: 4xx/503 rejections and failed runs would drag the
+	// percentiles below what a successful request experiences.
+	body, err := json.Marshal(resp)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	s.metrics.optSync.Observe(time.Since(start))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		s.logf("writing response (status %d): %v", http.StatusOK, err)
+	}
 }
 
 // errServerBusy rejects admissions beyond the queue depth (or during a
@@ -426,14 +442,7 @@ func (s *Server) execute(waitCtx context.Context, pr *request) (*api.OptimizeRes
 	case <-s.runCtx.Done():
 		return nil, s.runCtx.Err()
 	}
-	resp, err := s.serve(pr)
-	if err == nil {
-		// Only successes: folding 503 rejections or mid-run failures into
-		// the latency distribution would drag the percentiles below what
-		// a successful request actually experiences.
-		s.metrics.optSync.Observe(time.Since(start))
-	}
-	return resp, err
+	return s.serve(pr)
 }
 
 // serve produces the response for a request that holds a run slot:
@@ -578,9 +587,31 @@ func (s *Server) runFlow(pr *request) ([]byte, error) {
 	}
 	p := payload{Design: buf.Bytes(), Reports: map[string]api.Report{}}
 	for name, rep := range reports {
-		p.Reports[name] = api.FromRunReport(rep)
+		p.Reports[name] = fromRunReport(rep)
 	}
 	return json.Marshal(p)
+}
+
+// fromRunReport converts an engine report to its wire form.
+func fromRunReport(r smartly.RunReport) api.Report {
+	out := api.Report{Changed: r.Changed, DurationNS: int64(r.Duration)}
+	for _, p := range r.Passes {
+		out.Passes = append(out.Passes, api.PassReport{
+			Name:       p.Name,
+			Calls:      p.Calls,
+			Changed:    p.Changed,
+			Counters:   p.Counters,
+			DurationNS: int64(p.Duration),
+		})
+	}
+	for _, f := range r.Fixpoints {
+		out.Fixpoints = append(out.Fixpoints, api.FixpointReport{
+			Name:       f.Name,
+			Iterations: f.Iterations,
+			Converged:  f.Converged,
+		})
+	}
+	return out
 }
 
 // payload is the cacheable core of an OptimizeResponse.

@@ -116,7 +116,7 @@ func TestOptimizeMatchesLocalRun(t *testing.T) {
 			t.Errorf("flow %s: served netlist differs from local run", name)
 		}
 		for mod, localRep := range localReports {
-			want := api.FromRunReport(localRep)
+			want := fromRunReport(localRep)
 			got, ok := resp.Reports[mod]
 			if !ok {
 				t.Errorf("flow %s: no report for module %s", name, mod)

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Import-boundary gate: the optimization engine must not depend on the
-# serving stack, the bench harness or the metrics registry.
+# serving stack, the bench harness or the metrics registry, and the wire
+# types (internal/server/api) must not depend on the engine.
 #
 # The engine is the root facade (repro) plus internal/{rtlil, sat, aig,
 # sim, cec, bdd, opt, egraph, infer, subgraph, core, genbench, verilog}.
 # `go list -deps` follows imports transitively, so an indirect
 # dependency fails the gate too. Test-only imports are not checked.
 #
-# The reverse rule — client and internal/server/api must not import the
-# engine — does not hold yet: both reach it through api.FromRunReport and
-# the *smartly.Design signatures. Decoupling them is out of scope here,
-# so this script does not check it.
+# client still reaches the engine through OptimizeDesign's *smartly.Design
+# signature, so the reverse rule is checked for internal/server/api only.
 #
 # Usage: scripts/check_module_boundaries.sh
 set -euo pipefail
@@ -36,5 +35,10 @@ for pkg in "${engine[@]}"; do
     fail "$pkg depends on $(tr '\n' ' ' <<<"$bad")"
   fi
 done
+
+engine_re="^($(IFS='|'; echo "${engine[*]}"))$"
+if bad="$(go list -deps repro/internal/server/api | grep -E "$engine_re")"; then
+  fail "repro/internal/server/api depends on $(tr '\n' ' ' <<<"$bad")"
+fi
 
 echo "module boundary checks passed"
