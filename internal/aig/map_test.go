@@ -63,9 +63,11 @@ func buildRandomModule(rng *rand.Rand, nOps int) *rtlil.Module {
 	return m
 }
 
-// TestMappingMatchesParallelSim cross-checks the AIG mapping against the
-// bit-parallel simulator (which shares the pmux/shift conventions) on
-// random circuits and random inputs.
+// TestMappingMatchesParallelSim cross-checks the AIG mapping against
+// sim.Parallel on random circuits (free, possibly multi-hot pmux selects
+// included) and random inputs. Parallel is one sim.Cone, so this pins the
+// lane formulas of every 64-lane simulation to the AIG lowering: it is
+// what makes a SAT-mux pre-filter witness a model of the cone's CNF.
 func TestMappingMatchesParallelSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {

@@ -4,12 +4,14 @@
 //   - SAT-based redundancy elimination (paper §II): a muxtree traversal
 //     whose control-value oracle extracts a connectivity-filtered
 //     sub-graph (internal/subgraph), applies inference rules
-//     (internal/infer), and falls back to exhaustive simulation
-//     (internal/sim) or a CDCL SAT solver (internal/sat, via
-//     internal/aig CNF encoding) to prove controls constant along the
-//     path. A 64-lane random-simulation pre-filter decides most
-//     SAT-bound queries first; the rest encode their cone into a fresh
-//     budgeted solver. SatMuxPass; options in SatMuxOptions.
+//     (internal/infer), and falls back to simulation or a CDCL SAT
+//     solver (internal/sat, via internal/aig CNF encoding) to prove
+//     controls constant along the path. Both simulation stages sweep
+//     one sim.Cone, 64 lanes per word, with the AIG lowering's
+//     semantics: an exhaustive sweep decides cones with few inputs, and
+//     a random pre-filter decides most SAT-bound queries before the
+//     rest encode their cone into a fresh budgeted solver. SatMuxPass;
+//     options in SatMuxOptions.
 //   - Muxtree restructuring (paper §III): case-statement muxtrees whose
 //     controls compare a single selector against constants are rebuilt
 //     from an Algebraic Decision Diagram (internal/bdd) with the greedy

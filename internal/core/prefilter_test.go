@@ -10,7 +10,6 @@ import (
 	"repro/internal/genbench"
 	"repro/internal/opt"
 	"repro/internal/rtlil"
-	"repro/internal/sim"
 	"repro/internal/subgraph"
 )
 
@@ -132,52 +131,100 @@ func TestSimFilterEffectiveness(t *testing.T) {
 	checkEquiv(t, m, mf)
 }
 
-// TestSimulateVectorMatchesScalar is the white-box differential for the
-// vectorized exhaustive stage: on sub-graphs extracted from a generated
-// workload, the 64-wide sweep and the per-assignment map-based fallback
-// must return identical (value, decided) answers under the same facts.
-func TestSimulateVectorMatchesScalar(t *testing.T) {
-	m := genbench.Generate(genbench.Recipes()[0], 0.1)
-	ix := rtlil.NewIndex(m)
-	s := NewSmartOracle(ix, SatMuxOptions{})
+// multiHotModule builds y = ctrl ? d1 : d0 with
+// ctrl = pmux(1'b0, {1'b0, 1'b1}, {s0, s1}) & s0 (lists LSB first). With
+// both selects active the AIG lowering lets s1's word win, so
+// ctrl = s0 & s1 is not constant; reading two active selects as 0 would
+// make it constant 0.
+func multiHotModule() *rtlil.Module {
+	m := rtlil.NewModule("multihot")
+	s0 := m.AddInput("s0", 1).Bits()
+	s1 := m.AddInput("s1", 1).Bits()
+	d0 := m.AddInput("d0", 1).Bits()
+	d1 := m.AddInput("d1", 1).Bits()
+	words := []rtlil.SigSpec{rtlil.Const(0, 1), rtlil.Const(1, 1)}
+	ctrl := m.And(m.Pmux(rtlil.Const(0, 1), words, rtlil.Concat(s0, s1)), s0)
+	y := m.AddOutput("y", 1)
+	m.AddMux("root", d0, d1, ctrl, y.Bits())
+	return m
+}
+
+// TestSimulationAgreesWithSAT: the exhaustive sweep and the SAT stage
+// give the same (value, known) on the same query. The queries are every
+// mux-control sub-graph with at most 10 inputs from four generated
+// workloads and the multi-hot pmux module, each asked with no fact and
+// with one random input fact; the SAT stage has an unlimited conflict
+// budget. The multi-hot module's satmux and sat-flow results must also
+// keep the root mux and pass CEC.
+func TestSimulationAgreesWithSAT(t *testing.T) {
+	mods := []*rtlil.Module{multiHotModule()}
+	for _, r := range genbench.Recipes()[:4] {
+		mods = append(mods, genbench.Generate(r, 0.1))
+	}
 	rng := rand.New(rand.NewSource(3))
-	compared := 0
-	for _, c := range m.Cells() {
-		if c.Type != rtlil.CellMux && c.Type != rtlil.CellPmux {
-			continue
-		}
-		for _, target := range ix.Map(c.Port("S")) {
-			if target.IsConst() {
+	compared, decided := 0, 0
+	for _, m := range mods {
+		ix := rtlil.NewIndex(m)
+		s := NewSmartOracle(ix, SatMuxOptions{SimInputLimit: -1, DisableSimFilter: true, MaxConflicts: 1 << 40})
+		for _, c := range m.Cells() {
+			if c.Type != rtlil.CellMux && c.Type != rtlil.CellPmux {
 				continue
 			}
-			target = ix.MapBit(target)
-			sg := subgraph.Extract(ix, target, nil, subgraph.Options{})
-			if len(sg.Inputs) == 0 || len(sg.Inputs) > 10 {
-				continue
+			for _, target := range ix.Map(c.Port("S")) {
+				if target.IsConst() {
+					continue
+				}
+				sg := subgraph.Extract(ix, target, nil, subgraph.Options{})
+				if len(sg.Inputs) == 0 || len(sg.Inputs) > 10 {
+					continue
+				}
+				fact := map[rtlil.SigBit]rtlil.State{
+					sg.Inputs[rng.Intn(len(sg.Inputs))]: rtlil.BoolState(rng.Intn(2) == 1),
+				}
+				for _, facts := range []map[rtlil.SigBit]rtlil.State{{}, fact} {
+					newQuery := func() *query {
+						return &query{
+							target: target,
+							sg:     sg,
+							order:  subgraph.TopoCells(ix, sg.Cells),
+							facts:  facts,
+							knowns: sortedBits(facts),
+						}
+					}
+					var st SatMuxStats
+					simV, simOK := s.sweep(newQuery(), true, &st)
+					satV, satOK := s.satSolve(newQuery(), &st)
+					if simV != satV || simOK != satOK {
+						t.Fatalf("%s: target %v facts %v: sweep=(%v,%v) sat=(%v,%v)",
+							m.Name, target, facts, simV, simOK, satV, satOK)
+					}
+					compared++
+					if simOK {
+						decided++
+					}
+				}
 			}
-			order := subgraph.TopoCells(ix, sg.Cells)
-			cone, err := sim.NewCone(ix, order, true)
-			if err != nil {
-				continue
-			}
-			facts := map[rtlil.SigBit]rtlil.State{}
-			if len(sg.Inputs) > 1 {
-				facts[sg.Inputs[rng.Intn(len(sg.Inputs))]] = rtlil.BoolState(rng.Intn(2) == 1)
-			}
-			var stV, stS SatMuxStats
-			vv, vok := s.simulateVector(cone, sg, facts, target, &stV)
-			sv, sok := s.simulateScalar(order, sg, facts, target, &stS)
-			if vv != sv || vok != sok {
-				t.Fatalf("target %v: vector=(%v,%v) scalar=(%v,%v)", target, vv, vok, sv, sok)
-			}
-			if stV.UnreachablePath != stS.UnreachablePath {
-				t.Fatalf("target %v: unreachable-path accounting differs", target)
-			}
-			compared++
 		}
 	}
-	if compared < 10 {
-		t.Fatalf("only %d sub-graphs compared; workload too small to be meaningful", compared)
+	t.Logf("%d queries compared, %d decided", compared, decided)
+	if compared < 100 || decided == 0 {
+		t.Fatalf("only %d queries compared (%d decided); workloads too small to be meaningful", compared, decided)
+	}
+
+	orig := multiHotModule()
+	satmux := orig.Clone()
+	if _, err := opt.RunScript(nil, satmux, &SatMuxPass{}); err != nil {
+		t.Fatal(err)
+	}
+	flow := orig.Clone()
+	if _, err := namedFlow(t, "sat").Run(opt.Background(), flow); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*rtlil.Module{"satmux": satmux, "sat flow": flow} {
+		if n := countType(got, rtlil.CellMux); n != 1 {
+			t.Errorf("%s: %d $mux cells left, want the root mux", name, n)
+		}
+		checkEquiv(t, orig, got)
 	}
 }
 

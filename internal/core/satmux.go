@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -271,12 +272,12 @@ func (s *SmartOracle) cacheKey(bit rtlil.SigBit) string {
 	return bit.String() + "|" + strings.Join(keys, ",")
 }
 
-// satQuery is a query that inference and exhaustive simulation left
-// open: the extracted cone in topological order, the fact snapshot the
-// SAT assumptions come from, and what the simulation pre-filter
-// witnessed. A witnessed target value is known Sat, so satSolve skips
-// that Solve call.
-type satQuery struct {
+// query is one control-value query that inference left open: the
+// extracted cone in topological order, the fact snapshot that the
+// sweeps mask by and SAT assumes, and the target values a sweep
+// witnessed. A witnessed value is known Sat, so satSolve skips that
+// Solve call.
+type query struct {
 	target       rtlil.SigBit // the queried bit, sigmapped
 	sg           *subgraph.Result
 	order        []*rtlil.Cell
@@ -286,8 +287,8 @@ type satQuery struct {
 }
 
 // solve runs the §II stages for one query: sub-graph extraction,
-// inference, then exhaustive simulation for few inputs, or the
-// simulation pre-filter followed by SAT. It writes counters to st (a
+// inference, then an exhaustive sweep for few inputs, or the random
+// pre-filter sweep followed by SAT. It writes counters to st (a
 // worker-local sink during parallel batches, merged in order
 // afterwards) and touches no shared mutable state.
 func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool) {
@@ -332,120 +333,161 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, boo
 	}
 
 	// Stage 2: exhaustive simulation for few inputs, SAT otherwise.
-	if len(sg.Inputs) <= s.o.SimInputLimit {
-		if v, ok := s.simulate(sg, facts, bit, st); ok {
-			st.SimHits++
-			return v, true
-		}
+	n := len(sg.Inputs)
+	if n > s.o.SimInputLimit && n > s.o.SATInputLimit {
 		st.Unknown++
 		return rtlil.Sx, false
 	}
-	if len(sg.Inputs) > s.o.SATInputLimit {
-		st.Unknown++
-		return rtlil.Sx, false
-	}
-	q := &satQuery{
+	q := &query{
 		target: s.ix.MapBit(bit),
 		sg:     sg,
 		order:  subgraph.TopoCells(s.ix, sg.Cells),
 		facts:  facts,
 		knowns: knowns,
 	}
-	if !s.o.DisableSimFilter && s.simPreFilter(q, st) {
-		// Both target values witnessed under the path facts: the solver
-		// would answer Sat twice, so the query is unknowable — decided
-		// here without touching SAT at all.
-		st.SimFiltered++
+	if n <= s.o.SimInputLimit {
+		if v, ok := s.sweep(q, true, st); ok {
+			st.SimHits++
+			return v, true
+		}
 		st.Unknown++
 		return rtlil.Sx, false
+	}
+	// $div cones skip the pre-filter: the AIG mapper cannot encode them,
+	// and satSolve counts that map failure.
+	isDiv := func(c *rtlil.Cell) bool { return c.Type == rtlil.CellDiv }
+	if !s.o.DisableSimFilter && !slices.ContainsFunc(q.order, isDiv) {
+		s.sweep(q, false, st)
+		if q.seen0 && q.seen1 {
+			// Both target values witnessed under the path facts: the
+			// solver would answer Sat twice, so the query is unknowable
+			// — decided here without touching SAT at all.
+			st.SimFiltered++
+			st.Unknown++
+			return rtlil.Sx, false
+		}
 	}
 	return s.satSolve(q, st)
 }
 
-// simPreFilter runs the bit-parallel simulation pre-filter over one
-// SAT-bound cone: SimFilterRounds words of 64 random input vectors
-// (round 0's lanes 0/1 pinned to the all-zeros/all-ones inputs), each
-// evaluated through the lane cone evaluator with AIG-faithful semantics
-// and masked by the path facts. It records witnessed target values on q
-// and reports whether both values were seen.
+// enumPatterns are the lane vectors of the six low input variables under
+// the standard exhaustive-enumeration numbering: bit i of assignment
+// (word*64+lane) is lane bit i for i < 6 and word bit i-6 above.
+var enumPatterns = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
+// enumLanes is input i's lane vector in word w of the exhaustive
+// enumeration.
+func enumLanes(i, w int) uint64 {
+	if i < 6 {
+		return enumPatterns[i]
+	}
+	if w>>uint(i-6)&1 == 1 {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// sweep simulates q's cone through one sim.Cone, 64 lanes per word, and
+// records on q which target values a lane consistent with the path facts
+// showed. Facts on bits outside the cone cannot be checked and are
+// dropped (precision loss only: the SAT assumptions drop them the same
+// way).
+//
+//   - An exhaustive sweep enumerates all 2^n input assignments in
+//     2^(n-6) words (one word below six inputs) and masks lanes by every
+//     fact, so its verdict is exact: one value seen proves the bit
+//     constant, none seen proves the path unreachable.
+//   - A random sweep, the SAT stage's pre-filter, runs SimFilterRounds
+//     words of random vectors with the fact inputs pinned (round 0's
+//     lanes 0 and 1 are the all-zeros and all-ones inputs). It proves
+//     nothing; its witnesses only spare Solve calls.
+//
+// Either sweep stops once both values are seen. sweep returns the proven
+// value, or (x, false) when it proved none: a random sweep, both values
+// seen, a cancellation, or a cone it cannot simulate.
 //
 // Determinism: the RNG is seeded from the query's own shape (its cell
 // and input counts) and the facts are scanned in sorted order, so the
-// lane schedule — and everything derived from it — depends only on the
-// query, never on worker count or scheduling.
-func (s *SmartOracle) simPreFilter(q *satQuery, st *SatMuxStats) bool {
-	cone, err := sim.NewCone(s.ix, q.order, false)
+// lane schedule depends only on the query, never on worker count or
+// scheduling.
+func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.State, bool) {
+	cone, err := sim.NewCone(s.ix, q.order)
 	if err != nil {
-		// Unsupported cell (e.g. $div): the AIG mapper will reject the
-		// cone too; leave the accounting to the SAT stage.
-		return false
+		return rtlil.Sx, false
 	}
 	tslot, ok := cone.Slot(q.target)
 	if !ok {
-		return false
+		return rtlil.Sx, false // the target is not computed in the cone
 	}
 	inSlots := make([]int, len(q.sg.Inputs))
 	for i, b := range q.sg.Inputs {
-		id, ok := cone.Slot(b)
-		if !ok {
-			return false
+		if inSlots[i], ok = cone.Slot(b); !ok {
+			return rtlil.Sx, false
 		}
-		inSlots[i] = id
 	}
-	// Path facts: on an input they pin the lanes, on an internal bit
-	// they mask out inconsistent lanes after evaluation. Facts on bits
-	// outside the cone cannot be checked (precision loss only: the SAT
-	// assumptions drop them the same way).
 	type factCheck struct {
 		slot int
 		want uint64
 	}
-	forced := make([]int8, len(q.sg.Inputs))
-	for i := range forced {
-		forced[i] = -1
-	}
-	inputOf := map[int]int{}
-	for i, slot := range inSlots {
-		inputOf[slot] = i
-	}
+	// Every fact in the cone masks lanes after Eval; a random sweep also
+	// pins the fact inputs to their fact's lanes.
 	var checks []factCheck
+	pinned := map[int]uint64{}
+	live := ^uint64(0) // the lanes that count in every word
 	for _, b := range q.knowns {
 		slot, ok := cone.Slot(b)
 		if !ok {
 			continue
 		}
-		if v := q.facts[b]; v != rtlil.S0 && v != rtlil.S1 {
-			// A non-boolean fact has no lane encoding; decline to filter.
-			return false
-		}
 		var want uint64
-		if q.facts[b] == rtlil.S1 {
+		switch q.facts[b] {
+		case rtlil.S0:
+		case rtlil.S1:
 			want = ^uint64(0)
-		}
-		if in, isIn := inputOf[slot]; isIn {
-			forced[in] = int8(want & 1)
+		default:
+			if !exhaustive {
+				return rtlil.Sx, false // no lane encoding: decline to filter
+			}
+			live = 0 // no two-valued assignment reproduces the fact
 			continue
 		}
 		checks = append(checks, factCheck{slot, want})
+		pinned[slot] = want
 	}
 
-	rng := rand.New(rand.NewSource(int64(len(q.order))<<32 | int64(len(q.sg.Inputs))))
+	words := s.o.SimFilterRounds
+	var rng *rand.Rand
+	if !exhaustive {
+		rng = rand.New(rand.NewSource(int64(len(q.order))<<32 | int64(len(inSlots))))
+	} else if n := len(inSlots); n < 6 {
+		words = 1
+		live &= 1<<(1<<uint(n)) - 1
+	} else {
+		words = 1 << uint(n-6)
+	}
 	vals := make([]uint64, cone.NumSlots())
-	for round := 0; round < s.o.SimFilterRounds; round++ {
+	for word := 0; word < words; word++ {
 		if s.Ctx.Err() != nil {
-			// Canceled mid-filter: stop simulating; the pass discards
-			// the run's results when it surfaces the context error.
-			return false
+			// Canceled: stop simulating; the pass surfaces the context
+			// error and discards the run's results.
+			return rtlil.Sx, false
 		}
 		for i, slot := range inSlots {
-			var v uint64
-			switch forced[i] {
-			case 0:
-			case 1:
-				v = ^uint64(0)
-			default:
+			if exhaustive {
+				vals[slot] = enumLanes(i, word)
+				continue
+			}
+			v, pin := pinned[slot]
+			if !pin {
 				v = rng.Uint64()
-				if round == 0 {
+				if word == 0 {
 					// Guided lanes: all-zeros and all-ones inputs, the
 					// classic sweeping probes for stuck-at candidates.
 					v = v&^1 | 2
@@ -455,7 +497,7 @@ func (s *SmartOracle) simPreFilter(q *satQuery, st *SatMuxStats) bool {
 		}
 		cone.Eval(vals)
 		st.SimVectors++
-		valid := ^uint64(0)
+		valid := live
 		for _, fc := range checks {
 			valid &= ^(vals[fc.slot] ^ fc.want)
 		}
@@ -463,10 +505,18 @@ func (s *SmartOracle) simPreFilter(q *satQuery, st *SatMuxStats) bool {
 		q.seen0 = q.seen0 || ^tv&valid != 0
 		q.seen1 = q.seen1 || tv&valid != 0
 		if q.seen0 && q.seen1 {
-			return true
+			return rtlil.Sx, false
 		}
 	}
-	return false
+	switch {
+	case !exhaustive:
+		return rtlil.Sx, false
+	case q.seen0 != q.seen1:
+		return rtlil.BoolState(q.seen1), true
+	}
+	// No consistent assignment: unreachable path.
+	st.UnreachablePath++
+	return rtlil.S0, true
 }
 
 // sortedBits returns the fact keys in a deterministic order.
@@ -491,261 +541,13 @@ func sortedBits(facts map[rtlil.SigBit]rtlil.State) []rtlil.SigBit {
 	return out
 }
 
-// simulate enumerates all assignments of the sub-graph inputs, discarding
-// ones inconsistent with the path facts, and observes the target bit. A
-// single observed value proves the bit constant; no consistent
-// assignment means the path is unreachable.
-//
-// The enumeration sweeps 64 assignments per lane-evaluator word; cones
-// with a cell the lane evaluator cannot reproduce in scalar-compatible
-// semantics fall back to the per-assignment map-based path, whose
-// decisions the vector path matches exactly.
-func (s *SmartOracle) simulate(sg *subgraph.Result, facts map[rtlil.SigBit]rtlil.State, target rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool) {
-	order := subgraph.TopoCells(s.ix, sg.Cells)
-	target = s.ix.MapBit(target)
-	if cone, err := sim.NewCone(s.ix, order, true); err == nil {
-		return s.simulateVector(cone, sg, facts, target, st)
-	}
-	return s.simulateScalar(order, sg, facts, target, st)
-}
-
-// enumPatterns are the lane vectors of the six low input variables under
-// the standard exhaustive-enumeration numbering: bit i of assignment
-// (word*64+lane) is lane bit i for i < 6 and word bit i-6 above.
-var enumPatterns = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
-// simulateVector is the 64-wide exhaustive sweep: dense slot-indexed
-// lane buffers instead of a rebuilt map per assignment, with path facts
-// applied as lane masks and an early exit at word granularity (the
-// final seen0/seen1 classification is order-independent, so sweeping a
-// partial word further than the scalar path would is decision-neutral).
-func (s *SmartOracle) simulateVector(cone *sim.Cone, sg *subgraph.Result, facts map[rtlil.SigBit]rtlil.State, target rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool) {
-	tslot, ok := cone.Slot(target)
-	if !ok {
-		// Target not computed inside the sub-graph (mirrors the scalar
-		// path's computed-set check: cone slots are exactly the inputs
-		// plus the cell outputs).
-		return rtlil.Sx, false
-	}
-	n := len(sg.Inputs)
-	inSlots := make([]int, n)
-	for i, b := range sg.Inputs {
-		inSlots[i], _ = cone.Slot(b)
-	}
-	type factCheck struct {
-		slot int
-		want uint64
-	}
-	var checks []factCheck
-	impossible := false
-	for b, v := range facts {
-		slot, ok := cone.Slot(b)
-		if !ok {
-			continue // unobservable fact: precision loss only
-		}
-		switch v {
-		case rtlil.S0:
-			checks = append(checks, factCheck{slot, 0})
-		case rtlil.S1:
-			checks = append(checks, factCheck{slot, ^uint64(0)})
-		default:
-			// The clamped two-valued sweep can never reproduce a
-			// non-boolean fact; no assignment is consistent.
-			impossible = true
-		}
-	}
-
-	words := uint64(1)
-	validBase := ^uint64(0)
-	if n < 6 {
-		validBase = 1<<(1<<uint(n)) - 1
-	} else {
-		words = 1 << uint(n-6)
-	}
-	vals := make([]uint64, cone.NumSlots())
-	seen0, seen1 := false, false
-	for word := uint64(0); word < words; word++ {
-		if s.Ctx.Err() != nil {
-			// Canceled: stop the enumeration; the caller reports unknown
-			// and the pass surfaces the context error.
-			return rtlil.Sx, false
-		}
-		for i, slot := range inSlots {
-			if i < 6 {
-				vals[slot] = enumPatterns[i]
-			} else if (word>>uint(i-6))&1 == 1 {
-				vals[slot] = ^uint64(0)
-			} else {
-				vals[slot] = 0
-			}
-		}
-		cone.Eval(vals)
-		st.SimVectors++
-		valid := validBase
-		if impossible {
-			valid = 0
-		}
-		for _, fc := range checks {
-			valid &= ^(vals[fc.slot] ^ fc.want)
-		}
-		tv := vals[tslot]
-		if ^tv&valid != 0 {
-			seen0 = true
-		}
-		if tv&valid != 0 {
-			seen1 = true
-		}
-		if seen0 && seen1 {
-			return rtlil.Sx, false
-		}
-	}
-	switch {
-	case seen0 && !seen1:
-		return rtlil.S0, true
-	case seen1 && !seen0:
-		return rtlil.S1, true
-	}
-	// No consistent assignment: unreachable path.
-	st.UnreachablePath++
-	return rtlil.S0, true
-}
-
-// simulateScalar is the per-assignment four-state fallback for cones the
-// lane evaluator rejects.
-func (s *SmartOracle) simulateScalar(order []*rtlil.Cell, sg *subgraph.Result, facts map[rtlil.SigBit]rtlil.State, target rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool) {
-	n := len(sg.Inputs)
-
-	// Facts on bits outside the sub-graph cannot be checked; drop them
-	// (this only loses precision, not soundness).
-	type factCheck struct {
-		bit rtlil.SigBit
-		v   rtlil.State
-	}
-	computed := map[rtlil.SigBit]bool{}
-	for _, b := range sg.Inputs {
-		computed[b] = true
-	}
-	for _, c := range order {
-		for _, b := range s.ix.Map(c.Port(rtlil.OutputPorts(c.Type)[0])) {
-			if !b.IsConst() {
-				computed[b] = true
-			}
-		}
-	}
-	if !computed[target] {
-		return rtlil.Sx, false
-	}
-	var checks []factCheck
-	for b, v := range facts {
-		if computed[b] {
-			checks = append(checks, factCheck{b, v})
-		}
-	}
-
-	seen0, seen1 := false, false
-	vals := make(map[rtlil.SigBit]rtlil.State, len(computed))
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		if mask%64 == 0 && s.Ctx.Err() != nil {
-			return rtlil.Sx, false
-		}
-		for k := range vals {
-			delete(vals, k)
-		}
-		for i, b := range sg.Inputs {
-			vals[b] = rtlil.BoolState((mask>>uint(i))&1 == 1)
-		}
-		if !s.evalCells(order, vals) {
-			continue
-		}
-		ok := true
-		for _, fc := range checks {
-			if vals[fc.bit] != fc.v {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		switch vals[target] {
-		case rtlil.S0:
-			seen0 = true
-		case rtlil.S1:
-			seen1 = true
-		}
-		if seen0 && seen1 {
-			return rtlil.Sx, false
-		}
-	}
-	switch {
-	case seen0 && !seen1:
-		return rtlil.S0, true
-	case seen1 && !seen0:
-		return rtlil.S1, true
-	case !seen0 && !seen1:
-		// No consistent assignment: unreachable path.
-		st.UnreachablePath++
-		return rtlil.S0, true
-	}
-	return rtlil.Sx, false
-}
-
-func (s *SmartOracle) evalCells(order []*rtlil.Cell, vals map[rtlil.SigBit]rtlil.State) bool {
-	get := func(b rtlil.SigBit) rtlil.State {
-		b = s.ix.MapBit(b)
-		if b.IsConst() {
-			if b.Const == rtlil.S1 {
-				return rtlil.S1
-			}
-			return rtlil.S0 // 0/x/z as 0, the two-valued convention
-		}
-		if v, ok := vals[b]; ok {
-			return v
-		}
-		return rtlil.S0
-	}
-	for _, c := range order {
-		in := map[string][]rtlil.State{}
-		for _, p := range rtlil.InputPorts(c.Type) {
-			sig := c.Port(p)
-			v := make([]rtlil.State, len(sig))
-			for i, b := range sig {
-				v[i] = get(b)
-			}
-			in[p] = v
-		}
-		out, err := sim.EvalCell(c, in)
-		if err != nil {
-			return false
-		}
-		for i, b := range s.ix.Map(c.Port(rtlil.OutputPorts(c.Type)[0])) {
-			if b.IsConst() {
-				continue
-			}
-			v := out[i]
-			if v != rtlil.S0 && v != rtlil.S1 {
-				v = rtlil.S0
-			}
-			vals[b] = v
-		}
-	}
-	return true
-}
-
 // satSolve answers one SAT-bound query on a private encoding: the AIG
 // mapping of the cone's cells in topological order, its Tseitin CNF in a
 // fresh budgeted solver, and up to two assumption-based Solve calls —
 // the paper's "SAT(S=0)=false or SAT(S=1)=false" criterion. A polarity
-// the pre-filter witnessed is known Sat (the lane evaluator mirrors the
-// AIG mapping cell for cell), so its call is skipped.
-func (s *SmartOracle) satSolve(q *satQuery, st *SatMuxStats) (rtlil.State, bool) {
+// the pre-filter witnessed is known Sat (sim.Cone mirrors the AIG
+// lowering cell for cell), so its call is skipped.
+func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) (rtlil.State, bool) {
 	mp := aig.NewPartialMapping(s.ix)
 	for _, b := range q.sg.Inputs {
 		mp.AddInputBit(b)

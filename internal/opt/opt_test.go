@@ -162,6 +162,26 @@ func TestExprConstFold(t *testing.T) {
 	}
 }
 
+// TestExprFoldWideOperands: constant folding agrees with the AIG view
+// cec checks against on operands past 64 bits: a shift by 2^64 gives
+// zero and a 66-bit product keeps its carry into bit 64.
+func TestExprFoldWideOperands(t *testing.T) {
+	m := rtlil.NewModule("wide")
+	ysh := m.AddOutput("ysh", 8).Bits()
+	ymul := m.AddOutput("ymul", 66).Bits()
+	amt := rtlil.Concat(rtlil.Const(0, 64), rtlil.Const(1, 1)) // 65'h1_0000_0000_0000_0000
+	m.AddBinary(rtlil.CellShl, "sh", rtlil.Const(0xff, 8), amt, ysh)
+	m.AddBinary(rtlil.CellMul, "mul", rtlil.Const(^uint64(0), 64), rtlil.Const(2, 2), ymul)
+	orig := m.Clone()
+	if _, err := RunScript(nil, m, ExprPass{}, CleanPass{}); err != nil {
+		t.Fatal(err)
+	}
+	if m.NumCells() != 0 {
+		t.Errorf("constant cells not folded: %d left", m.NumCells())
+	}
+	checkEquiv(t, orig, m)
+}
+
 func TestExprIdentity(t *testing.T) {
 	m := rtlil.NewModule("id")
 	a := m.AddInput("a", 4).Bits()

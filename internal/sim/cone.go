@@ -6,23 +6,23 @@ import (
 	"repro/internal/rtlil"
 )
 
-// Cone is a 64-way bit-parallel evaluator over an extracted sub-graph: a
-// topologically ordered cell slice evaluated into a dense slot-indexed
-// lane buffer instead of a per-assignment map. The SAT-mux oracle uses it
-// two ways — as a random-vector pre-filter in front of the solver and as
-// the sweep engine of the exhaustive-enumeration stage — so it supports
-// two semantics:
+// Cone is the 64-way bit-parallel evaluator over a topologically ordered
+// cell slice: every bit carries a uint64 lane vector in a dense
+// slot-indexed buffer, so one Eval runs 64 input patterns. Every 64-lane
+// simulation in the repository runs through a Cone: the SAT-mux oracle's
+// exhaustive sweep and random pre-filter, and Parallel and Sequential,
+// which cec and the benchmark's output check use.
 //
-//   - AIG mode (scalarCompat=false) mirrors the AIG mapping exactly
-//     (priority pmux, truncated structural multiply), so a lane that
-//     witnesses a target value is a genuine model of the cone's CNF.
-//   - Scalar-compat mode (scalarCompat=true) mirrors the four-state
-//     EvalCell semantics under defined inputs with x clamped to 0 (the
-//     exhaustive stage's convention): one-hot pmux (multi-hot selects
-//     give 0), value-level multiply/divide zeroed above 64 bits.
-//
-// NewCone rejects cones it cannot evaluate faithfully in the requested
-// mode; callers fall back to their scalar path (or to SAT).
+// A Cone has one cell semantics: the AIG lowering of internal/aig, cell
+// for cell. $pmux is an ascending-priority chain (the highest active
+// select wins), $mul is the shift-and-add product truncated to Y, and
+// $shl/$shr shift by the amount's full value, however wide the amount
+// port (any amount at or above the width gives zero). A lane that shows
+// target=v is therefore a model of the cone's CNF. $div, which the AIG
+// mapper cannot encode, divides per lane; division by zero and operands
+// wider than 64 bits give 0. Constant x and z bits evaluate as 0.
+// Wherever the four-state EvalCell result is defined on defined inputs,
+// the lanes agree with it.
 //
 // Eval runs many rounds per query, so the signal resolution is hoisted
 // into construction: every cell port is compiled to a slot-index plan
@@ -33,11 +33,10 @@ import (
 // A Cone is not safe for concurrent Eval calls (the plan buffers are
 // shared scratch); build one per goroutine.
 type Cone struct {
-	ix     *rtlil.Index
-	slots  map[rtlil.SigBit]int
-	bits   []rtlil.SigBit
-	plans  []conePlan
-	scalar bool
+	ix    *rtlil.Index
+	slots map[rtlil.SigBit]int
+	bits  []rtlil.SigBit
+	plans []conePlan
 }
 
 // portPlan compiles one input port: codes[i] is the slot to load lane
@@ -56,13 +55,12 @@ type conePlan struct {
 }
 
 // NewCone compiles a lane evaluator for the cells (drivers before
-// readers). It fails on sequential cells and on cells with no faithful
-// lane evaluation in the requested mode ($div outside scalar-compat,
-// shifts with a >64-bit amount in scalar-compat).
-func NewCone(ix *rtlil.Index, order []*rtlil.Cell, scalarCompat bool) (*Cone, error) {
-	c := &Cone{ix: ix, slots: map[rtlil.SigBit]int{}, scalar: scalarCompat}
+// readers). It fails on sequential cells and on cell types outside the
+// cell library.
+func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
+	c := &Cone{ix: ix, slots: map[rtlil.SigBit]int{}}
 	for _, cell := range order {
-		if err := c.checkCell(cell); err != nil {
+		if err := checkCell(cell); err != nil {
 			return nil, err
 		}
 		pl := conePlan{cell: cell}
@@ -109,7 +107,7 @@ func (c *Cone) slot(b rtlil.SigBit) int {
 	return id
 }
 
-func (c *Cone) checkCell(cell *rtlil.Cell) error {
+func checkCell(cell *rtlil.Cell) error {
 	if rtlil.IsSequential(cell.Type) {
 		return fmt.Errorf("sim: cone contains sequential cell %s", cell.Name)
 	}
@@ -119,19 +117,7 @@ func (c *Cone) checkCell(cell *rtlil.Cell) error {
 		rtlil.CellXor, rtlil.CellXnor, rtlil.CellAdd, rtlil.CellSub,
 		rtlil.CellMul, rtlil.CellEq, rtlil.CellNe, rtlil.CellLt, rtlil.CellLe,
 		rtlil.CellGt, rtlil.CellGe, rtlil.CellLogicAnd, rtlil.CellLogicOr,
-		rtlil.CellMux, rtlil.CellPmux:
-		return nil
-	case rtlil.CellShl, rtlil.CellShr:
-		if c.scalar && len(cell.Port("B")) > 64 {
-			// The scalar evaluator ignores shift-amount bits above 64
-			// (toUint truncation); the barrel decomposition forces zero.
-			return fmt.Errorf("sim: cone cell %s shifts by a >64-bit amount", cell.Name)
-		}
-		return nil
-	case rtlil.CellDiv:
-		if !c.scalar {
-			return fmt.Errorf("sim: cone cell %s ($div) has no AIG-mode lane evaluation", cell.Name)
-		}
+		rtlil.CellMux, rtlil.CellPmux, rtlil.CellShl, rtlil.CellShr, rtlil.CellDiv:
 		return nil
 	}
 	return fmt.Errorf("sim: cone cell %s has unsupported type %s", cell.Name, cell.Type)
@@ -172,71 +158,13 @@ func (c *Cone) Eval(vals []uint64) {
 			}
 			return nil
 		}
-		var y []uint64
-		if c.scalar {
-			y = evalLanesScalar(pl.cell, get)
-		} else {
-			y = evalLanesPorts(pl.cell, get)
-		}
+		y := evalLanesPorts(pl.cell, get)
 		for j, code := range pl.out {
 			if code >= 0 {
 				vals[code] = y[j]
 			}
 		}
 	}
-}
-
-// evalLanesScalar dispatches one cell in scalar-compat semantics: the
-// cells where the structural lane formulas diverge from EvalCell's
-// value-level results (under clamp-x-to-0) are overridden, everything
-// else shares evalLanesPorts.
-func evalLanesScalar(c *rtlil.Cell, port func(string) []uint64) []uint64 {
-	switch c.Type {
-	case rtlil.CellMul, rtlil.CellDiv:
-		yw := len(c.Port("Y"))
-		A := port("A")
-		B := port("B")
-		out := make([]uint64, yw)
-		if len(A) > 64 || len(B) > 64 {
-			return out // EvalCell: all-x above 64 bits, clamped to 0
-		}
-		for lane := uint(0); lane < 64; lane++ {
-			a, b := gatherLane(A, lane), gatherLane(B, lane)
-			var v uint64
-			if c.Type == rtlil.CellMul {
-				v = a * b
-			} else if b != 0 {
-				v = a / b // b==0: all-x, clamped to 0
-			}
-			scatterLane(out, lane, v)
-		}
-		return out
-
-	case rtlil.CellPmux:
-		// One-hot semantics: exactly one select picks its B word, none
-		// passes A through, several is all-x (clamped to 0) — unlike the
-		// ascending-priority lowering of the AIG/parallel path.
-		w := c.Param("WIDTH")
-		sw := c.Param("S_WIDTH")
-		S := port("S")
-		A := resizeLanes(port("A"), w)
-		B := port("B")
-		var any, multi uint64
-		for i := 0; i < sw; i++ {
-			multi |= any & S[i]
-			any |= S[i]
-		}
-		out := make([]uint64, w)
-		for k := 0; k < w; k++ {
-			v := ^any & A[k]
-			for i := 0; i < sw; i++ {
-				v |= S[i] &^ multi & B[i*w+k]
-			}
-			out[k] = v
-		}
-		return out
-	}
-	return evalLanesPorts(c, port)
 }
 
 // gatherLane reassembles the value of one lane from a lane-vector word

@@ -9,8 +9,10 @@ import (
 )
 
 // buildConeModule extends buildRandomModule's cell mix with the shapes
-// only the cone evaluator handles specially: $div, free-select $pmux
-// (possibly multi-hot), and variable shifts.
+// where the lane and four-state semantics part ways or wide operands
+// matter: $div (x on a zero divisor), free-select $pmux (x when several
+// selects are active), variable shifts, a shift by a 65-bit amount
+// whose top bit is free, and a 70-bit product that carries past bit 63.
 func buildConeModule(rng *rand.Rand, nOps int) *rtlil.Module {
 	m := rtlil.NewModule("cone")
 	var sigs []rtlil.SigSpec
@@ -25,7 +27,7 @@ func buildConeModule(rng *rand.Rand, nOps int) *rtlil.Module {
 	}
 	for i := 0; i < nOps; i++ {
 		var y rtlil.SigSpec
-		switch rng.Intn(8) {
+		switch rng.Intn(10) {
 		case 0:
 			y = m.Not(pick())
 		case 1:
@@ -40,7 +42,7 @@ func buildConeModule(rng *rand.Rand, nOps int) *rtlil.Module {
 			m.AddBinary(rtlil.CellDiv, fmt.Sprintf("div%d", cellN), a, b, y)
 		case 5:
 			// Free (possibly multi-hot) selects: four-state gives all-x
-			// on overlap, the clamped convention gives 0.
+			// on overlap, the lanes let the highest select win.
 			a := pick()
 			b := []rtlil.SigSpec{pick().Resize(len(a), false), pick().Resize(len(a), false)}
 			s := rtlil.Concat(pick().Extract(0, 1), pick().Extract(0, 1))
@@ -49,57 +51,22 @@ func buildConeModule(rng *rand.Rand, nOps int) *rtlil.Module {
 			y = m.Shl(pick(), pick().Resize(3, false))
 		case 7:
 			y = m.Shr(pick(), pick().Resize(3, false))
+		case 8:
+			// A set amount bit at or above 64 shifts everything out.
+			y = m.Shl(pick(), rtlil.Concat(pick().Resize(64, false), pick().Extract(0, 1)))
+		case 9:
+			// A 64-bit operand whose top six bits come from a signal
+			// (sign-extended when narrower), times a 6-bit operand: the
+			// product carries past bit 63.
+			a := rtlil.Concat(pick().Resize(58, false), pick().Resize(6, true))
+			y = newY(70)
+			m.AddBinary(rtlil.CellMul, fmt.Sprintf("mul%d", cellN), a, pick().Resize(6, false), y)
 		}
 		sigs = append(sigs, y)
 	}
 	out := m.AddOutput("out", len(sigs[len(sigs)-1]))
 	m.Connect(out.Bits(), sigs[len(sigs)-1])
 	return m
-}
-
-// evalClampedScalar is the reference for the cone's scalar-compat mode:
-// cell-at-a-time four-state evaluation with every non-boolean output bit
-// clamped to 0, exactly the SAT-mux exhaustive stage's convention.
-func evalClampedScalar(t *testing.T, ix *rtlil.Index, order []*rtlil.Cell, vals map[rtlil.SigBit]rtlil.State) {
-	t.Helper()
-	get := func(b rtlil.SigBit) rtlil.State {
-		b = ix.MapBit(b)
-		if b.IsConst() {
-			if b.Const == rtlil.S1 {
-				return rtlil.S1
-			}
-			return rtlil.S0
-		}
-		if v, ok := vals[b]; ok {
-			return v
-		}
-		return rtlil.S0
-	}
-	for _, c := range order {
-		in := map[string][]rtlil.State{}
-		for _, p := range rtlil.InputPorts(c.Type) {
-			sig := c.Port(p)
-			v := make([]rtlil.State, len(sig))
-			for i, b := range sig {
-				v[i] = get(b)
-			}
-			in[p] = v
-		}
-		out, err := EvalCell(c, in)
-		if err != nil {
-			t.Fatalf("EvalCell(%s): %v", c.Name, err)
-		}
-		for i, b := range ix.Map(c.Port(rtlil.OutputPorts(c.Type)[0])) {
-			if b.IsConst() {
-				continue
-			}
-			v := out[i]
-			if v != rtlil.S0 && v != rtlil.S1 {
-				v = rtlil.S0
-			}
-			vals[b] = v
-		}
-	}
 }
 
 // coneFreeSlots fills vals with rng lane vectors for every slot not
@@ -123,45 +90,59 @@ func coneFreeSlots(cone *Cone, ix *rtlil.Index, order []*rtlil.Cell, rng *rand.R
 	return free
 }
 
-func diffConeScalar(t *testing.T, m *rtlil.Module, rng *rand.Rand) {
+// diffConeFourState evaluates the module's cone on random lanes and
+// checks four of them against Simulator: every bit the four-state result
+// defines must equal the lane's bit. An x bit may take any value; such
+// bits come from two active $pmux selects, a zero divisor, or multiply
+// and divide operands wider than 64 bits. It returns how many defined
+// bits it compared.
+func diffConeFourState(t *testing.T, m *rtlil.Module, rng *rand.Rand) int {
 	t.Helper()
 	ix := rtlil.NewIndex(m)
 	order, err := rtlil.TopoSort(m)
 	if err != nil {
 		t.Fatalf("topo: %v", err)
 	}
-	cone, err := NewCone(ix, order, true)
+	cone, err := NewCone(ix, order)
 	if err != nil {
-		t.Skipf("cone rejected: %v", err)
+		t.Fatalf("cone: %v", err)
+	}
+	s4, err := NewSimulator(m)
+	if err != nil {
+		t.Fatal(err)
 	}
 	vals := make([]uint64, cone.NumSlots())
 	free := coneFreeSlots(cone, ix, order, rng, vals)
 	cone.Eval(vals)
 
+	compared := 0
 	for _, lane := range []uint{0, 7, 33, 63} {
-		ref := map[rtlil.SigBit]rtlil.State{}
+		in := map[rtlil.SigBit]rtlil.State{}
 		for b, v := range free {
-			ref[b] = rtlil.BoolState((v>>lane)&1 == 1)
+			in[b] = rtlil.BoolState((v>>lane)&1 == 1)
 		}
-		evalClampedScalar(t, ix, order, ref)
+		ref, err := s4.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for slot, b := range cone.Bits() {
-			want := ref[b]
-			if _, ok := ref[b]; !ok {
-				want = rtlil.S0
+			want := s4.EvalSig(ref, rtlil.SigSpec{b})[0]
+			if want != rtlil.S0 && want != rtlil.S1 {
+				continue
 			}
-			got := rtlil.BoolState((vals[slot]>>lane)&1 == 1)
-			if got != want {
-				t.Fatalf("lane %d slot %d (%v): cone=%s scalar=%s", lane, slot, b, got, want)
+			if got := rtlil.BoolState((vals[slot]>>lane)&1 == 1); got != want {
+				t.Fatalf("lane %d slot %d (%v): cone=%s four-state=%s", lane, slot, b, got, want)
 			}
+			compared++
 		}
 	}
+	return compared
 }
 
 // FuzzSimDifferential cross-checks the compiled cone evaluator against
-// the per-cell four-state reference (clamped convention) on random
-// combinational modules covering every supported cell type, and the
-// AIG-mode cone against the Parallel simulator where the module has an
-// AIG-mode evaluation.
+// the four-state Simulator on random combinational modules covering
+// every combinational cell type, wherever the four-state result is
+// defined.
 func FuzzSimDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(8))
 	f.Add(int64(42), uint8(14))
@@ -172,47 +153,19 @@ func FuzzSimDifferential(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("invalid module: %v", err)
 		}
-		diffConeScalar(t, m, rng)
-		diffConeAIG(t, m, rng)
+		diffConeFourState(t, m, rng)
 	})
-}
-
-// diffConeAIG compares the AIG-mode cone against Parallel.Run — an
-// independent signal-resolution path over the same lane formulas, so it
-// pins the slot-plan compilation rather than the cell semantics.
-func diffConeAIG(t *testing.T, m *rtlil.Module, rng *rand.Rand) {
-	t.Helper()
-	ix := rtlil.NewIndex(m)
-	order, err := rtlil.TopoSort(m)
-	if err != nil {
-		t.Fatalf("topo: %v", err)
-	}
-	cone, err := NewCone(ix, order, false)
-	if err != nil {
-		return // $div cones have no AIG-mode evaluation
-	}
-	vals := make([]uint64, cone.NumSlots())
-	free := coneFreeSlots(cone, ix, order, rng, vals)
-	cone.Eval(vals)
-
-	ps, err := NewParallel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres := ps.Run(free)
-	for slot, b := range cone.Bits() {
-		if want, ok := pres[b]; ok && want != vals[slot] {
-			t.Fatalf("slot %d (%v): cone=%x parallel=%x", slot, b, vals[slot], want)
-		}
-	}
 }
 
 func TestConeDifferentialSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	compared := 0
 	for trial := 0; trial < 40; trial++ {
 		m := buildConeModule(rng, 2+rng.Intn(14))
-		diffConeScalar(t, m, rng)
-		diffConeAIG(t, m, rng)
+		compared += diffConeFourState(t, m, rng)
+	}
+	if compared == 0 {
+		t.Fatal("four-state reference defined no bit to compare")
 	}
 }
 
@@ -226,46 +179,8 @@ func TestConeRejectsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCone(rtlil.NewIndex(m), order, false); err == nil {
+	if _, err := NewCone(rtlil.NewIndex(m), order); err == nil {
 		t.Fatal("cone accepted a sequential cell")
-	}
-}
-
-func TestConeDivModeGate(t *testing.T) {
-	m := rtlil.NewModule("t")
-	a := m.AddInput("a", 4).Bits()
-	b := m.AddInput("b", 4).Bits()
-	y := m.AddOutput("y", 4)
-	m.AddBinary(rtlil.CellDiv, "div", a, b, y.Bits())
-	order, err := rtlil.TopoSort(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := rtlil.NewIndex(m)
-	if _, err := NewCone(ix, order, false); err == nil {
-		t.Fatal("AIG-mode cone accepted $div")
-	}
-	if _, err := NewCone(ix, order, true); err != nil {
-		t.Fatalf("scalar-compat cone rejected $div: %v", err)
-	}
-}
-
-func TestConeWideShiftAmountGate(t *testing.T) {
-	m := rtlil.NewModule("t")
-	a := m.AddInput("a", 8).Bits()
-	b := m.AddInput("b", 70).Bits()
-	y := m.AddOutput("y", 8)
-	m.AddBinary(rtlil.CellShl, "sh", a, b, y.Bits())
-	order, err := rtlil.TopoSort(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := rtlil.NewIndex(m)
-	if _, err := NewCone(ix, order, true); err == nil {
-		t.Fatal("scalar-compat cone accepted a 70-bit shift amount")
-	}
-	if _, err := NewCone(ix, order, false); err != nil {
-		t.Fatalf("AIG-mode cone rejected wide shift amount: %v", err)
 	}
 }
 
@@ -282,7 +197,7 @@ func TestConeConstLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := rtlil.NewIndex(m)
-	cone, err := NewCone(ix, order, false)
+	cone, err := NewCone(ix, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +228,7 @@ func TestConeEvalReusableAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cone, err := NewCone(ix, order, true)
+	cone, err := NewCone(ix, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +243,7 @@ func TestConeEvalReusableAcrossRounds(t *testing.T) {
 	reused := append([]uint64(nil), vals2...)
 	cone.Eval(reused)
 
-	fresh, err := NewCone(ix, order, true)
+	fresh, err := NewCone(ix, order)
 	if err != nil {
 		t.Fatal(err)
 	}

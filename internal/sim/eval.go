@@ -1,15 +1,26 @@
-// Package sim provides simulation semantics for the rtlil cell library:
-// four-state (0/1/x/z) evaluation of single cells and whole modules, and a
-// 64-way bit-parallel two-valued simulator for fast random simulation.
+// Package sim provides two simulation semantics for the rtlil cell
+// library:
 //
-// The four-state evaluator is deliberately *sound for optimization*: when
-// an input bit is unknown (x), the produced output is either x or a value
-// that holds for every two-valued completion of the unknowns. Passes may
-// therefore fold any defined output bit to a constant.
+//   - Four-state (0/1/x/z): EvalCell evaluates one cell, Simulator a
+//     whole module. It is deliberately *sound for optimization*: when an
+//     input bit is unknown (x), the produced output is either x or a
+//     value that holds for every two-valued completion of the unknowns.
+//     Passes may therefore fold any defined output bit to a constant.
+//   - Two-valued, 64 lanes per word: Cone compiles a cell slice into a
+//     slot-indexed evaluator with the AIG lowering's semantics, the view
+//     of a netlist that SAT, cec and aig.Area share. Parallel (a whole
+//     module) and Sequential (clocked, from reset) run on one Cone.
+//
+// The two agree wherever the four-state result is defined on defined
+// inputs. They differ only on bits EvalCell leaves x: two active $pmux
+// selects, a zero divisor, and multiply or divide operands wider than
+// 64 bits.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/rtlil"
 )
@@ -334,7 +345,14 @@ func EvalCell(c *rtlil.Cell, in map[string][]rtlil.State) ([]rtlil.State, error)
 		return add3(resize3(A, yw), not3vec(resize3(B, yw)), rtlil.S1), nil
 	case rtlil.CellMul:
 		if defined(A) && defined(B) && len(A) <= 64 && len(B) <= 64 {
-			return fromUint(toUint(A)*toUint(B), yw), nil
+			// Exact: two operands of at most 64 bits multiply into at
+			// most 128.
+			hi, lo := bits.Mul64(toUint(A), toUint(B))
+			out := fromUint(lo, yw)
+			if yw > 64 {
+				copy(out[64:], fromUint(hi, yw-64))
+			}
+			return out, nil
 		}
 		return allX(yw), nil
 	case rtlil.CellDiv:
@@ -363,6 +381,9 @@ func EvalCell(c *rtlil.Cell, in map[string][]rtlil.State) ([]rtlil.State, error)
 			return allX(yw), nil
 		}
 		sh := toUint(B)
+		if len(B) > 64 && reduceOr(B[64:]) == rtlil.S1 {
+			sh = math.MaxUint64 // a set amount bit at or above 64 shifts everything out
+		}
 		a := resize3(A, yw)
 		out := fromUint(0, yw)
 		if sh < uint64(yw) {

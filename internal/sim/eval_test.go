@@ -121,6 +121,21 @@ func TestEvalMul(t *testing.T) {
 	wantStates(t, got, states(0, 1, 1, 0), "$mul")
 	got = evalBin(t, rtlil.CellMul, 2, 2, 2, states(2, 0), states(1, 0))
 	wantStates(t, got, states(2, 2), "$mul with x")
+	// A product wider than 64 bits keeps its carries:
+	// 64'hffff_ffff_ffff_ffff * 2'd2 = 2^65 - 2.
+	got = evalBin(t, rtlil.CellMul, 64, 2, 66, fill(64, rtlil.S1), states(0, 1))
+	want := fill(66, rtlil.S1)
+	want[0], want[65] = rtlil.S0, rtlil.S0
+	wantStates(t, got, want, "$mul into 66 bits")
+}
+
+// fill returns n copies of v.
+func fill(n int, v rtlil.State) []rtlil.State {
+	out := make([]rtlil.State, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 func TestEvalEqStrongRule(t *testing.T) {
@@ -164,6 +179,14 @@ func TestEvalShifts(t *testing.T) {
 	// x shift amount → x.
 	got = evalBin(t, rtlil.CellShl, 2, 1, 2, states(1, 0), states(2))
 	wantStates(t, got, states(2, 2), "$shl x amount")
+	// A set amount bit at or above 64 shifts everything out, as the AIG
+	// lowering and Yosys do: 8'hff << 65'h1_0000_0000_0000_0000 = 0.
+	amt := fill(65, rtlil.S0)
+	amt[64] = rtlil.S1
+	for _, typ := range []rtlil.CellType{rtlil.CellShl, rtlil.CellShr} {
+		got = evalBin(t, typ, 8, 65, 8, fill(8, rtlil.S1), amt)
+		wantStates(t, got, fill(8, rtlil.S0), string(typ)+" by 2^64")
+	}
 }
 
 func TestEvalUnary(t *testing.T) {

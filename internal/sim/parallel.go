@@ -7,18 +7,16 @@ import (
 	"repro/internal/rtlil"
 )
 
-// Parallel is a two-valued, 64-way bit-parallel simulator: every signal
-// bit carries a uint64 lane vector, so one Run evaluates 64 input patterns
-// at once. Unknown (x/z) constants evaluate as 0 — Parallel is a filter
-// for candidate counterexamples, not a four-state reference (that is
-// Simulator's job).
-//
-// $pmux follows the canonical ascending-priority lowering used throughout
-// this repository: y = A; for i = 0..S_WIDTH-1: y = S[i] ? B_word(i) : y.
+// Parallel is a two-valued, 64-way bit-parallel simulator of a whole
+// module: its combinational cells, in TopoSort order, compiled into one
+// Cone, so it shares the Cone's semantics (the AIG lowering; constant x
+// and z bits evaluate as 0). One Run evaluates 64 input patterns at
+// once. Parallel is a filter for candidate counterexamples, not a
+// four-state reference (that is Simulator's job). Like its Cone, it is
+// not safe for concurrent Run calls.
 type Parallel struct {
-	mod   *rtlil.Module
-	ix    *rtlil.Index
-	order []*rtlil.Cell
+	ix   *rtlil.Index
+	cone *Cone
 }
 
 // NewParallel prepares a parallel simulator for the module. It fails on
@@ -28,7 +26,18 @@ func NewParallel(m *rtlil.Module) (*Parallel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parallel{mod: m, ix: rtlil.NewIndex(m), order: order}, nil
+	var comb []*rtlil.Cell // $dff cells stay out: Q bits are free variables
+	for _, c := range order {
+		if !rtlil.IsSequential(c.Type) {
+			comb = append(comb, c)
+		}
+	}
+	ix := rtlil.NewIndex(m)
+	cone, err := NewCone(ix, comb)
+	if err != nil {
+		return nil, err
+	}
+	return &Parallel{ix: ix, cone: cone}, nil
 }
 
 // Index returns the module index used by the simulator.
@@ -38,39 +47,18 @@ func (p *Parallel) Index() *rtlil.Index { return p.ix }
 // bits (primary inputs, dff Q bits) not present in the map are 0 in every
 // lane. The result maps every computed canonical bit to its lane vector.
 func (p *Parallel) Run(inputs map[rtlil.SigBit]uint64) map[rtlil.SigBit]uint64 {
-	vals := make(map[rtlil.SigBit]uint64, len(inputs)*4)
+	lanes := make([]uint64, p.cone.NumSlots())
+	vals := make(map[rtlil.SigBit]uint64, len(inputs)+len(lanes))
 	for b, v := range inputs {
-		vals[p.ix.MapBit(b)] = v
-	}
-	get := func(b rtlil.SigBit) uint64 {
 		b = p.ix.MapBit(b)
-		if b.IsConst() {
-			if b.Const == rtlil.S1 {
-				return ^uint64(0)
-			}
-			return 0
+		vals[b] = v
+		if slot, ok := p.cone.slots[b]; ok {
+			lanes[slot] = v
 		}
-		return vals[b]
 	}
-	lanes := func(sig rtlil.SigSpec) []uint64 {
-		v := make([]uint64, len(sig))
-		for i, b := range sig {
-			v[i] = get(b)
-		}
-		return v
-	}
-	for _, c := range p.order {
-		if rtlil.IsSequential(c.Type) {
-			continue
-		}
-		y := evalLanes(c, lanes)
-		ysig := c.Port(outputPort(c.Type))
-		for i, b := range ysig {
-			if b.IsConst() {
-				continue
-			}
-			vals[p.ix.MapBit(b)] = y[i]
-		}
+	p.cone.Eval(lanes)
+	for slot, b := range p.cone.bits {
+		vals[b] = lanes[slot]
 	}
 	return vals
 }
@@ -109,18 +97,10 @@ func resizeLanes(v []uint64, width int) []uint64 {
 	return out
 }
 
-func evalLanes(c *rtlil.Cell, lanes func(rtlil.SigSpec) []uint64) []uint64 {
-	return evalLanesPorts(c, func(name string) []uint64 {
-		if sig := c.Port(name); sig != nil {
-			return lanes(sig)
-		}
-		return nil
-	})
-}
-
-// evalLanesPorts is the port-name-indexed core of evalLanes: Cone
-// resolves ports through precomputed slot plans instead of SigSpec
-// lookups, so the dispatch must not touch c.Conn on the hot path.
+// evalLanesPorts evaluates one cell over lane vectors: the AIG lowering
+// cell for cell. Ports resolve through port, which the cone backs with
+// its precomputed slot plans, so the dispatch never touches c.Conn on
+// the hot path.
 func evalLanesPorts(c *rtlil.Cell, port func(string) []uint64) []uint64 {
 	yw := len(c.Port("Y"))
 	A := port("A")
@@ -207,11 +187,12 @@ func evalLanesPorts(c *rtlil.Cell, port func(string) []uint64) []uint64 {
 		return acc
 
 	case rtlil.CellDiv:
-		// No structural lane formula: transpose, divide per lane,
-		// transpose back. Division by zero is all-x, clamped to 0.
+		// No AIG lowering to mirror: transpose, divide per lane,
+		// transpose back. EvalCell gives all-x for a zero divisor and
+		// for operands wider than 64 bits; the lanes give 0.
 		out := make([]uint64, yw)
 		if len(A) > 64 || len(B) > 64 {
-			return out // EvalCell: all-x above 64 bits, clamped to 0
+			return out
 		}
 		for lane := uint(0); lane < 64; lane++ {
 			b := gatherLane(B, lane)
@@ -333,7 +314,7 @@ func evalLanesPorts(c *rtlil.Cell, port func(string) []uint64) []uint64 {
 		}
 		return cur
 	}
-	panic(fmt.Sprintf("sim: evalLanes on unsupported cell type %s", c.Type))
+	panic(fmt.Sprintf("sim: evalLanesPorts on unsupported cell type %s", c.Type))
 }
 
 func addLanes(a, b []uint64, carry uint64) []uint64 {
