@@ -6,6 +6,7 @@
 //
 //	smartly-bench [-scale 1.0] [-table 2|3|all|none] [-industrial n] [-j n] [-check] [-v]
 //	              [-json] [-replica n] [-design n] [-load n] [-sat] [-egraph] [-corpus dir] [-flow name|name=script]...
+//	              [-compare baseline.json]
 //
 // Scale 1.0 runs the calibrated case sizes (minutes); smaller scales
 // reproduce the table shape faster. The paper's absolute circuit sizes
@@ -25,12 +26,21 @@
 // per case and flow, the AIG area, state bits, netlist hash, wall time
 // and pass counters. BENCH_baseline.json in the repository root holds
 // the committed reference run.
+//
+// -compare checks the run against a saved -json report (the regression
+// gate): the exit status is 1, naming the section, case and flow, when
+// a netlist hash, AIG area or state-bit count differs in an engine
+// section both reports carry, when a case or flow is on one side only,
+// or when the schema or scale differs. It also prints each section's
+// and flow's summed wall time on both sides (to stderr under -json).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -65,6 +75,7 @@ type benchConfig struct {
 	egraph     bool
 	corpus     string
 	flows      []string
+	compare    string
 }
 
 func main() {
@@ -82,6 +93,7 @@ func main() {
 	flag.BoolVar(&cfg.sat, "sat", false, "also measure the SAT oracle (counters + wall-clock vs the sim_filter=false ablation) on the sat and full flows")
 	flag.BoolVar(&cfg.egraph, "egraph", false, "also measure verified e-graph rewriting on the datapath benchmark set (yosys vs pre-egraph full vs datapath vs full)")
 	flag.StringVar(&cfg.corpus, "corpus", "", "also measure an external benchmark-corpus directory (manifest.json + Verilog) under the yosys/seq/full flows, proving every result")
+	flag.StringVar(&cfg.compare, "compare", "", "check the run against a saved -json report: exit 1 on any netlist hash, area or state-bit drift (e.g. BENCH_baseline.json)")
 	var flows flowList
 	flag.Var(&flows, "flow", "flow to measure: a named flow or name=script (repeatable; default: the paper's four pipelines)")
 	flag.Parse()
@@ -98,6 +110,20 @@ func runBench(cfg benchConfig, out io.Writer) error {
 	case "2", "3", "all", "none", "":
 	default:
 		return fmt.Errorf("-table %q: want 2, 3, all, none or \"\"", cfg.table)
+	}
+	if !(cfg.scale > 0) || math.IsInf(cfg.scale, 1) {
+		return fmt.Errorf("-scale %v: want a positive finite number", cfg.scale)
+	}
+	var base *harness.BenchReport
+	if cfg.compare != "" {
+		raw, err := os.ReadFile(cfg.compare)
+		if err != nil {
+			return fmt.Errorf("-compare: %w", err)
+		}
+		base = new(harness.BenchReport)
+		if err := json.Unmarshal(raw, base); err != nil {
+			return fmt.Errorf("-compare %s: %w", cfg.compare, err)
+		}
 	}
 	opts := harness.Options{Scale: cfg.scale, Check: cfg.check, Jobs: cfg.jobs, Workers: cfg.jobs}
 	if cfg.verbose {
@@ -215,14 +241,25 @@ func runBench(cfg benchConfig, out io.Writer) error {
 		}
 	}
 
+	// The comparison table follows the tables; under -json stdout holds
+	// only the report.
+	cmpOut := out
 	if cfg.jsonOut {
 		rep.ElapsedMS = time.Since(start).Milliseconds()
-		return rep.WriteJSON(out)
+		if err := rep.WriteJSON(out); err != nil {
+			return err
+		}
+		cmpOut = os.Stderr
+	} else {
+		for _, t := range text {
+			fmt.Fprintln(out, t)
+		}
 	}
-	for _, t := range text {
-		fmt.Fprintln(out, t)
+	if base == nil {
+		return nil
 	}
-	return nil
+	fmt.Fprintf(cmpOut, "Compared with %s\n", cfg.compare)
+	return harness.CompareReports(*base, rep, cmpOut)
 }
 
 // loadBenchCase is the fixed case of the -load concurrent smoke: the

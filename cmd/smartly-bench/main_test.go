@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -174,6 +177,75 @@ func TestBenchBadTable(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("output before the error:\n%s", buf.String())
+	}
+}
+
+// TestBenchBadScale: a -scale that is not a positive finite number is
+// an error naming the flag, not a run at some other size that records
+// the bad value.
+func TestBenchBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		var buf bytes.Buffer
+		err := runBench(benchConfig{scale: scale, table: "2"}, &buf)
+		if err == nil {
+			t.Fatalf("-scale %v accepted", scale)
+		}
+		if !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("error %q does not name -scale", err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-scale %v: output before the error:\n%s", scale, buf.String())
+		}
+	}
+}
+
+// TestBenchCompare: -compare passes against a report of the same run
+// and fails, naming the section, case and flow, once one hash in the
+// baseline differs.
+func TestBenchCompare(t *testing.T) {
+	cfg := benchConfig{scale: 0.02, table: "2", jsonOut: true}
+	var buf bytes.Buffer
+	if err := runBench(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	same := filepath.Join(dir, "same.json")
+	if err := os.WriteFile(same, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var rep harness.BenchReport
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Tables.Cases[1]
+	r := c.Runs[harness.FlowFull]
+	r.Hash = "0000"
+	c.Runs[harness.FlowFull] = r
+	var edited bytes.Buffer
+	if err := rep.WriteJSON(&edited); err != nil {
+		t.Fatal(err)
+	}
+	drift := filepath.Join(dir, "drift.json")
+	if err := os.WriteFile(drift, edited.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.jsonOut = false
+	cfg.compare = same
+	buf.Reset()
+	if err := runBench(cfg, &buf); err != nil {
+		t.Fatalf("compare against the same run: %v", err)
+	}
+	if out := buf.String(); !strings.Contains(out, "Compared with") || !strings.Contains(out, "tables") {
+		t.Errorf("no elapsed comparison printed:\n%s", out)
+	}
+	cfg.compare = drift
+	err := runBench(cfg, &buf)
+	if err == nil {
+		t.Fatal("compare against a drifted baseline passed")
+	}
+	if want := "tables/" + c.Name + "/" + harness.FlowFull + ": hash"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
 	}
 }
 

@@ -4,23 +4,6 @@ import (
 	"repro/internal/rtlil"
 )
 
-// regionOp reports whether the cell type participates in the e-graph's
-// datapath region. $div is included as an opaque leaf-like operator:
-// it is hash-consed (identical cells share a class) but never rewritten
-// through.
-func regionOp(t rtlil.CellType) bool {
-	switch t {
-	case rtlil.CellAdd, rtlil.CellSub, rtlil.CellMul, rtlil.CellDiv,
-		rtlil.CellNeg, rtlil.CellNot,
-		rtlil.CellAnd, rtlil.CellOr, rtlil.CellXor, rtlil.CellXnor,
-		rtlil.CellShl, rtlil.CellShr,
-		rtlil.CellEq, rtlil.CellNe, rtlil.CellLt, rtlil.CellLe,
-		rtlil.CellGt, rtlil.CellGe:
-		return true
-	}
-	return false
-}
-
 // opKind classifies one recorded cell operand.
 type opKind int
 
@@ -64,7 +47,6 @@ type Builder struct {
 	cells    []*regionCell // ingestion (topological) order
 	byCell   map[*rtlil.Cell]*regionCell
 	sigClass map[string]*regionCell // canonical Y render -> producer
-	leafCls  map[string]ClassID
 	exposed  map[*regionCell]bool
 }
 
@@ -81,7 +63,6 @@ func BuildModule(m *rtlil.Module) (*Builder, error) {
 		g:        New(),
 		byCell:   map[*rtlil.Cell]*regionCell{},
 		sigClass: map[string]*regionCell{},
-		leafCls:  map[string]ClassID{},
 		exposed:  map[*regionCell]bool{},
 	}
 	for _, c := range order {
@@ -100,8 +81,8 @@ func (b *Builder) EGraph() *EGraph { return b.g }
 // ingest adds one cell to the e-graph if it belongs to the region and
 // fits the supported shapes (widths 1..64, 1-bit comparison results).
 func (b *Builder) ingest(c *rtlil.Cell) {
-	t := c.Type
-	if !regionOp(t) {
+	op, ok := regionOps[c.Type]
+	if !ok {
 		return
 	}
 	ySig := b.ix.Map(c.Port("Y"))
@@ -112,7 +93,7 @@ func (b *Builder) ingest(c *rtlil.Cell) {
 	var node Node
 	var ops []operandRef
 	switch {
-	case rtlil.IsCompare(t):
+	case op.isCompare():
 		if yw != 1 {
 			return
 		}
@@ -126,25 +107,25 @@ func (b *Builder) ingest(c *rtlil.Cell) {
 		}
 		ka, ra := b.operand(a, w)
 		kb, rb := b.operand(bsig, w)
-		node = Node{Op: Op(t), Width: w, Kids: []ClassID{ka, kb}}
+		node = bin(op, w, ka, kb)
 		ops = []operandRef{ra, rb}
-	case rtlil.IsUnary(t): // $not, $neg
+	case op.arity() == 1: // $not, $neg
 		if yw > 64 {
 			return
 		}
 		ka, ra := b.operand(c.Port("A"), yw)
-		node = Node{Op: Op(t), Width: yw, Kids: []ClassID{ka}}
+		node = un(op, yw, ka)
 		ops = []operandRef{ra}
-	case t == rtlil.CellShl || t == rtlil.CellShr:
+	case op == OpShl || op == OpShr:
 		bsig := c.Port("B")
 		if yw > 64 || len(bsig) < 1 || len(bsig) > 64 {
 			return
 		}
 		ka, ra := b.operand(c.Port("A"), yw)
 		kb, rb := b.operandRaw(bsig)
-		node = Node{Op: Op(t), Width: yw, Kids: []ClassID{ka, kb}}
+		node = bin(op, yw, ka, kb)
 		ops = []operandRef{ra, rb}
-	case t == rtlil.CellDiv:
+	case op == OpDiv:
 		// Opaque: operands keep their exact widths — truncating a
 		// dividend does not commute with division, so no resize node may
 		// separate the cell from its operands.
@@ -154,7 +135,7 @@ func (b *Builder) ingest(c *rtlil.Cell) {
 		}
 		ka, ra := b.operandRaw(a)
 		kb, rb := b.operandRaw(bsig)
-		node = Node{Op: Op(t), Width: yw, Kids: []ClassID{ka, kb}}
+		node = bin(op, yw, ka, kb)
 		ops = []operandRef{ra, rb}
 	default: // binary arith/bitwise
 		if yw > 64 {
@@ -162,7 +143,7 @@ func (b *Builder) ingest(c *rtlil.Cell) {
 		}
 		ka, ra := b.operand(c.Port("A"), yw)
 		kb, rb := b.operand(c.Port("B"), yw)
-		node = Node{Op: Op(t), Width: yw, Kids: []ClassID{ka, kb}}
+		node = bin(op, yw, ka, kb)
 		ops = []operandRef{ra, rb}
 	}
 	cls := b.g.Add(node)
@@ -183,8 +164,7 @@ func (b *Builder) operand(sig rtlil.SigSpec, w int) (ClassID, operandRef) {
 	if ref.width == w {
 		return base, ref
 	}
-	n := Node{Op: OpResize, Width: w, Kids: []ClassID{base}}
-	cls := b.g.Add(n)
+	cls := b.g.Add(un(OpResize, w, base))
 	ref.resizeTo = w
 	return cls, ref
 }
@@ -204,12 +184,7 @@ func (b *Builder) operandRaw(sig rtlil.SigSpec) (ClassID, operandRef) {
 	if rc := b.sigClass[key]; rc != nil {
 		return rc.cls, operandRef{kind: opCell, producer: rc, width: rc.yw}
 	}
-	cls, ok := b.leafCls[key]
-	if !ok {
-		n := Node{Op: OpLeaf, Width: w, Leaf: key, Sig: c}
-		cls = b.g.Add(n)
-		b.leafCls[key] = cls
-	}
+	cls := b.g.Add(b.g.leaf(key, c))
 	// A leaf that covers bits driven by region cells (a slice, concat or
 	// mix) pins those producers: mark them so they become roots and stay
 	// realized.
@@ -277,13 +252,7 @@ func (b *Builder) OriginalCost(cm *CostModel, roots []*regionCell) int64 {
 			return
 		}
 		seen[rc] = true
-		n := rc.node
-		specs := make([]kidSpec, len(n.Kids))
-		for i, k := range n.Kids {
-			kc := b.g.Class(k)
-			specs[i] = kidSpec{width: kc.width, isConst: kc.hasConst, val: kc.constVal}
-		}
-		total = satAdd(total, cm.NodeCost(n, specs))
+		total = satAdd(total, cm.NodeCost(rc.node, b.g.kidSpecs(rc.node)))
 		for _, ref := range rc.ops {
 			if ref.kind == opCell {
 				visit(ref.producer)

@@ -2,7 +2,6 @@ package egraph
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/aig"
 	"repro/internal/rtlil"
@@ -19,18 +18,26 @@ type kidSpec struct {
 	val     uint64
 }
 
+// costKey identifies one priced shape: the operator, its width and its
+// operands (val only counts for constant operands).
+type costKey struct {
+	width int
+	kids  [2]kidSpec
+	op    Op
+}
+
 // CostModel prices e-nodes by the repository's area metric: the AIG AND
 // count of a one-cell module with the node's exact operand shapes.
 // Results are memoized by (op, width, operand shapes); the model is
 // deterministic and safe to share across passes but not across
 // goroutines.
 type CostModel struct {
-	memo map[string]int64
+	memo map[costKey]int64
 }
 
 // NewCostModel returns an empty memoized cost model.
 func NewCostModel() *CostModel {
-	return &CostModel{memo: map[string]int64{}}
+	return &CostModel{memo: map[costKey]int64{}}
 }
 
 // Cost of operators that cannot be priced by AIG construction.
@@ -44,30 +51,36 @@ const (
 )
 
 // NodeCost returns the intrinsic cost of one e-node (excluding its
-// children), clamped to >= 1 for every operator that emits a cell so
-// the cheapest derivation of a class can never cycle through itself.
-func (cm *CostModel) NodeCost(n Node, kids []kidSpec) int64 {
+// children) given its operands' shapes (the slots past the operator's
+// arity are ignored), clamped to >= 1 for every operator that emits a
+// cell so the cheapest derivation of a class can never cycle through
+// itself.
+func (cm *CostModel) NodeCost(n Node, kids [2]kidSpec) int64 {
 	switch n.Op {
 	case OpLeaf, OpConst:
 		return costLeaf
 	case OpResize:
 		return costResize
-	}
-	t := rtlil.CellType(n.Op)
-	if t == rtlil.CellDiv {
+	case OpDiv:
 		mul := n
-		mul.Op = Op(rtlil.CellMul)
+		mul.Op = OpMul
 		c := cm.NodeCost(mul, kids)
 		if c < 1 {
 			c = 1
 		}
 		return c * divMulFactor
 	}
-	key := cm.key(n, kids)
+	key := costKey{op: n.Op, width: n.Width}
+	for i := 0; i < n.Op.arity(); i++ {
+		key.kids[i] = kids[i]
+		if !kids[i].isConst {
+			key.kids[i].val = 0
+		}
+	}
 	if c, ok := cm.memo[key]; ok {
 		return c
 	}
-	c := cellArea(t, n, kids)
+	c := cellArea(n, kids)
 	if c < 1 {
 		c = 1
 	}
@@ -75,28 +88,12 @@ func (cm *CostModel) NodeCost(n Node, kids []kidSpec) int64 {
 	return c
 }
 
-func (cm *CostModel) key(n Node, kids []kidSpec) string {
-	var b strings.Builder
-	b.WriteString(string(n.Op))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(n.Width))
-	for _, k := range kids {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(k.width))
-		if k.isConst {
-			b.WriteByte('#')
-			b.WriteString(strconv.FormatUint(k.val, 16))
-		}
-	}
-	return b.String()
-}
-
 // cellArea builds the one-cell module and measures it. Constant
 // operands are materialized as constants so the mapping simplifies them
 // exactly as it would in the real netlist; mapping failures (which
 // cannot happen for the AIG-lowered cell set) price as 0 and are
 // clamped to 1 by the caller.
-func cellArea(t rtlil.CellType, n Node, kids []kidSpec) int64 {
+func cellArea(n Node, kids [2]kidSpec) int64 {
 	m := rtlil.NewModule("$egraph$cost")
 	operand := func(i int, k kidSpec) rtlil.SigSpec {
 		if k.isConst {
@@ -105,11 +102,11 @@ func cellArea(t rtlil.CellType, n Node, kids []kidSpec) int64 {
 		return m.AddInput("i"+strconv.Itoa(i), k.width).Bits()
 	}
 	y := m.AddOutput("y", n.valueWidth()).Bits()
-	switch {
-	case rtlil.IsUnary(t):
-		m.AddUnary(t, "$u", operand(0, kids[0]), y)
-	case rtlil.IsBinary(t) || rtlil.IsCompare(t):
-		m.AddBinary(t, "$b", operand(0, kids[0]), operand(1, kids[1]), y)
+	switch n.Op.arity() {
+	case 1:
+		m.AddUnary(n.Op.cell(), "$u", operand(0, kids[0]), y)
+	case 2:
+		m.AddBinary(n.Op.cell(), "$b", operand(0, kids[0]), operand(1, kids[1]), y)
 	default:
 		return 0
 	}

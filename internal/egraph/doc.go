@@ -25,4 +25,26 @@
 // $div is deliberately opaque: it has no AIG lowering, so it is
 // hash-consed (identical-operand cells may merge via CSE) but no rule
 // rewrites through it and the cost model prices it heuristically.
+//
+// Representation. An e-node (Node) is a 32-byte comparable value with
+// no pointers: a uint8 operator (Op, one per region cell type plus
+// leaf, const and resize), the width and signedness, a constant
+// payload, two inline child slots, and for leaves an index into the
+// graph's leaf table, which holds the signal. Hash-consing is keyed by
+// the node value itself (Node.key clears the fields the operator does
+// not use), and so are congruence repair's dedup sets, the rewrite
+// planner's original-cell lookup and the cost model's memo: saturation
+// builds no key strings and canonicalizing a node allocates nothing.
+// Each rule declares the operators it matches, and the sweep only
+// calls a rule on nodes with one of them. A class's node list is read
+// in place during a sweep, because until the rebuild that ends the
+// sweep node lists are only appended to.
+//
+// The representation decides no result. Two nodes share a key exactly
+// when they apply the same operator to the same payload and children
+// (TestNodeKeyMatchesSignature checks this against a string signature),
+// class IDs follow Add order and a merge keeps the lower ID, and rules
+// run in library order over each class's nodes in insertion order. So
+// class IDs, the pass counters, extractions and netlists depend only on
+// the input module and the options.
 package egraph

@@ -1,18 +1,24 @@
 package egraph
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/rtlil"
 )
 
+// leaf adds the opaque leaf for a fresh input wire of the given name
+// and width.
 func leaf(g *EGraph, name string, w int) ClassID {
-	return g.Add(Node{Op: OpLeaf, Width: w, Leaf: name})
+	sig := rtlil.NewModule("t").AddInput(name, w).Bits()
+	return g.Add(g.leaf(sig.String(), sig))
 }
 
-func cellNode(op rtlil.CellType, w int, kids ...ClassID) Node {
-	return Node{Op: Op(op), Width: w, Kids: kids}
+func cellNode(op Op, w int, kids ...ClassID) Node {
+	n := Node{Op: op, Width: w}
+	copy(n.Kids[:], kids)
+	return n
 }
 
 func saturateAll(t *testing.T, g *EGraph) int {
@@ -28,8 +34,8 @@ func saturateAll(t *testing.T, g *EGraph) int {
 func TestHashconsDedup(t *testing.T) {
 	g := New()
 	a, b := leaf(g, "a", 8), leaf(g, "b", 8)
-	x := g.Add(cellNode(rtlil.CellAdd, 8, a, b))
-	y := g.Add(cellNode(rtlil.CellAdd, 8, a, b))
+	x := g.Add(cellNode(OpAdd, 8, a, b))
+	y := g.Add(cellNode(OpAdd, 8, a, b))
 	if x != y {
 		t.Fatalf("identical nodes got classes %d and %d", x, y)
 	}
@@ -58,8 +64,8 @@ func TestUnionFindLowerIDWins(t *testing.T) {
 func TestCongruenceClosure(t *testing.T) {
 	g := New()
 	a, b, c := leaf(g, "a", 8), leaf(g, "b", 8), leaf(g, "c", 8)
-	f1 := g.Add(cellNode(rtlil.CellAdd, 8, a, b))
-	f2 := g.Add(cellNode(rtlil.CellAdd, 8, a, c))
+	f1 := g.Add(cellNode(OpAdd, 8, a, b))
+	f2 := g.Add(cellNode(OpAdd, 8, a, c))
 	if g.Find(f1) == g.Find(f2) {
 		t.Fatal("distinct applications merged prematurely")
 	}
@@ -97,12 +103,12 @@ func TestConstFold(t *testing.T) {
 	g := New()
 	c3 := g.Add(Node{Op: OpConst, Width: 8, Val: 3})
 	c4 := g.Add(Node{Op: OpConst, Width: 8, Val: 4})
-	sum := g.Add(cellNode(rtlil.CellAdd, 8, c3, c4))
+	sum := g.Add(cellNode(OpAdd, 8, c3, c4))
 	saturateAll(t, g)
 	if v, ok := g.constOf(sum); !ok || v != 7 {
 		t.Errorf("3+4 folded to (%d, %v), want (7, true)", v, ok)
 	}
-	cmp := g.Add(cellNode(rtlil.CellLt, 8, c3, c4))
+	cmp := g.Add(cellNode(OpLt, 8, c3, c4))
 	saturateAll(t, g)
 	if v, ok := g.constOf(cmp); !ok || v != 1 {
 		t.Errorf("3<4 folded to (%d, %v), want (1, true)", v, ok)
@@ -112,10 +118,10 @@ func TestConstFold(t *testing.T) {
 func TestCommuteAndAssociate(t *testing.T) {
 	g := New()
 	a, b, c := leaf(g, "a", 8), leaf(g, "b", 8), leaf(g, "c", 8)
-	ab := g.Add(cellNode(rtlil.CellMul, 8, a, b))
-	ba := g.Add(cellNode(rtlil.CellMul, 8, b, a))
-	abc := g.Add(cellNode(rtlil.CellAdd, 8, g.Add(cellNode(rtlil.CellAdd, 8, a, b)), c))
-	acb := g.Add(cellNode(rtlil.CellAdd, 8, a, g.Add(cellNode(rtlil.CellAdd, 8, b, c))))
+	ab := g.Add(cellNode(OpMul, 8, a, b))
+	ba := g.Add(cellNode(OpMul, 8, b, a))
+	abc := g.Add(cellNode(OpAdd, 8, g.Add(cellNode(OpAdd, 8, a, b)), c))
+	acb := g.Add(cellNode(OpAdd, 8, a, g.Add(cellNode(OpAdd, 8, b, c))))
 	saturateAll(t, g)
 	if g.Find(ab) != g.Find(ba) {
 		t.Error("a*b and b*a not merged")
@@ -128,8 +134,8 @@ func TestCommuteAndAssociate(t *testing.T) {
 func TestSubSelfAndXorSelf(t *testing.T) {
 	g := New()
 	x := leaf(g, "x", 8)
-	sub := g.Add(cellNode(rtlil.CellSub, 8, x, x))
-	xor := g.Add(cellNode(rtlil.CellXor, 8, x, x))
+	sub := g.Add(cellNode(OpSub, 8, x, x))
+	xor := g.Add(cellNode(OpXor, 8, x, x))
 	saturateAll(t, g)
 	if v, ok := g.constOf(sub); !ok || v != 0 {
 		t.Errorf("x-x = (%d, %v), want (0, true)", v, ok)
@@ -142,18 +148,18 @@ func TestSubSelfAndXorSelf(t *testing.T) {
 func TestDistributivityFactoring(t *testing.T) {
 	g := New()
 	a, b, c := leaf(g, "a", 8), leaf(g, "b", 8), leaf(g, "c", 8)
-	sum := g.Add(cellNode(rtlil.CellAdd, 8,
-		g.Add(cellNode(rtlil.CellMul, 8, a, b)),
-		g.Add(cellNode(rtlil.CellMul, 8, a, c))))
+	sum := g.Add(cellNode(OpAdd, 8,
+		g.Add(cellNode(OpMul, 8, a, b)),
+		g.Add(cellNode(OpMul, 8, a, c))))
 	saturateAll(t, g)
 	cm := NewCostModel()
 	ext := Extract(g, cm)
 	n := ext.Node(sum)
-	if rtlil.CellType(n.Op) != rtlil.CellMul {
+	if n.Op != OpMul {
 		t.Fatalf("extraction chose %s for a*b+a*c, want the factored $mul", n.Op)
 	}
 	// The factored form prices one multiplier instead of two.
-	single := g.Add(cellNode(rtlil.CellMul, 8, a, b))
+	single := g.Add(cellNode(OpMul, 8, a, b))
 	if ext.TotalCost([]ClassID{sum}) >= 2*ext.TotalCost([]ClassID{single}) {
 		t.Errorf("factored cost %d not below two multipliers (%d each)",
 			ext.TotalCost([]ClassID{sum}), ext.TotalCost([]ClassID{single}))
@@ -164,9 +170,9 @@ func TestMulShlExchange(t *testing.T) {
 	g := New()
 	x := leaf(g, "x", 8)
 	four := g.Add(Node{Op: OpConst, Width: 8, Val: 4})
-	mul := g.Add(cellNode(rtlil.CellMul, 8, x, four))
+	mul := g.Add(cellNode(OpMul, 8, x, four))
 	two := g.Add(Node{Op: OpConst, Width: 2, Val: 2})
-	shl := g.Add(cellNode(rtlil.CellShl, 8, x, two))
+	shl := g.Add(cellNode(OpShl, 8, x, two))
 	saturateAll(t, g)
 	if g.Find(mul) != g.Find(shl) {
 		t.Error("x*4 and x<<2 not merged")
@@ -177,9 +183,9 @@ func TestShiftOverflowAndZero(t *testing.T) {
 	g := New()
 	x := leaf(g, "x", 8)
 	k9 := g.Add(Node{Op: OpConst, Width: 4, Val: 9})
-	over := g.Add(cellNode(rtlil.CellShl, 8, x, k9))
+	over := g.Add(cellNode(OpShl, 8, x, k9))
 	zero := g.Add(Node{Op: OpConst, Width: 4, Val: 0})
-	ident := g.Add(cellNode(rtlil.CellShr, 8, x, zero))
+	ident := g.Add(cellNode(OpShr, 8, x, zero))
 	saturateAll(t, g)
 	if v, ok := g.constOf(over); !ok || v != 0 {
 		t.Errorf("x<<9 at width 8 = (%d, %v), want (0, true)", v, ok)
@@ -192,9 +198,9 @@ func TestShiftOverflowAndZero(t *testing.T) {
 func TestCompareCanonicalization(t *testing.T) {
 	g := New()
 	a, b := leaf(g, "a", 8), leaf(g, "b", 8)
-	gt := g.Add(cellNode(rtlil.CellGt, 8, a, b))
-	lt := g.Add(cellNode(rtlil.CellLt, 8, b, a))
-	ltSelf := g.Add(cellNode(rtlil.CellLt, 8, a, a))
+	gt := g.Add(cellNode(OpGt, 8, a, b))
+	lt := g.Add(cellNode(OpLt, 8, b, a))
+	ltSelf := g.Add(cellNode(OpLt, 8, a, a))
 	saturateAll(t, g)
 	if g.Find(gt) != g.Find(lt) {
 		t.Error("a>b and b<a not merged")
@@ -207,9 +213,9 @@ func TestCompareCanonicalization(t *testing.T) {
 func TestNotNotAndXnor(t *testing.T) {
 	g := New()
 	a, b := leaf(g, "a", 8), leaf(g, "b", 8)
-	nn := g.Add(cellNode(rtlil.CellNot, 8, g.Add(cellNode(rtlil.CellNot, 8, a))))
-	xnor := g.Add(cellNode(rtlil.CellXnor, 8, a, b))
-	notXor := g.Add(cellNode(rtlil.CellNot, 8, g.Add(cellNode(rtlil.CellXor, 8, a, b))))
+	nn := g.Add(cellNode(OpNot, 8, g.Add(cellNode(OpNot, 8, a))))
+	xnor := g.Add(cellNode(OpXnor, 8, a, b))
+	notXor := g.Add(cellNode(OpNot, 8, g.Add(cellNode(OpXor, 8, a, b))))
 	saturateAll(t, g)
 	if g.Find(nn) != g.Find(a) {
 		t.Error("~~a not merged with a")
@@ -227,7 +233,7 @@ func TestSaturateNodeBudget(t *testing.T) {
 	}
 	acc := ids[0]
 	for _, id := range ids[1:] {
-		acc = g.Add(cellNode(rtlil.CellAdd, 8, acc, id))
+		acc = g.Add(cellNode(OpAdd, 8, acc, id))
 	}
 	rules, _ := ParseRules("all")
 	limit := g.NodeCount() + 5
@@ -242,13 +248,13 @@ func TestSaturateNodeBudget(t *testing.T) {
 func TestDivIsOpaque(t *testing.T) {
 	g := New()
 	a, b := leaf(g, "a", 8), leaf(g, "b", 8)
-	d1 := g.Add(cellNode(rtlil.CellDiv, 8, a, b))
-	d2 := g.Add(cellNode(rtlil.CellDiv, 8, a, b))
+	d1 := g.Add(cellNode(OpDiv, 8, a, b))
+	d2 := g.Add(cellNode(OpDiv, 8, a, b))
 	if d1 != d2 {
 		t.Error("identical $div nodes not hash-consed")
 	}
 	c2 := g.Add(Node{Op: OpConst, Width: 8, Val: 2})
-	dc := g.Add(cellNode(rtlil.CellDiv, 8, a, c2))
+	dc := g.Add(cellNode(OpDiv, 8, a, c2))
 	saturateAll(t, g)
 	if _, ok := g.constOf(g.Find(dc)); ok {
 		t.Error("$div by constant was folded; it must stay opaque")
@@ -284,19 +290,19 @@ func TestCostModelConstOperandsCheaper(t *testing.T) {
 	cm := NewCostModel()
 	x := kidSpec{width: 8}
 	constK := kidSpec{width: 8, isConst: true, val: 13}
-	mulVar := cm.NodeCost(Node{Op: Op(rtlil.CellMul), Width: 8}, []kidSpec{x, x})
-	mulConst := cm.NodeCost(Node{Op: Op(rtlil.CellMul), Width: 8}, []kidSpec{x, constK})
+	mulVar := cm.NodeCost(Node{Op: OpMul, Width: 8}, [2]kidSpec{x, x})
+	mulConst := cm.NodeCost(Node{Op: OpMul, Width: 8}, [2]kidSpec{x, constK})
 	if mulConst >= mulVar {
 		t.Errorf("mul by constant (%d) not cheaper than variable mul (%d)", mulConst, mulVar)
 	}
-	div := cm.NodeCost(Node{Op: Op(rtlil.CellDiv), Width: 8}, []kidSpec{x, x})
+	div := cm.NodeCost(Node{Op: OpDiv, Width: 8}, [2]kidSpec{x, x})
 	if div <= mulVar {
 		t.Errorf("$div (%d) not priced above $mul (%d)", div, mulVar)
 	}
-	if c := cm.NodeCost(Node{Op: OpLeaf, Width: 8}, nil); c != 0 {
+	if c := cm.NodeCost(Node{Op: OpLeaf, Width: 8}, [2]kidSpec{}); c != 0 {
 		t.Errorf("leaf cost = %d, want 0", c)
 	}
-	if c := cm.NodeCost(Node{Op: OpResize, Width: 8}, []kidSpec{x}); c < 1 {
+	if c := cm.NodeCost(Node{Op: OpResize, Width: 8}, [2]kidSpec{x}); c < 1 {
 		t.Errorf("resize cost = %d, want >= 1 (acyclic extraction)", c)
 	}
 }
@@ -305,9 +311,9 @@ func TestExtractionDeterministic(t *testing.T) {
 	build := func() (*EGraph, ClassID) {
 		g := New()
 		a, b, c := leaf(g, "a", 8), leaf(g, "b", 8), leaf(g, "c", 8)
-		sum := g.Add(cellNode(rtlil.CellAdd, 8,
-			g.Add(cellNode(rtlil.CellMul, 8, a, b)),
-			g.Add(cellNode(rtlil.CellMul, 8, a, c))))
+		sum := g.Add(cellNode(OpAdd, 8,
+			g.Add(cellNode(OpMul, 8, a, b)),
+			g.Add(cellNode(OpMul, 8, a, c))))
 		saturateAll(t, g)
 		return g, sum
 	}
@@ -315,9 +321,85 @@ func TestExtractionDeterministic(t *testing.T) {
 	g2, s2 := build()
 	e1, e2 := Extract(g1, NewCostModel()), Extract(g2, NewCostModel())
 	if k1, k2 := e1.Node(s1).key(), e2.Node(s2).key(); k1 != k2 {
-		t.Errorf("extraction differs across identical runs: %q vs %q", k1, k2)
+		t.Errorf("extraction differs across identical runs: %+v vs %+v", k1, k2)
 	}
 	if c1, c2 := e1.TotalCost([]ClassID{s1}), e2.TotalCost([]ClassID{s2}); c1 != c2 {
 		t.Errorf("total cost differs across identical runs: %d vs %d", c1, c2)
+	}
+}
+
+// signature is the string hash-cons key nodes were interned under
+// before keys became node values, kept here as the reference the value
+// key must agree with: operator, width, signedness, then the constant
+// payload or the leaf's canonical signal render, then the children.
+func signature(g *EGraph, n Node) string {
+	var b strings.Builder
+	b.WriteString(n.Op.String())
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(n.Width))
+	if n.Signed {
+		b.WriteString("|s")
+	}
+	switch n.Op {
+	case OpConst:
+		b.WriteByte('#')
+		b.WriteString(strconv.FormatUint(n.Val, 16))
+	case OpLeaf:
+		b.WriteByte('@')
+		b.WriteString(g.leaves[n.Leaf].String())
+	}
+	for _, k := range n.kids() {
+		b.WriteByte(',')
+		b.WriteString(strconv.Itoa(int(k)))
+	}
+	return b.String()
+}
+
+// TestNodeKeyMatchesSignature: over every operator, widths 1/8/64,
+// both signedness values, the operator's 0-2 children (plus stray ids
+// in the unused kid slots), several leaves and a stray Val and leaf
+// index on the nodes that do not use them, two nodes share a key
+// exactly when their reference signatures are equal.
+func TestNodeKeyMatchesSignature(t *testing.T) {
+	g := New()
+	m := rtlil.NewModule("t")
+	var leaves []int32
+	for _, w := range []int{1, 8, 64} {
+		for _, name := range []string{"a", "b"} {
+			sig := m.AddInput(name+strconv.Itoa(w), w).Bits()
+			leaves = append(leaves, g.leaf(sig.String(), sig).Leaf)
+		}
+	}
+	wide := m.AddInput("c", 64).Bits()
+	leaves = append(leaves, g.leaf(wide[8:16].String(), wide[8:16]).Leaf)
+
+	bySig := map[string]Node{}
+	byKey := map[Node]string{}
+	n := 0
+	for op := Op(0); op < numOps; op++ {
+		for _, w := range []int{1, 8, 64} {
+			for _, signed := range []bool{false, true} {
+				for _, kids := range [][2]ClassID{{0, 0}, {0, 1}, {1, 0}, {2, 2}, {1, 2}} {
+					for _, val := range []uint64{0, 1, 0xff, 1 << 63} {
+						for _, lf := range leaves {
+							node := Node{Op: op, Width: w, Signed: signed, Kids: kids, Val: val, Leaf: lf}
+							sig, key := signature(g, node), node.key()
+							if k, ok := bySig[sig]; ok && k != key {
+								t.Fatalf("signature %q has keys %+v and %+v", sig, k, key)
+							}
+							if s, ok := byKey[key]; ok && s != sig {
+								t.Fatalf("key %+v has signatures %q and %q", key, s, sig)
+							}
+							bySig[sig], byKey[key] = key, sig
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(bySig) != len(byKey) || len(bySig) == n {
+		t.Fatalf("%d nodes gave %d signatures and %d keys; want equal counts below the node count",
+			n, len(bySig), len(byKey))
 	}
 }

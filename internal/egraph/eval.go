@@ -1,7 +1,5 @@
 package egraph
 
-import "repro/internal/rtlil"
-
 // mask returns the low-w-bit mask (w in 1..64).
 func mask(w int) uint64 {
 	if w >= 64 {
@@ -10,29 +8,20 @@ func mask(w int) uint64 {
 	return (uint64(1) << uint(w)) - 1
 }
 
-// foldable reports whether constant folding understands the operator.
-// $div is excluded on purpose: its x-producing division-by-zero case
-// has no two-valued constant story, and the pass treats it as opaque.
-func foldable(op Op) bool {
-	switch rtlil.CellType(op) {
-	case rtlil.CellAdd, rtlil.CellSub, rtlil.CellMul,
-		rtlil.CellAnd, rtlil.CellOr, rtlil.CellXor, rtlil.CellXnor,
-		rtlil.CellNot, rtlil.CellNeg,
-		rtlil.CellShl, rtlil.CellShr,
-		rtlil.CellEq, rtlil.CellNe, rtlil.CellLt, rtlil.CellLe,
-		rtlil.CellGt, rtlil.CellGe:
-		return true
-	}
-	return op == OpResize
-}
+// foldOps is the set of operators constant folding understands. $div
+// is excluded on purpose: its x-producing division-by-zero case has no
+// two-valued constant story, and the pass treats it as opaque.
+var foldOps = opsOf(OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpXnor,
+	OpNot, OpNeg, OpShl, OpShr, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpResize)
 
-// evalOp computes the node's value from constant child values,
-// mirroring the canonical cell semantics of internal/aig and
-// internal/sim: arithmetic/bitwise operate mod 2^Width, comparisons at
-// the operand width with a 1-bit result, shifts zero-fill and overflow
-// to zero. Child values must already be reduced mod their own width.
-func evalOp(op Op, width int, kids []uint64) (uint64, bool) {
-	if width > 64 || width < 1 || !foldable(op) {
+// evalOp computes the node's value from constant child values (slots
+// past the operator's arity are ignored), mirroring the canonical cell
+// semantics of internal/aig and internal/sim: arithmetic/bitwise
+// operate mod 2^Width, comparisons at the operand width with a 1-bit
+// result, shifts zero-fill and overflow to zero. Child values must
+// already be reduced mod their own width.
+func evalOp(op Op, width int, kids [2]uint64) (uint64, bool) {
+	if width > 64 || width < 1 || !foldOps.has(op) {
 		return 0, false
 	}
 	m := mask(width)
@@ -42,49 +31,48 @@ func evalOp(op Op, width int, kids []uint64) (uint64, bool) {
 		}
 		return 0, true
 	}
-	switch rtlil.CellType(op) {
-	case rtlil.CellAdd:
+	switch op {
+	case OpAdd:
 		return (kids[0] + kids[1]) & m, true
-	case rtlil.CellSub:
+	case OpSub:
 		return (kids[0] - kids[1]) & m, true
-	case rtlil.CellMul:
+	case OpMul:
 		return (kids[0] * kids[1]) & m, true
-	case rtlil.CellAnd:
+	case OpAnd:
 		return kids[0] & kids[1], true
-	case rtlil.CellOr:
+	case OpOr:
 		return kids[0] | kids[1], true
-	case rtlil.CellXor:
+	case OpXor:
 		return kids[0] ^ kids[1], true
-	case rtlil.CellXnor:
+	case OpXnor:
 		return ^(kids[0] ^ kids[1]) & m, true
-	case rtlil.CellNot:
+	case OpNot:
 		return ^kids[0] & m, true
-	case rtlil.CellNeg:
+	case OpNeg:
 		return (-kids[0]) & m, true
-	case rtlil.CellShl:
+	case OpShl:
 		if kids[1] >= uint64(width) {
 			return 0, true
 		}
 		return (kids[0] << kids[1]) & m, true
-	case rtlil.CellShr:
+	case OpShr:
 		if kids[1] >= uint64(width) {
 			return 0, true
 		}
 		return (kids[0] >> kids[1]) & m, true
-	case rtlil.CellEq:
+	case OpEq:
 		return one(kids[0] == kids[1])
-	case rtlil.CellNe:
+	case OpNe:
 		return one(kids[0] != kids[1])
-	case rtlil.CellLt:
+	case OpLt:
 		return one(kids[0] < kids[1])
-	case rtlil.CellLe:
+	case OpLe:
 		return one(kids[0] <= kids[1])
-	case rtlil.CellGt:
+	case OpGt:
 		return one(kids[0] > kids[1])
-	case rtlil.CellGe:
+	case OpGe:
 		return one(kids[0] >= kids[1])
-	}
-	if op == OpResize {
+	case OpResize:
 		return kids[0] & m, true
 	}
 	return 0, false

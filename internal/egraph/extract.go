@@ -17,12 +17,13 @@ func satAdd(a, b int64) int64 {
 // Extraction is the result of cost-based extraction: for every
 // realizable class, the cheapest derivation (a node index) and its
 // total cost including children (shared children counted per path; use
-// TotalCost for the DAG-shared figure).
+// TotalCost for the DAG-shared figure). Both are indexed by canonical
+// class ID and cover the classes that existed when Extract ran.
 type Extraction struct {
 	g      *EGraph
 	cm     *CostModel
-	cost   map[ClassID]int64
-	choice map[ClassID]int
+	cost   []int64
+	choice []int
 }
 
 // Extract computes the cheapest derivation of every class by a
@@ -36,8 +37,8 @@ func Extract(g *EGraph, cm *CostModel) *Extraction {
 	e := &Extraction{
 		g:      g,
 		cm:     cm,
-		cost:   map[ClassID]int64{},
-		choice: map[ClassID]int{},
+		cost:   make([]int64, len(g.classes)),
+		choice: make([]int, len(g.classes)),
 	}
 	ids := g.ClassIDs()
 	for _, id := range ids {
@@ -66,24 +67,11 @@ func Extract(g *EGraph, cm *CostModel) *Extraction {
 // costs of its children (tree-counted; the fixpoint only needs a
 // monotone bound).
 func (e *Extraction) derivationCost(n Node) int64 {
-	total := e.cm.NodeCost(n, e.kidSpecs(n))
-	for _, k := range n.Kids {
+	total := e.cm.NodeCost(n, e.g.kidSpecs(n))
+	for _, k := range n.kids() {
 		total = satAdd(total, e.cost[e.g.Find(k)])
 	}
 	return total
-}
-
-// kidSpecs describes the node's operands for the cost model.
-func (e *Extraction) kidSpecs(n Node) []kidSpec {
-	if len(n.Kids) == 0 {
-		return nil
-	}
-	specs := make([]kidSpec, len(n.Kids))
-	for i, k := range n.Kids {
-		c := e.g.Class(k)
-		specs[i] = kidSpec{width: c.width, isConst: c.hasConst, val: c.constVal}
-	}
-	return specs
 }
 
 // Realizable reports whether the class has a finite-cost derivation.
@@ -102,7 +90,7 @@ func (e *Extraction) Node(id ClassID) Node {
 // excluding children.
 func (e *Extraction) NodeBaseCost(id ClassID) int64 {
 	n := e.Node(id)
-	return e.cm.NodeCost(n, e.kidSpecs(n))
+	return e.cm.NodeCost(n, e.g.kidSpecs(n))
 }
 
 // TotalCost sums the intrinsic costs of every class in the chosen
@@ -124,7 +112,8 @@ func (e *Extraction) TotalCost(roots []ClassID) int64 {
 			return
 		}
 		total = satAdd(total, e.NodeBaseCost(id))
-		for _, k := range e.Node(id).Kids {
+		n := e.Node(id)
+		for _, k := range n.kids() {
 			visit(k)
 		}
 	}

@@ -24,12 +24,18 @@ type Rewrite struct {
 	ext *Extraction
 	// decisions is keyed by post-saturation canonical class ID.
 	decisions map[ClassID]decision
-	// origByKey maps canonical class -> chosen-node key -> the first
-	// (topo-order) region cell realizing that exact node.
-	origByKey map[ClassID]map[string]*regionCell
+	// orig maps a canonical class and node key to the first
+	// (topo-order) region cell realizing that exact node in that class.
+	orig map[classNode]*regionCell
 	// Rewired lists the root cells whose Y gets a new driver, in
 	// ingestion order.
 	Rewired []*regionCell
+}
+
+// classNode is a node key within one canonical class.
+type classNode struct {
+	node Node
+	cls  ClassID
 }
 
 // Plan decides, after saturation and extraction, how every root cone is
@@ -39,17 +45,13 @@ func Plan(b *Builder, ext *Extraction) *Rewrite {
 		b:         b,
 		ext:       ext,
 		decisions: map[ClassID]decision{},
-		origByKey: map[ClassID]map[string]*regionCell{},
+		orig:      map[classNode]*regionCell{},
 	}
 	g := b.g
 	for _, rc := range b.cells {
-		cls := g.Find(rc.cls)
-		key := g.canonicalize(rc.node).key()
-		if rw.origByKey[cls] == nil {
-			rw.origByKey[cls] = map[string]*regionCell{}
-		}
-		if _, ok := rw.origByKey[cls][key]; !ok {
-			rw.origByKey[cls][key] = rc
+		key := classNode{node: g.canonicalize(rc.node), cls: g.Find(rc.cls)}
+		if _, ok := rw.orig[key]; !ok {
+			rw.orig[key] = rc
 		}
 	}
 	for _, rc := range b.Roots() {
@@ -74,14 +76,14 @@ func (rw *Rewrite) decide(cls ClassID) {
 		return
 	}
 	n := rw.ext.Node(cls)
-	if rtlil.IsUnary(rtlil.CellType(n.Op)) || rtlil.IsBinary(rtlil.CellType(n.Op)) {
-		if rc := rw.origByKey[cls][n.key()]; rc != nil {
+	if n.Op.isCell() {
+		if rc := rw.orig[classNode{node: n, cls: cls}]; rc != nil {
 			rw.decisions[cls] = decision{reuse: rc}
 			return
 		}
 	}
 	rw.decisions[cls] = decision{node: n}
-	for _, k := range n.Kids {
+	for _, k := range n.kids() {
 		rw.decide(k)
 	}
 }
@@ -198,11 +200,12 @@ func (cb *coneBuilder) newCone(cls ClassID) rtlil.SigSpec {
 		case OpResize:
 			s = cb.newCone(d.node.Kids[0]).Resize(d.node.Width, false)
 		default:
-			operands := make([]rtlil.SigSpec, len(d.node.Kids))
-			for i, k := range d.node.Kids {
+			kids := d.node.kids()
+			operands := make([]rtlil.SigSpec, len(kids))
+			for i, k := range kids {
 				operands[i] = cb.newCone(k)
 			}
-			s = cb.emit(rtlil.CellType(d.node.Op), d.node.valueWidth(), operands)
+			s = cb.emit(d.node.Op.cell(), d.node.valueWidth(), operands)
 		}
 	}
 	cb.newSig[cls] = s
@@ -241,7 +244,7 @@ func (rw *Rewrite) newLeaves(cls ClassID, seen map[ClassID]bool, cells map[*regi
 		out[cls] = true
 		return
 	}
-	for _, k := range d.node.Kids {
+	for _, k := range d.node.kids() {
 		rw.newLeaves(k, seen, cells, out)
 	}
 }
@@ -272,7 +275,7 @@ func (rw *Rewrite) newCellsOf(cls ClassID, seen map[ClassID]bool, out map[*regio
 		rw.oldCellsOf(d.reuse, out)
 		return
 	}
-	for _, k := range d.node.Kids {
+	for _, k := range d.node.kids() {
 		rw.newCellsOf(k, seen, out)
 	}
 }
@@ -369,13 +372,14 @@ func (rw *Rewrite) Apply() int {
 			case OpConst:
 				s = rtlil.Const(d.node.Val, d.node.Width)
 			case OpLeaf:
-				s = d.node.Sig
+				s = rw.b.g.leaves[d.node.Leaf]
 			case OpResize:
 				s = materialize(d.node.Kids[0]).Resize(d.node.Width, false)
 			default:
-				t := rtlil.CellType(d.node.Op)
-				operands := make([]rtlil.SigSpec, len(d.node.Kids))
-				for i, k := range d.node.Kids {
+				t := d.node.Op.cell()
+				kids := d.node.kids()
+				operands := make([]rtlil.SigSpec, len(kids))
+				for i, k := range kids {
 					operands[i] = materialize(k)
 				}
 				y := m.NewWireHint("egraph", d.node.valueWidth()).Bits()

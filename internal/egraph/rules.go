@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-
-	"repro/internal/rtlil"
 )
 
 // A Rule inspects one e-node and, when it matches, adds an equivalent
@@ -19,6 +17,9 @@ import (
 type Rule struct {
 	Name  string
 	Group string
+	// ops is the set of operators the rule matches: Saturate calls
+	// Apply only on nodes whose operator is in it.
+	ops   opSet
 	Apply func(g *EGraph, id ClassID, n Node) int
 }
 
@@ -85,9 +86,6 @@ func RuleNames() map[string][]string {
 	return out
 }
 
-// opIs reports the node's cell operator.
-func opIs(n Node, t rtlil.CellType) bool { return rtlil.CellType(n.Op) == t }
-
 // matchScanLimit bounds how many nodes of a class a single rule match
 // may enumerate. After heavy merging a class can hold thousands of
 // nodes — and even be its own kid — which makes unbounded enumeration
@@ -128,56 +126,24 @@ func unionWith(g *EGraph, id ClassID, n Node) int {
 	return 0
 }
 
-// commutative cell operators (operand order is irrelevant).
-func isCommutative(t rtlil.CellType) bool {
-	switch t {
-	case rtlil.CellAdd, rtlil.CellMul, rtlil.CellAnd, rtlil.CellOr,
-		rtlil.CellXor, rtlil.CellXnor, rtlil.CellEq, rtlil.CellNe:
-		return true
-	}
-	return false
-}
-
-// associative cell operators.
-func isAssociative(t rtlil.CellType) bool {
-	switch t {
-	case rtlil.CellAdd, rtlil.CellMul, rtlil.CellAnd, rtlil.CellOr, rtlil.CellXor:
-		return true
-	}
-	return false
-}
-
-// groupOf maps an operator to its rule group (for comm/assoc rules that
-// span groups).
-func groupOf(t rtlil.CellType) string {
-	switch t {
-	case rtlil.CellAdd, rtlil.CellSub, rtlil.CellMul, rtlil.CellNeg:
-		return GroupArith
-	case rtlil.CellAnd, rtlil.CellOr, rtlil.CellXor, rtlil.CellXnor, rtlil.CellNot:
-		return GroupBitwise
-	case rtlil.CellShl, rtlil.CellShr:
-		return GroupShift
-	case rtlil.CellEq, rtlil.CellNe, rtlil.CellLt, rtlil.CellLe, rtlil.CellGt, rtlil.CellGe:
-		return GroupCmp
-	}
-	return ""
-}
+// Operators whose operand order, and whose grouping, is irrelevant.
+var (
+	commutativeOps = opsOf(OpAdd, OpMul, OpAnd, OpOr, OpXor, OpXnor, OpEq, OpNe)
+	associativeOps = opsOf(OpAdd, OpMul, OpAnd, OpOr, OpXor)
+)
 
 // ruleLibrary builds the full rule set. Rules are cheap closures; the
 // library is rebuilt per call so rules carry no shared state.
 func ruleLibrary() []Rule {
 	var rules []Rule
-	add := func(name, group string, apply func(g *EGraph, id ClassID, n Node) int) {
-		rules = append(rules, Rule{Name: name, Group: group, Apply: apply})
+	add := func(name, group string, ops opSet, apply func(g *EGraph, id ClassID, n Node) int) {
+		rules = append(rules, Rule{Name: name, Group: group, ops: ops, Apply: apply})
 	}
 
 	// --- structural (always on) ---------------------------------------
 
 	// resize(w, x) with width(x) == w is the identity.
-	add("resize_identity", "", func(g *EGraph, id ClassID, n Node) int {
-		if n.Op != OpResize {
-			return 0
-		}
+	add("resize_identity", "", opsOf(OpResize), func(g *EGraph, id ClassID, n Node) int {
 		kid := g.Find(n.Kids[0])
 		if g.Class(kid).width != n.Width {
 			return 0
@@ -189,14 +155,11 @@ func ruleLibrary() []Rule {
 	})
 	// resize(w1, resize(w2, x)) == resize(w1, x) when w1 <= w2
 	// (truncation composes; zero-extension below w1 does not).
-	add("resize_resize", "", func(g *EGraph, id ClassID, n Node) int {
-		if n.Op != OpResize {
-			return 0
-		}
+	add("resize_resize", "", opsOf(OpResize), func(g *EGraph, id ClassID, n Node) int {
 		applied := 0
 		for _, inner := range matchNodes(g, n.Kids[0]) {
 			if inner.Op == OpResize && n.Width <= inner.Width {
-				applied += unionWith(g, id, Node{Op: OpResize, Width: n.Width, Kids: []ClassID{inner.Kids[0]}})
+				applied += unionWith(g, id, un(OpResize, n.Width, inner.Kids[0]))
 			}
 		}
 		return applied
@@ -204,22 +167,14 @@ func ruleLibrary() []Rule {
 
 	// --- commutativity / associativity --------------------------------
 
-	add("commute", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		t := rtlil.CellType(n.Op)
-		if !isCommutative(t) {
-			return 0
-		}
+	add("commute", GroupArith, commutativeOps, func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a == b {
 			return 0
 		}
-		return unionWith(g, id, Node{Op: n.Op, Width: n.Width, Kids: []ClassID{b, a}})
+		return unionWith(g, id, bin(n.Op, n.Width, b, a))
 	})
-	add("associate", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		t := rtlil.CellType(n.Op)
-		if !isAssociative(t) {
-			return 0
-		}
+	add("associate", GroupArith, associativeOps, func(g *EGraph, id ClassID, n Node) int {
 		// (x ∘ y) ∘ z  ->  x ∘ (y ∘ z)
 		applied := 0
 		a, z := binKids(g, n)
@@ -228,8 +183,8 @@ func ruleLibrary() []Rule {
 				continue
 			}
 			x, y := binKids(g, inner)
-			yz := g.Add(Node{Op: n.Op, Width: n.Width, Kids: []ClassID{y, z}})
-			applied += unionWith(g, id, Node{Op: n.Op, Width: n.Width, Kids: []ClassID{x, yz}})
+			yz := g.Add(bin(n.Op, n.Width, y, z))
+			applied += unionWith(g, id, bin(n.Op, n.Width, x, yz))
 		}
 		return applied
 	})
@@ -238,31 +193,28 @@ func ruleLibrary() []Rule {
 
 	// a*b + a*c -> a*(b+c), checking every operand pairing (the shared
 	// factor may sit on either side of either multiply).
-	add("distrib_factor", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellAdd) {
-			return 0
-		}
+	add("distrib_factor", GroupArith, opsOf(OpAdd), func(g *EGraph, id ClassID, n Node) int {
 		l, r := binKids(g, n)
 		applied := 0
 		for _, ln := range matchNodes(g, l) {
-			if !opIs(ln, rtlil.CellMul) {
+			if ln.Op != OpMul {
 				continue
 			}
 			la, lb := binKids(g, ln)
 			for _, rn := range matchNodes(g, r) {
-				if !opIs(rn, rtlil.CellMul) {
+				if rn.Op != OpMul {
 					continue
 				}
 				ra, rb := binKids(g, rn)
-				for _, pair := range [][4]ClassID{
+				for _, pair := range [...][4]ClassID{
 					{la, lb, ra, rb}, {la, lb, rb, ra},
 					{lb, la, ra, rb}, {lb, la, rb, ra},
 				} {
 					if pair[0] != pair[2] {
 						continue
 					}
-					sum := g.Add(Node{Op: Op(rtlil.CellAdd), Width: n.Width, Kids: []ClassID{pair[1], pair[3]}})
-					applied += unionWith(g, id, Node{Op: Op(rtlil.CellMul), Width: n.Width, Kids: []ClassID{pair[0], sum}})
+					sum := g.Add(bin(OpAdd, n.Width, pair[1], pair[3]))
+					applied += unionWith(g, id, bin(OpMul, n.Width, pair[0], sum))
 				}
 			}
 		}
@@ -270,21 +222,18 @@ func ruleLibrary() []Rule {
 	})
 	// a*(b+c) -> a*b + a*c (the expansion direction feeds further
 	// factorings; extraction keeps whichever form is cheaper).
-	add("distrib_expand", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellMul) {
-			return 0
-		}
+	add("distrib_expand", GroupArith, opsOf(OpMul), func(g *EGraph, id ClassID, n Node) int {
 		a, s := binKids(g, n)
 		applied := 0
 		expand := func(a, s ClassID) {
 			for _, sn := range matchNodes(g, s) {
-				if !opIs(sn, rtlil.CellAdd) {
+				if sn.Op != OpAdd {
 					continue
 				}
 				b, c := binKids(g, sn)
-				ab := g.Add(Node{Op: Op(rtlil.CellMul), Width: n.Width, Kids: []ClassID{a, b}})
-				ac := g.Add(Node{Op: Op(rtlil.CellMul), Width: n.Width, Kids: []ClassID{a, c}})
-				applied += unionWith(g, id, Node{Op: Op(rtlil.CellAdd), Width: n.Width, Kids: []ClassID{ab, ac}})
+				ab := g.Add(bin(OpMul, n.Width, a, b))
+				ac := g.Add(bin(OpMul, n.Width, a, c))
+				applied += unionWith(g, id, bin(OpAdd, n.Width, ab, ac))
 			}
 		}
 		expand(a, s)
@@ -294,10 +243,7 @@ func ruleLibrary() []Rule {
 		return applied
 	})
 	// x - x -> 0.
-	add("sub_self", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellSub) {
-			return 0
-		}
+	add("sub_self", GroupArith, opsOf(OpSub), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
@@ -308,20 +254,13 @@ func ruleLibrary() []Rule {
 		return 0
 	})
 	// x - y -> x + (-y): bridges sub into the add/mul rule space.
-	add("sub_to_add", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellSub) {
-			return 0
-		}
+	add("sub_to_add", GroupArith, opsOf(OpSub), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
-		nb := g.Add(Node{Op: Op(rtlil.CellNeg), Width: n.Width, Kids: []ClassID{b}})
-		return unionWith(g, id, Node{Op: Op(rtlil.CellAdd), Width: n.Width, Kids: []ClassID{a, nb}})
+		nb := g.Add(un(OpNeg, n.Width, b))
+		return unionWith(g, id, bin(OpAdd, n.Width, a, nb))
 	})
 	// x + 0 -> x, x - 0 -> x, x * 1 -> x, x * 0 -> 0.
-	add("arith_identity", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		t := rtlil.CellType(n.Op)
-		if t != rtlil.CellAdd && t != rtlil.CellSub && t != rtlil.CellMul {
-			return 0
-		}
+	add("arith_identity", GroupArith, opsOf(OpAdd, OpSub, OpMul), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		applied := 0
 		try := func(x, c ClassID) {
@@ -330,32 +269,29 @@ func ruleLibrary() []Rule {
 				return
 			}
 			switch {
-			case v == 0 && t != rtlil.CellMul:
+			case v == 0 && n.Op != OpMul:
 				if g.Union(id, x) {
 					applied++
 				}
-			case v == 0 && t == rtlil.CellMul:
+			case v == 0 && n.Op == OpMul:
 				if g.Union(id, addConst(g, 0, n.Width)) {
 					applied++
 				}
-			case v == 1 && t == rtlil.CellMul:
+			case v == 1 && n.Op == OpMul:
 				if g.Union(id, x) {
 					applied++
 				}
 			}
 		}
 		try(a, b)
-		if t != rtlil.CellSub {
+		if n.Op != OpSub {
 			try(b, a)
 		}
 		return applied
 	})
 	// x + x -> x * 2 (which mul_to_shl turns into x << 1; at width 1 the
 	// doubling wraps to zero).
-	add("add_self", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellAdd) {
-			return 0
-		}
+	add("add_self", GroupArith, opsOf(OpAdd), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
@@ -367,16 +303,13 @@ func ruleLibrary() []Rule {
 			return 0
 		}
 		two := addConst(g, 2, n.Width)
-		return unionWith(g, id, Node{Op: Op(rtlil.CellMul), Width: n.Width, Kids: []ClassID{a, two}})
+		return unionWith(g, id, bin(OpMul, n.Width, a, two))
 	})
 	// -(-x) -> x.
-	add("neg_neg", GroupArith, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellNeg) {
-			return 0
-		}
+	add("neg_neg", GroupArith, opsOf(OpNeg), func(g *EGraph, id ClassID, n Node) int {
 		applied := 0
 		for _, inner := range matchNodes(g, n.Kids[0]) {
-			if opIs(inner, rtlil.CellNeg) {
+			if inner.Op == OpNeg {
 				if g.Union(id, inner.Kids[0]) {
 					applied++
 				}
@@ -388,27 +321,21 @@ func ruleLibrary() []Rule {
 	// --- bitwise -------------------------------------------------------
 
 	// x&x -> x, x|x -> x, x^x -> 0, xnor(x,x) -> ~0.
-	add("bitwise_self", GroupBitwise, func(g *EGraph, id ClassID, n Node) int {
-		a, b := ClassID(0), ClassID(0)
-		switch rtlil.CellType(n.Op) {
-		case rtlil.CellAnd, rtlil.CellOr, rtlil.CellXor, rtlil.CellXnor:
-			a, b = binKids(g, n)
-		default:
-			return 0
-		}
+	add("bitwise_self", GroupBitwise, opsOf(OpAnd, OpOr, OpXor, OpXnor), func(g *EGraph, id ClassID, n Node) int {
+		a, b := binKids(g, n)
 		if a != b {
 			return 0
 		}
-		switch rtlil.CellType(n.Op) {
-		case rtlil.CellAnd, rtlil.CellOr:
+		switch n.Op {
+		case OpAnd, OpOr:
 			if g.Union(id, a) {
 				return 1
 			}
-		case rtlil.CellXor:
+		case OpXor:
 			if g.Union(id, addConst(g, 0, n.Width)) {
 				return 1
 			}
-		case rtlil.CellXnor:
+		case OpXnor:
 			if g.Union(id, addConst(g, mask(n.Width), n.Width)) {
 				return 1
 			}
@@ -416,11 +343,7 @@ func ruleLibrary() []Rule {
 		return 0
 	})
 	// x&0 -> 0, x&~0 -> x, x|0 -> x, x|~0 -> ~0, x^0 -> x.
-	add("bitwise_identity", GroupBitwise, func(g *EGraph, id ClassID, n Node) int {
-		t := rtlil.CellType(n.Op)
-		if t != rtlil.CellAnd && t != rtlil.CellOr && t != rtlil.CellXor {
-			return 0
-		}
+	add("bitwise_identity", GroupBitwise, opsOf(OpAnd, OpOr, OpXor), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		applied := 0
 		try := func(x, c ClassID) {
@@ -430,7 +353,7 @@ func ruleLibrary() []Rule {
 			}
 			ones := mask(n.Width)
 			switch {
-			case v == 0 && t == rtlil.CellAnd:
+			case v == 0 && n.Op == OpAnd:
 				if g.Union(id, addConst(g, 0, n.Width)) {
 					applied++
 				}
@@ -438,11 +361,11 @@ func ruleLibrary() []Rule {
 				if g.Union(id, x) {
 					applied++
 				}
-			case v == ones && t == rtlil.CellAnd:
+			case v == ones && n.Op == OpAnd:
 				if g.Union(id, x) {
 					applied++
 				}
-			case v == ones && t == rtlil.CellOr:
+			case v == ones && n.Op == OpOr:
 				if g.Union(id, addConst(g, ones, n.Width)) {
 					applied++
 				}
@@ -453,13 +376,10 @@ func ruleLibrary() []Rule {
 		return applied
 	})
 	// ~~x -> x.
-	add("not_not", GroupBitwise, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellNot) {
-			return 0
-		}
+	add("not_not", GroupBitwise, opsOf(OpNot), func(g *EGraph, id ClassID, n Node) int {
 		applied := 0
 		for _, inner := range matchNodes(g, n.Kids[0]) {
-			if opIs(inner, rtlil.CellNot) {
+			if inner.Op == OpNot {
 				if g.Union(id, inner.Kids[0]) {
 					applied++
 				}
@@ -468,23 +388,16 @@ func ruleLibrary() []Rule {
 		return applied
 	})
 	// xnor(a,b) -> ~(a^b): lets an xnor share an existing xor.
-	add("xnor_not_xor", GroupBitwise, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellXnor) {
-			return 0
-		}
+	add("xnor_not_xor", GroupBitwise, opsOf(OpXnor), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
-		x := g.Add(Node{Op: Op(rtlil.CellXor), Width: n.Width, Kids: []ClassID{a, b}})
-		return unionWith(g, id, Node{Op: Op(rtlil.CellNot), Width: n.Width, Kids: []ClassID{x}})
+		x := g.Add(bin(OpXor, n.Width, a, b))
+		return unionWith(g, id, un(OpNot, n.Width, x))
 	})
 
 	// --- shifts --------------------------------------------------------
 
 	// x << 0 -> x, x >> 0 -> x; x << k -> 0 and x >> k -> 0 for k >= w.
-	add("shift_const", GroupShift, func(g *EGraph, id ClassID, n Node) int {
-		t := rtlil.CellType(n.Op)
-		if t != rtlil.CellShl && t != rtlil.CellShr {
-			return 0
-		}
+	add("shift_const", GroupShift, opsOf(OpShl, OpShr), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		k, ok := g.constOf(b)
 		if !ok {
@@ -504,22 +417,19 @@ func ruleLibrary() []Rule {
 	})
 	// x << k -> x * 2^k for constant 0 < k < w (2^k is representable at
 	// width w exactly when k < w).
-	add("shl_to_mul", GroupShift, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellShl) {
-			return 0
-		}
+	add("shl_to_mul", GroupShift, opsOf(OpShl), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		k, ok := g.constOf(b)
 		if !ok || k == 0 || k >= uint64(n.Width) || n.Width > 64 {
 			return 0
 		}
 		c := addConst(g, uint64(1)<<k, n.Width)
-		return unionWith(g, id, Node{Op: Op(rtlil.CellMul), Width: n.Width, Kids: []ClassID{a, c}})
+		return unionWith(g, id, bin(OpMul, n.Width, a, c))
 	})
 	// x * 2^k -> x << k: the power-of-two strength reduction the paper's
 	// datapath class gains most from.
-	add("mul_to_shl", GroupShift, func(g *EGraph, id ClassID, n Node) int {
-		if !opIs(n, rtlil.CellMul) || n.Width > 64 {
+	add("mul_to_shl", GroupShift, opsOf(OpMul), func(g *EGraph, id ClassID, n Node) int {
+		if n.Width > 64 {
 			return 0
 		}
 		a, b := binKids(g, n)
@@ -535,7 +445,7 @@ func ruleLibrary() []Rule {
 			}
 			kw := bits.Len64(k)
 			sh := addConst(g, k, kw)
-			applied += unionWith(g, id, Node{Op: Op(rtlil.CellShl), Width: n.Width, Kids: []ClassID{x, sh}})
+			applied += unionWith(g, id, bin(OpShl, n.Width, x, sh))
 		}
 		try(a, b)
 		try(b, a)
@@ -545,53 +455,34 @@ func ruleLibrary() []Rule {
 	// --- comparison canonicalization ----------------------------------
 
 	// a>b -> b<a and a>=b -> b<=a: one comparator direction per pair.
-	add("cmp_swap", GroupCmp, func(g *EGraph, id ClassID, n Node) int {
-		var flip rtlil.CellType
-		switch rtlil.CellType(n.Op) {
-		case rtlil.CellGt:
-			flip = rtlil.CellLt
-		case rtlil.CellGe:
-			flip = rtlil.CellLe
-		default:
-			return 0
+	add("cmp_swap", GroupCmp, opsOf(OpGt, OpGe), func(g *EGraph, id ClassID, n Node) int {
+		flip := OpLt
+		if n.Op == OpGe {
+			flip = OpLe
 		}
 		a, b := binKids(g, n)
-		return unionWith(g, id, Node{Op: Op(flip), Width: n.Width, Kids: []ClassID{b, a}})
+		return unionWith(g, id, bin(flip, n.Width, b, a))
 	})
 	// a<=b -> ~(b<a) and a!=b -> ~(a==b): complements share the
 	// comparator through a 1-bit inverter.
-	add("cmp_complement", GroupCmp, func(g *EGraph, id ClassID, n Node) int {
-		var base rtlil.CellType
-		var kids [2]ClassID
-		a, b := ClassID(0), ClassID(0)
-		switch rtlil.CellType(n.Op) {
-		case rtlil.CellLe:
-			a, b = binKids(g, n)
-			base, kids = rtlil.CellLt, [2]ClassID{b, a}
-		case rtlil.CellNe:
-			a, b = binKids(g, n)
-			base, kids = rtlil.CellEq, [2]ClassID{a, b}
-		default:
-			return 0
+	add("cmp_complement", GroupCmp, opsOf(OpLe, OpNe), func(g *EGraph, id ClassID, n Node) int {
+		a, b := binKids(g, n)
+		inner := bin(OpEq, n.Width, a, b)
+		if n.Op == OpLe {
+			inner = bin(OpLt, n.Width, b, a)
 		}
-		inner := g.Add(Node{Op: Op(base), Width: n.Width, Kids: kids[:]})
-		return unionWith(g, id, Node{Op: Op(rtlil.CellNot), Width: 1, Kids: []ClassID{inner}})
+		return unionWith(g, id, un(OpNot, 1, g.Add(inner)))
 	})
 	// x==x -> 1, x!=x -> 0, x<x -> 0, x<=x -> 1 (gt/ge reach these via
 	// cmp_swap).
-	add("cmp_self", GroupCmp, func(g *EGraph, id ClassID, n Node) int {
-		var v uint64
-		switch rtlil.CellType(n.Op) {
-		case rtlil.CellEq, rtlil.CellLe:
-			v = 1
-		case rtlil.CellNe, rtlil.CellLt:
-			v = 0
-		default:
-			return 0
-		}
+	add("cmp_self", GroupCmp, opsOf(OpEq, OpNe, OpLt, OpLe), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
+		}
+		var v uint64
+		if n.Op == OpEq || n.Op == OpLe {
+			v = 1
 		}
 		if g.Union(id, addConst(g, v, 1)) {
 			return 1
@@ -601,15 +492,9 @@ func ruleLibrary() []Rule {
 
 	// --- constant folding ---------------------------------------------
 
-	add("const_fold", GroupFold, func(g *EGraph, id ClassID, n Node) int {
-		if !foldable(n.Op) || len(n.Kids) == 0 {
-			return 0
-		}
-		if rtlil.CellType(n.Op) == rtlil.CellDiv {
-			return 0
-		}
-		vals := make([]uint64, len(n.Kids))
-		for i, k := range n.Kids {
+	add("const_fold", GroupFold, foldOps, func(g *EGraph, id ClassID, n Node) int {
+		var vals [2]uint64
+		for i, k := range n.kids() {
 			v, ok := g.constOf(k)
 			if !ok {
 				return 0
@@ -630,9 +515,9 @@ func ruleLibrary() []Rule {
 }
 
 // Saturate runs equality saturation: every rule over every (class,
-// node) pair, rebuild, repeat — until a fixpoint, the iteration budget,
-// or the node budget. It returns the number of iterations run and the
-// total rewrites applied.
+// node) pair whose operator the rule matches, rebuild, repeat — until a
+// fixpoint, the iteration budget, or the node budget. It returns the
+// number of iterations run and the total rewrites applied.
 func Saturate(g *EGraph, rules []Rule, iters, nodeLimit int) (ranIters, applied int) {
 	for iter := 0; iter < iters; iter++ {
 		if g.NodeCount() >= nodeLimit {
@@ -648,14 +533,19 @@ func Saturate(g *EGraph, rules []Rule, iters, nodeLimit int) (ranIters, applied 
 					break
 				}
 				id = g.Find(id)
-				// Snapshot the node list: rules may grow it. The limit
-				// is re-checked per node, not just per class: rules
-				// like associativity enumerate a kid class's nodes, so
-				// one unchecked sweep over a large class can add
-				// O(class²) nodes and eat gigabytes before the outer
+				// The range reads the class's node list as the rule
+				// starts, without copying it: until Rebuild compacts the
+				// lists after the sweep, rules and unions only append to
+				// them, so the nodes the header covers never change. The
+				// limit is re-checked per node, not just per class:
+				// rules like associativity enumerate a kid class's
+				// nodes, so one unchecked sweep over a large class can
+				// add O(class²) nodes and eat gigabytes before the outer
 				// check fires.
-				nodes := append([]Node(nil), g.classes[id].Nodes...)
-				for _, n := range nodes {
+				for _, n := range g.classes[id].Nodes {
+					if !rule.ops.has(n.Op) {
+						continue
+					}
 					if g.NodeCount() >= nodeLimit {
 						break
 					}
