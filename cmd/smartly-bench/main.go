@@ -6,7 +6,7 @@
 //
 //	smartly-bench [-scale 1.0] [-table 2|3|all|none] [-industrial n] [-j n] [-check] [-v]
 //	              [-json] [-replica n] [-design n] [-load n] [-sat] [-egraph] [-corpus dir] [-flow name|name=script]...
-//	              [-compare baseline.json]
+//	              [-compare baseline.json] [-cpuprofile file]
 //
 // Scale 1.0 runs the calibrated case sizes (minutes); smaller scales
 // reproduce the table shape faster. The paper's absolute circuit sizes
@@ -33,6 +33,9 @@
 // section both reports carry, when a case or flow is on one side only,
 // or when the schema or scale differs. It also prints each section's
 // and flow's summed wall time on both sides (to stderr under -json).
+//
+// -cpuprofile writes a pprof CPU profile of the whole run to file, for
+// `go tool pprof`.
 package main
 
 import (
@@ -42,6 +45,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -76,6 +80,7 @@ type benchConfig struct {
 	corpus     string
 	flows      []string
 	compare    string
+	cpuprofile string
 }
 
 func main() {
@@ -94,6 +99,7 @@ func main() {
 	flag.BoolVar(&cfg.egraph, "egraph", false, "also measure verified e-graph rewriting on the datapath benchmark set (yosys vs pre-egraph full vs datapath vs full)")
 	flag.StringVar(&cfg.corpus, "corpus", "", "also measure an external benchmark-corpus directory (manifest.json + Verilog) under the yosys/seq/full flows, proving every result")
 	flag.StringVar(&cfg.compare, "compare", "", "check the run against a saved -json report: exit 1 on any netlist hash, area or state-bit drift (e.g. BENCH_baseline.json)")
+	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	var flows flowList
 	flag.Var(&flows, "flow", "flow to measure: a named flow or name=script (repeatable; default: the paper's four pipelines)")
 	flag.Parse()
@@ -105,7 +111,7 @@ func main() {
 	}
 }
 
-func runBench(cfg benchConfig, out io.Writer) error {
+func runBench(cfg benchConfig, out io.Writer) (err error) {
 	switch cfg.table {
 	case "2", "3", "all", "none", "":
 	default:
@@ -113,6 +119,22 @@ func runBench(cfg benchConfig, out io.Writer) error {
 	}
 	if !(cfg.scale > 0) || math.IsInf(cfg.scale, 1) {
 		return fmt.Errorf("-scale %v: want a positive finite number", cfg.scale)
+	}
+	if cfg.cpuprofile != "" {
+		f, err := os.Create(cfg.cpuprofile)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("-cpuprofile: %w", cerr)
+			}
+		}()
 	}
 	var base *harness.BenchReport
 	if cfg.compare != "" {
@@ -164,7 +186,6 @@ func runBench(cfg benchConfig, out io.Writer) error {
 		}
 		return &sec, nil
 	}
-	var err error
 	if cfg.table == "2" || cfg.table == "3" || cfg.table == "all" {
 		render := []func(harness.Section) string{harness.TableII, harness.TableIII}
 		switch {

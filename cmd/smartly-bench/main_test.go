@@ -259,3 +259,25 @@ func TestBenchTables(t *testing.T) {
 		t.Errorf("tables missing:\n%s", out)
 	}
 }
+
+// TestBenchCPUProfile: -cpuprofile leaves a gzip-framed pprof profile
+// of the run, and an unwritable path is an error naming the flag.
+func TestBenchCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	var buf bytes.Buffer
+	if err := runBench(benchConfig{scale: 0.02, table: "2", cpuprofile: path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Fatalf("profile is not gzip-framed pprof data (%d bytes)", len(raw))
+	}
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.pprof")
+	err = runBench(benchConfig{scale: 0.02, table: "2", cpuprofile: bad}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Fatalf("unwritable profile path: err = %v", err)
+	}
+}

@@ -64,14 +64,15 @@ func (mp *Mapping) HasBit(b rtlil.SigBit) bool {
 // FromModule maps a module to a fresh AIG. It fails on combinational
 // loops or unmappable cells.
 func FromModule(m *rtlil.Module) (*Mapping, error) {
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		return nil, err
 	}
 	mp := &Mapping{
 		G:    New(),
 		mod:  m,
-		ix:   rtlil.NewIndex(m),
+		ix:   ix,
 		bits: map[rtlil.SigBit]Lit{},
 	}
 	// Create PIs for module inputs and dff Q bits.

@@ -641,11 +641,13 @@ func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 		if err := c.Err(); err != nil {
 			return total, err
 		}
+		// One snapshot serves the oracle and the walk: both are taken
+		// before the walk rewrites anything.
 		ix := rtlil.NewIndex(m)
 		oracle := NewSmartOracle(ix, p.Opts)
 		oracle.Ctx = c
 		walk := &opt.MuxtreeWalk{Oracle: oracle}
-		r, err := walk.Run(c, m)
+		r, err := walk.Run(c, ix)
 		if err != nil {
 			return total, err
 		}

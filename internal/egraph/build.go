@@ -53,13 +53,14 @@ type Builder struct {
 // BuildModule ingests the module's datapath region. It returns nil when
 // the module has no region cells (or is cyclic, which TopoSort rejects).
 func BuildModule(m *rtlil.Module) (*Builder, error) {
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		return nil, err
 	}
 	b := &Builder{
 		m:        m,
-		ix:       rtlil.NewIndex(m),
+		ix:       ix,
 		g:        New(),
 		byCell:   map[*rtlil.Cell]*regionCell{},
 		sigClass: map[string]*regionCell{},

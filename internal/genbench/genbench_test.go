@@ -19,7 +19,7 @@ func TestAllRecipesGenerateValidModules(t *testing.T) {
 		if m.NumCells() == 0 {
 			t.Errorf("%s: empty module", r.Name)
 		}
-		if _, err := rtlil.TopoSort(m); err != nil {
+		if _, err := rtlil.TopoSort(rtlil.NewIndex(m)); err != nil {
 			t.Errorf("%s: %v", r.Name, err)
 		}
 	}

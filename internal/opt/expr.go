@@ -35,9 +35,8 @@ func (ExprPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 
 func exprSweep(m *rtlil.Module) (Result, error) {
 	res := newResult()
-	sm := rtlil.NewSigMap(m)
-
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		return res, err
 	}
@@ -45,7 +44,7 @@ func exprSweep(m *rtlil.Module) (Result, error) {
 	// cascades fold in a single pass.
 	consts := map[rtlil.SigBit]rtlil.State{}
 	valOf := func(b rtlil.SigBit) rtlil.State {
-		b = sm.Bit(b)
+		b = ix.MapBit(b)
 		if b.IsConst() {
 			return b.Const
 		}
@@ -100,7 +99,7 @@ func exprSweep(m *rtlil.Module) (Result, error) {
 		if allDefined(out) {
 			for i, b := range y {
 				if !b.IsConst() {
-					consts[sm.Bit(b)] = out[i]
+					consts[ix.MapBit(b)] = out[i]
 				}
 			}
 			rewrites = append(rewrites, rewrite{c, constSig(out), "const_folded"})

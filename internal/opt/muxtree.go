@@ -115,13 +115,16 @@ type MuxtreeWalk struct {
 	res     *Result
 }
 
-// Run traverses and rewrites the module's muxtrees once. Cancellation is
-// checked between tree roots; a canceled run returns the context error
-// with the rewrites applied so far (each is individually sound).
-func (w *MuxtreeWalk) Run(c *Ctx, m *rtlil.Module) (Result, error) {
+// Run traverses and rewrites the indexed module's muxtrees once. The
+// index must be current for the module when Run starts: it is the
+// snapshot every tree edge is judged against while the walk rewrites.
+// Cancellation is checked between tree roots; a canceled run returns
+// the context error with the rewrites applied so far (each is
+// individually sound).
+func (w *MuxtreeWalk) Run(c *Ctx, ix *rtlil.Index) (Result, error) {
 	res := newResult()
-	w.m = m
-	w.ix = rtlil.NewIndex(m)
+	w.m = ix.Module()
+	w.ix = ix
 	w.visited = map[*rtlil.Cell]bool{}
 	w.removed = map[*rtlil.Cell]bool{}
 	w.res = &res
@@ -437,7 +440,7 @@ func (MuxtreePass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 	total := newResult()
 	for iter := 0; iter < 20; iter++ {
 		walk := &MuxtreeWalk{Oracle: NewFactOracle()}
-		r, err := walk.Run(c, m)
+		r, err := walk.Run(c, rtlil.NewIndex(m))
 		if err != nil {
 			return total, err
 		}

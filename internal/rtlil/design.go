@@ -13,6 +13,11 @@ type Wire struct {
 	PortOutput bool
 	PortID     int // 1-based position in the port list; 0 for internal wires
 	Attrs      map[string]string
+
+	// serial numbers the wires of one module in creation order (set by
+	// Module.AddWire, never reused); SigMap and Index find a wire's dense
+	// bit ids through it.
+	serial int32
 }
 
 // Bits returns the full signal spanned by the wire, LSB first.
@@ -79,6 +84,7 @@ type Module struct {
 	Conns     []Connection
 
 	autoIdx int
+	serials int32 // wires ever created, the next Wire.serial
 }
 
 // NewModule returns an empty module with the given name.
@@ -118,7 +124,8 @@ func (m *Module) AddWire(name string, width int) *Wire {
 	if _, dup := m.wires[name]; dup {
 		panic(fmt.Sprintf("rtlil: duplicate wire name %s in module %s", name, m.Name))
 	}
-	w := &Wire{Name: name, Width: width}
+	w := &Wire{Name: name, Width: width, serial: m.serials}
+	m.serials++
 	m.wires[name] = w
 	m.wireOrder = append(m.wireOrder, w)
 	return w

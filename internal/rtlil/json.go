@@ -117,7 +117,9 @@ func moduleToJSON(m *Module) (*jsonModule, error) {
 	return jm, nil
 }
 
-// ReadJSON parses a design previously written with WriteJSON.
+// ReadJSON parses a design previously written with WriteJSON. Malformed
+// input — null entries, zero-width wires, width-mismatched connections —
+// is an error, never a panic: the serving layer feeds it remote bytes.
 func ReadJSON(r io.Reader) (*Design, error) {
 	var jd jsonDesign
 	dec := json.NewDecoder(r)
@@ -131,6 +133,9 @@ func ReadJSON(r io.Reader) (*Design, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
+		if jd.Modules[name] == nil {
+			return nil, fmt.Errorf("rtlil: module %s is null", name)
+		}
 		m, err := moduleFromJSON(name, jd.Modules[name])
 		if err != nil {
 			return nil, err
@@ -152,8 +157,17 @@ func moduleFromJSON(name string, jm *jsonModule) (*Module, error) {
 	var portWires []*Wire
 	for _, wn := range wireNames {
 		jw := jm.Wires[wn]
+		switch {
+		case jw == nil:
+			return nil, fmt.Errorf("rtlil: netname %s is null", wn)
+		case len(jw.Bits) == 0:
+			return nil, fmt.Errorf("rtlil: netname %s has no bits", wn)
+		}
 		w := m.AddWire(wn, len(jw.Bits))
 		if p, ok := jm.Ports[wn]; ok {
+			if p == nil {
+				return nil, fmt.Errorf("rtlil: port %s is null", wn)
+			}
 			switch p.Direction {
 			case "input":
 				w.PortInput = true
@@ -256,6 +270,14 @@ func moduleFromJSON(name string, jm *jsonModule) (*Module, error) {
 	sort.Strings(cellNames)
 	for _, cn := range cellNames {
 		jc := jm.Cells[cn]
+		switch {
+		case jc == nil:
+			return nil, fmt.Errorf("rtlil: cell %s is null", cn)
+		case cn == "":
+			// AddCell would pick an automatic name that a later cell
+			// of the design may hold.
+			return nil, fmt.Errorf("rtlil: cell with an empty name")
+		}
 		c := m.AddCell(cn, CellType(jc.Type))
 		for k, v := range jc.Parameters {
 			c.Params[k] = v
@@ -276,6 +298,9 @@ func moduleFromJSON(name string, jm *jsonModule) (*Module, error) {
 		rhs, err := parseSig(pair[1])
 		if err != nil {
 			return nil, fmt.Errorf("rtlil: connection %d: %w", i, err)
+		}
+		if len(lhs) != len(rhs) {
+			return nil, fmt.Errorf("rtlil: connection %d: width mismatch %d vs %d", i, len(lhs), len(rhs))
 		}
 		m.Connect(lhs, rhs)
 	}

@@ -2,13 +2,13 @@ package rtlil
 
 import "fmt"
 
-// TopoSort returns the module's cells in a topological order of the
-// combinational dependency graph: every cell appears after the cells
+// TopoSort returns the indexed module's cells in a topological order of
+// the combinational dependency graph: every cell appears after the cells
 // driving its inputs. Sequential cells ($dff) break dependencies — their
 // outputs are treated as graph sources — so any cycle reported is a true
-// combinational loop.
-func TopoSort(m *Module) ([]*Cell, error) {
-	ix := NewIndex(m)
+// combinational loop. The index must be current for the module.
+func TopoSort(ix *Index) ([]*Cell, error) {
+	m := ix.Module()
 	const (
 		white = 0
 		gray  = 1
@@ -31,10 +31,7 @@ func TopoSort(m *Module) ([]*Cell, error) {
 				if !c.IsInputPort(port) {
 					continue
 				}
-				for _, b := range ix.Map(sig) {
-					if b.IsConst() {
-						continue
-					}
+				for _, b := range sig {
 					d := ix.DriverCell(b)
 					if d == nil || IsSequential(d.Type) {
 						continue

@@ -14,7 +14,7 @@ func TestTopoSortOrders(t *testing.T) {
 	g2 := m.AddUnary(CellNot, "g2", m1, m2)
 	g1 := m.AddBinary(CellAnd, "g1", a, b, m1)
 
-	order, err := TopoSort(m)
+	order, err := TopoSort(NewIndex(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTopoSortDetectsLoop(t *testing.T) {
 	b := m.NewWire(1).Bits()
 	m.AddUnary(CellNot, "g1", a, b)
 	m.AddUnary(CellNot, "g2", b, a)
-	if _, err := TopoSort(m); err == nil {
+	if _, err := TopoSort(NewIndex(m)); err == nil {
 		t.Error("combinational loop not detected")
 	}
 }
@@ -45,7 +45,7 @@ func TestTopoSortDffBreaksLoop(t *testing.T) {
 	d := m.NewWire(1).Bits()
 	m.AddUnary(CellNot, "inv", q, d)
 	m.AddDff("ff", clk, d, q)
-	order, err := TopoSort(m)
+	order, err := TopoSort(NewIndex(m))
 	if err != nil {
 		t.Fatalf("dff loop flagged as combinational: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestTopoSortThroughConnection(t *testing.T) {
 	g1 := m.AddUnary(CellNot, "g1", a, mid)
 	m.Connect(alias, mid)
 	g2 := m.AddUnary(CellNot, "g2", alias, y)
-	order, err := TopoSort(m)
+	order, err := TopoSort(NewIndex(m))
 	if err != nil {
 		t.Fatal(err)
 	}

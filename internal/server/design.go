@@ -174,7 +174,7 @@ func decodeModPayload(raw []byte, name string) (*smartly.Module, api.Report, err
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return nil, api.Report{}, err
 	}
-	d, err := decodeDesign(p.Module)
+	d, err := smartly.ReadJSON(bytes.NewReader(p.Module))
 	if err != nil {
 		return nil, api.Report{}, err
 	}

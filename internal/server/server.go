@@ -268,7 +268,8 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 	if mode != api.ModeWhole && mode != api.ModeDesign {
 		return nil, fmt.Errorf("unknown mode %q (want %q or %q)", req.Mode, api.ModeWhole, api.ModeDesign)
 	}
-	design, err := decodeDesign(req.Design)
+	// ReadJSON rejects malformed netlists with an error (a 400).
+	design, err := smartly.ReadJSON(bytes.NewReader(req.Design))
 	if err != nil {
 		return nil, err
 	}
@@ -291,20 +292,6 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 		},
 		mode: mode,
 	}, nil
-}
-
-// decodeDesign parses a request netlist, converting rtlil's
-// programming-error panics (zero-width wires, width-mismatched
-// connections, ...) into plain errors: on this path the JSON is remote
-// input, not programmer-constructed structure, so a malformed body must
-// become a 400, never a killed connection.
-func decodeDesign(raw []byte) (d *smartly.Design, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("invalid design: %v", r)
-		}
-	}()
-	return smartly.ReadJSON(bytes.NewReader(raw))
 }
 
 // optionsKey encodes the request options that change the cached payload.

@@ -34,7 +34,7 @@ import (
 // shared scratch); build one per goroutine.
 type Cone struct {
 	ix    *rtlil.Index
-	slots map[rtlil.SigBit]int
+	slots map[int32]int32 // Index.ID -> slot
 	bits  []rtlil.SigBit
 	plans []conePlan
 }
@@ -55,56 +55,66 @@ type conePlan struct {
 }
 
 // NewCone compiles a lane evaluator for the cells (drivers before
-// readers). It fails on sequential cells and on cell types outside the
-// cell library.
+// readers). It fails on sequential cells, on cell types outside the
+// cell library and on bits the index does not know.
 func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
-	c := &Cone{ix: ix, slots: map[rtlil.SigBit]int{}}
+	c := &Cone{ix: ix, slots: map[int32]int32{}}
 	for _, cell := range order {
 		if err := checkCell(cell); err != nil {
 			return nil, err
 		}
 		pl := conePlan{cell: cell}
 		for _, port := range rtlil.InputPorts(cell.Type) {
-			sig := c.ix.Map(cell.Port(port))
+			sig := cell.Port(port)
 			pp := portPlan{
 				name:  port,
 				codes: make([]int32, len(sig)),
 				buf:   make([]uint64, len(sig)),
 			}
 			for i, b := range sig {
-				if b.IsConst() {
-					pp.codes[i] = -1
-					if b.Const == rtlil.S1 {
-						pp.buf[i] = ^uint64(0)
-					}
-					continue
+				code, st, err := c.code(b)
+				if err != nil {
+					return nil, err
 				}
-				pp.codes[i] = int32(c.slot(b))
+				pp.codes[i] = code
+				if st == rtlil.S1 {
+					pp.buf[i] = ^uint64(0)
+				}
 			}
 			pl.in = append(pl.in, pp)
 		}
-		ysig := c.ix.Map(cell.Port(outputPort(cell.Type)))
+		ysig := cell.Port(outputPort(cell.Type))
 		pl.out = make([]int32, len(ysig))
 		for i, b := range ysig {
-			if b.IsConst() {
-				pl.out[i] = -1
-				continue
+			code, _, err := c.code(b)
+			if err != nil {
+				return nil, err
 			}
-			pl.out[i] = int32(c.slot(b))
+			pl.out[i] = code
 		}
 		c.plans = append(c.plans, pl)
 	}
 	return c, nil
 }
 
-func (c *Cone) slot(b rtlil.SigBit) int {
-	if id, ok := c.slots[b]; ok {
-		return id
+// code returns the slot of b's canonical bit, adding one on first sight,
+// or -1 and the state when that bit is a constant.
+func (c *Cone) code(b rtlil.SigBit) (int32, rtlil.State, error) {
+	b = c.ix.MapBit(b)
+	if b.IsConst() {
+		return -1, b.Const, nil
 	}
-	id := len(c.bits)
-	c.slots[b] = id
+	id := c.ix.ID(b)
+	if id < 0 {
+		return 0, 0, fmt.Errorf("sim: cone bit %s is not in the indexed module", b)
+	}
+	if s, ok := c.slots[id]; ok {
+		return s, 0, nil
+	}
+	s := int32(len(c.bits))
+	c.slots[id] = s
 	c.bits = append(c.bits, b)
-	return id
+	return s, 0, nil
 }
 
 func checkCell(cell *rtlil.Cell) error {
@@ -128,8 +138,8 @@ func (c *Cone) NumSlots() int { return len(c.bits) }
 
 // Slot returns the buffer index of a bit (canonical or not).
 func (c *Cone) Slot(b rtlil.SigBit) (int, bool) {
-	id, ok := c.slots[c.ix.MapBit(b)]
-	return id, ok
+	s, ok := c.slots[c.ix.ID(b)]
+	return int(s), ok
 }
 
 // Bits lists the slotted bits in slot order.

@@ -99,7 +99,7 @@ func coneFreeSlots(cone *Cone, ix *rtlil.Index, order []*rtlil.Cell, rng *rand.R
 func diffConeFourState(t *testing.T, m *rtlil.Module, rng *rand.Rand) int {
 	t.Helper()
 	ix := rtlil.NewIndex(m)
-	order, err := rtlil.TopoSort(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		t.Fatalf("topo: %v", err)
 	}
@@ -175,11 +175,12 @@ func TestConeRejectsSequential(t *testing.T) {
 	d := m.AddInput("d", 1).Bits()
 	q := m.NewWire(1)
 	m.AddDff("ff", clk, d, q.Bits())
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCone(rtlil.NewIndex(m), order); err == nil {
+	if _, err := NewCone(ix, order); err == nil {
 		t.Fatal("cone accepted a sequential cell")
 	}
 }
@@ -192,11 +193,11 @@ func TestConeConstLanes(t *testing.T) {
 	y := m.AddOutput("y", 2)
 	one := rtlil.Const(1, 1)
 	m.AddBinary(rtlil.CellAnd, "g", rtlil.Concat(a, one), rtlil.Const(3, 2), y.Bits())
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := rtlil.NewIndex(m)
 	cone, err := NewCone(ix, order)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,7 @@ func TestConeEvalReusableAcrossRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := buildConeModule(rng, 10)
 	ix := rtlil.NewIndex(m)
-	order, err := rtlil.TopoSort(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,8 @@ type Parallel struct {
 // NewParallel prepares a parallel simulator for the module. It fails on
 // combinational loops.
 func NewParallel(m *rtlil.Module) (*Parallel, error) {
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +33,6 @@ func NewParallel(m *rtlil.Module) (*Parallel, error) {
 			comb = append(comb, c)
 		}
 	}
-	ix := rtlil.NewIndex(m)
 	cone, err := NewCone(ix, comb)
 	if err != nil {
 		return nil, err
@@ -52,7 +52,7 @@ func (p *Parallel) Run(inputs map[rtlil.SigBit]uint64) map[rtlil.SigBit]uint64 {
 	for b, v := range inputs {
 		b = p.ix.MapBit(b)
 		vals[b] = v
-		if slot, ok := p.cone.slots[b]; ok {
+		if slot, ok := p.cone.Slot(b); ok {
 			lanes[slot] = v
 		}
 	}

@@ -18,11 +18,12 @@ type Simulator struct {
 // NewSimulator prepares a simulator for the module. It fails on
 // combinational loops.
 func NewSimulator(m *rtlil.Module) (*Simulator, error) {
-	order, err := rtlil.TopoSort(m)
+	ix := rtlil.NewIndex(m)
+	order, err := rtlil.TopoSort(ix)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{mod: m, ix: rtlil.NewIndex(m), order: order}, nil
+	return &Simulator{mod: m, ix: ix, order: order}, nil
 }
 
 // Index returns the module index used by the simulator.

@@ -40,8 +40,10 @@ type Graph struct {
 	fanin  [][]int32
 	fanout [][]int32
 	// inBits are the mapped non-const input bits of each combinational
-	// cell in port order; inDrv the driving cell id per bit (-1 free).
+	// cell in port order, inIDs their Index.IDs; inDrv the driving cell
+	// id per bit (-1 free).
 	inBits [][]rtlil.SigBit
+	inIDs  [][]int32
 	inDrv  [][]int32
 }
 
@@ -59,6 +61,7 @@ func NewGraph(ix *rtlil.Index) *Graph {
 		fanin:  make([][]int32, len(cells)),
 		fanout: make([][]int32, len(cells)),
 		inBits: make([][]rtlil.SigBit, len(cells)),
+		inIDs:  make([][]int32, len(cells)),
 		inDrv:  make([][]int32, len(cells)),
 	}
 	for i, c := range cells {
@@ -70,6 +73,7 @@ func NewGraph(ix *rtlil.Index) *Graph {
 		}
 		var (
 			bits []rtlil.SigBit
+			ids  []int32
 			drv  []int32
 			fin  []int32
 		)
@@ -80,6 +84,7 @@ func NewGraph(ix *rtlil.Index) *Graph {
 					continue
 				}
 				bits = append(bits, b)
+				ids = append(ids, ix.ID(b))
 				did := int32(-1)
 				if d := ix.DriverCell(b); d != nil {
 					did = g.id[d]
@@ -108,7 +113,7 @@ func NewGraph(ix *rtlil.Index) *Graph {
 				}
 			}
 		}
-		g.inBits[i], g.inDrv[i], g.fanin[i], g.fanout[i] = bits, drv, fin, fout
+		g.inBits[i], g.inIDs[i], g.inDrv[i], g.fanin[i], g.fanout[i] = bits, ids, drv, fin, fout
 	}
 	return g
 }
@@ -232,17 +237,17 @@ func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) 
 
 	// Free inputs of the kept set: bits read by kept cells but not
 	// driven inside it, first occurrence order.
-	seen := map[rtlil.SigBit]bool{}
+	seen := map[int32]bool{}
 	for _, id := range keptIDs {
-		drv := g.inDrv[id]
+		drv, ids := g.inDrv[id], g.inIDs[id]
 		for j, b := range g.inBits[id] {
-			if seen[b] {
+			if seen[ids[j]] {
 				continue
 			}
 			if d := drv[j]; d >= 0 && kept[d] {
 				continue
 			}
-			seen[b] = true
+			seen[ids[j]] = true
 			res.Inputs = append(res.Inputs, b)
 		}
 	}
