@@ -143,6 +143,13 @@ func TestBenchSatMode(t *testing.T) {
 		if queries == 0 {
 			t.Errorf("flow %s: no oracle queries recorded", f)
 		}
+		// Every run that queried the oracle carries its stage times.
+		for _, c := range rep.Sat.Cases {
+			r := c.Runs[f]
+			if r.Counter("smartly_satmux", "oracle_queries") > 0 && r.StagesMS["smartly_satmux"]["extract"] <= 0 {
+				t.Errorf("%s/%s: no extract stage time in %v", c.Name, f, r.StagesMS)
+			}
+		}
 	}
 
 	// The table mode prints the human-readable section.

@@ -171,9 +171,10 @@ func WithProgress(fn func(PassEvent)) RunOption {
 	return func(c *runConfig) { c.progress = fn }
 }
 
-// WithTimings includes wall-clock durations in the returned RunReport.
-// Off by default so that reports are fully deterministic and can be
-// compared across runs and worker counts.
+// WithTimings includes wall-clock durations in the returned RunReport:
+// per-pass times and, for smartly_satmux, the busy time of each oracle
+// stage (PassReport.Stages). Off by default so that reports are fully
+// deterministic and can be compared across runs and worker counts.
 func WithTimings() RunOption {
 	return func(c *runConfig) { c.timings = true }
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/genbench"
@@ -98,4 +100,43 @@ func TestSatMuxCancellation(t *testing.T) {
 		t.Fatal("canceled run reported success")
 	}
 	checkEquiv(t, orig, m)
+}
+
+// TestSatMuxStageTimes: the pass reports busy time for the oracle
+// stages it ran, by stage name, and stripping the report's timings
+// drops them while the counters match an untimed read of the same run.
+func TestSatMuxStageTimes(t *testing.T) {
+	m := genbench.Generate(parallelRecipe, 1)
+	ec := opt.NewCtx(context.Background(), opt.Config{Workers: 2})
+	pass := &SatMuxPass{}
+	if _, err := opt.RunScript(ec, m, opt.ExprPass{}, pass); err != nil {
+		t.Fatal(err)
+	}
+	rep := ec.Report()
+	p := rep.Pass(pass.Name())
+	if p == nil || p.Counters["oracle_queries"] == 0 {
+		t.Fatalf("satmux asked no queries: %+v", p)
+	}
+	for _, stage := range []string{"index", "extract", "infer"} {
+		if p.Stages[stage] <= 0 {
+			t.Errorf("stage %s has no time: %v", stage, p.Stages)
+		}
+	}
+	for stage := range p.Stages {
+		if !slices.Contains(stageNames[:], stage) {
+			t.Errorf("unknown stage %q", stage)
+		}
+	}
+	// The walk's rewrite counters ride along; the oracle's are all
+	// there unchanged.
+	for k, v := range pass.LastStats.Details() {
+		if p.Counters[k] != v {
+			t.Errorf("counter %s = %d, want %d", k, p.Counters[k], v)
+		}
+	}
+	counters := maps.Clone(p.Counters)
+	rep.StripTimings()
+	if p := rep.Pass(pass.Name()); p.Stages != nil || !maps.Equal(p.Counters, counters) {
+		t.Errorf("stripped report: stages %v, counters changed %v", p.Stages, !maps.Equal(p.Counters, counters))
+	}
 }

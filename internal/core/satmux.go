@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/aig"
 	"repro/internal/infer"
@@ -132,6 +133,36 @@ func (s SatMuxStats) Details() map[string]int {
 	return all
 }
 
+// The oracle stages whose busy time SatMuxPass reports in its
+// Result.Stages, summed over worker goroutines.
+const (
+	stageIndex   = iota // rtlil.NewIndex + subgraph.NewGraph, once per pass iteration
+	stageExtract        // sub-graph extraction
+	stageInfer          // the Table I rule engine
+	stageSim            // cone compile plus exhaustive or pre-filter sweeps
+	stageSAT            // AIG mapping, CNF and Solve calls
+	numStages
+)
+
+var stageNames = [numStages]string{"index", "extract", "infer", "sim", "sat"}
+
+// stageTimes is busy time per oracle stage. It lives beside SatMuxStats,
+// not in it: the counters are deterministic, the times never are.
+type stageTimes [numStages]time.Duration
+
+// lap charges the time since t to stage and returns now.
+func (tm *stageTimes) lap(stage int, t time.Time) time.Time {
+	now := time.Now()
+	tm[stage] += now.Sub(t)
+	return now
+}
+
+func (tm *stageTimes) add(o stageTimes) {
+	for i, d := range o {
+		tm[i] += d
+	}
+}
+
 // SmartOracle is the smaRTLy control-value oracle: path facts first, then
 // sub-graph inference, then exhaustive simulation or — for cones with
 // too many inputs — the simulation pre-filter and a one-shot SAT call.
@@ -157,6 +188,7 @@ type SmartOracle struct {
 	facts *opt.FactOracle
 	o     SatMuxOptions
 	cache map[string]cacheEntry
+	times stageTimes
 }
 
 type cacheEntry struct {
@@ -202,7 +234,7 @@ func (s *SmartOracle) Value(bit rtlil.SigBit) (rtlil.State, bool) {
 		return e.v, e.known
 	}
 	var st SatMuxStats
-	v, known := s.solve(bit, &st)
+	v, known := s.solve(bit, &st, &s.times)
 	accumulate(&s.Stats, st)
 	s.cache[key] = cacheEntry{v, known}
 	return v, known
@@ -223,6 +255,7 @@ func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
 		v     rtlil.State
 		known bool
 		st    SatMuxStats
+		tm    stageTimes
 	}
 	var jobs []*job
 	byKey := map[string]*job{}
@@ -250,10 +283,11 @@ func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
 	}
 	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(jobs), func(i int) {
 		j := jobs[i]
-		j.v, j.known = s.solve(j.bit, &j.st)
+		j.v, j.known = s.solve(j.bit, &j.st, &j.tm)
 	})
 	for _, j := range jobs {
 		accumulate(&s.Stats, j.st)
+		s.times.add(j.tm)
 		s.cache[j.key] = cacheEntry{j.v, j.known}
 		for _, i := range j.idxs {
 			out[i] = opt.BatchValue{V: j.v, Known: j.known}
@@ -288,15 +322,16 @@ type query struct {
 
 // solve runs the §II stages for one query: sub-graph extraction,
 // inference, then an exhaustive sweep for few inputs, or the random
-// pre-filter sweep followed by SAT. It writes counters to st (a
-// worker-local sink during parallel batches, merged in order
-// afterwards) and touches no shared mutable state.
-func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, bool) {
+// pre-filter sweep followed by SAT. It writes counters to st and stage
+// times to tm (worker-local sinks during parallel batches, merged in
+// order afterwards) and touches no shared mutable state.
+func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (rtlil.State, bool) {
 	if s.Ctx.Err() != nil {
 		// Canceled: report unknown; the pass surfaces the context error.
 		st.Unknown++
 		return rtlil.Sx, false
 	}
+	t := time.Now()
 	facts := s.facts.Facts()
 	// Deterministic fact order: it seeds the sub-graph BFS and the SAT
 	// assumption list, where map iteration order could otherwise change
@@ -307,23 +342,15 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, boo
 		MaxCells:      s.o.MaxSubgraphCells,
 		DisableFilter: s.o.DisableSubgraphFilter,
 	})
+	t = tm.lap(stageExtract, t)
 	st.SubgraphCells += len(sg.Cells)
 	st.CandidateCells += sg.CandidateCells
 
 	// Stage 1: inference rules (paper Table I).
 	if !s.o.DisableInference {
-		e := infer.New(s.ix, sg.Cells)
-		for _, b := range knowns {
-			e.Assume(b, facts[b])
-		}
-		if !e.Propagate() {
-			// The path condition is unreachable: the mux output is
-			// never observed, so either branch is sound.
-			st.UnreachablePath++
-			return rtlil.S0, true
-		}
-		if v, ok := e.Value(bit); ok {
-			st.InferenceHits++
+		v, decided := s.infer(bit, sg, knowns, facts, st)
+		t = tm.lap(stageInfer, t)
+		if decided {
 			return v, true
 		}
 	}
@@ -346,7 +373,9 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, boo
 		knowns: knowns,
 	}
 	if n <= s.o.SimInputLimit {
-		if v, ok := s.sweep(q, true, st); ok {
+		v, ok := s.sweep(q, true, st)
+		tm.lap(stageSim, t)
+		if ok {
 			st.SimHits++
 			return v, true
 		}
@@ -358,6 +387,7 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, boo
 	isDiv := func(c *rtlil.Cell) bool { return c.Type == rtlil.CellDiv }
 	if !s.o.DisableSimFilter && !slices.ContainsFunc(q.order, isDiv) {
 		s.sweep(q, false, st)
+		t = tm.lap(stageSim, t)
 		if q.seen0 && q.seen1 {
 			// Both target values witnessed under the path facts: the
 			// solver would answer Sat twice, so the query is unknowable
@@ -367,7 +397,29 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats) (rtlil.State, boo
 			return rtlil.Sx, false
 		}
 	}
-	return s.satSolve(q, st)
+	v, ok := s.satSolve(q, st)
+	tm.lap(stageSAT, t)
+	return v, ok
+}
+
+// infer runs the Table I rule engine over the sub-graph under the path
+// facts. It reports decided=true with the value when the rules settle
+// the query: the target's inferred value, or S0 for an unreachable path
+// (the mux output is never observed there, so either branch is sound).
+func (s *SmartOracle) infer(bit rtlil.SigBit, sg *subgraph.Result, knowns []rtlil.SigBit, facts map[rtlil.SigBit]rtlil.State, st *SatMuxStats) (v rtlil.State, decided bool) {
+	e := infer.New(s.ix, sg.Cells)
+	for _, b := range knowns {
+		e.Assume(b, facts[b])
+	}
+	if !e.Propagate() {
+		st.UnreachablePath++
+		return rtlil.S0, true
+	}
+	if v, ok := e.Value(bit); ok {
+		st.InferenceHits++
+		return v, true
+	}
+	return rtlil.Sx, false
 }
 
 // enumPatterns are the lane vectors of the six low input variables under
@@ -636,6 +688,7 @@ func (p *SatMuxPass) Name() string { return "smartly_satmux" }
 // aborts on cancellation.
 func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	var total opt.Result
+	var times stageTimes
 	p.LastStats = SatMuxStats{}
 	for iter := 0; iter < 20; iter++ {
 		if err := c.Err(); err != nil {
@@ -643,8 +696,10 @@ func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 		}
 		// One snapshot serves the oracle and the walk: both are taken
 		// before the walk rewrites anything.
+		t := time.Now()
 		ix := rtlil.NewIndex(m)
 		oracle := NewSmartOracle(ix, p.Opts)
+		times.lap(stageIndex, t)
 		oracle.Ctx = c
 		walk := &opt.MuxtreeWalk{Oracle: oracle}
 		r, err := walk.Run(c, ix)
@@ -652,6 +707,7 @@ func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 			return total, err
 		}
 		accumulate(&p.LastStats, oracle.Stats)
+		times.add(oracle.times)
 		if iter == 0 {
 			total = r
 		} else {
@@ -668,6 +724,14 @@ func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	}
 	for k, v := range p.LastStats.Details() {
 		total.Details[k] += v
+	}
+	for i, d := range times {
+		if d > 0 {
+			if total.Stages == nil {
+				total.Stages = map[string]time.Duration{}
+			}
+			total.Stages[stageNames[i]] = d
+		}
 	}
 	return total, nil
 }

@@ -65,6 +65,31 @@ func TestCompareReports(t *testing.T) {
 		}
 	}
 
+	// Stage times are printed only when both sides carry them.
+	withStages := func(ms float64) BenchReport {
+		r := compareBase()
+		run := r.Tables.Cases[0].Runs["full"]
+		run.StagesMS = map[string]map[string]float64{"smartly_satmux": {"extract": ms, "sat": 1}}
+		r.Tables.Cases[0].Runs["full"] = run
+		return r
+	}
+	out.Reset()
+	if err := CompareReports(withStages(4), withStages(3), &out); err != nil {
+		t.Fatalf("stage times differ only: %v", err)
+	}
+	for _, want := range []string{"stage", "smartly_satmux/extract", "4.0", "3.0", "-25.0%", "smartly_satmux/sat"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stage table lacks %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	if err := CompareReports(compareBase(), withStages(3), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "stage") {
+		t.Errorf("stage table printed without baseline stage times:\n%s", out.String())
+	}
+
 	// A section only one side carries is not compared.
 	cur := compareBase()
 	cur.Sat = cur.Tables

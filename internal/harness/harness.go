@@ -151,11 +151,14 @@ type FlowRun struct {
 	StateBits int `json:"state_bits,omitempty"`
 	// Hash is the optimized module's rtlil.CanonicalHash.
 	Hash string `json:"hash"`
-	// ElapsedMS is the flow's wall-clock; the only field that varies
-	// from run to run.
+	// ElapsedMS is the flow's wall-clock. It and StagesMS are the only
+	// fields that vary from run to run.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Counters holds the run report's counters by pass, then by name.
 	Counters map[string]map[string]int `json:"counters,omitempty"`
+	// StagesMS holds the busy time of the passes' internal stages by
+	// pass, then by stage (opt.PassReport.Stages), in milliseconds.
+	StagesMS map[string]map[string]float64 `json:"stages_ms,omitempty"`
 }
 
 // Counter returns one counter of one pass (0 when absent).
@@ -333,6 +336,16 @@ func runFlow(o Options, workers int, in *rtlil.Module, flow *opt.Flow) (FlowRun,
 				r.Counters = map[string]map[string]int{}
 			}
 			r.Counters[p.Name] = p.Counters
+		}
+		if len(p.Stages) > 0 {
+			if r.StagesMS == nil {
+				r.StagesMS = map[string]map[string]float64{}
+			}
+			ms := make(map[string]float64, len(p.Stages))
+			for stage, d := range p.Stages {
+				ms[stage] = toMS(d)
+			}
+			r.StagesMS[p.Name] = ms
 		}
 	}
 	return r, nil

@@ -68,8 +68,9 @@ func (r BenchReport) engineSections() []namedSection {
 // section present in both reports each case and flow must be on both
 // sides with the same netlist hash, AIG area and state bits. Wall times
 // are reported, not gated: the summed elapsed_ms of every section and
-// flow on both sides goes to w. The error names each mismatch by
-// section, case and flow.
+// flow on both sides goes to w, followed by the summed stages_ms of
+// every section, flow and pass stage when both reports carry stage
+// times. The error names each mismatch by section, case and flow.
 func CompareReports(base, cur BenchReport, w io.Writer) error {
 	var diffs []string
 	diff := func(format string, args ...any) {
@@ -83,6 +84,7 @@ func CompareReports(base, cur BenchReport, w io.Writer) error {
 	}
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "section\tflow\tbaseline ms\tcurrent ms\tchange\t")
+	var stageRows []string
 	curSecs := cur.engineSections()
 	for i, bs := range base.engineSections() {
 		name, b, c := bs.name, bs.sec, curSecs[i].sec
@@ -135,16 +137,29 @@ func CompareReports(base, cur BenchReport, w io.Writer) error {
 				}
 			}
 		}
+		baseStages, curStages := stagesByFlow(b), stagesByFlow(c)
 		for _, f := range flows {
-			change := "n/a"
-			if baseMS[f] > 0 {
-				change = fmt.Sprintf("%+.1f%%", 100*(curMS[f]-baseMS[f])/baseMS[f])
+			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%s\t\n", name, f, baseMS[f], curMS[f], change(baseMS[f], curMS[f]))
+			for _, st := range sortedKeys(curStages[f]) {
+				if bv, ok := baseStages[f][st]; ok {
+					cv := curStages[f][st]
+					stageRows = append(stageRows, fmt.Sprintf("%s\t%s\t%s\t%.1f\t%.1f\t%s\t", name, f, st, bv, cv, change(bv, cv)))
+				}
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%s\t\n", name, f, baseMS[f], curMS[f], change)
 		}
 	}
 	if err := tw.Flush(); err != nil {
 		return err
+	}
+	if len(stageRows) > 0 {
+		tw = tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+		fmt.Fprintln(tw, "section\tflow\tstage\tbaseline ms\tcurrent ms\tchange\t")
+		for _, row := range stageRows {
+			fmt.Fprintln(tw, row)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
 	}
 	if len(diffs) > 0 {
 		return fmt.Errorf("report differs from the baseline in %d places:\n  %s",
@@ -182,6 +197,43 @@ func elapsedByFlow(s *Section) map[string]float64 {
 		}
 	}
 	return out
+}
+
+// stagesByFlow sums the section's stage times per flow, keyed
+// "pass/stage".
+func stagesByFlow(s *Section) map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, c := range s.Cases {
+		for f, r := range c.Runs {
+			for pass, stages := range r.StagesMS {
+				for st, ms := range stages {
+					if out[f] == nil {
+						out[f] = map[string]float64{}
+					}
+					out[f][pass+"/"+st] += ms
+				}
+			}
+		}
+	}
+	return out
+}
+
+// change renders cur relative to base as a signed percentage.
+func change(base, cur float64) string {
+	if base <= 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(cur-base)/base)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // casesByName indexes the section's cases by name.

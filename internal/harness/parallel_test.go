@@ -9,13 +9,13 @@ import (
 	"repro/internal/genbench"
 )
 
-// timingFree encodes one case with its wall times zeroed: everything
-// else RunCases reports is deterministic.
+// timingFree encodes one case with its wall times (elapsed and stage
+// times) cleared: everything else RunCases reports is deterministic.
 func timingFree(t *testing.T, c CaseResult) []byte {
 	t.Helper()
 	runs := map[string]FlowRun{}
 	for f, r := range c.Runs {
-		r.ElapsedMS = 0
+		r.ElapsedMS, r.StagesMS = 0, nil
 		runs[f] = r
 	}
 	c.Runs = runs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/rtlil"
 )
@@ -13,6 +14,11 @@ type Result struct {
 	Changed bool
 	// Details maps counters (e.g. "cells_removed") to values.
 	Details map[string]int
+	// Stages maps the pass' internal stages (smartly_satmux: index,
+	// extract, infer, sim, sat) to their busy time, summed over worker
+	// goroutines. Wall-clock telemetry, never part of a deterministic
+	// report: StripTimings drops it.
+	Stages map[string]time.Duration
 }
 
 func newResult() Result { return Result{Details: map[string]int{}} }
@@ -31,6 +37,19 @@ func (r *Result) merge(o Result) {
 	for k, v := range o.Details {
 		r.Details[k] += v
 	}
+	r.Stages = addStages(r.Stages, o.Stages)
+}
+
+// addStages adds the stage times of src into dst, allocating dst on
+// first use.
+func addStages(dst, src map[string]time.Duration) map[string]time.Duration {
+	for k, v := range src {
+		if dst == nil {
+			dst = make(map[string]time.Duration, len(src))
+		}
+		dst[k] += v
+	}
+	return dst
 }
 
 // String renders the result counters deterministically.

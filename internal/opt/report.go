@@ -20,6 +20,10 @@ type PassReport struct {
 	Counters map[string]int
 	// Duration is the summed wall time; zero when timings are stripped.
 	Duration time.Duration
+	// Stages is the busy time of the pass' internal stages, summed over
+	// invocations and worker goroutines (see Result.Stages); nil when
+	// the pass times none or timings are stripped.
+	Stages map[string]time.Duration
 }
 
 // FixpointReport records the iteration behaviour of one fixpoint
@@ -81,12 +85,13 @@ func (r RunReport) Counter(pass, key string) int {
 	return p.Counters[key]
 }
 
-// StripTimings zeroes every wall-clock field, leaving only the
-// deterministic counters and iteration counts.
+// StripTimings zeroes every wall-clock field, stage times included,
+// leaving only the deterministic counters and iteration counts.
 func (r *RunReport) StripTimings() {
 	r.Duration = 0
 	for i := range r.Passes {
 		r.Passes[i].Duration = 0
+		r.Passes[i].Stages = nil
 	}
 }
 
@@ -110,6 +115,14 @@ func (r *RunReport) String() string {
 		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&sb, " %s=%d", k, p.Counters[k])
+		}
+		keys = keys[:0]
+		for k := range p.Stages {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&sb, " stage_%s=%s", k, p.Stages[k].Round(time.Microsecond))
 		}
 		sb.WriteByte('\n')
 	}
@@ -149,6 +162,7 @@ func (rc *reportCollector) recordPass(name string, res Result, d time.Duration) 
 	}
 	p.Calls++
 	p.Duration += d
+	p.Stages = addStages(p.Stages, res.Stages)
 	if res.Changed {
 		p.Changed = true
 	}
@@ -197,6 +211,7 @@ func (c *Ctx) Report() RunReport {
 		for k, v := range c.rep.passes[name].Counters {
 			p.Counters[k] = v
 		}
+		p.Stages = addStages(nil, p.Stages)
 		if p.Changed {
 			out.Changed = true
 		}
