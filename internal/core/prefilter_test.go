@@ -174,7 +174,7 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 				if target.IsConst() {
 					continue
 				}
-				sg := subgraph.Extract(ix, target, nil, subgraph.Options{})
+				sg := s.graph.Extract(target, nil, subgraph.Options{})
 				if len(sg.Inputs) == 0 || len(sg.Inputs) > 10 {
 					continue
 				}
@@ -186,7 +186,7 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 						return &query{
 							target: target,
 							sg:     sg,
-							order:  subgraph.TopoCells(ix, sg.Cells),
+							order:  sg.Order,
 							facts:  facts,
 							knowns: sortedBits(facts),
 						}

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/aig"
@@ -189,6 +189,9 @@ type SmartOracle struct {
 	o     SatMuxOptions
 	cache map[string]cacheEntry
 	times stageTimes
+	// unindexed numbers the bits cacheKey meets that the index does not
+	// know (see bitKey).
+	unindexed map[rtlil.SigBit]uint32
 }
 
 type cacheEntry struct {
@@ -296,14 +299,47 @@ func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
 	return out
 }
 
+// cacheKey identifies a query by its target and the path facts: the
+// target's bit key, then the (bit key, value) pairs of the facts in
+// ascending order, as bytes. Two queries share a key exactly when they
+// ask about the same canonical bit under the same facts.
 func (s *SmartOracle) cacheKey(bit rtlil.SigBit) string {
 	facts := s.facts.Facts()
-	keys := make([]string, 0, len(facts))
+	pairs := make([]uint64, 0, len(facts))
 	for b, v := range facts {
-		keys = append(keys, fmt.Sprintf("%s=%s", b, v))
+		pairs = append(pairs, uint64(s.bitKey(b))<<8|uint64(v))
 	}
-	sort.Strings(keys)
-	return bit.String() + "|" + strings.Join(keys, ",")
+	slices.Sort(pairs)
+	key := make([]byte, 0, 4+5*len(pairs))
+	key = binary.LittleEndian.AppendUint32(key, s.bitKey(bit))
+	for _, p := range pairs {
+		key = binary.LittleEndian.AppendUint32(key, uint32(p>>8))
+		key = append(key, byte(p))
+	}
+	return string(key)
+}
+
+// bitKey numbers a bit for cacheKey: its Index.ID, a distinct number
+// for each constant, and for a bit the index does not know one the
+// oracle assigns on first sight. Every number is unique to one
+// canonical bit.
+func (s *SmartOracle) bitKey(b rtlil.SigBit) uint32 {
+	if id := s.ix.ID(b); id >= 0 {
+		return uint32(id)
+	}
+	b = s.ix.MapBit(b)
+	if b.IsConst() {
+		return uint32(s.ix.NumIDs()) + uint32(b.Const)
+	}
+	k, ok := s.unindexed[b]
+	if !ok {
+		k = uint32(s.ix.NumIDs()) + uint32(rtlil.Sz) + 1 + uint32(len(s.unindexed))
+		if s.unindexed == nil {
+			s.unindexed = map[rtlil.SigBit]uint32{}
+		}
+		s.unindexed[b] = k
+	}
+	return k
 }
 
 // query is one control-value query that inference left open: the
@@ -368,7 +404,7 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (
 	q := &query{
 		target: s.ix.MapBit(bit),
 		sg:     sg,
-		order:  subgraph.TopoCells(s.ix, sg.Cells),
+		order:  sg.Order,
 		facts:  facts,
 		knowns: knowns,
 	}
@@ -407,7 +443,7 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (
 // the query: the target's inferred value, or S0 for an unreachable path
 // (the mux output is never observed there, so either branch is sound).
 func (s *SmartOracle) infer(bit rtlil.SigBit, sg *subgraph.Result, knowns []rtlil.SigBit, facts map[rtlil.SigBit]rtlil.State, st *SatMuxStats) (v rtlil.State, decided bool) {
-	e := infer.New(s.ix, sg.Cells)
+	e := infer.NewScoped(s.graph, sg.IDs)
 	for _, b := range knowns {
 		e.Assume(b, facts[b])
 	}

@@ -13,44 +13,64 @@
 package infer
 
 import (
+	"slices"
+
 	"repro/internal/rtlil"
 	"repro/internal/sim"
+	"repro/internal/subgraph"
 )
 
 // Engine propagates known bit values through a module (or a restricted
-// cell sub-set) to a fixpoint.
+// cell sub-set) to a fixpoint. Facts are keyed by Index.ID and cells by
+// their subgraph.Graph id: a fact schedules the bit's driver and then
+// its readers in cell order, as the Index lists them, and the pending
+// cells are a stack, so the rules fire in one fixed order.
 type Engine struct {
 	ix       *rtlil.Index
-	known    map[rtlil.SigBit]rtlil.State
-	cellSet  map[*rtlil.Cell]bool // nil = all module cells participate
-	pending  []*rtlil.Cell
-	inQueue  map[*rtlil.Cell]bool
+	g        *subgraph.Graph
+	scope    []int32 // graph ids of the participating cells, ascending
+	inQueue  []bool  // by position in scope
+	pending  []int32 // positions in scope, processed last in, first out
+	known    rtlil.IDMap[rtlil.State]
+	loose    map[rtlil.SigBit]rtlil.State // facts on bits the index does not number
 	conflict bool
 	facts    int
 }
 
 // New creates an engine over the indexed module. If cells is non-nil,
 // only those cells participate in propagation (the sub-graph case).
+// Sequential cells never participate.
 func New(ix *rtlil.Index, cells []*rtlil.Cell) *Engine {
-	e := &Engine{
-		ix:      ix,
-		known:   map[rtlil.SigBit]rtlil.State{},
-		inQueue: map[*rtlil.Cell]bool{},
-	}
-	if cells != nil {
-		e.cellSet = make(map[*rtlil.Cell]bool, len(cells))
-		for _, c := range cells {
-			e.cellSet[c] = true
+	g := subgraph.NewGraph(ix)
+	var ids []int32
+	if cells == nil {
+		for id := int32(0); int(id) < g.NumCells(); id++ {
+			ids = append(ids, id)
 		}
+	} else {
+		pos := make(map[*rtlil.Cell]int32, g.NumCells())
+		for id := int32(0); int(id) < g.NumCells(); id++ {
+			pos[g.Cell(id)] = id
+		}
+		for _, c := range cells {
+			if id, ok := pos[c]; ok {
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
 	}
-	return e
+	return NewScoped(g, ids)
 }
 
-func (e *Engine) inScope(c *rtlil.Cell) bool {
-	if rtlil.IsSequential(c.Type) {
-		return false
-	}
-	return e.cellSet == nil || e.cellSet[c]
+// NewScoped creates an engine over the cells of g with the given graph
+// ids (ascending; subgraph.Result.IDs). It is the oracle's per-query
+// constructor: its cost is O(len(ids)), not O(module).
+func NewScoped(g *subgraph.Graph, ids []int32) *Engine {
+	scope := slices.DeleteFunc(slices.Clone(ids), func(id int32) bool {
+		return rtlil.IsSequential(g.Cell(id).Type)
+	})
+	return &Engine{ix: g.Index(), g: g, scope: scope, inQueue: make([]bool, len(scope))}
 }
 
 // Assume records that bit b has value v (S0 or S1) and schedules
@@ -70,6 +90,9 @@ func (e *Engine) AssumeSig(sig rtlil.SigSpec, vals []rtlil.State) {
 
 // Value returns the inferred value of b, if known.
 func (e *Engine) Value(b rtlil.SigBit) (rtlil.State, bool) {
+	if id := e.ix.ID(b); id >= 0 {
+		return e.known.Get(id)
+	}
 	b = e.ix.MapBit(b)
 	if b.IsConst() {
 		if b.Const == rtlil.S0 || b.Const == rtlil.S1 {
@@ -77,7 +100,7 @@ func (e *Engine) Value(b rtlil.SigBit) (rtlil.State, bool) {
 		}
 		return rtlil.Sx, false
 	}
-	v, ok := e.known[b]
+	v, ok := e.loose[b]
 	return v, ok
 }
 
@@ -105,36 +128,50 @@ func (e *Engine) setBit(b rtlil.SigBit, v rtlil.State) {
 	if v != rtlil.S0 && v != rtlil.S1 {
 		return
 	}
-	b = e.ix.MapBit(b)
-	if b.IsConst() {
-		if (b.Const == rtlil.S0 || b.Const == rtlil.S1) && b.Const != v {
-			e.conflict = true
+	id := e.ix.ID(b)
+	if id < 0 {
+		b = e.ix.MapBit(b)
+		if b.IsConst() {
+			if (b.Const == rtlil.S0 || b.Const == rtlil.S1) && b.Const != v {
+				e.conflict = true
+			}
+			return
 		}
+		// A bit the index does not number has no driver and no readers.
+		if old, ok := e.loose[b]; ok {
+			e.conflict = e.conflict || old != v
+			return
+		}
+		if e.loose == nil {
+			e.loose = map[rtlil.SigBit]rtlil.State{}
+		}
+		e.loose[b] = v
+		e.facts++
 		return
 	}
-	if old, ok := e.known[b]; ok {
+	if old, ok := e.known.Get(id); ok {
 		if old != v {
 			e.conflict = true
 		}
 		return
 	}
-	e.known[b] = v
+	e.known.Set(id, v)
 	e.facts++
 	// Schedule the driver and all readers for (re)examination.
-	if d := e.ix.DriverCell(b); d != nil && e.inScope(d) {
+	if d := e.g.Driver(id); d >= 0 {
 		e.enqueue(d)
 	}
-	for _, r := range e.ix.Readers(b) {
-		if e.inScope(r.Cell) {
-			e.enqueue(r.Cell)
-		}
+	for _, r := range e.g.Readers(id) {
+		e.enqueue(r)
 	}
 }
 
-func (e *Engine) enqueue(c *rtlil.Cell) {
-	if !e.inQueue[c] {
-		e.inQueue[c] = true
-		e.pending = append(e.pending, c)
+// enqueue schedules the cell with graph id gid when it participates and
+// is not already pending.
+func (e *Engine) enqueue(gid int32) {
+	if p, ok := slices.BinarySearch(e.scope, gid); ok && !e.inQueue[p] {
+		e.inQueue[p] = true
+		e.pending = append(e.pending, int32(p))
 	}
 }
 
@@ -142,9 +179,10 @@ func (e *Engine) enqueue(c *rtlil.Cell) {
 // assumptions are contradictory (the path is unreachable).
 func (e *Engine) Propagate() bool {
 	for len(e.pending) > 0 && !e.conflict {
-		c := e.pending[len(e.pending)-1]
+		p := e.pending[len(e.pending)-1]
 		e.pending = e.pending[:len(e.pending)-1]
-		e.inQueue[c] = false
+		e.inQueue[p] = false
+		c := e.g.Cell(e.scope[p])
 		e.forward(c)
 		if e.conflict {
 			break

@@ -48,6 +48,8 @@ type Cell struct {
 	Params map[string]int
 	Conn   map[string]SigSpec
 	Attrs  map[string]string
+
+	owner *Module // set by AddCell, cleared by RemoveCell
 }
 
 // Port returns the signal connected to the named port, or nil.
@@ -110,6 +112,10 @@ func (m *Module) Wires() []*Wire { return m.wireOrder }
 // Cells returns all cells in insertion order. The returned slice must not
 // be mutated; use AddCell/RemoveCell to change membership.
 func (m *Module) Cells() []*Cell { return m.cellOrder }
+
+// HasCell reports whether c is one of m's cells: O(1), no name lookup.
+// A cell removed from m answers false from then on.
+func (m *Module) HasCell(c *Cell) bool { return c.owner == m }
 
 // NumCells returns the number of cells in the module.
 func (m *Module) NumCells() int { return len(m.cellOrder) }
@@ -238,6 +244,7 @@ func (m *Module) AddCell(name string, typ CellType) *Cell {
 		Type:   typ,
 		Params: map[string]int{},
 		Conn:   map[string]SigSpec{},
+		owner:  m,
 	}
 	m.cells[name] = c
 	m.cellOrder = append(m.cellOrder, c)
@@ -247,9 +254,10 @@ func (m *Module) AddCell(name string, typ CellType) *Cell {
 // RemoveCell deletes the cell from the module. Removing a cell that is not
 // in the module is a no-op.
 func (m *Module) RemoveCell(c *Cell) {
-	if m.cells[c.Name] != c {
+	if c.owner != m {
 		return
 	}
+	c.owner = nil
 	delete(m.cells, c.Name)
 	for i, o := range m.cellOrder {
 		if o == c {

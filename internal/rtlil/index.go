@@ -155,6 +155,10 @@ func (ix *Index) ID(b SigBit) int32 {
 	return r
 }
 
+// NumIDs bounds the ids ID returns: every one is in [0, NumIDs()), so
+// a slice of that length is a table over the module's bits.
+func (ix *Index) NumIDs() int { return len(ix.driver) }
+
 // root returns the id of b's representative, or -1 when b has no id.
 func (ix *Index) root(b SigBit) int32 {
 	id := ix.sigmap.id(b)

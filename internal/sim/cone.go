@@ -33,10 +33,10 @@ import (
 // A Cone is not safe for concurrent Eval calls (the plan buffers are
 // shared scratch); build one per goroutine.
 type Cone struct {
-	ix    *rtlil.Index
-	slots map[int32]int32 // Index.ID -> slot
-	bits  []rtlil.SigBit
-	plans []conePlan
+	ix     *rtlil.Index
+	slots  rtlil.IDMap[int32] // Index.ID -> slot
+	nslots int32
+	plans  []conePlan
 }
 
 // portPlan compiles one input port: codes[i] is the slot to load lane
@@ -57,20 +57,38 @@ type conePlan struct {
 // NewCone compiles a lane evaluator for the cells (drivers before
 // readers). It fails on sequential cells, on cell types outside the
 // cell library and on bits the index does not know.
+//
+// Every plan slice is carved out of one backing array per element
+// type, and the slot table starts at the cone's output-bit count and
+// doubles as it fills: a compile allocates a handful of times however
+// many cells and ports the cone has.
 func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
-	c := &Cone{ix: ix, slots: map[int32]int32{}}
+	nports, nin, nout := 0, 0, 0
 	for _, cell := range order {
 		if err := checkCell(cell); err != nil {
 			return nil, err
 		}
-		pl := conePlan{cell: cell}
 		for _, port := range rtlil.InputPorts(cell.Type) {
+			nports++
+			nin += len(cell.Port(port))
+		}
+		nout += len(cell.Port(outputPort(cell.Type)))
+	}
+	c := &Cone{ix: ix, slots: rtlil.NewIDMap[int32](nout), plans: make([]conePlan, len(order))}
+	ports := make([]portPlan, nports)
+	codes := make([]int32, nin+nout)
+	bufs := make([]uint64, nin)
+	for k, cell := range order {
+		pl := &c.plans[k]
+		pl.cell = cell
+		np := len(rtlil.InputPorts(cell.Type))
+		pl.in, ports = ports[:np:np], ports[np:]
+		for j, port := range rtlil.InputPorts(cell.Type) {
 			sig := cell.Port(port)
-			pp := portPlan{
-				name:  port,
-				codes: make([]int32, len(sig)),
-				buf:   make([]uint64, len(sig)),
-			}
+			pp := &pl.in[j]
+			pp.name = port
+			pp.codes, codes = codes[:len(sig):len(sig)], codes[len(sig):]
+			pp.buf, bufs = bufs[:len(sig):len(sig)], bufs[len(sig):]
 			for i, b := range sig {
 				code, st, err := c.code(b)
 				if err != nil {
@@ -81,10 +99,9 @@ func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
 					pp.buf[i] = ^uint64(0)
 				}
 			}
-			pl.in = append(pl.in, pp)
 		}
 		ysig := cell.Port(outputPort(cell.Type))
-		pl.out = make([]int32, len(ysig))
+		pl.out, codes = codes[:len(ysig):len(ysig)], codes[len(ysig):]
 		for i, b := range ysig {
 			code, _, err := c.code(b)
 			if err != nil {
@@ -92,7 +109,6 @@ func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
 			}
 			pl.out[i] = code
 		}
-		c.plans = append(c.plans, pl)
 	}
 	return c, nil
 }
@@ -100,20 +116,19 @@ func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
 // code returns the slot of b's canonical bit, adding one on first sight,
 // or -1 and the state when that bit is a constant.
 func (c *Cone) code(b rtlil.SigBit) (int32, rtlil.State, error) {
-	b = c.ix.MapBit(b)
-	if b.IsConst() {
-		return -1, b.Const, nil
-	}
 	id := c.ix.ID(b)
 	if id < 0 {
+		if b = c.ix.MapBit(b); b.IsConst() {
+			return -1, b.Const, nil
+		}
 		return 0, 0, fmt.Errorf("sim: cone bit %s is not in the indexed module", b)
 	}
-	if s, ok := c.slots[id]; ok {
+	if s, ok := c.slots.Get(id); ok {
 		return s, 0, nil
 	}
-	s := int32(len(c.bits))
-	c.slots[id] = s
-	c.bits = append(c.bits, b)
+	s := c.nslots
+	c.slots.Set(id, s)
+	c.nslots++
 	return s, 0, nil
 }
 
@@ -134,16 +149,36 @@ func checkCell(cell *rtlil.Cell) error {
 }
 
 // NumSlots returns the size of the lane buffer Eval expects.
-func (c *Cone) NumSlots() int { return len(c.bits) }
+func (c *Cone) NumSlots() int { return int(c.nslots) }
 
 // Slot returns the buffer index of a bit (canonical or not).
 func (c *Cone) Slot(b rtlil.SigBit) (int, bool) {
-	s, ok := c.slots[c.ix.ID(b)]
+	id := c.ix.ID(b)
+	if id < 0 {
+		return 0, false
+	}
+	s, ok := c.slots.Get(id)
 	return int(s), ok
 }
 
-// Bits lists the slotted bits in slot order.
-func (c *Cone) Bits() []rtlil.SigBit { return c.bits }
+// Bits lists the slotted bits (canonical form) in slot order.
+func (c *Cone) Bits() []rtlil.SigBit {
+	bits := make([]rtlil.SigBit, c.nslots)
+	fill := func(sig rtlil.SigSpec, codes []int32) {
+		for i, code := range codes {
+			if code >= 0 {
+				bits[code] = c.ix.MapBit(sig[i])
+			}
+		}
+	}
+	for _, pl := range c.plans {
+		for _, pp := range pl.in {
+			fill(pl.cell.Port(pp.name), pp.codes)
+		}
+		fill(pl.cell.Port(outputPort(pl.cell.Type)), pl.out)
+	}
+	return bits
+}
 
 // Eval evaluates the cone in place: callers fill the slots of the cone's
 // free bits (every slotted bit not driven by a cone cell) with 64-lane

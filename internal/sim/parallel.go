@@ -17,6 +17,7 @@ import (
 type Parallel struct {
 	ix   *rtlil.Index
 	cone *Cone
+	bits []rtlil.SigBit // the cone's slotted bits, by slot
 }
 
 // NewParallel prepares a parallel simulator for the module. It fails on
@@ -37,7 +38,7 @@ func NewParallel(m *rtlil.Module) (*Parallel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parallel{ix: ix, cone: cone}, nil
+	return &Parallel{ix: ix, cone: cone, bits: cone.Bits()}, nil
 }
 
 // Index returns the module index used by the simulator.
@@ -57,7 +58,7 @@ func (p *Parallel) Run(inputs map[rtlil.SigBit]uint64) map[rtlil.SigBit]uint64 {
 		}
 	}
 	p.cone.Eval(lanes)
-	for slot, b := range p.cone.bits {
+	for slot, b := range p.bits {
 		vals[b] = lanes[slot]
 	}
 	return vals

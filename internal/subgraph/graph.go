@@ -1,51 +1,77 @@
 package subgraph
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/rtlil"
 )
 
 // Graph is a precomputed cell-adjacency view of a module index. Extract
-// is called once per oracle query — thousands of times per pass
-// iteration over one immutable Index — and its inner loops (driver and
-// reader resolution through SigBit-keyed maps, port walks through the
-// signal map) dominated the profile once the SAT stage stopped being
-// the bottleneck. Graph hoists all of that into one O(module) build:
-// cells get dense integer ids (module cell order), and each
-// combinational cell carries its neighbor id lists and resolved input
-// bits, so a query's BFS and connectivity filter touch only int slices
-// and flat scratch arrays.
+// runs once per oracle query, tens of thousands of times per pass over
+// one immutable Index, so Graph does every module-sized step once, in
+// NewGraph: cells get dense ids (their position in the module's cell
+// order), and each combinational cell carries its neighbor ids and its
+// resolved input bits in flat CSR arrays. A table by bit id (Index.ID)
+// gives the driving cell of each bit and the combinational cells that
+// read it.
+//
+// A query then touches only its cone: the BFS and the Theorem II.1 walk
+// read the neighbor lists, the candidate cells are ordered by sorting
+// their ids, and the marks and the free-input set live in pooled
+// scratch that each query clears entry by entry. Nothing per query is
+// sized by the module.
+//
+// Graph-id order is the module's cell order at the snapshot, and it
+// stays the live order for the cells that remain: RemoveCell keeps the
+// order of the rest, and cells added later have no graph id. So the
+// candidate list is the snapshot order minus the cells the mux walk
+// removed since, which Module.HasCell tells in O(1). Removed cells stay
+// in the BFS set, so the Theorem II.1 walk still passes through them.
+//
+// The scratch pool is package-level, and scratch holds no pointer: a
+// sync.Pool reachable from the Graph would register each pass
+// iteration's Graph with the runtime's pool list and keep it, and its
+// Index, alive for two more GC cycles.
 //
 // A Graph is immutable after NewGraph and safe for concurrent Extract
-// calls (per-call scratch only) — solvePrep fans queries out to worker
+// calls: satmux fans a pmux select scan's queries out to worker
 // goroutines over one shared Graph.
-//
-// The neighbor lists preserve the legacy Extract's visit order
-// (input ports in cell-library order, then output ports; first
-// occurrence wins, duplicates dropped), so the kept set under the
-// MaxCells cap — and with it every downstream netlist and counter — is
-// bit-identical to the per-query map walk it replaces. That walk had
-// exactly one live lookup — the module cell scan that orders the
-// candidates, through which mid-walk cell removals drop out of the
-// sub-graph — and Graph.Extract keeps that scan live for the same
-// reason; everything else reads the index's frozen maps in both
-// implementations.
 type Graph struct {
 	ix    *rtlil.Index
+	mod   *rtlil.Module
 	cells []*rtlil.Cell
-	id    map[*rtlil.Cell]int32
+	comb  []bool // by graph id: not a sequential cell
 
-	// fanin/fanout hold the combinational neighbor cell ids of each
+	// drv is the graph id of the cell driving each bit id (-1: none);
+	// readers of bit id i are rd[rdStart[i]:rdStart[i+1]], the
+	// combinational cells reading it in cell order.
+	drv     []int32
+	rdStart []int32
+	rd      []int32
+
+	// fanin/fanout are the combinational neighbor ids of each
 	// combinational cell (sequential cells keep empty lists: the BFS
-	// neither enters nor crosses them).
-	fanin  [][]int32
-	fanout [][]int32
-	// inBits are the mapped non-const input bits of each combinational
-	// cell in port order, inIDs their Index.IDs; inDrv the driving cell
-	// id per bit (-1 free).
-	inBits [][]rtlil.SigBit
-	inIDs  [][]int32
-	inDrv  [][]int32
+	// neither enters nor crosses them); in are its mapped non-const
+	// input bits in port order, with their ids and driving cells.
+	fanin  csr[int32]
+	fanout csr[int32]
+	inBits csr[rtlil.SigBit]
+	inIDs  []int32 // parallel to inBits.items
+	inDrv  []int32 // parallel to inBits.items; -1: undriven
 }
+
+// csr holds one list per graph id in a flat array: the list of id i is
+// items[start[i]:start[i+1]].
+type csr[T any] struct {
+	start []int32
+	items []T
+}
+
+func (c *csr[T]) of(id int32) []T { return c.items[c.start[id]:c.start[id+1]] }
+
+// bounds returns the range of id's list in items.
+func (c *csr[T]) bounds(id int32) (int32, int32) { return c.start[id], c.start[id+1] }
 
 // NewGraph builds the adjacency view. The index must not change while
 // the graph is in use.
@@ -53,203 +79,324 @@ func NewGraph(ix *rtlil.Index) *Graph {
 	// Copy: Cells returns the live order slice, and mid-walk RemoveCell
 	// shifts its backing array in place, which would corrupt the
 	// id → cell mapping.
-	cells := append([]*rtlil.Cell(nil), ix.Module().Cells()...)
+	cells := slices.Clone(ix.Module().Cells())
+	nbits := ix.NumIDs()
 	g := &Graph{
-		ix:     ix,
-		cells:  cells,
-		id:     make(map[*rtlil.Cell]int32, len(cells)),
-		fanin:  make([][]int32, len(cells)),
-		fanout: make([][]int32, len(cells)),
-		inBits: make([][]rtlil.SigBit, len(cells)),
-		inIDs:  make([][]int32, len(cells)),
-		inDrv:  make([][]int32, len(cells)),
+		ix:      ix,
+		mod:     ix.Module(),
+		cells:   cells,
+		comb:    make([]bool, len(cells)),
+		drv:     make([]int32, nbits),
+		rdStart: make([]int32, nbits+1),
 	}
-	for i, c := range cells {
-		g.id[c] = int32(i)
+	for i := range g.drv {
+		g.drv[i] = -1
 	}
+	// Drivers, last writer wins as in the Index (every cell type has one
+	// output port); reader counts, every port an Index files a reader
+	// under.
 	for i, c := range cells {
-		if rtlil.IsSequential(c.Type) {
-			continue
-		}
-		var (
-			bits []rtlil.SigBit
-			ids  []int32
-			drv  []int32
-			fin  []int32
-		)
-		finSeen := map[int32]bool{}
-		for _, port := range rtlil.InputPorts(c.Type) {
-			for _, b := range ix.Map(c.Port(port)) {
-				if b.IsConst() {
-					continue
-				}
-				bits = append(bits, b)
-				ids = append(ids, ix.ID(b))
-				did := int32(-1)
-				if d := ix.DriverCell(b); d != nil {
-					did = g.id[d]
-				}
-				drv = append(drv, did)
-				if did >= 0 && !rtlil.IsSequential(cells[did].Type) && !finSeen[did] {
-					finSeen[did] = true
-					fin = append(fin, did)
-				}
-			}
-		}
-		var fout []int32
-		foutSeen := map[int32]bool{}
+		g.comb[i] = !rtlil.IsSequential(c.Type)
 		for _, port := range rtlil.OutputPorts(c.Type) {
-			for _, b := range ix.Map(c.Port(port)) {
-				if b.IsConst() {
-					continue
-				}
-				for _, r := range ix.Readers(b) {
-					rid := g.id[r.Cell]
-					if rtlil.IsSequential(cells[rid].Type) || foutSeen[rid] {
-						continue
-					}
-					foutSeen[rid] = true
-					fout = append(fout, rid)
+			for _, b := range c.Port(port) {
+				if id := ix.ID(b); id >= 0 {
+					g.drv[id] = int32(i)
 				}
 			}
 		}
-		g.inBits[i], g.inIDs[i], g.inDrv[i], g.fanin[i], g.fanout[i] = bits, ids, drv, fin, fout
+		if g.comb[i] {
+			g.eachReadBit(c, func(id int32) { g.rdStart[id+1]++ })
+		}
+	}
+	for i := 1; i <= nbits; i++ {
+		g.rdStart[i] += g.rdStart[i-1]
+	}
+	// Fill with rdStart[id] as the cursor of id, then shift back.
+	g.rd = make([]int32, g.rdStart[nbits])
+	for i, c := range cells {
+		if g.comb[i] {
+			g.eachReadBit(c, func(id int32) {
+				g.rd[g.rdStart[id]] = int32(i)
+				g.rdStart[id]++
+			})
+		}
+	}
+	copy(g.rdStart[1:], g.rdStart[:nbits])
+	g.rdStart[0] = 0
+
+	// Neighbor lists in the reference walk's visit order: input ports
+	// in cell-library order, then output ports; first occurrence wins.
+	// mark[id] == stamp dedupes one list.
+	mark := make([]int32, len(cells))
+	g.fanin.start = make([]int32, len(cells)+1)
+	g.fanout.start = make([]int32, len(cells)+1)
+	g.inBits.start = make([]int32, len(cells)+1)
+	for i, c := range cells {
+		if g.comb[i] {
+			stamp := int32(2*i + 1)
+			for _, port := range rtlil.InputPorts(c.Type) {
+				for _, b := range c.Port(port) {
+					id := ix.ID(b)
+					if id < 0 {
+						continue // constant
+					}
+					did := g.drv[id]
+					g.inBits.items = append(g.inBits.items, ix.MapBit(b))
+					g.inIDs = append(g.inIDs, id)
+					g.inDrv = append(g.inDrv, did)
+					if did >= 0 && g.comb[did] && mark[did] != stamp {
+						mark[did] = stamp
+						g.fanin.items = append(g.fanin.items, did)
+					}
+				}
+			}
+			stamp++
+			for _, port := range rtlil.OutputPorts(c.Type) {
+				for _, b := range c.Port(port) {
+					if id := ix.ID(b); id >= 0 {
+						for _, rid := range g.Readers(id) {
+							if mark[rid] != stamp {
+								mark[rid] = stamp
+								g.fanout.items = append(g.fanout.items, rid)
+							}
+						}
+					}
+				}
+			}
+		}
+		g.fanin.start[i+1] = int32(len(g.fanin.items))
+		g.fanout.start[i+1] = int32(len(g.fanout.items))
+		g.inBits.start[i+1] = int32(len(g.inBits.items))
 	}
 	return g
 }
 
-// Extract collects the sub-graph around target exactly as the
-// package-level Extract does, against the precomputed adjacency.
+// eachReadBit calls fn with the id of every non-constant bit on c's
+// input-side ports: every connected port that is not an output, the
+// ports an Index files readers under.
+func (g *Graph) eachReadBit(c *rtlil.Cell, fn func(id int32)) {
+	for port, sig := range c.Conn {
+		if c.IsOutputPort(port) {
+			continue
+		}
+		for _, b := range sig {
+			if id := g.ix.ID(b); id >= 0 {
+				fn(id)
+			}
+		}
+	}
+}
+
+// Index returns the index the graph was built from.
+func (g *Graph) Index() *rtlil.Index { return g.ix }
+
+// NumCells returns the number of graph ids: the module's cell count at
+// the snapshot.
+func (g *Graph) NumCells() int { return len(g.cells) }
+
+// Cell returns the cell with the graph id.
+func (g *Graph) Cell(id int32) *rtlil.Cell { return g.cells[id] }
+
+// Driver returns the graph id of the cell driving the bit with Index id
+// bit, or -1 when no cell drives it.
+func (g *Graph) Driver(bit int32) int32 { return g.drv[bit] }
+
+// Readers returns the graph ids of the combinational cells reading the
+// bit with Index id bit, in cell order; a cell reading it on several
+// ports or offsets appears once per read. The slice is shared; do not
+// mutate.
+func (g *Graph) Readers(bit int32) []int32 { return g.rd[g.rdStart[bit]:g.rdStart[bit+1]] }
+
+// driverOf returns the graph id of b's driving cell, or -1 for a
+// constant, undriven or unindexed bit.
+func (g *Graph) driverOf(b rtlil.SigBit) int32 {
+	if id := g.ix.ID(b); id >= 0 {
+		return g.drv[id]
+	}
+	return -1
+}
+
+// Mark bits of the per-cell scratch.
+const (
+	inSet   uint8 = 1 << iota // reached by the BFS
+	visited                   // in the backward cone of the target or a known bit
+	kept                      // in the result
+	ordered                   // emitted to the topological order
+)
+
+// scratch is one query's reusable state. mark is indexed by graph id
+// and seen by bit id; both grow to the largest graph that used them and
+// return to the pool all zero.
+type scratch struct {
+	mark    []uint8
+	seen    []bool
+	members []int32 // BFS order; doubles as the queue
+	depth   []int32 // parallel to members
+	cand    []int32
+	stack   []int32
+	inputs  []int32 // positions in Graph.inBits.items; their ids are set in seen
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch(cells, bits int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if len(sc.mark) < cells {
+		sc.mark = make([]uint8, cells)
+	}
+	if len(sc.seen) < bits {
+		sc.seen = make([]bool, bits)
+	}
+	return sc
+}
+
+// putScratch clears the entries the query on g set and pools the
+// scratch.
+func (g *Graph) putScratch(sc *scratch) {
+	for _, id := range sc.members {
+		sc.mark[id] = 0
+	}
+	for _, j := range sc.inputs {
+		sc.seen[g.inIDs[j]] = false
+	}
+	sc.members, sc.depth, sc.cand = sc.members[:0], sc.depth[:0], sc.cand[:0]
+	sc.stack, sc.inputs = sc.stack[:0], sc.inputs[:0]
+	scratchPool.Put(sc)
+}
+
+// Extract collects the sub-graph around target: the cells within
+// opt.Depth of the drivers of the target and the known bits (at most
+// opt.MaxCells of them), pruned to the backward cones of those bits
+// (Theorem II.1) unless opt.DisableFilter is set.
 func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) *Result {
 	o := opt.withDefaults()
+	sc := getScratch(len(g.cells), len(g.drv))
+	defer g.putScratch(sc)
+	mark := sc.mark
 
 	// Phase 1: undirected BFS from the drivers of the target and the
-	// known bits up to depth k, capped at MaxCells.
-	inSet := make([]bool, len(g.cells))
-	var members []int32
-	count := 0
-	type entry struct {
-		id    int32
-		depth int
+	// known bits up to depth k, capped at MaxCells. Every member enters
+	// the queue once, so the member list is the queue.
+	add := func(id, depth int32) {
+		mark[id] |= inSet
+		sc.members = append(sc.members, id)
+		sc.depth = append(sc.depth, depth)
 	}
-	var queue []entry
 	seed := func(b rtlil.SigBit) {
-		if c := g.ix.DriverCell(b); c != nil && !rtlil.IsSequential(c.Type) {
-			id := g.id[c]
-			if !inSet[id] {
-				inSet[id] = true
-				members = append(members, id)
-				count++
-				queue = append(queue, entry{id, 0})
-			}
+		if id := g.driverOf(b); id >= 0 && g.comb[id] && mark[id]&inSet == 0 {
+			add(id, 0)
 		}
 	}
 	seed(target)
 	for _, k := range known {
 		seed(k)
 	}
-	for len(queue) > 0 && count < o.MaxCells {
-		e := queue[0]
-		queue = queue[1:]
-		if e.depth >= o.Depth {
+	for head := 0; head < len(sc.members) && len(sc.members) < o.MaxCells; head++ {
+		id, d := sc.members[head], sc.depth[head]
+		if int(d) >= o.Depth {
 			continue
 		}
-		for _, nb := range g.fanin[e.id] {
-			if count >= o.MaxCells {
-				break
-			}
-			if !inSet[nb] {
-				inSet[nb] = true
-				members = append(members, nb)
-				count++
-				queue = append(queue, entry{nb, e.depth + 1})
-			}
-		}
-		for _, nb := range g.fanout[e.id] {
-			if count >= o.MaxCells {
-				break
-			}
-			if !inSet[nb] {
-				inSet[nb] = true
-				members = append(members, nb)
-				count++
-				queue = append(queue, entry{nb, e.depth + 1})
+		for _, nbs := range [2][]int32{g.fanin.of(id), g.fanout.of(id)} {
+			for _, nb := range nbs {
+				if len(sc.members) >= o.MaxCells {
+					break
+				}
+				if mark[nb]&inSet == 0 {
+					add(nb, d+1)
+				}
 			}
 		}
 	}
 
-	// Deterministic candidate order: module cell order, read from the
-	// LIVE module, not the snapshot. The mux walk rewrites the module
-	// while the oracle (and its frozen index) is in use; a cell removed
-	// mid-walk must drop out of the candidate set exactly as it does
-	// for the per-query scan. Cells added mid-walk are unreachable here
-	// (the frozen adjacency never produces them).
-	members = members[:0]
-	for _, c := range g.ix.Module().Cells() {
-		if id, ok := g.id[c]; ok && inSet[id] {
-			members = append(members, id)
+	// Candidates: the BFS set without the cells the walk removed since
+	// the snapshot. Only the kept ones need module cell order, so only
+	// they are sorted.
+	for _, id := range sc.members {
+		if g.mod.HasCell(g.cells[id]) {
+			sc.cand = append(sc.cand, id)
 		}
 	}
-	res := &Result{CandidateCells: len(members)}
-
-	keptIDs := members
+	res := &Result{CandidateCells: len(sc.cand)}
 	if !o.DisableFilter {
 		// Theorem II.1: keep only the combined backward cones of the
-		// target and the known bits within the candidate set.
-		visited := make([]bool, len(g.cells))
-		var stack []int32
-		push := func(b rtlil.SigBit) {
-			if d := g.ix.DriverCell(b); d != nil {
-				if id := g.id[d]; inSet[id] && !visited[id] {
-					visited[id] = true
-					stack = append(stack, id)
-				}
+		// target and the known bits within the BFS set.
+		push := func(id int32) {
+			if id >= 0 && mark[id]&(inSet|visited) == inSet {
+				mark[id] |= visited
+				sc.stack = append(sc.stack, id)
 			}
 		}
-		push(g.ix.MapBit(target))
+		push(g.driverOf(target))
 		for _, k := range known {
-			push(g.ix.MapBit(k))
+			push(g.driverOf(k))
 		}
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.fanin[id] {
-				if inSet[nb] && !visited[nb] {
-					visited[nb] = true
-					stack = append(stack, nb)
-				}
+		for len(sc.stack) > 0 {
+			id := sc.stack[len(sc.stack)-1]
+			sc.stack = sc.stack[:len(sc.stack)-1]
+			for _, nb := range g.fanin.of(id) {
+				push(nb)
 			}
 		}
-		keptIDs = keptIDs[:0]
-		for _, id := range members {
-			if visited[id] {
-				keptIDs = append(keptIDs, id)
-			}
-		}
+		sc.cand = slices.DeleteFunc(sc.cand, func(id int32) bool { return mark[id]&visited == 0 })
 	}
+	keptIDs := sc.cand
+	slices.Sort(keptIDs)
 
-	kept := make([]bool, len(g.cells))
-	res.Cells = make([]*rtlil.Cell, len(keptIDs))
+	n := len(keptIDs)
+	res.IDs = slices.Clone(keptIDs)
+	cells := make([]*rtlil.Cell, 2*n)
+	res.Cells, res.Order = cells[:n:n], cells[n:n]
 	for i, id := range keptIDs {
-		kept[id] = true
+		mark[id] |= kept
 		res.Cells[i] = g.cells[id]
+	}
+	for _, id := range keptIDs {
+		res.Order = g.topo(mark, id, res.Order)
 	}
 
 	// Free inputs of the kept set: bits read by kept cells but not
 	// driven inside it, first occurrence order.
-	seen := map[int32]bool{}
 	for _, id := range keptIDs {
-		drv, ids := g.inDrv[id], g.inIDs[id]
-		for j, b := range g.inBits[id] {
-			if seen[ids[j]] {
+		lo, hi := g.inBits.bounds(id)
+		for j := lo; j < hi; j++ {
+			bid := g.inIDs[j]
+			if sc.seen[bid] {
 				continue
 			}
-			if d := drv[j]; d >= 0 && kept[d] {
+			if d := g.inDrv[j]; d >= 0 && mark[d]&kept != 0 {
 				continue
 			}
-			seen[ids[j]] = true
-			res.Inputs = append(res.Inputs, b)
+			sc.seen[bid] = true
+			sc.inputs = append(sc.inputs, j)
+		}
+	}
+	if len(sc.inputs) > 0 {
+		res.Inputs = make([]rtlil.SigBit, len(sc.inputs))
+		for i, j := range sc.inputs {
+			res.Inputs[i] = g.inBits.items[j]
 		}
 	}
 	return res
+}
+
+// topo appends id's kept cone to order, drivers before readers: a DFS
+// over the cell's input ports in cell-library order, first occurrence
+// wins. It reads the live ports, not the snapshot's fanin lists: the
+// mux walk replaces data-port bits with constants mid-pass, and the
+// cone compile, the AIG mapping and the rule engine all read the live
+// ports too.
+func (g *Graph) topo(mark []uint8, id int32, order []*rtlil.Cell) []*rtlil.Cell {
+	if mark[id]&ordered != 0 {
+		return order
+	}
+	mark[id] |= ordered
+	c := g.cells[id]
+	for _, port := range rtlil.InputPorts(c.Type) {
+		for _, b := range c.Port(port) {
+			if d := g.driverOf(b); d >= 0 && mark[d]&kept != 0 {
+				order = g.topo(mark, d, order)
+			}
+		}
+	}
+	return append(order, c)
 }

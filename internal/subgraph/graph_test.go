@@ -3,6 +3,8 @@ package subgraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/rtlil"
@@ -73,7 +75,9 @@ func collectBits(ix *rtlil.Index) []rtlil.SigBit {
 	return bits
 }
 
-func diffResults(t *testing.T, trial int, want, got *Result) {
+// diffResults compares a Graph.Extract result with the reference
+// Extract's, and its Order with the reference TopoCells of its Cells.
+func diffResults(t *testing.T, ix *rtlil.Index, trial int, want, got *Result) {
 	t.Helper()
 	if want.CandidateCells != got.CandidateCells {
 		t.Fatalf("trial %d: candidates %d != %d", trial, got.CandidateCells, want.CandidateCells)
@@ -93,6 +97,12 @@ func diffResults(t *testing.T, trial int, want, got *Result) {
 		if want.Inputs[i] != got.Inputs[i] {
 			t.Fatalf("trial %d: input %d is %v, want %v", trial, i, got.Inputs[i], want.Inputs[i])
 		}
+	}
+	if wantOrder := TopoCells(ix, want.Cells); !slices.Equal(got.Order, wantOrder) {
+		t.Fatalf("trial %d: order %v, want %v", trial, got.Order, wantOrder)
+	}
+	if len(got.IDs) != len(got.Cells) {
+		t.Fatalf("trial %d: %d ids for %d cells", trial, len(got.IDs), len(got.Cells))
 	}
 }
 
@@ -128,7 +138,7 @@ func TestGraphExtractMatchesExtract(t *testing.T) {
 			}
 			want := Extract(ix, target, knowns, opt)
 			got := g.Extract(target, knowns, opt)
-			diffResults(t, trial, want, got)
+			diffResults(t, ix, trial, want, got)
 		}
 	}
 }
@@ -162,7 +172,60 @@ func TestGraphExtractTracksCellRemoval(t *testing.T) {
 			}
 			want := Extract(ix, target, knowns, Options{})
 			got := g.Extract(target, knowns, Options{})
-			diffResults(t, trial, want, got)
+			diffResults(t, ix, trial, want, got)
+		}
+	}
+}
+
+// TestGraphExtractOrderReadsLivePorts: the walk also ties data-port
+// bits to constants mid-iteration. Extraction reads the snapshot, so
+// the kept cells, free inputs and candidate count stay what they were
+// before the rewrite; Order reads the live ports, like the cone compile
+// and the AIG mapping after it, and equals the reference TopoCells.
+func TestGraphExtractOrderReadsLivePorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 30; trial++ {
+		m := buildGraphModule(rng, 10+rng.Intn(20))
+		ix := rtlil.NewIndex(m)
+		g := NewGraph(ix)
+		bits := collectBits(ix)
+		if len(bits) == 0 {
+			continue
+		}
+		type query struct {
+			target rtlil.SigBit
+			knowns []rtlil.SigBit
+			before *Result
+		}
+		var queries []query
+		for q := 0; q < 8; q++ {
+			qu := query{target: bits[rng.Intn(len(bits))]}
+			for k := rng.Intn(3); k > 0; k-- {
+				qu.knowns = append(qu.knowns, bits[rng.Intn(len(bits))])
+			}
+			qu.before = g.Extract(qu.target, qu.knowns, Options{})
+			queries = append(queries, qu)
+		}
+		cells := m.Cells()
+		for k := 0; k < 6; k++ {
+			c := cells[rng.Intn(len(cells))]
+			if rtlil.IsSequential(c.Type) {
+				continue
+			}
+			port := rtlil.InputPorts(c.Type)[rng.Intn(len(rtlil.InputPorts(c.Type)))]
+			sig := c.Port(port).Copy()
+			sig[rng.Intn(len(sig))] = rtlil.ConstBit(rtlil.BoolState(rng.Intn(2) == 1))
+			c.SetPort(port, sig)
+		}
+		for _, q := range queries {
+			got := g.Extract(q.target, q.knowns, Options{})
+			if !slices.Equal(got.Cells, q.before.Cells) || !slices.Equal(got.Inputs, q.before.Inputs) ||
+				got.CandidateCells != q.before.CandidateCells {
+				t.Fatalf("trial %d: a port rewrite changed the extraction", trial)
+			}
+			if want := TopoCells(ix, got.Cells); !slices.Equal(got.Order, want) {
+				t.Fatalf("trial %d: order %v, want %v", trial, got.Order, want)
+			}
 		}
 	}
 }
@@ -205,6 +268,95 @@ func TestGraphExtractConcurrent(t *testing.T) {
 	}
 	for i, q := range queries {
 		want := Extract(ix, q.target, q.knowns, Options{})
-		diffResults(t, i, want, results[i])
+		diffResults(t, ix, i, want, results[i])
+	}
+}
+
+// TestGraphExtractSharedScratch extracts from two Graphs of different
+// sizes on 8 goroutines at once, so queries of both draw on and return
+// to the one scratch pool, grown by the larger graph and reused by the
+// smaller (run it under -race). Every result must match the reference.
+func TestGraphExtractSharedScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	type query struct {
+		target rtlil.SigBit
+		knowns []rtlil.SigBit
+	}
+	type side struct {
+		ix      *rtlil.Index
+		g       *Graph
+		queries []query
+		results []*Result
+	}
+	var sides []*side
+	for _, n := range []int{12, 120} {
+		ix := rtlil.NewIndex(buildGraphModule(rng, n))
+		s := &side{ix: ix, g: NewGraph(ix)}
+		bits := collectBits(ix)
+		for i := 0; i < 96; i++ {
+			q := query{target: bits[rng.Intn(len(bits))]}
+			for k := rng.Intn(3); k > 0; k-- {
+				q.knowns = append(q.knowns, bits[rng.Intn(len(bits))])
+			}
+			s.queries = append(s.queries, q)
+		}
+		s.results = make([]*Result, len(s.queries))
+		sides = append(sides, s)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 96; i += 8 {
+				for _, s := range sides {
+					s.results[i] = s.g.Extract(s.queries[i].target, s.queries[i].knowns, Options{})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, s := range sides {
+		for i, q := range s.queries {
+			diffResults(t, s.ix, i, Extract(s.ix, q.target, q.knowns, Options{}), s.results[i])
+		}
+	}
+}
+
+// TestGraphTablesMatchIndex pins the graph's bit-id tables to the
+// Index: Driver is the graph id of DriverCell, and Readers are the
+// combinational cells of Readers, in order.
+func TestGraphTablesMatchIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		ix := rtlil.NewIndex(buildGraphModule(rng, 4+rng.Intn(30)))
+		g := NewGraph(ix)
+		for _, w := range ix.Module().Wires() {
+			for _, b := range w.Bits() {
+				id := ix.ID(b)
+				if id < 0 {
+					continue
+				}
+				var drv *rtlil.Cell
+				if d := g.Driver(id); d >= 0 {
+					drv = g.Cell(d)
+				}
+				if drv != ix.DriverCell(b) {
+					t.Fatalf("trial %d: driver of %v is %v, want %v", trial, b, drv, ix.DriverCell(b))
+				}
+				var want, got []*rtlil.Cell
+				for _, r := range ix.Readers(b) {
+					if !rtlil.IsSequential(r.Cell.Type) {
+						want = append(want, r.Cell)
+					}
+				}
+				for _, r := range g.Readers(id) {
+					got = append(got, g.Cell(r))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: readers of %v are %v, want %v", trial, b, got, want)
+				}
+			}
+		}
 	}
 }

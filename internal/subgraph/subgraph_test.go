@@ -23,7 +23,7 @@ func TestFilterDismissesUnrelatedLogic(t *testing.T) {
 	m.Connect(y.Bits(), rtlil.Concat(orSR, side2))
 
 	ix := rtlil.NewIndex(m)
-	res := Extract(ix, orSR[0], []rtlil.SigBit{s[0]}, Options{Depth: 10})
+	res := NewGraph(ix).Extract(orSR[0], []rtlil.SigBit{s[0]}, Options{Depth: 10})
 	if res.CandidateCells < 1 {
 		t.Fatalf("no candidates found")
 	}
@@ -59,7 +59,7 @@ func TestFilterKeepsCommonAncestor(t *testing.T) {
 	m.Connect(y.Bits(), rtlil.Concat(k, tg, island))
 
 	ix := rtlil.NewIndex(m)
-	res := Extract(ix, tg[0], []rtlil.SigBit{k[0]}, Options{Depth: 10})
+	res := NewGraph(ix).Extract(tg[0], []rtlil.SigBit{k[0]}, Options{Depth: 10})
 	keptOr, keptAnd, keptIsland := false, false, false
 	for _, c := range res.Cells {
 		switch {
@@ -89,11 +89,11 @@ func TestDepthBound(t *testing.T) {
 	y := m.AddOutput("y", 1)
 	m.Connect(y.Bits(), cur)
 	ix := rtlil.NewIndex(m)
-	res := Extract(ix, cur[0], nil, Options{Depth: 2})
+	res := NewGraph(ix).Extract(cur[0], nil, Options{Depth: 2})
 	if res.CandidateCells > 3 {
 		t.Errorf("depth 2 collected %d cells", res.CandidateCells)
 	}
-	resAll := Extract(ix, cur[0], nil, Options{Depth: 100})
+	resAll := NewGraph(ix).Extract(cur[0], nil, Options{Depth: 100})
 	if resAll.CandidateCells != 10 {
 		t.Errorf("unbounded depth collected %d cells, want 10", resAll.CandidateCells)
 	}
@@ -108,7 +108,7 @@ func TestMaxCellsCap(t *testing.T) {
 	y := m.AddOutput("y", 1)
 	m.Connect(y.Bits(), acc)
 	ix := rtlil.NewIndex(m)
-	res := Extract(ix, acc[0], nil, Options{Depth: 100, MaxCells: 5})
+	res := NewGraph(ix).Extract(acc[0], nil, Options{Depth: 100, MaxCells: 5})
 	if res.CandidateCells > 5 {
 		t.Errorf("cap exceeded: %d cells", res.CandidateCells)
 	}
@@ -122,7 +122,7 @@ func TestInputsAreFreeBits(t *testing.T) {
 	y := m.AddOutput("y", 1)
 	m.Connect(y.Bits(), orSR)
 	ix := rtlil.NewIndex(m)
-	res := Extract(ix, orSR[0], []rtlil.SigBit{s[0]}, Options{})
+	res := NewGraph(ix).Extract(orSR[0], []rtlil.SigBit{s[0]}, Options{})
 	want := map[rtlil.SigBit]bool{s[0]: true, r[0]: true}
 	if len(res.Inputs) != 2 {
 		t.Fatalf("inputs = %v", res.Inputs)
@@ -144,7 +144,7 @@ func TestSequentialExcluded(t *testing.T) {
 	y := m.AddOutput("y", 1)
 	m.Connect(y.Bits(), g)
 	ix := rtlil.NewIndex(m)
-	res := Extract(ix, g[0], nil, Options{Depth: 10})
+	res := NewGraph(ix).Extract(g[0], nil, Options{Depth: 10})
 	for _, c := range res.Cells {
 		if rtlil.IsSequential(c.Type) {
 			t.Error("sequential cell in sub-graph")
@@ -190,7 +190,7 @@ func TestFilterReductionOnRandomDAGs(t *testing.T) {
 		y := m.AddOutput("y", 1)
 		m.Connect(y.Bits(), join)
 		ix := rtlil.NewIndex(m)
-		res := Extract(ix, tg[0], []rtlil.SigBit{s[0]}, Options{Depth: 50})
+		res := NewGraph(ix).Extract(tg[0], []rtlil.SigBit{s[0]}, Options{Depth: 50})
 		totalCand += res.CandidateCells
 		totalKept += len(res.Cells)
 	}

@@ -1,6 +1,7 @@
 package subgraph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rtlil"
@@ -25,12 +26,16 @@ func buildCmpCone(prefix string, k uint64) (*rtlil.Module, rtlil.SigBit) {
 	return m, tg[0]
 }
 
-// TestTopoCellsOrder: drivers precede readers for every kept cell.
+// TestTopoCellsOrder: Extract's Order holds every kept cell, drivers
+// before readers, and equals the reference TopoCells.
 func TestTopoCellsOrder(t *testing.T) {
 	m, tg := buildCmpCone("t_", 1)
 	ix := rtlil.NewIndex(m)
-	sg := Extract(ix, tg, nil, Options{Depth: 10})
-	order := TopoCells(ix, sg.Cells)
+	sg := NewGraph(ix).Extract(tg, nil, Options{Depth: 10})
+	order := sg.Order
+	if !slices.Equal(order, TopoCells(ix, sg.Cells)) {
+		t.Fatalf("Order differs from TopoCells")
+	}
 	if len(order) != len(sg.Cells) {
 		t.Fatalf("topo dropped cells: %d vs %d", len(order), len(sg.Cells))
 	}
