@@ -3,9 +3,38 @@ package verilog
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/rtlil"
 )
+
+// maxWidth bounds the width of every declared range, sized literal,
+// replication and concatenation. Every other expression is at most
+// about as wide as its operands, so elaboration allocates at most a few
+// bits per source byte per bit of this limit, however the widths are
+// written.
+const maxWidth = 1 << 12
+
+func checkWidth(what string, n uint64) error {
+	if n > maxWidth {
+		return fmt.Errorf("verilog: %s is %d bits wide, over the %d-bit limit", what, n, maxWidth)
+	}
+	return nil
+}
+
+// parseNumber parses a literal after checking its size prefix.
+func parseNumber(text string) (rtlil.SigSpec, error) {
+	if tick := strings.IndexByte(text, '\''); tick > 0 {
+		w, err := strconv.ParseUint(strings.ReplaceAll(text[:tick], "_", ""), 10, 64)
+		if err == nil {
+			if err := checkWidth("literal "+text, w); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rtlil.ParseConst(text)
+}
 
 // Elaborate converts a parsed source file into an rtlil design. The
 // lowering follows Yosys conventions: if/else chains become $mux trees,
@@ -114,6 +143,9 @@ func (e *elaborator) collectDecls() error {
 			if msb < l {
 				return e.errorf(d.Line, "descending ranges [%d:%d] not supported", msb, l)
 			}
+			if err := checkWidth(fmt.Sprintf("range [%d:%d]", msb, l), uint64(msb)-uint64(l)+1); err != nil {
+				return e.errorf(d.Line, "%v", err)
+			}
 			width, lsb = int(msb-l+1), int(l)
 		}
 		for _, name := range d.Names {
@@ -159,7 +191,7 @@ func (e *elaborator) collectDecls() error {
 func (e *elaborator) evalConst(x Expr) (int64, error) {
 	switch v := x.(type) {
 	case *Number:
-		sig, err := rtlil.ParseConst(v.Text)
+		sig, err := parseNumber(v.Text)
 		if err != nil {
 			return 0, err
 		}
@@ -227,7 +259,7 @@ func (e *elaborator) synthExpr(x Expr) (rtlil.SigSpec, error) {
 	switch v := x.(type) {
 	case *Number:
 		// Parameters do not reach here; numbers parse directly.
-		return rtlil.ParseConst(v.Text)
+		return parseNumber(v.Text)
 	case *Ident:
 		if p, ok := e.params[v.Name]; ok {
 			return rtlil.Const(uint64(p), 32), nil
@@ -279,6 +311,7 @@ func (e *elaborator) synthExpr(x Expr) (rtlil.SigSpec, error) {
 		return e.synthSlice(v)
 	case *Concat:
 		var parts []rtlil.SigSpec
+		width := 0
 		// Source order is MSB first; SigSpec is LSB first.
 		for i := len(v.Parts) - 1; i >= 0; i-- {
 			p, err := e.synthExpr(v.Parts[i])
@@ -286,6 +319,10 @@ func (e *elaborator) synthExpr(x Expr) (rtlil.SigSpec, error) {
 				return nil, err
 			}
 			parts = append(parts, p)
+			width += len(p)
+		}
+		if err := checkWidth("concatenation", uint64(width)); err != nil {
+			return nil, err
 		}
 		return rtlil.Concat(parts...), nil
 	case *Repeat:
@@ -298,6 +335,9 @@ func (e *elaborator) synthExpr(x Expr) (rtlil.SigSpec, error) {
 		}
 		xs, err := e.synthExpr(v.X)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkWidth("replication", uint64(n)*uint64(len(xs))); err != nil {
 			return nil, err
 		}
 		return xs.Repeat(int(n)), nil
@@ -472,12 +512,17 @@ func (e *elaborator) synthLHS(x Expr) (rtlil.SigSpec, error) {
 		return e.synthSlice(v)
 	case *Concat:
 		var parts []rtlil.SigSpec
+		width := 0
 		for i := len(v.Parts) - 1; i >= 0; i-- {
 			p, err := e.synthLHS(v.Parts[i])
 			if err != nil {
 				return nil, err
 			}
 			parts = append(parts, p)
+			width += len(p)
+		}
+		if err := checkWidth("concatenation", uint64(width)); err != nil {
+			return nil, err
 		}
 		return rtlil.Concat(parts...), nil
 	}

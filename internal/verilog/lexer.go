@@ -5,6 +5,10 @@
 // if/else and case/casez statements — the constructs that elaborate into
 // the muxtrees the optimizer targets.
 //
+// Identifiers are ASCII (escaped identifiers are not supported), and no
+// declared range, sized literal, replication or concatenation may be
+// wider than 4096 bits.
+//
 // The pipeline is lexer → parser (AST) → elaborator (rtlil netlist),
 // mirroring how Yosys' frontend feeds opt_muxtree.
 package verilog
@@ -12,7 +16,6 @@ package verilog
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokKind classifies tokens.
@@ -118,6 +121,10 @@ func Lex(src string) ([]Token, error) {
 			for i < n && src[i] != '\n' {
 				advance(1)
 			}
+		case c == '\\':
+			return nil, fmt.Errorf("verilog:%d:%d: escaped identifiers are not supported", line, col)
+		case c >= 0x80:
+			return nil, fmt.Errorf("verilog:%d:%d: non-ASCII byte %#x (identifiers and keywords are ASCII)", line, col, c)
 		case isIdentStart(c):
 			start := i
 			startCol := col
@@ -179,7 +186,7 @@ func Lex(src string) ([]Token, error) {
 }
 
 func isIdentStart(c byte) bool {
-	return c == '_' || c == '$' || c == '\\' || unicode.IsLetter(rune(c))
+	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
 func isIdentPart(c byte) bool {

@@ -54,6 +54,73 @@ func TestLexLineNumbers(t *testing.T) {
 	}
 }
 
+// escapedIdentModule and nonASCIIModule are two modules outside the
+// subset: an escaped identifier and a UTF-8 letter in a name. Lex used
+// to accept their first byte as an identifier start but not as an
+// identifier part, and appended empty tokens without end.
+const (
+	escapedIdentModule = "module m(input a, input b, output y);\n" +
+		"  // the escaped name below is not part of the subset\n" +
+		"  wire \\w[3] ;\n" +
+		"  assign \\w[3]  = a & b;\n" +
+		"  assign y = \\w[3] ;\n" +
+		"endmodule\n"
+	nonASCIIModule = "module m(input a, output y);\n  wire caf\u00e9;\n  assign y = a;\nendmodule\n"
+)
+
+// TestLexRejectsEscapedAndNonASCII: both modules are errors that name
+// the offending byte's line and column, from Lex and from Parse.
+func TestLexRejectsEscapedAndNonASCII(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{escapedIdentModule, "verilog:3:8: escaped identifiers"},
+		{nonASCIIModule, "verilog:2:11: non-ASCII byte 0xc3"},
+		{"\\", "verilog:1:1: escaped"},
+		{"\xe9", "verilog:1:1: non-ASCII byte 0xe9"},
+	} {
+		if _, err := Lex(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Lex(%q) error %v, want one containing %q", tc.src, err, tc.want)
+		}
+		if _, err := Parse(tc.src); err == nil {
+			t.Errorf("Parse(%q) accepted", tc.src)
+		}
+	}
+	// Inside comments and strings any byte is fine.
+	if _, err := Lex("// caf\u00e9 \\x\n/* \\ \u00e9 */ \"\u00e9\" x"); err != nil {
+		t.Errorf("non-ASCII in a comment or string: %v", err)
+	}
+}
+
+// TestWidthLimit: ranges, sized literals, replications and
+// concatenations up to 4096 bits elaborate; one bit more is an error.
+func TestWidthLimit(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{"wire [4095:0] w; assign y = w[0];", true},
+		{"wire [4096:0] w; assign y = w[0];", false},
+		{"wire [9223372036854775807:-9223372036854775808] w; assign y = w[0];", false},
+		{"assign y = 4096'h1 == 4096'h1;", true},
+		{"assign y = 4097'h1 == 4097'h1;", false},
+		{"assign y = 99999999999999999999'h1 == 1;", false},
+		{"assign y = {4096{a}} == 0;", true},
+		{"assign y = {2{{2049{a}}}} == 0;", false},
+		{"wire [2047:0] w; assign y = {w, w} == 0;", true},
+		{"wire [2047:0] w; assign y = {w, w, a} == 0;", false},
+	} {
+		src := "module m(input a, output y); " + tc.body + " endmodule"
+		f, err := Parse(src)
+		if err == nil {
+			_, err = Elaborate(f)
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: error %v, want ok=%v", tc.body, err, tc.ok)
+		}
+	}
+}
+
 func elab(t *testing.T, src string) *rtlil.Module {
 	t.Helper()
 	f, err := Parse(src)
