@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/aig"
@@ -305,13 +307,14 @@ func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
 // ask about the same canonical bit under the same facts.
 func (s *SmartOracle) cacheKey(bit rtlil.SigBit) string {
 	facts := s.facts.Facts()
-	pairs := make([]uint64, 0, len(facts))
+	var pairBuf [16]uint64
+	pairs := pairBuf[:0]
 	for b, v := range facts {
 		pairs = append(pairs, uint64(s.bitKey(b))<<8|uint64(v))
 	}
 	slices.Sort(pairs)
-	key := make([]byte, 0, 4+5*len(pairs))
-	key = binary.LittleEndian.AppendUint32(key, s.bitKey(bit))
+	var keyBuf [4 + 5*16]byte
+	key := binary.LittleEndian.AppendUint32(keyBuf[:0], s.bitKey(bit))
 	for _, p := range pairs {
 		key = binary.LittleEndian.AppendUint32(key, uint32(p>>8))
 		key = append(key, byte(p))
@@ -553,7 +556,9 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 	words := s.o.SimFilterRounds
 	var rng *rand.Rand
 	if !exhaustive {
-		rng = rand.New(rand.NewSource(int64(len(q.order))<<32 | int64(len(inSlots))))
+		rng = rngPool.Get().(*rand.Rand)
+		defer rngPool.Put(rng)
+		rng.Seed(int64(len(q.order))<<32 | int64(len(inSlots)))
 	} else if n := len(inSlots); n < 6 {
 		words = 1
 		live &= 1<<(1<<uint(n)) - 1
@@ -607,24 +612,31 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 	return rtlil.S0, true
 }
 
+// rngPool recycles the pre-filter's generators. Re-seeding one yields
+// the same draws as rand.New(rand.NewSource(seed)) without allocating
+// the source's 4.9 KB state for every query.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // sortedBits returns the fact keys in a deterministic order.
 func sortedBits(facts map[rtlil.SigBit]rtlil.State) []rtlil.SigBit {
 	out := make([]rtlil.SigBit, 0, len(facts))
 	for b := range facts {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		bi, bj := out[i], out[j]
+	slices.SortFunc(out, func(bi, bj rtlil.SigBit) int {
 		if (bi.Wire == nil) != (bj.Wire == nil) {
-			return bi.Wire == nil
+			if bi.Wire == nil {
+				return -1
+			}
+			return 1
 		}
 		if bi.Wire != nil && bi.Wire.Name != bj.Wire.Name {
-			return bi.Wire.Name < bj.Wire.Name
+			return strings.Compare(bi.Wire.Name, bj.Wire.Name)
 		}
 		if bi.Offset != bj.Offset {
-			return bi.Offset < bj.Offset
+			return cmp.Compare(bi.Offset, bj.Offset)
 		}
-		return bi.Const < bj.Const
+		return cmp.Compare(bi.Const, bj.Const)
 	})
 	return out
 }

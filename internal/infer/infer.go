@@ -35,6 +35,7 @@ type Engine struct {
 	loose    map[rtlil.SigBit]rtlil.State // facts on bits the index does not number
 	conflict bool
 	facts    int
+	in       map[string][]rtlil.State // forward's input values, reused per cell
 }
 
 // New creates an engine over the indexed module. If cells is non-nil,
@@ -195,11 +196,14 @@ func (e *Engine) Propagate() bool {
 // forward evaluates the cell over currently known values; any defined
 // output bit becomes a fact.
 func (e *Engine) forward(c *rtlil.Cell) {
-	in := map[string][]rtlil.State{}
-	for _, p := range rtlil.InputPorts(c.Type) {
-		in[p] = e.ValueSig(c.Port(p))
+	if e.in == nil {
+		e.in = map[string][]rtlil.State{}
 	}
-	out, err := sim.EvalCell(c, in)
+	clear(e.in)
+	for _, p := range rtlil.InputPorts(c.Type) {
+		e.in[p] = e.ValueSig(c.Port(p))
+	}
+	out, err := sim.EvalCell(c, e.in)
 	if err != nil {
 		return
 	}
