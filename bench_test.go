@@ -271,8 +271,7 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 	}
 	g := subgraph.NewGraph(ix)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g.Extract(target, known, subgraph.Options{})
 	}
 }

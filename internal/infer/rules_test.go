@@ -224,3 +224,27 @@ func TestAssumeSigAndNumFacts(t *testing.T) {
 		t.Error("assuming 1'b0 = 1 is not a conflict")
 	}
 }
+
+// TestUnindexedBits: a bit the index does not number (a wire added
+// after NewIndex) still holds an assumed value and conflicts with the
+// opposite one; it has no driver or readers to schedule.
+func TestUnindexedBits(t *testing.T) {
+	m := rtlil.NewModule("m")
+	a := m.AddInput("a", 1).Bits()
+	y := m.AddOutput("y", 1).Bits()
+	m.AddUnary(rtlil.CellNot, "inv", a, y)
+	e := engineFor(m)
+	late := m.AddWire("late", 1).Bits()
+	e.Assume(late[0], s1)
+	if !e.Propagate() {
+		t.Fatal("unexpected conflict")
+	}
+	want(t, "late", e, late, s1)
+	if e.NumFacts() != 1 {
+		t.Errorf("NumFacts = %d, want 1", e.NumFacts())
+	}
+	e.Assume(late[0], s0)
+	if !e.Conflict() {
+		t.Error("assuming both values of an unindexed bit is not a conflict")
+	}
+}

@@ -37,7 +37,6 @@ func (r *Result) merge(o Result) {
 	for k, v := range o.Details {
 		r.Details[k] += v
 	}
-	r.Stages = addStages(r.Stages, o.Stages)
 }
 
 // addStages adds the stage times of src into dst, allocating dst on

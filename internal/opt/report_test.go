@@ -40,12 +40,6 @@ func TestStageTimesMergeAndStrip(t *testing.T) {
 	if again := c.Report(); again.Pass("p").Stages["extract"] != 7 {
 		t.Errorf("Report shares its stage map with the collector")
 	}
-	total := newResult()
-	total.merge(res)
-	total.merge(res)
-	if total.Stages["sat"] != 6 {
-		t.Errorf("Result.merge stages %v, want sat=6", total.Stages)
-	}
 	rep.StripTimings()
 	if p := rep.Pass("p"); p.Stages != nil || p.Duration != 0 || p.Counters["n"] != 2 {
 		t.Errorf("stripped pass %+v, want no times and n=2", *p)

@@ -39,7 +39,6 @@ import (
 // goroutines over one shared Graph.
 type Graph struct {
 	ix    *rtlil.Index
-	mod   *rtlil.Module
 	cells []*rtlil.Cell
 	comb  []bool // by graph id: not a sequential cell
 
@@ -70,9 +69,6 @@ type csr[T any] struct {
 
 func (c *csr[T]) of(id int32) []T { return c.items[c.start[id]:c.start[id+1]] }
 
-// bounds returns the range of id's list in items.
-func (c *csr[T]) bounds(id int32) (int32, int32) { return c.start[id], c.start[id+1] }
-
 // NewGraph builds the adjacency view. The index must not change while
 // the graph is in use.
 func NewGraph(ix *rtlil.Index) *Graph {
@@ -83,7 +79,6 @@ func NewGraph(ix *rtlil.Index) *Graph {
 	nbits := ix.NumIDs()
 	g := &Graph{
 		ix:      ix,
-		mod:     ix.Module(),
 		cells:   cells,
 		comb:    make([]bool, len(cells)),
 		drv:     make([]int32, nbits),
@@ -311,8 +306,9 @@ func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) 
 	// Candidates: the BFS set without the cells the walk removed since
 	// the snapshot. Only the kept ones need module cell order, so only
 	// they are sorted.
+	m := g.ix.Module()
 	for _, id := range sc.members {
-		if g.mod.HasCell(g.cells[id]) {
+		if m.HasCell(g.cells[id]) {
 			sc.cand = append(sc.cand, id)
 		}
 	}
@@ -357,8 +353,7 @@ func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) 
 	// Free inputs of the kept set: bits read by kept cells but not
 	// driven inside it, first occurrence order.
 	for _, id := range keptIDs {
-		lo, hi := g.inBits.bounds(id)
-		for j := lo; j < hi; j++ {
+		for j := g.inBits.start[id]; j < g.inBits.start[id+1]; j++ {
 			bid := g.inIDs[j]
 			if sc.seen[bid] {
 				continue
