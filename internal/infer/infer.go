@@ -61,17 +61,16 @@ func New(ix *rtlil.Index, cells []*rtlil.Cell) *Engine {
 		slices.Sort(ids)
 		ids = slices.Compact(ids)
 	}
+	ids = slices.DeleteFunc(ids, func(id int32) bool { return rtlil.IsSequential(g.Cell(id).Type) })
 	return NewScoped(g, ids)
 }
 
-// NewScoped creates an engine over the cells of g with the given graph
-// ids (ascending; subgraph.Result.IDs). It is the oracle's per-query
-// constructor: its cost is O(len(ids)), not O(module).
+// NewScoped creates an engine over the combinational cells of g with
+// the given graph ids (ascending, as subgraph.Result.IDs holds them;
+// the engine reads the slice, never writes it). It is the oracle's
+// per-query constructor: its cost is O(len(ids)), not O(module).
 func NewScoped(g *subgraph.Graph, ids []int32) *Engine {
-	scope := slices.DeleteFunc(slices.Clone(ids), func(id int32) bool {
-		return rtlil.IsSequential(g.Cell(id).Type)
-	})
-	return &Engine{ix: g.Index(), g: g, scope: scope, inQueue: make([]bool, len(scope))}
+	return &Engine{ix: g.Index(), g: g, scope: ids, inQueue: make([]bool, len(ids))}
 }
 
 // Assume records that bit b has value v (S0 or S1) and schedules
