@@ -16,8 +16,8 @@ type Result struct {
 	Details map[string]int
 	// Stages maps the pass' internal stages (smartly_satmux: index,
 	// extract, infer, sim, sat) to their busy time, summed over worker
-	// goroutines. Wall-clock telemetry, never part of a deterministic
-	// report: StripTimings drops it.
+	// goroutines. It is wall-clock telemetry, like the pass' duration:
+	// RunReport.StripTimings drops it.
 	Stages map[string]time.Duration
 }
 
@@ -37,18 +37,6 @@ func (r *Result) merge(o Result) {
 	for k, v := range o.Details {
 		r.Details[k] += v
 	}
-}
-
-// addStages adds the stage times of src into dst, allocating dst on
-// first use.
-func addStages(dst, src map[string]time.Duration) map[string]time.Duration {
-	for k, v := range src {
-		if dst == nil {
-			dst = make(map[string]time.Duration, len(src))
-		}
-		dst[k] += v
-	}
-	return dst
 }
 
 // String renders the result counters deterministically.

@@ -132,6 +132,18 @@ func (r *RunReport) String() string {
 	return sb.String()
 }
 
+// addStages adds the stage times of src into dst, allocating dst on
+// first use.
+func addStages(dst, src map[string]time.Duration) map[string]time.Duration {
+	for k, v := range src {
+		if dst == nil {
+			dst = make(map[string]time.Duration, len(src))
+		}
+		dst[k] += v
+	}
+	return dst
+}
+
 // reportCollector accumulates per-pass entries inside a Ctx. It is
 // guarded by the Ctx mutex: design-level runs may share one Ctx across
 // goroutines (their merged report is then aggregate; per-module reports
