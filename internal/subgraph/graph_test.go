@@ -183,6 +183,28 @@ func TestGraphExtractTracksCellRemoval(t *testing.T) {
 // before the rewrite; Order reads the live ports, like the cone compile
 // and the AIG mapping after it, and equals the reference TopoCells.
 func TestGraphExtractOrderReadsLivePorts(t *testing.T) {
+	// y = w & b with w = ~a, the AND added first. Once the AND's w input
+	// is tied to 1, nothing orders the NOT before it any more: the live
+	// order is module order, where the snapshot's fanin would still put
+	// the NOT first.
+	m := rtlil.NewModule("m")
+	a := m.AddInput("a", 1).Bits()
+	b := m.AddInput("b", 1).Bits()
+	w := m.AddWire("w", 1).Bits()
+	y := m.AddOutput("y", 1).Bits()
+	and := m.AddBinary(rtlil.CellAnd, "and", w, b, y)
+	not := m.AddUnary(rtlil.CellNot, "not", a, w)
+	ix := rtlil.NewIndex(m)
+	g := NewGraph(ix)
+	if got := g.Extract(y[0], nil, Options{}).Order; !slices.Equal(got, []*rtlil.Cell{not, and}) {
+		t.Fatalf("order before the rewrite %v, want [not and]", got)
+	}
+	and.SetPort("A", rtlil.SigSpec{rtlil.ConstBit(rtlil.S1)})
+	got := g.Extract(y[0], nil, Options{})
+	if !slices.Equal(got.Cells, []*rtlil.Cell{and, not}) || !slices.Equal(got.Order, []*rtlil.Cell{and, not}) {
+		t.Fatalf("after the rewrite cells %v order %v, want [and not] for both", got.Cells, got.Order)
+	}
+
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
 		m := buildGraphModule(rng, 10+rng.Intn(20))
