@@ -9,7 +9,7 @@ import (
 )
 
 // randomMuxModule mirrors the opt package fuzzer: muxtree-shaped random
-// netlists with derived controls.
+// netlists with derived and constant controls.
 func randomMuxModule(rng *rand.Rand) *rtlil.Module {
 	m := rtlil.NewModule("fuzz")
 	var bits []rtlil.SigSpec
@@ -22,6 +22,14 @@ func randomMuxModule(rng *rand.Rand) *rtlil.Module {
 	}
 	pickBit := func() rtlil.SigSpec { return bits[rng.Intn(len(bits))] }
 	pickWord := func() rtlil.SigSpec { return words[rng.Intn(len(words))] }
+	// pickSel draws a mux select: one in four is the constant 0, 1 or x,
+	// on which the walk takes or pushes path facts like on any bit.
+	pickSel := func() rtlil.SigSpec {
+		if rng.Intn(4) == 0 {
+			return rtlil.ConstBits([]rtlil.State{rtlil.S0, rtlil.S1, rtlil.Sx}[rng.Intn(3)])
+		}
+		return pickBit()
+	}
 	for i := 0; i < 12; i++ {
 		switch rng.Intn(7) {
 		case 0:
@@ -33,11 +41,11 @@ func randomMuxModule(rng *rand.Rand) *rtlil.Module {
 		case 3:
 			bits = append(bits, m.Eq(pickWord(), rtlil.Const(uint64(rng.Intn(8)), 3)))
 		case 4:
-			words = append(words, m.Mux(pickWord(), pickWord(), pickBit()))
+			words = append(words, m.Mux(pickWord(), pickWord(), pickSel()))
 		case 5:
 			bits = append(bits, m.Lt(pickWord(), pickWord()))
 		case 6:
-			sel := rtlil.Concat(pickBit(), pickBit())
+			sel := rtlil.Concat(pickSel(), pickSel())
 			words = append(words, m.Pmux(pickWord(), []rtlil.SigSpec{pickWord(), pickWord()}, sel))
 		}
 	}

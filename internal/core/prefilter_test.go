@@ -178,25 +178,24 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 				if len(sg.Inputs) == 0 || len(sg.Inputs) > 10 {
 					continue
 				}
-				fact := map[rtlil.SigBit]rtlil.State{
-					sg.Inputs[rng.Intn(len(sg.Inputs))]: rtlil.BoolState(rng.Intn(2) == 1),
-				}
-				for _, facts := range []map[rtlil.SigBit]rtlil.State{{}, fact} {
+				var none, one opt.PathFacts
+				one.Push(sg.Inputs[rng.Intn(len(sg.Inputs))], rtlil.BoolState(rng.Intn(2) == 1))
+				for _, facts := range []*opt.PathFacts{&none, &one} {
 					newQuery := func() *query {
 						return &query{
 							target: target,
 							sg:     sg,
 							order:  sg.Order,
-							facts:  facts,
-							knowns: sortedBits(facts),
+							knowns: facts.Bits(),
+							vals:   facts.States(),
 						}
 					}
 					var st SatMuxStats
 					simV, simOK := s.sweep(newQuery(), true, &st)
 					satV, satOK := s.satSolve(newQuery(), &st)
 					if simV != satV || simOK != satOK {
-						t.Fatalf("%s: target %v facts %v: sweep=(%v,%v) sat=(%v,%v)",
-							m.Name, target, facts, simV, simOK, satV, satOK)
+						t.Fatalf("%s: target %v facts %v=%v: sweep=(%v,%v) sat=(%v,%v)",
+							m.Name, target, facts.Bits(), facts.States(), simV, simOK, satV, satOK)
 					}
 					compared++
 					if simOK {

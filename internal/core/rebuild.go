@@ -109,7 +109,7 @@ func (p *RebuildPass) Name() string { return "smartly_rebuild" }
 func (p *RebuildPass) Run(ec *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	o := p.Opts.withDefaults()
 	p.LastStats = RebuildStats{}
-	res := resultShim()
+	res := opt.NewResult()
 
 	ix := rtlil.NewIndex(m)
 
@@ -172,17 +172,12 @@ func (p *RebuildPass) Run(ec *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	return res, nil
 }
 
-func resultShim() opt.Result {
-	return opt.Result{Details: map[string]int{}}
-}
-
 // analyzeTree checks the Algorithm 1 line-2 conditions (OnlyEq and
 // SingleCtrl) and flattens the tree into a priority row table. Cells in
 // consumed (already rebuilt this run) are treated as leaves.
 func (p *RebuildPass) analyzeTree(ix *rtlil.Index, root *rtlil.Cell, o RebuildOptions, consumed map[*rtlil.Cell]bool) *treeInfo {
 	info := &treeInfo{root: root, width: len(root.Port("Y"))}
 	var selectorWire *rtlil.Wire
-	ok := true
 
 	// condOf derives the cube under which a control bit is 1.
 	condOf := func(ctrl rtlil.SigBit) (cube, *rtlil.Cell) {
@@ -237,12 +232,7 @@ func (p *RebuildPass) analyzeTree(ix *rtlil.Index, root *rtlil.Cell, o RebuildOp
 	// cellConds derives the branch cubes of a mux/pmux cell, or nil if
 	// any control fails the OnlyEq / SingleCtrl conditions.
 	cellConds := func(c *rtlil.Cell) ([]cube, []*rtlil.Cell) {
-		var ctrls rtlil.SigSpec
-		if c.Type == rtlil.CellMux {
-			ctrls = c.Port("S")
-		} else {
-			ctrls = c.Port("S")
-		}
+		ctrls := c.Port("S")
 		conds := make([]cube, len(ctrls))
 		var srcs []*rtlil.Cell
 		for i, bit := range ctrls {
@@ -264,9 +254,6 @@ func (p *RebuildPass) analyzeTree(ix *rtlil.Index, root *rtlil.Cell, o RebuildOp
 	// own later).
 	var flatten func(sig rtlil.SigSpec, guard cube) []row
 	flatten = func(sig rtlil.SigSpec, guard cube) []row {
-		if !ok {
-			return nil
-		}
 		child := opt.TreeChild(ix, sig)
 		if child == nil || consumed[child] {
 			return []row{{when: guard, data: ix.Map(sig)}}
@@ -324,7 +311,7 @@ func (p *RebuildPass) analyzeTree(ix *rtlil.Index, root *rtlil.Cell, o RebuildOp
 		}
 		rows = append(rows, flatten(root.Port("A"), cube{})...)
 	}
-	if !ok || len(rows) == 0 || len(rows) > o.MaxPatterns {
+	if len(rows) == 0 || len(rows) > o.MaxPatterns {
 		return nil
 	}
 	if len(info.cells) < 2 && root.Type == rtlil.CellMux {

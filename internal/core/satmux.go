@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -170,36 +168,50 @@ func (tm *stageTimes) add(o stageTimes) {
 // too many inputs — the simulation pre-filter and a one-shot SAT call.
 // Each SAT-bound query encodes its own cone into a fresh AIG mapping,
 // CNF and budgeted solver; the pre-filter settles most such queries
-// before any encoding happens.
+// before any encoding happens. It caches each answer by target and path
+// facts.
 //
 // The oracle is not safe for concurrent use from the outside, but
-// ValueBatch fans independent queries out to Ctx.Workers() goroutines
-// internally: every query runs on worker-private state over the shared
-// read-only Index, and results, cache writes and counters are merged in
-// submission order — bit-identical to the sequential path for every
-// worker count.
+// Values fans the open queries of one call out to Ctx.Workers()
+// goroutines: every query runs on worker-private state over the shared
+// read-only Index and path facts, and results, cache writes and counters
+// are merged in submission order — bit-identical for every worker count.
 type SmartOracle struct {
 	Stats SatMuxStats
 
-	// Ctx supplies the worker budget and cancellation for ValueBatch;
-	// nil means sequential.
+	// Ctx supplies the worker budget and cancellation for Values; nil
+	// means sequential.
 	Ctx *opt.Ctx
 
 	ix    *rtlil.Index
 	graph *subgraph.Graph
-	facts *opt.FactOracle
 	o     SatMuxOptions
-	cache map[string]cacheEntry
+	cache map[string]rtlil.State // Sx: unknown
 	times stageTimes
 	// unindexed numbers the bits cacheKey meets that the index does not
 	// know (see bitKey).
 	unindexed map[rtlil.SigBit]uint32
+
+	// The bookkeeping of one Values call, reused by the next: the
+	// queries to solve, the output slots waiting on them, the job index
+	// by cache key and the key buffer.
+	jobs   []job
+	waits  []wait
+	byKey  map[string]int
+	keyBuf []byte
 }
 
-type cacheEntry struct {
-	v     rtlil.State
-	known bool
+// job is one open query of a Values call, solved on a worker.
+type job struct {
+	bit rtlil.SigBit
+	key string
+	v   rtlil.State
+	st  SatMuxStats
+	tm  stageTimes
 }
+
+// wait is an output slot of a Values call that takes a job's answer.
+type wait struct{ slot, job int }
 
 // NewSmartOracle builds an oracle over the module index.
 func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
@@ -209,117 +221,71 @@ func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
 		// extraction is the hottest per-query stage once the pre-filter
 		// has culled the SAT calls.
 		graph: subgraph.NewGraph(ix),
-		facts: opt.NewFactOracle(),
 		o:     o.withDefaults(),
-		cache: map[string]cacheEntry{},
+		cache: map[string]rtlil.State{},
+		byKey: map[string]int{},
 	}
 }
 
-// Push implements opt.Oracle.
-func (s *SmartOracle) Push(bit rtlil.SigBit, v rtlil.State) { s.facts.Push(bit, v) }
-
-// Pop implements opt.Oracle.
-func (s *SmartOracle) Pop(n int) { s.facts.Pop(n) }
-
-// Lookup implements opt.Oracle (cheap, facts only).
-func (s *SmartOracle) Lookup(bit rtlil.SigBit) (rtlil.State, bool) {
-	return s.facts.Lookup(bit)
-}
-
-// Value implements opt.Oracle with the full §II machinery.
-func (s *SmartOracle) Value(bit rtlil.SigBit) (rtlil.State, bool) {
-	if v, ok := s.facts.Lookup(bit); ok {
-		s.Stats.FactHits++
-		return v, ok
-	}
-	s.Stats.Queries++
-
-	key := s.cacheKey(bit)
-	if e, ok := s.cache[key]; ok {
-		return e.v, e.known
-	}
-	var st SatMuxStats
-	v, known := s.solve(bit, &st, &s.times)
-	accumulate(&s.Stats, st)
-	s.cache[key] = cacheEntry{v, known}
-	return v, known
-}
-
-// ValueBatch implements opt.BatchOracle: the independent control-value
-// queries of one pmux select scan are deduplicated by cache key and
-// solved on a bounded worker pool, each on worker-private state. Results,
-// cache contents and counters are merged in submission order, so they
-// are bit-identical for every worker count and match calling Value
-// sequentially.
-func (s *SmartOracle) ValueBatch(bits []rtlil.SigBit) []opt.BatchValue {
-	out := make([]opt.BatchValue, len(bits))
-	type job struct {
-		bit   rtlil.SigBit
-		key   string
-		idxs  []int
-		v     rtlil.State
-		known bool
-		st    SatMuxStats
-		tm    stageTimes
-	}
-	var jobs []*job
-	byKey := map[string]*job{}
+// Values implements opt.Oracle with the full §II machinery. A bit the
+// facts answer counts as a fact hit, every other bit as a query. Queries
+// the cache cannot answer are deduplicated by cache key and solved on a
+// bounded worker pool; their results, cache writes and counters are
+// merged in submission order, as if solved one at a time.
+func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rtlil.State) {
+	s.jobs, s.waits = s.jobs[:0], s.waits[:0]
+	clear(s.byKey)
 	for i, bit := range bits {
-		if v, ok := s.facts.Lookup(bit); ok {
+		if v, ok := facts.Lookup(bit); ok {
 			s.Stats.FactHits++
-			out[i] = opt.BatchValue{V: v, Known: true}
+			out[i] = v
 			continue
 		}
 		s.Stats.Queries++
-		key := s.cacheKey(bit)
-		if e, ok := s.cache[key]; ok {
-			out[i] = opt.BatchValue{V: e.v, Known: e.known}
+		key := s.cacheKey(facts, bit)
+		if v, ok := s.cache[string(key)]; ok {
+			out[i] = v
 			continue
 		}
-		if j, dup := byKey[key]; dup {
-			// Sequentially the first occurrence would have primed the
-			// cache; attach this index to the same job.
-			j.idxs = append(j.idxs, i)
-			continue
+		// A repeated key waits on the first occurrence's job, whose
+		// answer would have primed the cache one query earlier.
+		j, dup := s.byKey[string(key)]
+		if !dup {
+			j = len(s.jobs)
+			s.jobs = append(s.jobs, job{bit: bit, key: string(key), v: rtlil.Sx})
+			s.byKey[s.jobs[j].key] = j
 		}
-		j := &job{bit: bit, key: key, idxs: []int{i}}
-		byKey[key] = j
-		jobs = append(jobs, j)
+		s.waits = append(s.waits, wait{i, j})
 	}
-	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(jobs), func(i int) {
-		j := jobs[i]
-		j.v, j.known = s.solve(j.bit, &j.st, &j.tm)
+	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(s.jobs), func(i int) {
+		j := &s.jobs[i]
+		j.v, _ = s.solve(facts, j.bit, &j.st, &j.tm)
 	})
-	for _, j := range jobs {
+	for i := range s.jobs {
+		j := &s.jobs[i]
 		accumulate(&s.Stats, j.st)
 		s.times.add(j.tm)
-		s.cache[j.key] = cacheEntry{j.v, j.known}
-		for _, i := range j.idxs {
-			out[i] = opt.BatchValue{V: j.v, Known: j.known}
-		}
+		s.cache[j.key] = j.v
 	}
-	return out
+	for _, w := range s.waits {
+		out[w.slot] = s.jobs[w.job].v
+	}
 }
 
 // cacheKey identifies a query by its target and the path facts: the
 // target's bit key, then the (bit key, value) pairs of the facts in
-// ascending order, as bytes. Two queries share a key exactly when they
-// ask about the same canonical bit under the same facts.
-func (s *SmartOracle) cacheKey(bit rtlil.SigBit) string {
-	facts := s.facts.Facts()
-	var pairBuf [16]uint64
-	pairs := pairBuf[:0]
-	for b, v := range facts {
-		pairs = append(pairs, uint64(s.bitKey(b))<<8|uint64(v))
+// their canonical order, as bytes. Two queries share a key exactly when
+// they ask about the same canonical bit under the same facts. The key
+// is valid until the next call.
+func (s *SmartOracle) cacheKey(facts *opt.PathFacts, bit rtlil.SigBit) []byte {
+	key := binary.LittleEndian.AppendUint32(s.keyBuf[:0], s.bitKey(bit))
+	vals := facts.States()
+	for i, b := range facts.Bits() {
+		key = binary.LittleEndian.AppendUint32(key, s.bitKey(b))
+		key = append(key, byte(vals[i]))
 	}
-	slices.Sort(pairs)
-	var keyBuf [4 + 5*16]byte
-	key := binary.LittleEndian.AppendUint32(keyBuf[:0], s.bitKey(bit))
-	for _, p := range pairs {
-		key = binary.LittleEndian.AppendUint32(key, uint32(p>>8))
-		key = append(key, byte(p))
-	}
-	return string(key)
+	s.keyBuf = key
+	return key
 }
 
 // bitKey numbers a bit for cacheKey: its Index.ID, a distinct number
@@ -346,16 +312,15 @@ func (s *SmartOracle) bitKey(b rtlil.SigBit) uint32 {
 }
 
 // query is one control-value query that inference left open: the
-// extracted cone in topological order, the fact snapshot that the
-// sweeps mask by and SAT assumes, and the target values a sweep
-// witnessed. A witnessed value is known Sat, so satSolve skips that
-// Solve call.
+// extracted cone in topological order, the path facts that the sweeps
+// mask by and SAT assumes, and the target values a sweep witnessed. A
+// witnessed value is known Sat, so satSolve skips that Solve call.
 type query struct {
 	target       rtlil.SigBit // the queried bit, sigmapped
 	sg           *subgraph.Result
 	order        []*rtlil.Cell
-	facts        map[rtlil.SigBit]rtlil.State
-	knowns       []rtlil.SigBit
+	knowns       []rtlil.SigBit // the fact bits, in the facts' order
+	vals         []rtlil.State  // their values
 	seen0, seen1 bool
 }
 
@@ -364,18 +329,17 @@ type query struct {
 // pre-filter sweep followed by SAT. It writes counters to st and stage
 // times to tm (worker-local sinks during parallel batches, merged in
 // order afterwards) and touches no shared mutable state.
-func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (rtlil.State, bool) {
+func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (rtlil.State, bool) {
 	if s.Ctx.Err() != nil {
 		// Canceled: report unknown; the pass surfaces the context error.
 		st.Unknown++
 		return rtlil.Sx, false
 	}
 	t := time.Now()
-	facts := s.facts.Facts()
-	// Deterministic fact order: it seeds the sub-graph BFS and the SAT
-	// assumption list, where map iteration order could otherwise change
-	// conflict-bounded solver outcomes between runs.
-	knowns := sortedBits(facts)
+	// The facts' canonical order seeds the sub-graph BFS and orders the
+	// SAT assumptions, so conflict-bounded solver outcomes cannot vary
+	// between runs.
+	knowns, vals := facts.Bits(), facts.States()
 	sg := s.graph.Extract(bit, knowns, subgraph.Options{
 		Depth:         s.o.SubgraphDepth,
 		MaxCells:      s.o.MaxSubgraphCells,
@@ -387,7 +351,7 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (
 
 	// Stage 1: inference rules (paper Table I).
 	if !s.o.DisableInference {
-		v, decided := s.infer(bit, sg, knowns, facts, st)
+		v, decided := s.infer(bit, sg, knowns, vals, st)
 		t = tm.lap(stageInfer, t)
 		if decided {
 			return v, true
@@ -408,8 +372,8 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (
 		target: s.ix.MapBit(bit),
 		sg:     sg,
 		order:  sg.Order,
-		facts:  facts,
 		knowns: knowns,
+		vals:   vals,
 	}
 	if n <= s.o.SimInputLimit {
 		v, ok := s.sweep(q, true, st)
@@ -445,10 +409,10 @@ func (s *SmartOracle) solve(bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (
 // facts. It reports decided=true with the value when the rules settle
 // the query: the target's inferred value, or S0 for an unreachable path
 // (the mux output is never observed there, so either branch is sound).
-func (s *SmartOracle) infer(bit rtlil.SigBit, sg *subgraph.Result, knowns []rtlil.SigBit, facts map[rtlil.SigBit]rtlil.State, st *SatMuxStats) (v rtlil.State, decided bool) {
+func (s *SmartOracle) infer(bit rtlil.SigBit, sg *subgraph.Result, knowns []rtlil.SigBit, vals []rtlil.State, st *SatMuxStats) (v rtlil.State, decided bool) {
 	e := infer.NewScoped(s.graph, sg.IDs)
-	for _, b := range knowns {
-		e.Assume(b, facts[b])
+	for i, b := range knowns {
+		e.Assume(b, vals[i])
 	}
 	if !e.Propagate() {
 		st.UnreachablePath++
@@ -505,7 +469,7 @@ func enumLanes(i, w int) uint64 {
 // seen, a cancellation, or a cone it cannot simulate.
 //
 // Determinism: the RNG is seeded from the query's own shape (its cell
-// and input counts) and the facts are scanned in sorted order, so the
+// and input counts) and the facts are scanned in their order, so the
 // lane schedule depends only on the query, never on worker count or
 // scheduling.
 func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.State, bool) {
@@ -532,13 +496,13 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 	var checks []factCheck
 	pinned := map[int]uint64{}
 	live := ^uint64(0) // the lanes that count in every word
-	for _, b := range q.knowns {
+	for i, b := range q.knowns {
 		slot, ok := cone.Slot(b)
 		if !ok {
 			continue
 		}
 		var want uint64
-		switch q.facts[b] {
+		switch q.vals[i] {
 		case rtlil.S0:
 		case rtlil.S1:
 			want = ^uint64(0)
@@ -617,30 +581,6 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 // the source's 4.9 KB state for every query.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// sortedBits returns the fact keys in a deterministic order.
-func sortedBits(facts map[rtlil.SigBit]rtlil.State) []rtlil.SigBit {
-	out := make([]rtlil.SigBit, 0, len(facts))
-	for b := range facts {
-		out = append(out, b)
-	}
-	slices.SortFunc(out, func(bi, bj rtlil.SigBit) int {
-		if (bi.Wire == nil) != (bj.Wire == nil) {
-			if bi.Wire == nil {
-				return -1
-			}
-			return 1
-		}
-		if bi.Wire != nil && bi.Wire.Name != bj.Wire.Name {
-			return strings.Compare(bi.Wire.Name, bj.Wire.Name)
-		}
-		if bi.Offset != bj.Offset {
-			return cmp.Compare(bi.Offset, bj.Offset)
-		}
-		return cmp.Compare(bi.Const, bj.Const)
-	})
-	return out
-}
-
 // satSolve answers one SAT-bound query on a private encoding: the AIG
 // mapping of the cone's cells in topological order, its Tseitin CNF in a
 // fresh budgeted solver, and up to two assumption-based Solve calls —
@@ -669,17 +609,17 @@ func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) (rtlil.State, bool) {
 	solver.MaxConflicts = s.o.MaxConflicts
 	cnf := aig.NewCNF(mp.G, solver)
 
-	// Assumptions in sorted fact order: under a conflict budget the
+	// Assumptions in the facts' order: under a conflict budget the
 	// solver outcome may depend on assumption order, which must not vary
 	// between runs or worker counts. Constant facts (an x select pushed
 	// by the walker) and facts outside the cone have no literal.
 	var assumptions []sat.Lit
-	for _, b := range q.knowns {
+	for i, b := range q.knowns {
 		if b.IsConst() || !mp.HasBit(b) {
 			continue
 		}
 		l := cnf.SatLit(mp.LitOf(b))
-		if q.facts[b] == rtlil.S0 {
+		if q.vals[i] == rtlil.S0 {
 			l = l.Not()
 		}
 		assumptions = append(assumptions, l)
@@ -735,7 +675,7 @@ func (p *SatMuxPass) Name() string { return "smartly_satmux" }
 // pmux select scans fan out to c.Workers() goroutines and the fixpoint
 // aborts on cancellation.
 func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
-	var total opt.Result
+	total := opt.NewResult()
 	var times stageTimes
 	p.LastStats = SatMuxStats{}
 	for iter := 0; iter < 20; iter++ {
@@ -756,20 +696,13 @@ func (p *SatMuxPass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 		}
 		accumulate(&p.LastStats, oracle.Stats)
 		times.add(oracle.times)
-		if iter == 0 {
-			total = r
-		} else {
-			mergeResults(&total, r)
-		}
+		total.Merge(r)
 		if !r.Changed {
 			break
 		}
 	}
 	// Thread the oracle counters into the run report alongside the
 	// walker's rewrite counters.
-	if total.Details == nil {
-		total.Details = map[string]int{}
-	}
 	for k, v := range p.LastStats.Details() {
 		total.Details[k] += v
 	}
@@ -800,16 +733,4 @@ func accumulate(dst *SatMuxStats, s SatMuxStats) {
 	dst.BudgetTrips += s.BudgetTrips
 	dst.SimFiltered += s.SimFiltered
 	dst.SimVectors += s.SimVectors
-}
-
-func mergeResults(dst *opt.Result, r opt.Result) {
-	if r.Changed {
-		dst.Changed = true
-	}
-	if dst.Details == nil {
-		dst.Details = map[string]int{}
-	}
-	for k, v := range r.Details {
-		dst.Details[k] += v
-	}
 }

@@ -85,7 +85,7 @@ func (p *Pass) Name() string { return "opt_egraph" }
 // apply (a skipped root keeps its original cone, which never
 // invalidates the other proofs).
 func (p *Pass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
-	res := opt.Result{Details: map[string]int{}}
+	res := opt.NewResult()
 	o := p.Opts.withDefaults()
 	rules, err := ParseRules(o.Rules)
 	if err != nil {

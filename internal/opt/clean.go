@@ -14,7 +14,7 @@ func (CleanPass) Name() string { return "opt_clean" }
 
 // Run implements Pass.
 func (CleanPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
-	res := newResult()
+	res := NewResult()
 	for {
 		if err := c.Err(); err != nil {
 			return res, err

@@ -64,7 +64,7 @@ func (DffPass) Name() string { return "opt_dff" }
 // Run implements Pass.
 func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 	o := p.Opts.withDefaults()
-	res := newResult()
+	res := NewResult()
 	if len(m.SeqCells()) == 0 {
 		return res, nil
 	}
@@ -77,7 +77,7 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		res.merge(sres)
+		res.Merge(sres)
 		return res, nil
 	}
 	// Verify-before-rewire: sweep a clone, prove it, then replay the
@@ -101,7 +101,7 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.merge(sres)
+	res.Merge(sres)
 	if res.Changed {
 		res.Details["dff_proved"] = 1
 	}
@@ -112,7 +112,7 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 // propagates freed constants. It is a pure deterministic function of
 // the module, which is what makes the clone-verify-replay scheme sound.
 func sweepDffs(m *rtlil.Module, o DffOptions) (Result, error) {
-	res := newResult()
+	res := NewResult()
 	for {
 		changed := false
 		if !o.DisableUnused {

@@ -52,8 +52,9 @@
 // This package registers opt_expr (constant folding), opt_muxtree
 // (path-local muxtree pruning, the Yosys baseline), opt_clean (dead
 // logic removal) and opt_reduce (operand deduplication). The muxtree
-// walker is shared with the smaRTLy passes in internal/core: the
-// baseline consults only path-local facts, while smaRTLy plugs in an
-// oracle backed by sub-graph extraction, inference rules, simulation
-// and SAT.
+// walker is shared with the smaRTLy passes in internal/core. The walk
+// keeps the path facts (PathFacts) and asks its Oracle for select
+// values; the baseline is the walk with no oracle, which answers from
+// the facts alone, while smaRTLy plugs in an oracle backed by sub-graph
+// extraction, inference rules, simulation and SAT.
 package opt

@@ -16,7 +16,7 @@ func (ExprPass) Name() string { return "opt_expr" }
 
 // Run implements Pass.
 func (ExprPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
-	total := newResult()
+	total := NewResult()
 	for iter := 0; iter < 50; iter++ {
 		if err := c.Err(); err != nil {
 			return total, err
@@ -25,7 +25,7 @@ func (ExprPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 		if err != nil {
 			return total, err
 		}
-		total.merge(r)
+		total.Merge(r)
 		if !r.Changed {
 			break
 		}
@@ -34,7 +34,7 @@ func (ExprPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 }
 
 func exprSweep(m *rtlil.Module) (Result, error) {
-	res := newResult()
+	res := NewResult()
 	ix := rtlil.NewIndex(m)
 	order, err := rtlil.TopoSort(ix)
 	if err != nil {
@@ -116,7 +116,7 @@ func exprSweep(m *rtlil.Module) (Result, error) {
 		m.Connect(y, rw.newSig)
 		res.bump(rw.counter, 1)
 	}
-	res.merge(shrinkPmux(m, sigVals))
+	res.Merge(shrinkPmux(m, sigVals))
 	return res, nil
 }
 
@@ -189,7 +189,7 @@ func isAll(vals []rtlil.State, want rtlil.State) bool {
 // collapses single-word pmux with constant select, and rewrites pmux with
 // zero remaining words to the default input.
 func shrinkPmux(m *rtlil.Module, sigVals func(rtlil.SigSpec) []rtlil.State) Result {
-	res := newResult()
+	res := NewResult()
 	for _, c := range append([]*rtlil.Cell(nil), m.Cells()...) {
 		if c.Type != rtlil.CellPmux {
 			continue

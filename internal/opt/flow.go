@@ -294,7 +294,7 @@ func compileStep(s Step) (Pass, error) {
 func (f *Flow) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 	passes, err := f.Compile()
 	if err != nil {
-		return newResult(), err
+		return NewResult(), err
 	}
 	return RunScript(c, m, passes...)
 }

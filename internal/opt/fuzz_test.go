@@ -9,8 +9,9 @@ import (
 )
 
 // randomMuxModule builds random netlists biased toward muxtree shapes:
-// nested muxes with shared or derived controls, eq-driven selects, and
-// partially constant data — the structures the passes rewrite.
+// nested muxes with shared, derived or constant controls, eq-driven
+// selects, and partially constant data — the structures the passes
+// rewrite.
 func randomMuxModule(rng *rand.Rand) *rtlil.Module {
 	m := rtlil.NewModule("fuzz")
 	var bits []rtlil.SigSpec
@@ -23,6 +24,14 @@ func randomMuxModule(rng *rand.Rand) *rtlil.Module {
 	}
 	pickBit := func() rtlil.SigSpec { return bits[rng.Intn(len(bits))] }
 	pickWord := func() rtlil.SigSpec { return words[rng.Intn(len(words))] }
+	// pickSel draws a mux select: one in four is the constant 0, 1 or x,
+	// on which the walk takes or pushes path facts like on any bit.
+	pickSel := func() rtlil.SigSpec {
+		if rng.Intn(4) == 0 {
+			return rtlil.ConstBits([]rtlil.State{rtlil.S0, rtlil.S1, rtlil.Sx}[rng.Intn(3)])
+		}
+		return pickBit()
+	}
 
 	for i := 0; i < 10; i++ {
 		switch rng.Intn(7) {
@@ -35,13 +44,13 @@ func randomMuxModule(rng *rand.Rand) *rtlil.Module {
 		case 3:
 			bits = append(bits, m.Eq(pickWord(), rtlil.Const(uint64(rng.Intn(8)), 3)))
 		case 4:
-			words = append(words, m.Mux(pickWord(), pickWord(), pickBit()))
+			words = append(words, m.Mux(pickWord(), pickWord(), pickSel()))
 		case 5:
 			// Partially constant data word.
 			w := pickWord()
 			words = append(words, rtlil.Concat(w.Extract(0, 2), rtlil.Const(uint64(rng.Intn(2)), 1)))
 		case 6:
-			sel := rtlil.Concat(pickBit(), pickBit())
+			sel := rtlil.Concat(pickSel(), pickSel())
 			words = append(words, m.Pmux(pickWord(), []rtlil.SigSpec{pickWord(), pickWord()}, sel))
 		}
 	}

@@ -1,97 +1,103 @@
 package opt
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"repro/internal/rtlil"
 )
 
-// Oracle answers control-value queries during a muxtree traversal. The
-// walker pushes path facts (control values implied by the branch being
-// descended) and asks for the value of the next control bit.
-//
-// The baseline (Yosys opt_muxtree behaviour) answers only from the pushed
-// facts; smaRTLy's oracle additionally runs sub-graph inference,
-// simulation and SAT (internal/core).
+// Oracle answers the select values of a muxtree walk under the path
+// facts the walk gathered on its way down the tree (paper Figure 3).
+// The baseline, Yosys' opt_muxtree, is the walk with no oracle: it
+// answers from the facts alone. smaRTLy's oracle adds sub-graph
+// inference, simulation and SAT (internal/core).
 type Oracle interface {
-	// Push records a path fact: along the current branch, bit has the
-	// given constant value.
-	Push(bit rtlil.SigBit, v rtlil.State)
-	// Pop removes the n most recent facts.
-	Pop(n int)
-	// Lookup answers cheaply from recorded facts only. It is used for
-	// data-port substitution, where a full query per bit would be too
-	// expensive.
-	Lookup(bit rtlil.SigBit) (rtlil.State, bool)
-	// Value determines the bit's value under the current path facts,
-	// with whatever effort the oracle implements.
-	Value(bit rtlil.SigBit) (rtlil.State, bool)
+	// Values writes the value of bits[i] under facts to out[i]: S0 or S1
+	// when it is determined, Sx when it is not. The bits of one call see
+	// the same module state and facts, so an oracle may resolve them
+	// concurrently, but its answers and side effects must equal
+	// resolving them one at a time in slice order: the walk's rewrites
+	// may not depend on the worker count. facts, and the slices it
+	// returns, may only be read during the call.
+	Values(facts *PathFacts, bits []rtlil.SigBit, out []rtlil.State)
 }
 
-// FactOracle is the baseline oracle: a stack of path facts with map
-// lookup, replicating what Yosys' opt_muxtree knows.
-type FactOracle struct {
-	facts map[rtlil.SigBit]rtlil.State
-	stack []rtlil.SigBit
+// PathFacts is the walk's path condition: one value per bit, implied by
+// the branches taken from the tree root down to the current cell. The
+// facts stay sorted, constants first, then by wire name and offset, an
+// order that depends only on the fact set, so oracles seed searches and
+// build cache keys from it without sorting.
+type PathFacts struct {
+	bits []rtlil.SigBit
+	vals []rtlil.State
+	// undo holds, per Push, the index the fact went in at, or -1 when
+	// the bit already had a fact.
+	undo []int
 }
 
-// NewFactOracle returns an empty fact oracle.
-func NewFactOracle() *FactOracle {
-	return &FactOracle{facts: map[rtlil.SigBit]rtlil.State{}}
-}
-
-// Push implements Oracle.
-func (o *FactOracle) Push(bit rtlil.SigBit, v rtlil.State) {
-	if _, dup := o.facts[bit]; dup {
-		// Keep the first fact; record a placeholder pop entry.
-		o.stack = append(o.stack, rtlil.SigBit{Const: rtlil.Sx})
+// Push records that bit has value v along the current branch. A bit
+// that already has a fact keeps its first value.
+func (f *PathFacts) Push(bit rtlil.SigBit, v rtlil.State) {
+	i, dup := slices.BinarySearchFunc(f.bits, bit, compareBits)
+	if dup {
+		f.undo = append(f.undo, -1)
 		return
 	}
-	o.facts[bit] = v
-	o.stack = append(o.stack, bit)
+	f.bits = slices.Insert(f.bits, i, bit)
+	f.vals = slices.Insert(f.vals, i, v)
+	f.undo = append(f.undo, i)
 }
 
-// Pop implements Oracle.
-func (o *FactOracle) Pop(n int) {
-	for i := 0; i < n; i++ {
-		b := o.stack[len(o.stack)-1]
-		o.stack = o.stack[:len(o.stack)-1]
-		if b.Wire != nil || b.Const != rtlil.Sx {
-			delete(o.facts, b)
+// Pop undoes the n most recent pushes. Pushes and pops nest, so a fact
+// is still at the index it went in at when its push is undone.
+func (f *PathFacts) Pop(n int) {
+	for ; n > 0; n-- {
+		i := f.undo[len(f.undo)-1]
+		f.undo = f.undo[:len(f.undo)-1]
+		if i >= 0 {
+			f.bits = slices.Delete(f.bits, i, i+1)
+			f.vals = slices.Delete(f.vals, i, i+1)
 		}
 	}
 }
 
-// Lookup implements Oracle.
-func (o *FactOracle) Lookup(bit rtlil.SigBit) (rtlil.State, bool) {
+// Lookup answers from the facts alone: the bit's value and true, or Sx
+// and false. The constants 0 and 1 are always known.
+func (f *PathFacts) Lookup(bit rtlil.SigBit) (rtlil.State, bool) {
 	if bit.IsConst() && (bit.Const == rtlil.S0 || bit.Const == rtlil.S1) {
 		return bit.Const, true
 	}
-	v, ok := o.facts[bit]
-	return v, ok
+	if i, ok := slices.BinarySearchFunc(f.bits, bit, compareBits); ok {
+		return f.vals[i], true
+	}
+	return rtlil.Sx, false
 }
 
-// Value implements Oracle: the baseline knows nothing beyond its facts.
-func (o *FactOracle) Value(bit rtlil.SigBit) (rtlil.State, bool) {
-	return o.Lookup(bit)
-}
+// Bits returns the fact bits in order and States their values, index for
+// index. Both alias the stack, which the next Push or Pop changes.
+func (f *PathFacts) Bits() []rtlil.SigBit { return f.bits }
 
-// Facts returns the current fact map (shared, do not mutate).
-func (o *FactOracle) Facts() map[rtlil.SigBit]rtlil.State { return o.facts }
+// States returns the fact values in the order of Bits.
+func (f *PathFacts) States() []rtlil.State { return f.vals }
 
-// BatchValue is one result of a BatchOracle query.
-type BatchValue struct {
-	V     rtlil.State
-	Known bool
-}
-
-// BatchOracle is implemented by oracles that can resolve several control
-// bits under the same path condition at once — smaRTLy's oracle fans the
-// independent simulation/SAT queries of a pmux select scan out to a
-// worker pool. Implementations must return results identical to calling
-// Value on each bit sequentially in slice order (deterministic merge),
-// so the walker's rewrites do not depend on the worker count.
-type BatchOracle interface {
-	Oracle
-	ValueBatch(bits []rtlil.SigBit) []BatchValue
+// compareBits is the fact order: constants first, by value, then wire
+// bits by wire name (unique within a module) and offset.
+func compareBits(a, b rtlil.SigBit) int {
+	if (a.Wire == nil) != (b.Wire == nil) {
+		if a.Wire == nil {
+			return -1
+		}
+		return 1
+	}
+	if a.Wire == nil {
+		return cmp.Compare(a.Const, b.Const)
+	}
+	if c := strings.Compare(a.Wire.Name, b.Wire.Name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Offset, b.Offset)
 }
 
 // MuxtreeWalk traverses all muxtrees of the module root-down, consulting
@@ -106,12 +112,16 @@ type BatchOracle interface {
 // Rewrites are only applied along single-fanout tree edges, where the
 // accumulated path condition is valid.
 type MuxtreeWalk struct {
+	// Oracle answers the select values; nil answers from the path facts
+	// alone.
 	Oracle Oracle
 
 	m       *rtlil.Module
 	ix      *rtlil.Index
 	visited map[*rtlil.Cell]bool
-	removed map[*rtlil.Cell]bool
+	facts   PathFacts
+	sels    []rtlil.SigBit // the selects of one query, reused
+	vals    []rtlil.State  // their values, reused
 	res     *Result
 }
 
@@ -122,15 +132,12 @@ type MuxtreeWalk struct {
 // the context error with the rewrites applied so far (each is
 // individually sound).
 func (w *MuxtreeWalk) Run(c *Ctx, ix *rtlil.Index) (Result, error) {
-	res := newResult()
+	res := NewResult()
 	w.m = ix.Module()
 	w.ix = ix
 	w.visited = map[*rtlil.Cell]bool{}
-	w.removed = map[*rtlil.Cell]bool{}
+	w.facts = PathFacts{}
 	w.res = &res
-	if w.Oracle == nil {
-		w.Oracle = NewFactOracle()
-	}
 
 	muxes := w.muxCells()
 	for _, mc := range muxes {
@@ -233,7 +240,7 @@ func parentHoldsWord(ix *rtlil.Index, parent *rtlil.Cell, y rtlil.SigSpec) bool 
 
 func (w *MuxtreeWalk) treeChild(sig rtlil.SigSpec) *rtlil.Cell {
 	c := TreeChild(w.ix, sig)
-	if c == nil || w.removed[c] {
+	if c == nil || !w.m.HasCell(c) {
 		return nil
 	}
 	return c
@@ -247,6 +254,25 @@ func (w *MuxtreeWalk) ctrlBit(sig rtlil.SigSpec) rtlil.SigBit {
 	return w.ix.MapBit(sig[0])
 }
 
+// values answers w.sels under the path facts. The result is w.vals,
+// which the next query overwrites: read it before visiting a child.
+func (w *MuxtreeWalk) values() []rtlil.State {
+	w.vals = slices.Grow(w.vals[:0], len(w.sels))[:len(w.sels)]
+	if w.Oracle == nil {
+		for i, b := range w.sels {
+			w.vals[i], _ = w.facts.Lookup(b)
+		}
+		return w.vals
+	}
+	// Unknown unless answered: the zero State is S0 ("known 0"), which
+	// would unsoundly drop words if an oracle left a slot unanswered.
+	for i := range w.vals {
+		w.vals[i] = rtlil.Sx
+	}
+	w.Oracle.Values(&w.facts, w.sels, w.vals)
+	return w.vals
+}
+
 // substituteData replaces data-port bits whose value is implied by the
 // current path facts with constants (Figure 2).
 func (w *MuxtreeWalk) substituteData(c *rtlil.Cell, port string) {
@@ -257,7 +283,7 @@ func (w *MuxtreeWalk) substituteData(c *rtlil.Cell, port string) {
 		if b.IsConst() {
 			continue
 		}
-		if v, ok := w.Oracle.Lookup(b); ok {
+		if v, ok := w.facts.Lookup(b); ok {
 			out[i] = rtlil.ConstBit(v)
 			changed = true
 		}
@@ -273,7 +299,6 @@ func (w *MuxtreeWalk) substituteData(c *rtlil.Cell, port string) {
 func (w *MuxtreeWalk) collapse(c *rtlil.Cell, branch rtlil.SigSpec, counter string) {
 	y := c.Port("Y")
 	w.m.RemoveCell(c)
-	w.removed[c] = true
 	w.m.Connect(y, branch.Copy())
 	w.res.bump(counter, 1)
 	if child := w.treeChild(branch); child != nil {
@@ -282,7 +307,7 @@ func (w *MuxtreeWalk) collapse(c *rtlil.Cell, branch rtlil.SigSpec, counter stri
 }
 
 func (w *MuxtreeWalk) visit(c *rtlil.Cell) {
-	if w.visited[c] || w.removed[c] {
+	if w.visited[c] || !w.m.HasCell(c) {
 		return
 	}
 	w.visited[c] = true
@@ -298,23 +323,24 @@ func (w *MuxtreeWalk) visitMux(c *rtlil.Cell) {
 	w.substituteData(c, "A")
 	w.substituteData(c, "B")
 	s := w.ctrlBit(c.Port("S"))
-	if v, ok := w.Oracle.Value(s); ok {
-		if v == rtlil.S1 {
-			w.collapse(c, c.Port("B"), "mux_collapsed")
-		} else {
-			w.collapse(c, c.Port("A"), "mux_collapsed")
-		}
+	w.sels = append(w.sels[:0], s)
+	switch w.values()[0] {
+	case rtlil.S1:
+		w.collapse(c, c.Port("B"), "mux_collapsed")
+		return
+	case rtlil.S0:
+		w.collapse(c, c.Port("A"), "mux_collapsed")
 		return
 	}
 	if child := w.treeChild(c.Port("A")); child != nil {
-		w.Oracle.Push(s, rtlil.S0)
+		w.facts.Push(s, rtlil.S0)
 		w.visit(child)
-		w.Oracle.Pop(1)
+		w.facts.Pop(1)
 	}
 	if child := w.treeChild(c.Port("B")); child != nil {
-		w.Oracle.Push(s, rtlil.S1)
+		w.facts.Push(s, rtlil.S1)
 		w.visit(child)
-		w.Oracle.Pop(1)
+		w.facts.Pop(1)
 	}
 }
 
@@ -324,31 +350,12 @@ func (w *MuxtreeWalk) visitPmux(c *rtlil.Cell) {
 	sw := c.Param("S_WIDTH")
 	s := c.Port("S")
 
-	// Determine select values under the current path condition. All sw
-	// queries see the same module state and fact set, so a batch-capable
-	// oracle may resolve them concurrently.
-	bits := make([]rtlil.SigBit, sw)
-	vals := make([]rtlil.State, sw)
+	// One query for all sw selects under the current path condition.
+	w.sels = w.sels[:0]
 	for i := 0; i < sw; i++ {
-		bits[i] = w.ctrlBit(rtlil.SigSpec{s[i]})
-		// Unknown by default: the State zero value is S0 ("known 0"),
-		// which would unsoundly drop words if an oracle left a slot
-		// unanswered.
-		vals[i] = rtlil.Sx
+		w.sels = append(w.sels, w.ctrlBit(rtlil.SigSpec{s[i]}))
 	}
-	if bo, ok := w.Oracle.(BatchOracle); ok && sw > 1 {
-		for i, r := range bo.ValueBatch(bits) {
-			if r.Known {
-				vals[i] = r.V
-			}
-		}
-	} else {
-		for i := 0; i < sw; i++ {
-			if v, ok := w.Oracle.Value(bits[i]); ok {
-				vals[i] = v
-			}
-		}
-	}
+	vals := w.values()
 
 	// With ascending priority, a select bit known 1 shadows all earlier
 	// words and the default; drop words whose select is known 0.
@@ -378,7 +385,6 @@ func (w *MuxtreeWalk) visitPmux(c *rtlil.Cell) {
 
 	y := c.Port("Y")
 	w.m.RemoveCell(c)
-	w.removed[c] = true
 	switch len(words) {
 	case 0:
 		w.m.Connect(y, base.Copy())
@@ -403,33 +409,28 @@ func (w *MuxtreeWalk) visitPmux(c *rtlil.Cell) {
 // and each candidate word (its select 1, later selects 0 by priority).
 func (w *MuxtreeWalk) recursePmux(c *rtlil.Cell, base rtlil.SigSpec, words []rtlil.SigSpec, sels rtlil.SigSpec) {
 	if child := w.treeChild(base); child != nil {
-		n := 0
 		for i := range sels {
-			w.Oracle.Push(w.ctrlBit(rtlil.SigSpec{sels[i]}), rtlil.S0)
-			n++
+			w.facts.Push(w.ctrlBit(rtlil.SigSpec{sels[i]}), rtlil.S0)
 		}
 		w.visit(child)
-		w.Oracle.Pop(n)
+		w.facts.Pop(len(sels))
 	}
 	for i, word := range words {
 		child := w.treeChild(word)
 		if child == nil {
 			continue
 		}
-		n := 0
-		w.Oracle.Push(w.ctrlBit(rtlil.SigSpec{sels[i]}), rtlil.S1)
-		n++
+		w.facts.Push(w.ctrlBit(rtlil.SigSpec{sels[i]}), rtlil.S1)
 		for j := i + 1; j < len(sels); j++ {
-			w.Oracle.Push(w.ctrlBit(rtlil.SigSpec{sels[j]}), rtlil.S0)
-			n++
+			w.facts.Push(w.ctrlBit(rtlil.SigSpec{sels[j]}), rtlil.S0)
 		}
 		w.visit(child)
-		w.Oracle.Pop(n)
+		w.facts.Pop(len(sels) - i)
 	}
 }
 
-// MuxtreePass is the baseline opt_muxtree: the walker with the
-// facts-only oracle, run to a fixpoint.
+// MuxtreePass is the baseline opt_muxtree: the walker with no oracle,
+// answering from the path facts alone, run to a fixpoint.
 type MuxtreePass struct{}
 
 // Name implements Pass.
@@ -437,14 +438,14 @@ func (MuxtreePass) Name() string { return "opt_muxtree" }
 
 // Run implements Pass.
 func (MuxtreePass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
-	total := newResult()
+	total := NewResult()
 	for iter := 0; iter < 20; iter++ {
-		walk := &MuxtreeWalk{Oracle: NewFactOracle()}
+		walk := &MuxtreeWalk{}
 		r, err := walk.Run(c, rtlil.NewIndex(m))
 		if err != nil {
 			return total, err
 		}
-		total.merge(r)
+		total.Merge(r)
 		if !r.Changed {
 			break
 		}

@@ -1,10 +1,13 @@
 package opt
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cec"
 	"repro/internal/rtlil"
+	"repro/internal/verilog"
 )
 
 // checkEquiv fails the test if the optimized module is not equivalent to
@@ -288,32 +291,130 @@ func TestCleanKeepsDffCone(t *testing.T) {
 	}
 }
 
-func TestFactOracle(t *testing.T) {
-	o := NewFactOracle()
+// TestPathFacts: a repeated push keeps the first value, and every pop
+// undoes exactly its own push, on the constant x bit too; after every
+// step of a random push/pop sequence the facts are the live set, sorted.
+func TestPathFacts(t *testing.T) {
 	m := rtlil.NewModule("m")
-	w := m.AddWire("w", 2)
-	b0, b1 := w.Bit(0), w.Bit(1)
-	o.Push(b0, rtlil.S1)
-	o.Push(b1, rtlil.S0)
-	o.Push(b0, rtlil.S0) // duplicate: first fact wins
-	if v, ok := o.Lookup(b0); !ok || v != rtlil.S1 {
-		t.Error("duplicate push overwrote fact")
+	// Wires made out of name order: the facts sort by name, not by
+	// creation.
+	wb := m.AddWire("b", 2)
+	wa := m.AddWire("a", 3)
+	x := rtlil.ConstBit(rtlil.Sx)
+
+	var f PathFacts
+	f.Push(wa.Bit(1), rtlil.S1)
+	f.Push(wb.Bit(0), rtlil.S0)
+	f.Push(wa.Bit(1), rtlil.S0) // repeat: the first value stays
+	if v, ok := f.Lookup(wa.Bit(1)); !ok || v != rtlil.S1 {
+		t.Errorf("after a repeated push: %v %v, want the first value 1", v, ok)
 	}
-	o.Pop(1) // pops the placeholder
-	if v, ok := o.Lookup(b0); !ok || v != rtlil.S1 {
-		t.Error("pop of duplicate removed real fact")
+	f.Pop(1)
+	if v, ok := f.Lookup(wa.Bit(1)); !ok || v != rtlil.S1 {
+		t.Errorf("after popping the repeat: %v %v, want 1", v, ok)
 	}
-	o.Pop(2)
-	if _, ok := o.Lookup(b0); ok {
-		t.Error("fact survived pop")
+	f.Pop(2)
+	if len(f.Bits()) != 0 || len(f.States()) != 0 {
+		t.Errorf("facts survived their pops: %v %v", f.Bits(), f.States())
 	}
-	if _, ok := o.Lookup(b1); ok {
-		t.Error("fact survived pop")
+	// A fact on the constant x bit, which the walk pushes for an x
+	// select, goes with its pop like any other.
+	f.Push(x, rtlil.S1)
+	f.Push(x, rtlil.S0)
+	if v, ok := f.Lookup(x); !ok || v != rtlil.S1 {
+		t.Errorf("x fact: %v %v, want 1", v, ok)
 	}
-	// Constants are always known.
-	if v, ok := o.Lookup(rtlil.ConstBit(rtlil.S1)); !ok || v != rtlil.S1 {
+	f.Pop(2)
+	if v, ok := f.Lookup(x); ok {
+		t.Errorf("x fact survived its pop: %v", v)
+	}
+	// Constants 0 and 1 are always known.
+	if v, ok := f.Lookup(rtlil.ConstBit(rtlil.S1)); !ok || v != rtlil.S1 {
 		t.Error("constant lookup failed")
 	}
+
+	// Random nested pushes and pops against a model. pool lists every
+	// bit in fact order: constants by value, then wires by name and
+	// offset.
+	var pool []rtlil.SigBit
+	for _, st := range []rtlil.State{rtlil.S0, rtlil.S1, rtlil.Sx, rtlil.Sz} {
+		pool = append(pool, rtlil.ConstBit(st))
+	}
+	pool = append(pool, wa.Bits()...)
+	pool = append(pool, wb.Bits()...)
+	rng := rand.New(rand.NewSource(7))
+	live := map[rtlil.SigBit]rtlil.State{}
+	type push struct {
+		bit   rtlil.SigBit
+		added bool
+	}
+	var pushed []push
+	for step := 0; step < 2000; step++ {
+		if len(pushed) > 0 && rng.Intn(2) == 0 {
+			n := 1 + rng.Intn(len(pushed))
+			f.Pop(n)
+			for ; n > 0; n-- {
+				if p := pushed[len(pushed)-1]; p.added {
+					delete(live, p.bit)
+				}
+				pushed = pushed[:len(pushed)-1]
+			}
+		} else {
+			b, v := pool[rng.Intn(len(pool))], rtlil.BoolState(rng.Intn(2) == 1)
+			f.Push(b, v)
+			_, dup := live[b]
+			if !dup {
+				live[b] = v
+			}
+			pushed = append(pushed, push{b, !dup})
+		}
+		var want []rtlil.SigBit
+		var wantVals []rtlil.State
+		for _, b := range pool {
+			if v, ok := live[b]; ok {
+				want = append(want, b)
+				wantVals = append(wantVals, v)
+			}
+		}
+		if !slices.Equal(f.Bits(), want) || !slices.Equal(f.States(), wantVals) {
+			t.Fatalf("step %d: facts %v = %v, want %v = %v", step, f.Bits(), f.States(), want, wantVals)
+		}
+	}
+}
+
+// staleXSource selects two muxes by the constant x. The walk enters
+// o1's B child, the mux driving c1, under the fact x=1; o2's mux sits in
+// another tree, so that fact must be gone when the walk reaches it. The
+// AIG mapping and cec read x as 0: collapsing o2's mux to b2 changes o2.
+const staleXSource = `
+module stalex(input a, input c, input d, input y, input a2, input b2, output o1, output o2);
+  wire c1;
+  assign c1 = y ? d : c;
+  assign o1 = 1'bx ? c1 : a;
+  assign o2 = 1'bx ? b2 : a2;
+endmodule
+`
+
+// TestMuxtreeXFactScoped: a path fact on the constant x bit ends with
+// the subtree that pushed it.
+func TestMuxtreeXFactScoped(t *testing.T) {
+	f, err := verilog.Parse(staleXSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := verilog.ElaborateModule(f.Modules[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := m.Clone()
+	if _, err := (MuxtreePass{}).Run(nil, m); err != nil {
+		t.Fatal(err)
+	}
+	ix := rtlil.NewIndex(m)
+	if d := ix.DriverCell(m.Wire("o2").Bit(0)); d == nil || d.Type != rtlil.CellMux {
+		t.Error("o2's mux collapsed under a fact from o1's tree")
+	}
+	checkEquiv(t, orig, m)
 }
 
 // TestBaselineCannotDoFigure3 documents the baseline's limitation: the

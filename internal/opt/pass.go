@@ -21,7 +21,8 @@ type Result struct {
 	Stages map[string]time.Duration
 }
 
-func newResult() Result { return Result{Details: map[string]int{}} }
+// NewResult returns an empty Result ready for counters.
+func NewResult() Result { return Result{Details: map[string]int{}} }
 
 func (r *Result) bump(key string, n int) {
 	if n != 0 {
@@ -30,7 +31,8 @@ func (r *Result) bump(key string, n int) {
 	}
 }
 
-func (r *Result) merge(o Result) {
+// Merge adds o's counters to r; r changed if either did.
+func (r *Result) Merge(o Result) {
 	if o.Changed {
 		r.Changed = true
 	}
@@ -76,7 +78,7 @@ type Composite interface {
 // cancellation; the module is left in whatever (still semantically
 // equivalent) state the completed rewrites produced.
 func RunScript(c *Ctx, m *rtlil.Module, passes ...Pass) (Result, error) {
-	total := newResult()
+	total := NewResult()
 	for _, p := range passes {
 		if err := c.Err(); err != nil {
 			return total, fmt.Errorf("opt: pass %s: %w", p.Name(), err)
@@ -90,7 +92,7 @@ func RunScript(c *Ctx, m *rtlil.Module, passes ...Pass) (Result, error) {
 		if _, isComposite := p.(Composite); !isComposite {
 			c.recordPass(p.Name(), r, d)
 		}
-		total.merge(r)
+		total.Merge(r)
 	}
 	return total, nil
 }
@@ -122,7 +124,7 @@ func (f fixpointPass) Name() string {
 func (fixpointPass) Composite() {}
 
 func (f fixpointPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
-	total := newResult()
+	total := NewResult()
 	iters, converged := 0, false
 	for i := 0; i < f.iters; i++ {
 		if err := c.Err(); err != nil {
@@ -133,7 +135,7 @@ func (f fixpointPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 			return total, err
 		}
 		iters++
-		total.merge(r)
+		total.Merge(r)
 		if !r.Changed {
 			converged = true
 			break

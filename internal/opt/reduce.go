@@ -20,15 +20,15 @@ func (ReducePass) Name() string { return "opt_reduce" }
 
 // Run implements Pass.
 func (ReducePass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
-	total := newResult()
+	total := NewResult()
 	for iter := 0; iter < 20; iter++ {
 		if err := c.Err(); err != nil {
 			return total, err
 		}
-		r := newResult()
-		r.merge(mergeIdenticalCells(m))
-		r.merge(sharePmuxWords(m))
-		total.merge(r)
+		r := NewResult()
+		r.Merge(mergeIdenticalCells(m))
+		r.Merge(sharePmuxWords(m))
+		total.Merge(r)
 		if !r.Changed {
 			break
 		}
@@ -39,7 +39,7 @@ func (ReducePass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 // mergeIdenticalCells keeps the first of every group of equivalent cells
 // and aliases the others' outputs to it.
 func mergeIdenticalCells(m *rtlil.Module) Result {
-	res := newResult()
+	res := NewResult()
 	sm := rtlil.NewSigMap(m)
 	seen := map[string]*rtlil.Cell{}
 	for _, c := range append([]*rtlil.Cell(nil), m.Cells()...) {
@@ -108,7 +108,7 @@ func commutative(t rtlil.CellType) bool {
 // equal words regardless of priority, since whichever of the merged
 // selects fires the result is the same word.
 func sharePmuxWords(m *rtlil.Module) Result {
-	res := newResult()
+	res := NewResult()
 	sm := rtlil.NewSigMap(m)
 	for _, c := range append([]*rtlil.Cell(nil), m.Cells()...) {
 		if c.Type != rtlil.CellPmux {

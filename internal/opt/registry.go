@@ -15,7 +15,6 @@ const (
 	KindInt OptionKind = iota
 	KindInt64
 	KindBool
-	KindFloat
 	// KindString accepts any bare token the script lexer produces
 	// (letters, digits and most punctuation except delimiters). Used for
 	// enumeration-style options such as rule-group selections; the pass'
@@ -32,8 +31,6 @@ func (k OptionKind) String() string {
 		return "int64"
 	case KindBool:
 		return "bool"
-	case KindFloat:
-		return "float"
 	case KindString:
 		return "string"
 	}
@@ -58,10 +55,6 @@ func (k OptionKind) canonicalValue(v string) string {
 		if b, err := strconv.ParseBool(v); err == nil {
 			return strconv.FormatBool(b)
 		}
-	case KindFloat:
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return strconv.FormatFloat(f, 'g', -1, 64)
-		}
 	}
 	return v
 }
@@ -76,8 +69,6 @@ func (k OptionKind) checkValue(v string) error {
 		_, err = strconv.ParseInt(v, 10, 64)
 	case KindBool:
 		_, err = strconv.ParseBool(v)
-	case KindFloat:
-		_, err = strconv.ParseFloat(v, 64)
 	}
 	if err != nil {
 		return fmt.Errorf("invalid %s value %q", k, v)
@@ -147,9 +138,6 @@ type Args struct {
 	m map[string]string
 }
 
-// Has reports whether the key was given.
-func (a Args) Has(key string) bool { _, ok := a.m[key]; return ok }
-
 // Int returns the key's value, or def when absent.
 func (a Args) Int(key string, def int) int {
 	if v, ok := a.m[key]; ok {
@@ -184,16 +172,6 @@ func (a Args) Bool(key string, def bool) bool {
 func (a Args) Str(key string, def string) string {
 	if v, ok := a.m[key]; ok {
 		return v
-	}
-	return def
-}
-
-// Float returns the key's value, or def when absent.
-func (a Args) Float(key string, def float64) float64 {
-	if v, ok := a.m[key]; ok {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
-		}
 	}
 	return def
 }
