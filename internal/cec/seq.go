@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/aig"
 	"repro/internal/rtlil"
@@ -395,6 +396,21 @@ func (u *unroller) bmc(d int) (*SeqNotEquivalentError, error) {
 	return u.extractCex(d), nil
 }
 
+// baseCase runs BMC at depths 0..depth-1 and returns the first
+// counterexample or budget error, nil when there is none.
+func (u *unroller) baseCase(depth int) error {
+	for d := 0; d < depth; d++ {
+		c, err := u.bmc(d)
+		if err != nil {
+			return err
+		}
+		if c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
 // extractCex reads the per-cycle input assignment and the first
 // differing output out of a satisfying model.
 func (u *unroller) extractCex(d int) *SeqNotEquivalentError {
@@ -613,6 +629,21 @@ func harvestInvariants(a, b *machine, sigA, sigB [][]uint64, max int) []invarian
 	return out
 }
 
+// SeqTimes is the wall time a sequential check spends in each phase of
+// the proof: random simulation, the BMC base case, invariant harvest and
+// refinement, and the induction step. It is telemetry for the caller's
+// run report (opt_dff's stages), not part of the verdict.
+type SeqTimes struct {
+	Simulate, BMC, Refine, Induction time.Duration
+}
+
+// lap charges the time since t to *d and returns now.
+func lap(d *time.Duration, t time.Time) time.Time {
+	now := time.Now()
+	*d += now.Sub(t)
+	return now
+}
+
 // CheckSequential proves sequential equivalence of a and b from the
 // all-zero reset state, returning nil when proven, a
 // *SeqNotEquivalentError with a multi-cycle counterexample when
@@ -620,6 +651,15 @@ func harvestInvariants(a, b *machine, sigA, sigB [][]uint64, max int) []invarian
 // and other errors for interface mismatches, multiple clock domains or
 // unmappable logic.
 func CheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
+	return CheckSequentialTimed(a, b, opt, nil)
+}
+
+// CheckSequentialTimed is CheckSequential that adds the time of each
+// proof phase to *st (nil: untimed).
+func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) error {
+	if st == nil {
+		st = &SeqTimes{}
+	}
 	o := opt.withDefaults()
 	ma, err := newMachine(a)
 	if err != nil {
@@ -635,7 +675,9 @@ func CheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 
 	// Phase 1: multi-cycle random simulation — cheap refuter and
 	// invariant-candidate harvest in one pass.
+	t := time.Now()
 	cex, sigA, sigB, err := simulate(ma, mb, o)
+	t = lap(&st.Simulate, t)
 	if err != nil {
 		return err
 	}
@@ -643,35 +685,28 @@ func CheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 		return cex
 	}
 
+	// Phase 2: BMC base case, cycles 0..K-1 from reset. Stateless on
+	// both sides, frame 0 covers the whole behavior.
 	u := newUnroller(ma, mb, o)
-	// Stateless on both sides: frame 0 covers the whole behavior.
-	if len(ma.regs) == 0 && len(mb.regs) == 0 {
-		c, err := u.bmc(0)
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			return c
-		}
-		return nil
+	stateless := len(ma.regs) == 0 && len(mb.regs) == 0
+	depth := o.K
+	if stateless {
+		depth = 1
 	}
-
-	// Phase 2: BMC base case, cycles 0..K-1 from reset.
-	for d := 0; d < o.K; d++ {
-		c, err := u.bmc(d)
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			return c
-		}
+	err = u.baseCase(depth)
+	t = lap(&st.BMC, t)
+	if err != nil || stateless {
+		return err
 	}
 
 	// Phase 3: strengthen and close the induction.
 	if !o.DisableInvariants {
 		u.refineInvariants(harvestInvariants(ma, mb, sigA, sigB, o.MaxInvariants))
+		t = lap(&st.Refine, t)
 	}
-	return u.induction(o.K)
+	err = u.induction(o.K)
+	lap(&st.Induction, t)
+	return err
 }
 
 // BMC searches for a sequential counterexample within depth cycles of
@@ -692,18 +727,8 @@ func BMC(a, b *rtlil.Module, depth int, opt *SeqOptions) error {
 	if err := matchKeys(ma.pts, mb.pts); err != nil {
 		return err
 	}
-	u := newUnroller(ma, mb, o)
-	for d := 0; d <= depth; d++ {
-		c, err := u.bmc(d)
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			return c
-		}
-		if len(ma.regs) == 0 && len(mb.regs) == 0 {
-			break // stateless: deeper frames repeat frame 0
-		}
+	if len(ma.regs) == 0 && len(mb.regs) == 0 && depth > 0 {
+		depth = 0 // stateless: deeper frames repeat frame 0
 	}
-	return nil
+	return newUnroller(ma, mb, o).baseCase(depth + 1)
 }

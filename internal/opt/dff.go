@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cec"
 	"repro/internal/rtlil"
@@ -62,9 +63,9 @@ type DffPass struct {
 func (DffPass) Name() string { return "opt_dff" }
 
 // Run implements Pass.
-func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
+func (p DffPass) Run(c *Ctx, m *rtlil.Module) (res Result, err error) {
 	o := p.Opts.withDefaults()
-	res := NewResult()
+	res = NewResult()
 	if len(m.SeqCells()) == 0 {
 		return res, nil
 	}
@@ -72,8 +73,11 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 		res.Details["dff_multiclock"] = 1
 		return res, nil
 	}
+	var sweep time.Duration
+	var proof cec.SeqTimes
+	defer func() { res.Stages = dffStages(sweep, proof) }()
 	if o.DisableVerify {
-		sres, err := sweepDffs(m, o)
+		sres, err := timedSweep(m, o, &sweep)
 		if err != nil {
 			return res, err
 		}
@@ -83,7 +87,7 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 	// Verify-before-rewire: sweep a clone, prove it, then replay the
 	// same deterministic sweep on the real module.
 	work := m.Clone()
-	wres, err := sweepDffs(work, o)
+	wres, err := timedSweep(work, o, &sweep)
 	if err != nil {
 		return res, err
 	}
@@ -91,13 +95,13 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 		return res, nil
 	}
 	seqOpts := &cec.SeqOptions{K: o.K, MaxConflicts: o.VerifyConflicts}
-	if err := cec.CheckSequential(m, work, seqOpts); err != nil {
+	if err := cec.CheckSequentialTimed(m, work, seqOpts, &proof); err != nil {
 		// Counterexample, inconclusive induction or unencodable logic:
 		// the contract is the same — no proof, no rewrite.
 		res.Details["dff_verify_rejected"] = 1
 		return res, nil
 	}
-	sres, err := sweepDffs(m, o)
+	sres, err := timedSweep(m, o, &sweep)
 	if err != nil {
 		return res, err
 	}
@@ -106,6 +110,38 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 		res.Details["dff_proved"] = 1
 	}
 	return res, nil
+}
+
+// timedSweep is sweepDffs charging its wall time to *d.
+func timedSweep(m *rtlil.Module, o DffOptions, d *time.Duration) (Result, error) {
+	t := time.Now()
+	res, err := sweepDffs(m, o)
+	*d += time.Since(t)
+	return res, err
+}
+
+// dffStages names the pass' stage times for Result.Stages: the sweeps,
+// then the phases of the sequential proof. Zero times are left out.
+func dffStages(sweep time.Duration, proof cec.SeqTimes) map[string]time.Duration {
+	var st map[string]time.Duration
+	for _, s := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"sweep", sweep},
+		{"simulate", proof.Simulate},
+		{"bmc", proof.BMC},
+		{"refine", proof.Refine},
+		{"induction", proof.Induction},
+	} {
+		if s.d > 0 {
+			if st == nil {
+				st = map[string]time.Duration{}
+			}
+			st[s.name] = s.d
+		}
+	}
+	return st
 }
 
 // sweepDffs runs the three rewrite classes to a joint fixpoint and then

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/cec"
@@ -80,6 +81,42 @@ func TestDffSweep(t *testing.T) {
 	}
 	if r.Details["dff_const_bits"] == 0 {
 		t.Error("dff_const_bits = 0, want freed constant bits propagated")
+	}
+}
+
+// TestDffStageTimes: the pass reports the sweep and the phases of its
+// proof by stage name, only the sweep when the proof is off, and
+// stripping the report's timings drops them while the counters stay.
+func TestDffStageTimes(t *testing.T) {
+	for _, tc := range []struct {
+		opts   DffOptions
+		stages []string
+	}{
+		{DffOptions{}, []string{"sweep", "simulate", "bmc", "refine", "induction"}},
+		{DffOptions{DisableVerify: true}, []string{"sweep"}},
+	} {
+		ec := NewCtx(nil, Config{})
+		if _, err := RunScript(ec, dffTestbench(), DffPass{Opts: tc.opts}); err != nil {
+			t.Fatal(err)
+		}
+		rep := ec.Report()
+		p := rep.Pass("opt_dff")
+		if p == nil || p.Counters["dff_removed"] == 0 {
+			t.Fatalf("opt_dff swept nothing: %+v", p)
+		}
+		for _, stage := range tc.stages {
+			if p.Stages[stage] <= 0 {
+				t.Errorf("verify=%v: stage %s has no time: %v", !tc.opts.DisableVerify, stage, p.Stages)
+			}
+		}
+		if len(p.Stages) != len(tc.stages) {
+			t.Errorf("verify=%v: stages %v, want exactly %v", !tc.opts.DisableVerify, p.Stages, tc.stages)
+		}
+		counters := maps.Clone(p.Counters)
+		rep.StripTimings()
+		if p := rep.Pass("opt_dff"); p.Stages != nil || !maps.Equal(p.Counters, counters) {
+			t.Errorf("stripped report: stages %v, counters changed %v", p.Stages, !maps.Equal(p.Counters, counters))
+		}
 	}
 }
 
