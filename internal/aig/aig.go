@@ -131,6 +131,43 @@ func (g *AIG) Mux(a, b, s Lit) Lit {
 	return g.Or(g.And(s, b), g.And(s.Not(), a))
 }
 
+// Copy rebuilds src's nodes in g through And, so the copy is
+// constant-folded and structurally hashed against everything already in
+// g. input gives the literal of g that each of src's input nodes stands
+// for. The result holds the literal of every src node, by node index:
+// src literal l becomes result[l.Node()] ^ (l & 1). Node order is
+// topological, so this is one pass.
+func (g *AIG) Copy(src *AIG, input func(node int32) Lit) []Lit {
+	lits := make([]Lit, len(src.nodes))
+	for i, n := range src.nodes {
+		switch {
+		case n.isInput():
+			lits[i] = input(int32(i))
+		case n.isAnd():
+			lits[i] = g.And(lits[n.f0.Node()]^(n.f0&1), lits[n.f1.Node()]^(n.f1&1))
+		}
+	}
+	return lits
+}
+
+// Simulate evaluates every AND node over 64 lanes in place: vals holds
+// one lane vector per node, vals[0] (the constant node) must be 0, and
+// the caller sets the input nodes' vectors before the call.
+func (g *AIG) Simulate(vals []uint64) {
+	for i, n := range g.nodes {
+		if n.isAnd() {
+			a, b := vals[n.f0.Node()], vals[n.f1.Node()]
+			if n.f0.Compl() {
+				a = ^a
+			}
+			if n.f1.Compl() {
+				b = ^b
+			}
+			vals[i] = a & b
+		}
+	}
+}
+
 // Fanins returns the two fanin literals of an AND node.
 func (g *AIG) Fanins(nodeIdx int32) (Lit, Lit) {
 	n := g.nodes[nodeIdx]

@@ -3,6 +3,7 @@ package cec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/aig"
 	"repro/internal/rtlil"
 	"repro/internal/sat"
-	"repro/internal/sim"
 )
 
 // Sequential equivalence checking by k-induction.
@@ -22,17 +22,17 @@ import (
 // scope. The model is the repository-wide sequential semantics: all
 // registers reset to zero and advance together on a single clock.
 //
-// The proof unrolls both transition relations (aig.FromModule, whose Q
-// bits are AIG inputs and D bits AIG outputs) into one incremental SAT
-// solver, one Tseitin copy per time frame, with frame f's Q variables
-// tied to frame f-1's D variables and the primary inputs of both
-// machines tied per frame. Reset and induction hypotheses enter as
-// assumptions (the incremental interface from PR 5), so one solver
-// serves every query:
+// The proof unrolls the product machine (both transition relations,
+// from aig.FromModule, whose Q bits are AIG inputs and D bits AIG
+// outputs) inside one structurally hashed AIG: every time frame copies
+// both machines into it over one shared input per port, and the state
+// enters by substitution (see unroller). One lazily encoded incremental
+// SAT solver serves every query, and a query that folds to a constant
+// never reaches it:
 //
-//   - BMC base case: for each depth d < k, assume the all-zero reset
-//     state at frame 0 and the miter at frame d. Sat is a concrete
-//     multi-cycle counterexample.
+//   - BMC base case: for each depth d < k, is the miter at frame d of
+//     the chain from the all-zero reset state satisfiable? Sat is a
+//     concrete multi-cycle counterexample.
 //   - Induction step: assume the miter quiet at frames 0..k-1 and ask
 //     for a difference at frame k, over an unconstrained start state.
 //
@@ -41,10 +41,11 @@ import (
 // for every k. The induction start state is therefore strengthened with
 // van-Eijk-style invariants: candidate register-constant and
 // register-correspondence pairs are harvested from multi-cycle random
-// simulation from reset (both machines under shared stimulus), the
-// candidate set is refined to a 1-inductive fixpoint with per-candidate
-// SAT queries, and the surviving invariants (which hold in every
-// reachable state) constrain all induction frames.
+// simulation from reset (both machines under shared stimulus, on their
+// own AIGs), the candidate set is refined to a 1-inductive fixpoint with
+// per-candidate SAT queries, and the surviving invariants (which hold in
+// every reachable state) constrain all induction frames by speculative
+// reduction: each member register is replaced by its representative.
 type SeqOptions struct {
 	// K is the induction depth (default 2). The BMC base case covers
 	// cycles 0..K-1 from reset.
@@ -162,19 +163,21 @@ func portPoints(m *rtlil.Module) *points {
 
 // seqReg is one register bit of one machine.
 type seqReg struct {
-	q    rtlil.SigBit // Q bit as written in the module (LitOf canonicalizes)
-	dLit aig.Lit      // AIG literal of the matching D bit
-	name string       // "cell.Q[i]" for diagnostics
+	qLit aig.Lit // AIG input of the Q bit
+	dLit aig.Lit // AIG literal of the matching D bit
 }
 
-// machine is one side of the product machine: the module, its AIG
-// transition/output function and its register bits in deterministic
-// order.
+// machine is one side of the product machine: the module's AIG
+// transition/output function, its ports and its register bits in
+// deterministic order.
 type machine struct {
-	mod  *rtlil.Module
 	mp   *aig.Mapping
 	pts  *points
 	regs []seqReg
+	// in and out are the AIG literals of the ports in the first
+	// machine's key order (alignPorts), so both machines index their
+	// ports alike.
+	in, out []aig.Lit
 }
 
 func newMachine(m *rtlil.Module) (*machine, error) {
@@ -185,7 +188,7 @@ func newMachine(m *rtlil.Module) (*machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cec: mapping %s: %w", m.Name, err)
 	}
-	mc := &machine{mod: m, mp: mp, pts: portPoints(m)}
+	mc := &machine{mp: mp, pts: portPoints(m)}
 	for _, c := range m.SeqCells() {
 		q := c.Port("Q")
 		d := c.Port("D")
@@ -193,201 +196,191 @@ func newMachine(m *rtlil.Module) (*machine, error) {
 			if q[i].IsConst() {
 				continue
 			}
-			mc.regs = append(mc.regs, seqReg{
-				q:    q[i],
-				dLit: mp.LitOf(d[i]),
-				name: fmt.Sprintf("%s.Q[%d]", c.Name, i),
-			})
+			mc.regs = append(mc.regs, seqReg{qLit: mp.LitOf(q[i]), dLit: mp.LitOf(d[i])})
 		}
 	}
 	return mc, nil
 }
 
+// alignPorts fills both machines' port literals in a's key order. The
+// key sets must already match (matchKeys).
+func alignPorts(a, b *machine) {
+	bIn := make(map[string]int, len(b.pts.inKeys))
+	for i, key := range b.pts.inKeys {
+		bIn[key] = i
+	}
+	bOut := make(map[string]int, len(b.pts.outKeys))
+	for i, key := range b.pts.outKeys {
+		bOut[key] = i
+	}
+	for i, key := range a.pts.inKeys {
+		a.in = append(a.in, a.mp.LitOf(a.pts.inBits[i]))
+		b.in = append(b.in, b.mp.LitOf(b.pts.inBits[bIn[key]]))
+	}
+	for i, key := range a.pts.outKeys {
+		a.out = append(a.out, a.mp.LitOf(a.pts.outBits[i]))
+		b.out = append(b.out, b.mp.LitOf(b.pts.outBits[bOut[key]]))
+	}
+}
+
 // invariant is one candidate (later proven) inductive fact about the
 // product machine's reachable states: register bit (side, idx) equals
 // constant 0 (repSide < 0) or equals register bit (repSide, repIdx).
+// A representative is never a member: every register bit sits in one
+// signature class (harvestInvariants).
 type invariant struct {
 	side, idx       int
 	repSide, repIdx int
 }
 
-// frame is one time step of the unrolled product machine.
+// frame is one time step of the product machine inside the unroller's
+// graph.
 type frame struct {
-	ca, cb     *aig.CNF
-	in         map[string]sat.Lit // tied input literal per key
-	regA, regB []sat.Lit          // Q literal per register bit
-	dA, dB     []sat.Lit          // D literal per register bit
-	outA, outB []sat.Lit          // output literal per out key
-	diff       sat.Lit            // OR over output-pair XORs
-	invLit     map[int]sat.Lit    // invariant index -> assumption literal
+	in         []aig.Lit // one input per input key, shared by both machines
+	dA, dB     []aig.Lit // next-state literal per register bit
+	outA, outB []aig.Lit // output literal per output key
+	diff       aig.Lit   // OR over the output-pair XORs
 }
 
-// unroller owns the incremental solver and the growing frame stack.
+// unroller builds the k-induction miter inside one structurally hashed
+// AIG of the product machine and answers its queries with one lazily
+// encoded, incremental solver. Every frame copies both machines into
+// the graph (aig.Copy) with their Q inputs bound to the frame's state,
+// so reset, transition and invariants enter by substitution instead of
+// tie clauses, outputs the two machines compute alike strash to one
+// literal, and a query that folds to a constant never reaches the
+// solver. Two chains of frames hang off the graph:
+//
+//   - reset: frame 0's state is the all-zero reset state, frame f's the
+//     next-state literals of frame f-1 (BMC);
+//   - free: frame 0's state is fresh inputs, reduced by the invariants:
+//     each member takes its representative's literal (or Const0). At
+//     frames 1..k the members' next states are replaced the same way
+//     and "member next == representative next" stays an assumption,
+//     which keeps the formula equivalent to constraining every frame
+//     (refinement, induction).
 type unroller struct {
-	o       SeqOptions
-	solver  *sat.Solver
-	a, b    *machine
-	bInIdx  map[string]int
-	bOutIdx map[string]int
-	frames  []*frame
-	invs    []invariant
+	o      SeqOptions
+	a, b   *machine
+	g      *aig.AIG
+	cnf    *aig.CNF
+	solver *sat.Solver
+	reset  []*frame
+	invs   []invariant
 }
 
 func newUnroller(a, b *machine, o SeqOptions) *unroller {
-	u := &unroller{
-		o:       o,
-		solver:  sat.NewSolver(),
-		a:       a,
-		b:       b,
-		bInIdx:  map[string]int{},
-		bOutIdx: map[string]int{},
-	}
-	u.solver.MaxConflicts = o.MaxConflicts
-	for i, key := range b.pts.inKeys {
-		u.bInIdx[key] = i
-	}
-	for i, key := range b.pts.outKeys {
-		u.bOutIdx[key] = i
-	}
-	return u
+	g := aig.New()
+	s := sat.NewSolver()
+	s.MaxConflicts = o.MaxConflicts
+	return &unroller{o: o, a: a, b: b, g: g, cnf: aig.NewCNF(g, s), solver: s}
 }
 
-func (u *unroller) tie(a, b sat.Lit) {
-	u.solver.AddClause(a.Not(), b)
-	u.solver.AddClause(a, b.Not())
+// newFrame copies both machines into the graph with fresh inputs and
+// their register bits bound to the state literals qA and qB.
+func (u *unroller) newFrame(qA, qB []aig.Lit) *frame {
+	fr := &frame{in: make([]aig.Lit, len(u.a.in))}
+	for i := range fr.in {
+		fr.in[i] = u.g.NewInput()
+	}
+	fr.outA, fr.dA = u.copyMachine(u.a, fr.in, qA)
+	fr.outB, fr.dB = u.copyMachine(u.b, fr.in, qB)
+	fr.diff = aig.Const0
+	for i := range fr.outA {
+		fr.diff = u.g.Or(fr.diff, u.g.Xor(fr.outA[i], fr.outB[i]))
+	}
+	return fr
 }
 
-// frame materializes time frames up to f and returns frame f.
-func (u *unroller) frame(f int) *frame {
-	for len(u.frames) <= f {
-		u.addFrame()
+// copyMachine copies one machine's graph with its port inputs bound to
+// in and its Q inputs to q, and returns its output and next-state
+// literals.
+func (u *unroller) copyMachine(m *machine, in, q []aig.Lit) (out, d []aig.Lit) {
+	bind := make([]aig.Lit, m.mp.G.NumNodes())
+	for i, l := range m.in {
+		bind[l.Node()] = in[i]
 	}
-	return u.frames[f]
+	for i, r := range m.regs {
+		bind[r.qLit.Node()] = q[i]
+	}
+	lits := u.g.Copy(m.mp.G, func(n int32) aig.Lit { return bind[n] })
+	out = make([]aig.Lit, len(m.out))
+	for i, l := range m.out {
+		out[i] = lits[l.Node()] ^ (l & 1)
+	}
+	d = make([]aig.Lit, len(m.regs))
+	for i, r := range m.regs {
+		d[i] = lits[r.dLit.Node()] ^ (r.dLit & 1)
+	}
+	return out, d
 }
 
-func (u *unroller) addFrame() {
-	s := u.solver
-	fr := &frame{
-		ca:     aig.NewCNF(u.a.mp.G, s),
-		cb:     aig.NewCNF(u.b.mp.G, s),
-		in:     map[string]sat.Lit{},
-		invLit: map[int]sat.Lit{},
-	}
-	// Primary inputs, tied across the two machines.
-	for i, key := range u.a.pts.inKeys {
-		la := fr.ca.SatLit(u.a.mp.LitOf(u.a.pts.inBits[i]))
-		lb := fr.cb.SatLit(u.b.mp.LitOf(u.b.pts.inBits[u.bInIdx[key]]))
-		u.tie(la, lb)
-		fr.in[key] = la
-	}
-	// Register state and next-state literals.
-	for _, r := range u.a.regs {
-		fr.regA = append(fr.regA, fr.ca.SatLit(u.a.mp.LitOf(r.q)))
-		fr.dA = append(fr.dA, fr.ca.SatLit(r.dLit))
-	}
-	for _, r := range u.b.regs {
-		fr.regB = append(fr.regB, fr.cb.SatLit(u.b.mp.LitOf(r.q)))
-		fr.dB = append(fr.dB, fr.cb.SatLit(r.dLit))
-	}
-	// Transition: this frame's state is the previous frame's next-state.
-	if n := len(u.frames); n > 0 {
-		prev := u.frames[n-1]
-		for i := range fr.regA {
-			u.tie(fr.regA[i], prev.dA[i])
+// solve asks whether q can be true under the assumptions. A constant
+// query or a constant-false assumption is decided without the solver,
+// and constant-true assumptions are dropped.
+func (u *unroller) solve(assumps []aig.Lit, q aig.Lit) sat.Result {
+	lits := make([]sat.Lit, 0, len(assumps)+1)
+	for _, l := range append(slices.Clip(assumps), q) {
+		switch l {
+		case aig.Const0:
+			return sat.Unsat
+		case aig.Const1:
+			continue
 		}
-		for i := range fr.regB {
-			u.tie(fr.regB[i], prev.dB[i])
+		lits = append(lits, u.cnf.SatLit(l))
+	}
+	return u.solver.Solve(lits...)
+}
+
+// resetFrame materializes the reset chain up to frame f and returns
+// frame f.
+func (u *unroller) resetFrame(f int) *frame {
+	for n := len(u.reset); n <= f; n++ {
+		qA, qB := make([]aig.Lit, len(u.a.regs)), make([]aig.Lit, len(u.b.regs)) // Const0
+		if n > 0 {
+			qA, qB = u.reset[n-1].dA, u.reset[n-1].dB
+		}
+		u.reset = append(u.reset, u.newFrame(qA, qB))
+	}
+	return u.reset[f]
+}
+
+// freeState returns the free chain's frame-0 state: a fresh input per
+// register bit, each invariant's member replaced by its
+// representative's literal (or Const0).
+func (u *unroller) freeState() (qA, qB []aig.Lit) {
+	q := [2][]aig.Lit{make([]aig.Lit, len(u.a.regs)), make([]aig.Lit, len(u.b.regs))}
+	for _, side := range q {
+		for i := range side {
+			side[i] = u.g.NewInput()
 		}
 	}
-	// Output miter: diff <-> OR over per-output XORs.
-	var xs []sat.Lit
-	for i, key := range u.a.pts.outKeys {
-		la := fr.ca.SatLit(u.a.mp.LitOf(u.a.pts.outBits[i]))
-		lb := fr.cb.SatLit(u.b.mp.LitOf(u.b.pts.outBits[u.bOutIdx[key]]))
-		fr.outA = append(fr.outA, la)
-		fr.outB = append(fr.outB, lb)
-		x := sat.PosLit(s.NewVar())
-		s.AddClause(x.Not(), la, lb)
-		s.AddClause(x.Not(), la.Not(), lb.Not())
-		s.AddClause(x, la.Not(), lb)
-		s.AddClause(x, la, lb.Not())
-		xs = append(xs, x)
-	}
-	diff := sat.PosLit(s.NewVar())
-	for _, x := range xs {
-		s.AddClause(x.Not(), diff)
-	}
-	s.AddClause(append([]sat.Lit{diff.Not()}, xs...)...)
-	fr.diff = diff
-	u.frames = append(u.frames, fr)
+	u.substitute(q)
+	return q[0], q[1]
 }
 
-func (u *unroller) regLit(fr *frame, side, idx int) sat.Lit {
-	if side == 0 {
-		return fr.regA[idx]
+// substitute replaces every invariant member of the state q by its
+// representative's literal, or by Const0.
+func (u *unroller) substitute(q [2][]aig.Lit) {
+	for _, inv := range u.invs {
+		q[inv.side][inv.idx] = u.rep(q, inv)
 	}
-	return fr.regB[idx]
 }
 
-// resetAssumps returns the all-zero reset state of frame 0.
-func (u *unroller) resetAssumps() []sat.Lit {
-	fr := u.frame(0)
-	out := make([]sat.Lit, 0, len(fr.regA)+len(fr.regB))
-	for _, l := range fr.regA {
-		out = append(out, l.Not())
-	}
-	for _, l := range fr.regB {
-		out = append(out, l.Not())
-	}
-	return out
-}
-
-// invAssump returns the assumption literal enforcing invariant j at
-// frame f (creating the indicator variable and clauses on first use).
-func (u *unroller) invAssump(f, j int) sat.Lit {
-	fr := u.frame(f)
-	if l, ok := fr.invLit[j]; ok {
-		return l
-	}
-	inv := u.invs[j]
-	r := u.regLit(fr, inv.side, inv.idx)
-	var l sat.Lit
+// rep returns the literal invariant inv equates its member with in
+// state q: the representative's literal, or Const0.
+func (u *unroller) rep(q [2][]aig.Lit, inv invariant) aig.Lit {
 	if inv.repSide < 0 {
-		l = r.Not() // register bit == 0
-	} else {
-		s := u.regLit(fr, inv.repSide, inv.repIdx)
-		e := sat.PosLit(u.solver.NewVar())
-		u.solver.AddClause(e.Not(), r.Not(), s)
-		u.solver.AddClause(e.Not(), r, s.Not())
-		l = e
+		return aig.Const0
 	}
-	fr.invLit[j] = l
-	return l
-}
-
-// violation returns an assumption literal forcing invariant j to be
-// violated at frame f.
-func (u *unroller) violation(f, j int) sat.Lit {
-	fr := u.frame(f)
-	inv := u.invs[j]
-	r := u.regLit(fr, inv.side, inv.idx)
-	if inv.repSide < 0 {
-		return r // register bit == 1
-	}
-	s := u.regLit(fr, inv.repSide, inv.repIdx)
-	x := sat.PosLit(u.solver.NewVar())
-	u.solver.AddClause(x.Not(), r, s)
-	u.solver.AddClause(x.Not(), r.Not(), s.Not())
-	return x
+	return q[inv.repSide][inv.repIdx]
 }
 
 // bmc searches for a counterexample at exactly depth d from reset.
 // Returns (cex, nil) when found, (nil, nil) when refuted, an
 // UnknownError on budget exhaustion.
 func (u *unroller) bmc(d int) (*SeqNotEquivalentError, error) {
-	fr := u.frame(d)
-	assumps := append(u.resetAssumps(), fr.diff)
-	switch u.solver.Solve(assumps...) {
+	switch u.solve(nil, u.resetFrame(d).diff) {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Unknown:
@@ -411,22 +404,27 @@ func (u *unroller) baseCase(depth int) error {
 	return nil
 }
 
-// extractCex reads the per-cycle input assignment and the first
-// differing output out of a satisfying model.
+// extractCex reads the per-cycle input assignment of reset frames
+// 0..d out of a satisfying model (inputs outside the miter's cone read
+// 0) and names the first output that differs under it at frame d.
 func (u *unroller) extractCex(d int) *SeqNotEquivalentError {
 	e := &SeqNotEquivalentError{Cycle: d}
-	for f := 0; f <= d; f++ {
-		fr := u.frames[f]
-		in := map[string]bool{}
-		for key, l := range fr.in {
-			in[key] = u.solver.ValueLit(l)
+	assign := map[aig.Lit]bool{}
+	for _, fr := range u.reset[:d+1] {
+		in := make(map[string]bool, len(fr.in))
+		for i, l := range fr.in {
+			v := u.solver.ValueLit(u.cnf.SatLit(l))
+			in[u.a.pts.inKeys[i]] = v
+			assign[l] = v
 		}
 		e.Inputs = append(e.Inputs, in)
 	}
-	fr := u.frames[d]
+	fr := u.reset[d]
+	n := len(fr.outA)
+	vals := u.g.Eval(assign, append(slices.Clip(fr.outA), fr.outB...))
 	e.Output = "?"
 	for i, key := range u.a.pts.outKeys {
-		if u.solver.ValueLit(fr.outA[i]) != u.solver.ValueLit(fr.outB[i]) {
+		if vals[i] != vals[n+i] {
 			e.Output = key
 			break
 		}
@@ -434,65 +432,50 @@ func (u *unroller) extractCex(d int) *SeqNotEquivalentError {
 	return e
 }
 
-// refineInvariants drops candidates until the set is 1-inductive: every
-// surviving invariant provably holds at frame 1 whenever all survivors
-// hold at frame 0 (over an unconstrained start state). Since every
-// candidate holds in the all-zero reset state by construction, the
-// fixpoint is a true invariant of both machines' reachable product
-// states. Inconclusive queries conservatively drop the candidate.
-func (u *unroller) refineInvariants(cands []invariant) []invariant {
+// refine drops candidates until the set is 1-inductive: every surviving
+// invariant provably holds at frame 1 whenever all survivors hold at
+// frame 0 (over an unconstrained start state). Since every candidate
+// holds in the all-zero reset state by construction, the fixpoint is a
+// true invariant of both machines' reachable product states.
+// Inconclusive queries conservatively drop the candidate. Each round
+// builds one reduced frame, where a candidate's violation is the XOR
+// of two next-state literals; refine returns the last, which is the
+// induction's frame 0.
+func (u *unroller) refine(cands []invariant) *frame {
 	u.invs = cands
-	active := make([]int, len(cands))
-	for i := range active {
-		active[i] = i
-	}
 	for {
-		assumps := make([]sat.Lit, 0, len(active))
-		for _, j := range active {
-			assumps = append(assumps, u.invAssump(0, j))
-		}
-		var kept []int
-		changed := false
-		for _, j := range active {
-			switch u.solver.Solve(append(assumps, u.violation(1, j))...) {
-			case sat.Unsat:
-				kept = append(kept, j)
-			default: // Sat or Unknown: not (provably) inductive
-				changed = true
+		fr := u.newFrame(u.freeState())
+		d := [2][]aig.Lit{fr.dA, fr.dB}
+		var kept []invariant
+		for _, inv := range u.invs {
+			if u.solve(nil, u.g.Xor(d[inv.side][inv.idx], u.rep(d, inv))) == sat.Unsat {
+				kept = append(kept, inv)
 			}
 		}
-		active = kept
-		if !changed {
-			break
+		if len(kept) == len(u.invs) {
+			return fr
 		}
+		u.invs = kept
 	}
-	out := make([]invariant, 0, len(active))
-	for _, j := range active {
-		out = append(out, cands[j])
-	}
-	u.invs = out
-	// Invalidate cached per-frame indicator literals: indices moved.
-	for _, fr := range u.frames {
-		fr.invLit = map[int]sat.Lit{}
-	}
-	return out
 }
 
-// induction runs the strengthened induction step at depth k: assuming
-// the invariants at every frame and a quiet miter at frames 0..k-1, a
-// difference at frame k must be unsatisfiable.
-func (u *unroller) induction(k int) error {
-	var assumps []sat.Lit
-	for f := 0; f <= k; f++ {
-		fr := u.frame(f)
-		for j := range u.invs {
-			assumps = append(assumps, u.invAssump(f, j))
+// induction runs the strengthened induction step at depth k from the
+// free chain's frame 0: assuming the invariants at every frame and a
+// quiet miter at frames 0..k-1, a difference at frame k must be
+// unsatisfiable.
+func (u *unroller) induction(k int, fr *frame) error {
+	var assumps []aig.Lit
+	for f := 1; f <= k; f++ {
+		assumps = append(assumps, fr.diff.Not())
+		d := [2][]aig.Lit{fr.dA, fr.dB}
+		q := [2][]aig.Lit{slices.Clone(fr.dA), slices.Clone(fr.dB)}
+		for _, inv := range u.invs {
+			assumps = append(assumps, u.g.Xnor(d[inv.side][inv.idx], u.rep(d, inv)))
 		}
-		if f < k {
-			assumps = append(assumps, fr.diff.Not())
-		}
+		u.substitute(q)
+		fr = u.newFrame(q[0], q[1])
 	}
-	switch u.solver.Solve(append(assumps, u.frame(k).diff)...) {
+	switch u.solve(assumps, fr.diff) {
 	case sat.Unsat:
 		return nil
 	case sat.Unknown:
@@ -501,75 +484,75 @@ func (u *unroller) induction(k int) error {
 	return &UnknownError{Reason: fmt.Sprintf("k-induction inconclusive at k=%d with %d invariants", k, len(u.invs))}
 }
 
-// simulate runs both machines from reset under shared random stimulus.
-// It returns a counterexample if the outputs ever differ, else the
-// per-register value signatures used to harvest invariant candidates.
-func simulate(a, b *machine, o SeqOptions) (*SeqNotEquivalentError, [][]uint64, [][]uint64, error) {
-	simA, err := sim.NewSequential(a.mod)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cec: module %s: %w", a.mod.Name, err)
-	}
-	simB, err := sim.NewSequential(b.mod)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cec: module %s: %w", b.mod.Name, err)
-	}
+// simulate runs both machines from reset under shared random stimulus,
+// evaluating each machine's own AIG over 64 lanes; the lanes are
+// sim.Sequential's, since both follow the AIG lowering. It returns a
+// counterexample if the outputs ever differ, else the per-register
+// value signatures used to harvest invariant candidates.
+func simulate(a, b *machine, o SeqOptions) (*SeqNotEquivalentError, [][]uint64, [][]uint64) {
 	rng := rand.New(rand.NewSource(o.Seed))
-	sigA := make([][]uint64, len(a.regs))
-	sigB := make([][]uint64, len(b.regs))
+	ms := [2]*machine{a, b}
+	var vals, next [2][]uint64 // lanes per AIG node; next state per register
+	var sigs [2][][]uint64
+	for s, m := range ms {
+		vals[s] = make([]uint64, m.mp.G.NumNodes())
+		next[s] = make([]uint64, len(m.regs))
+		sigs[s] = make([][]uint64, len(m.regs))
+	}
 	for round := 0; round < o.SimRounds; round++ {
-		simA.Reset()
-		simB.Reset()
-		var history []map[string]uint64
+		clear(vals[0]) // all-zero reset state
+		clear(vals[1])
+		var history [][]uint64
 		for cyc := 0; cyc < o.SimCycles; cyc++ {
-			lanes := map[string]uint64{}
-			inA := map[rtlil.SigBit]uint64{}
-			inB := map[rtlil.SigBit]uint64{}
-			for i, key := range a.pts.inKeys {
-				v := rng.Uint64()
-				lanes[key] = v
-				inA[a.pts.inBits[i]] = v
+			in := make([]uint64, len(a.in))
+			for i := range in {
+				in[i] = rng.Uint64()
 			}
-			// a.pts and b.pts are key-matched but may order the keys
-			// differently; assign B by key.
-			for i, key := range b.pts.inKeys {
-				inB[b.pts.inBits[i]] = lanes[key]
-			}
-			history = append(history, lanes)
-			va := simA.Step(inA)
-			vb := simB.Step(inB)
-			for i, key := range a.pts.outKeys {
-				xa := simA.Sig(va, rtlil.SigSpec{a.pts.outBits[i]})[0]
-				var xb uint64
-				for ib, kb := range b.pts.outKeys {
-					if kb == key {
-						xb = simB.Sig(vb, rtlil.SigSpec{b.pts.outBits[ib]})[0]
-						break
-					}
+			history = append(history, in)
+			for s, m := range ms {
+				for i, l := range m.in {
+					vals[s][l.Node()] = in[i]
 				}
+				m.mp.G.Simulate(vals[s])
+			}
+			for i := range a.out {
+				xa, xb := laneOf(vals[0], a.out[i]), laneOf(vals[1], b.out[i])
 				if xa != xb {
 					lane := firstDiffLane(xa, xb)
-					e := &SeqNotEquivalentError{Output: key, Cycle: cyc}
+					e := &SeqNotEquivalentError{Output: a.pts.outKeys[i], Cycle: cyc}
 					for _, h := range history {
-						in := map[string]bool{}
-						for k, v := range h {
-							in[k] = (v>>lane)&1 == 1
+						bits := make(map[string]bool, len(h))
+						for j, key := range a.pts.inKeys {
+							bits[key] = (h[j]>>lane)&1 == 1
 						}
-						e.Inputs = append(e.Inputs, in)
+						e.Inputs = append(e.Inputs, bits)
 					}
-					return e, nil, nil, nil
+					return e, nil, nil
 				}
 			}
-			stA := simA.State()
-			for i, r := range a.regs {
-				sigA[i] = append(sigA[i], stA[simA.Index().MapBit(r.q)])
-			}
-			stB := simB.State()
-			for i, r := range b.regs {
-				sigB[i] = append(sigB[i], stB[simB.Index().MapBit(r.q)])
+			// Latch: every D is read before any Q input is overwritten.
+			for s, m := range ms {
+				for i, r := range m.regs {
+					next[s][i] = laneOf(vals[s], r.dLit)
+					sigs[s][i] = append(sigs[s][i], next[s][i])
+				}
+				for i, r := range m.regs {
+					if n := r.qLit.Node(); n != 0 { // a Q aliased to a constant latches nothing
+						vals[s][n] = next[s][i]
+					}
+				}
 			}
 		}
 	}
-	return nil, sigA, sigB, nil
+	return nil, sigs[0], sigs[1]
+}
+
+// laneOf reads literal l's lane vector out of per-node values.
+func laneOf(vals []uint64, l aig.Lit) uint64 {
+	if l.Compl() {
+		return ^vals[l.Node()]
+	}
+	return vals[l.Node()]
 }
 
 // harvestInvariants groups register bits (of both machines) and the
@@ -672,15 +655,13 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 	if err := matchKeys(ma.pts, mb.pts); err != nil {
 		return err
 	}
+	alignPorts(ma, mb)
 
 	// Phase 1: multi-cycle random simulation — cheap refuter and
 	// invariant-candidate harvest in one pass.
 	t := time.Now()
-	cex, sigA, sigB, err := simulate(ma, mb, o)
+	cex, sigA, sigB := simulate(ma, mb, o)
 	t = lap(&st.Simulate, t)
-	if err != nil {
-		return err
-	}
 	if cex != nil {
 		return cex
 	}
@@ -700,11 +681,14 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 	}
 
 	// Phase 3: strengthen and close the induction.
-	if !o.DisableInvariants {
-		u.refineInvariants(harvestInvariants(ma, mb, sigA, sigB, o.MaxInvariants))
+	var start *frame
+	if o.DisableInvariants {
+		start = u.newFrame(u.freeState())
+	} else {
+		start = u.refine(harvestInvariants(ma, mb, sigA, sigB, o.MaxInvariants))
 		t = lap(&st.Refine, t)
 	}
-	err = u.induction(o.K)
+	err = u.induction(o.K, start)
 	lap(&st.Induction, t)
 	return err
 }
@@ -727,6 +711,7 @@ func BMC(a, b *rtlil.Module, depth int, opt *SeqOptions) error {
 	if err := matchKeys(ma.pts, mb.pts); err != nil {
 		return err
 	}
+	alignPorts(ma, mb)
 	if len(ma.regs) == 0 && len(mb.regs) == 0 && depth > 0 {
 		depth = 0 // stateless: deeper frames repeat frame 0
 	}

@@ -337,3 +337,35 @@ func TestCheckSequentialMerge(t *testing.T) {
 		t.Fatalf("register merge not proven: %v", err)
 	}
 }
+
+// TestCheckSequentialBudget: the conflict budget still bounds the solver
+// on a miter structural hashing cannot close. Both modules latch a
+// product, one as x*y and one as y*x: the two shift-add arrays share no
+// structure, so the depth-1 query reaches the solver, which one conflict
+// cannot finish. Without a budget the pair proves.
+func TestCheckSequentialBudget(t *testing.T) {
+	build := func(name string, swap bool) *rtlil.Module {
+		m := rtlil.NewModule(name)
+		clk := m.AddInput("clk", 1).Bits()
+		x := m.AddInput("x", 5).Bits()
+		y := m.AddInput("y", 5).Bits()
+		p := m.MulOp(x, y)
+		if swap {
+			p = m.MulOp(y, x)
+		}
+		q := m.NewWire(5)
+		m.AddDff("r", clk, p, q.Bits())
+		o := m.AddOutput("o", 5)
+		m.Connect(o.Bits(), q.Bits())
+		return m
+	}
+	a, b := build("xy", false), build("yx", true)
+	err := CheckSequential(a, b, &SeqOptions{MaxConflicts: 1})
+	var unk *UnknownError
+	if !errors.As(err, &unk) || !strings.Contains(unk.Reason, "BMC conflict budget exhausted at depth 1") {
+		t.Fatalf("verdict under a 1-conflict budget = %v, want a BMC budget UnknownError at depth 1", err)
+	}
+	if err := CheckSequential(a, b, nil); err != nil {
+		t.Fatalf("unbounded verdict = %v, want proved", err)
+	}
+}

@@ -264,13 +264,18 @@ func TestDffAblationOptions(t *testing.T) {
 	}
 }
 
-// TestDffRejectsViaVerifier forces the prover into an unprovable spot
-// with a conflict budget of 1: the pass must keep the module untouched
-// and report the rejection.
+// TestDffRejectsViaVerifier gives the prover logic it cannot encode: a
+// $div cell, which the AIG mapper refuses, beside the sweepable
+// registers. The sweep still finds work, so the pass must keep the
+// module untouched and report the rejection. (The conflict budget's
+// rejection path is cec's TestCheckSequentialBudget.)
 func TestDffRejectsViaVerifier(t *testing.T) {
 	m := dffTestbench()
+	x := m.Wire("x").Bits()
+	q := m.AddOutput("q", 4)
+	m.AddBinary(rtlil.CellDiv, "div", x, m.Not(x), q.Bits())
 	before := rtlil.CanonicalHash(m)
-	r, err := RunScript(nil, m, DffPass{Opts: DffOptions{VerifyConflicts: 1}})
+	r, err := RunScript(nil, m, DffPass{})
 	if err != nil {
 		t.Fatal(err)
 	}
