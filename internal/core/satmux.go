@@ -194,11 +194,15 @@ type SmartOracle struct {
 
 	// The bookkeeping of one Values call, reused by the next: the
 	// queries to solve, the output slots waiting on them, the job index
-	// by cache key and the key buffer.
-	jobs   []job
-	waits  []wait
-	byKey  map[string]int
-	keyBuf []byte
+	// by cache key and the key buffer. facts holds the call's path
+	// facts for solveJob, which NewSmartOracle builds once; Values
+	// clears it on return.
+	jobs     []job
+	waits    []wait
+	byKey    map[string]int
+	keyBuf   []byte
+	facts    *opt.PathFacts
+	solveJob func(i int)
 }
 
 // job is one open query of a Values call, solved on a worker.
@@ -215,7 +219,7 @@ type wait struct{ slot, job int }
 
 // NewSmartOracle builds an oracle over the module index.
 func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
-	return &SmartOracle{
+	s := &SmartOracle{
 		ix: ix,
 		// One adjacency build amortized over every query of the pass:
 		// extraction is the hottest per-query stage once the pre-filter
@@ -225,6 +229,11 @@ func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
 		cache: map[string]rtlil.State{},
 		byKey: map[string]int{},
 	}
+	s.solveJob = func(i int) {
+		j := &s.jobs[i]
+		j.v, _ = s.solve(s.facts, j.bit, &j.st, &j.tm)
+	}
+	return s
 }
 
 // Values implements opt.Oracle with the full §II machinery. A bit the
@@ -257,10 +266,9 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 		}
 		s.waits = append(s.waits, wait{i, j})
 	}
-	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(s.jobs), func(i int) {
-		j := &s.jobs[i]
-		j.v, _ = s.solve(facts, j.bit, &j.st, &j.tm)
-	})
+	s.facts = facts
+	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(s.jobs), s.solveJob)
+	s.facts = nil
 	for i := range s.jobs {
 		j := &s.jobs[i]
 		accumulate(&s.Stats, j.st)
