@@ -363,13 +363,13 @@ func (u *unroller) freeState() (qA, qB []aig.Lit) {
 // representative's literal, or by Const0.
 func (u *unroller) substitute(q [2][]aig.Lit) {
 	for _, inv := range u.invs {
-		q[inv.side][inv.idx] = u.rep(q, inv)
+		q[inv.side][inv.idx] = rep(q, inv)
 	}
 }
 
 // rep returns the literal invariant inv equates its member with in
 // state q: the representative's literal, or Const0.
-func (u *unroller) rep(q [2][]aig.Lit, inv invariant) aig.Lit {
+func rep(q [2][]aig.Lit, inv invariant) aig.Lit {
 	if inv.repSide < 0 {
 		return aig.Const0
 	}
@@ -448,7 +448,7 @@ func (u *unroller) refine(cands []invariant) *frame {
 		d := [2][]aig.Lit{fr.dA, fr.dB}
 		var kept []invariant
 		for _, inv := range u.invs {
-			if u.solve(nil, u.g.Xor(d[inv.side][inv.idx], u.rep(d, inv))) == sat.Unsat {
+			if u.solve(nil, u.g.Xor(d[inv.side][inv.idx], rep(d, inv))) == sat.Unsat {
 				kept = append(kept, inv)
 			}
 		}
@@ -470,7 +470,7 @@ func (u *unroller) induction(k int, fr *frame) error {
 		d := [2][]aig.Lit{fr.dA, fr.dB}
 		q := [2][]aig.Lit{slices.Clone(fr.dA), slices.Clone(fr.dB)}
 		for _, inv := range u.invs {
-			assumps = append(assumps, u.g.Xnor(d[inv.side][inv.idx], u.rep(d, inv)))
+			assumps = append(assumps, u.g.Xnor(d[inv.side][inv.idx], rep(d, inv)))
 		}
 		u.substitute(q)
 		fr = u.newFrame(q[0], q[1])

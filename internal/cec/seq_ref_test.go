@@ -449,9 +449,8 @@ func verdictKind(err error) string {
 // the verdict kind, the simulation signatures and harvested candidates,
 // and the induction verdict and refined set under the unrefined
 // candidates and under random claims, where speculative reduction must
-// match the reference's assumptions even when the set is not
-// inductive. It
-// returns both verdicts for the caller's counterexample replay. Meant
+// match the reference's assumptions even when the set is not inductive.
+// It returns both verdicts for the caller's counterexample replay. Meant
 // for unbounded checks: a conflict budget may decide the two unrollings'
 // queries differently.
 func DiffSequential(a, b *rtlil.Module, opt *SeqOptions) (got, want error, diff string) {

@@ -54,9 +54,10 @@ func corpusModules(t *testing.T) []*rtlil.Module {
 // clause-tied reference checker (seq_ref_test.go) on FuzzKInduction's
 // generator (the opt_dff sweep and the injected D-inversion of every
 // seed), the sequential recipes with their sweeps, and the corpus with
-// its sweeps. Verdict kinds, harvested candidates, refined invariants
-// and the induction verdict under the unrefined candidates must agree,
-// and every counterexample must replay on sim.Sequential.
+// its sweeps. Verdict kinds, simulation signatures, harvested
+// candidates, and the induction verdicts and refined sets under the
+// unrefined candidates and under random claims must agree, and every
+// counterexample must replay on sim.Sequential.
 func TestSequentialMatchesReference(t *testing.T) {
 	type pair struct {
 		name string

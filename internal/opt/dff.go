@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/cec"
@@ -123,24 +124,14 @@ func timedSweep(m *rtlil.Module, o DffOptions, d *time.Duration) (Result, error)
 // dffStages names the pass' stage times for Result.Stages: the sweeps,
 // then the phases of the sequential proof. Zero times are left out.
 func dffStages(sweep time.Duration, proof cec.SeqTimes) map[string]time.Duration {
-	var st map[string]time.Duration
-	for _, s := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"sweep", sweep},
-		{"simulate", proof.Simulate},
-		{"bmc", proof.BMC},
-		{"refine", proof.Refine},
-		{"induction", proof.Induction},
-	} {
-		if s.d > 0 {
-			if st == nil {
-				st = map[string]time.Duration{}
-			}
-			st[s.name] = s.d
-		}
+	st := map[string]time.Duration{
+		"sweep":     sweep,
+		"simulate":  proof.Simulate,
+		"bmc":       proof.BMC,
+		"refine":    proof.Refine,
+		"induction": proof.Induction,
 	}
+	maps.DeleteFunc(st, func(_ string, d time.Duration) bool { return d == 0 })
 	return st
 }
 
