@@ -15,8 +15,9 @@ type Result struct {
 	// Details maps counters (e.g. "cells_removed") to values.
 	Details map[string]int
 	// Stages maps the pass' internal stages (smartly_satmux: index,
-	// extract, infer, sim, sat) to their busy time, summed over worker
-	// goroutines. It is wall-clock telemetry, like the pass' duration:
+	// extract, infer, sim, sat; opt_dff: sweep, simulate, bmc, refine,
+	// induction) to their busy time, summed over worker goroutines. It
+	// is wall-clock telemetry, like the pass' duration:
 	// RunReport.StripTimings drops it.
 	Stages map[string]time.Duration
 }
