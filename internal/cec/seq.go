@@ -336,8 +336,10 @@ func (u *unroller) solve(assumps []aig.Lit, q aig.Lit) sat.Result {
 // frame f.
 func (u *unroller) resetFrame(f int) *frame {
 	for n := len(u.reset); n <= f; n++ {
-		qA, qB := make([]aig.Lit, len(u.a.regs)), make([]aig.Lit, len(u.b.regs)) // Const0
-		if n > 0 {
+		var qA, qB []aig.Lit
+		if n == 0 {
+			qA, qB = make([]aig.Lit, len(u.a.regs)), make([]aig.Lit, len(u.b.regs)) // all Const0
+		} else {
 			qA, qB = u.reset[n-1].dA, u.reset[n-1].dB
 		}
 		u.reset = append(u.reset, u.newFrame(qA, qB))
