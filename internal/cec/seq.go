@@ -202,6 +202,24 @@ func newMachine(m *rtlil.Module) (*machine, error) {
 	return mc, nil
 }
 
+// newMachines maps both modules, checks that their ports match and
+// aligns them (alignPorts).
+func newMachines(a, b *rtlil.Module) (*machine, *machine, error) {
+	ma, err := newMachine(a)
+	if err != nil {
+		return nil, nil, err
+	}
+	mb, err := newMachine(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := matchKeys(ma.pts, mb.pts); err != nil {
+		return nil, nil, err
+	}
+	alignPorts(ma, mb)
+	return ma, mb, nil
+}
+
 // alignPorts fills both machines' port literals in a's key order. The
 // key sets must already match (matchKeys).
 func alignPorts(a, b *machine) {
@@ -646,18 +664,10 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 		st = &SeqTimes{}
 	}
 	o := opt.withDefaults()
-	ma, err := newMachine(a)
+	ma, mb, err := newMachines(a, b)
 	if err != nil {
 		return err
 	}
-	mb, err := newMachine(b)
-	if err != nil {
-		return err
-	}
-	if err := matchKeys(ma.pts, mb.pts); err != nil {
-		return err
-	}
-	alignPorts(ma, mb)
 
 	// Phase 1: multi-cycle random simulation — cheap refuter and
 	// invariant-candidate harvest in one pass.
@@ -702,18 +712,10 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 // fuzzer cross-checks CheckSequential verdicts against BMC at k+2.
 func BMC(a, b *rtlil.Module, depth int, opt *SeqOptions) error {
 	o := opt.withDefaults()
-	ma, err := newMachine(a)
+	ma, mb, err := newMachines(a, b)
 	if err != nil {
 		return err
 	}
-	mb, err := newMachine(b)
-	if err != nil {
-		return err
-	}
-	if err := matchKeys(ma.pts, mb.pts); err != nil {
-		return err
-	}
-	alignPorts(ma, mb)
 	if len(ma.regs) == 0 && len(mb.regs) == 0 && depth > 0 {
 		depth = 0 // stateless: deeper frames repeat frame 0
 	}

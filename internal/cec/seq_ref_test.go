@@ -370,28 +370,10 @@ func regBits(m *rtlil.Module) []rtlil.SigBit {
 	return out
 }
 
-// refMachines maps both modules and matches their interfaces, as
-// CheckSequential does before its first phase.
-func refMachines(a, b *rtlil.Module) (*machine, *machine, error) {
-	ma, err := newMachine(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	mb, err := newMachine(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := matchKeys(ma.pts, mb.pts); err != nil {
-		return nil, nil, err
-	}
-	alignPorts(ma, mb)
-	return ma, mb, nil
-}
-
 // refCheckSequential is CheckSequential on the reference unroller.
 func refCheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 	o := opt.withDefaults()
-	ma, mb, err := refMachines(a, b)
+	ma, mb, err := newMachines(a, b)
 	if err != nil {
 		return err
 	}
@@ -460,7 +442,7 @@ func DiffSequential(a, b *rtlil.Module, opt *SeqOptions) (got, want error, diff 
 		return got, want, fmt.Sprintf("verdict %s (%v), reference %s (%v)", g, got, w, want)
 	}
 	o := opt.withDefaults()
-	ma, mb, err := refMachines(a, b)
+	ma, mb, err := newMachines(a, b)
 	if err != nil {
 		return got, want, ""
 	}
