@@ -10,20 +10,19 @@
 // name. Checking is two-valued (x constants evaluate as 0, following the
 // repository-wide canonical semantics).
 //
-// The checker first runs a number of 64-pattern random simulation rounds
-// as a cheap refuter, then proves equivalence with a SAT miter.
+// The cut modules are machines without registers, so the check is frame
+// 0 of CheckSequential's product machine: a number of 64-pattern random
+// simulation rounds as a cheap refuter, then one SAT miter query on the
+// structurally hashed graph both modules are copied into.
 package cec
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
-	"repro/internal/aig"
 	"repro/internal/rtlil"
 	"repro/internal/sat"
-	"repro/internal/sim"
 )
 
 // Options tunes the equivalence check.
@@ -33,9 +32,10 @@ type Options struct {
 	RandomRounds int
 	// MaxConflicts bounds the SAT effort; 0 means unlimited.
 	MaxConflicts int64
-	// Seed drives the random simulation (default 1).
-	Seed int64
 }
+
+// checkSeed drives Check's random simulation.
+const checkSeed = 1
 
 func (o *Options) withDefaults() Options {
 	var out Options
@@ -44,9 +44,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.RandomRounds == 0 {
 		out.RandomRounds = 4
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
 	}
 	return out
 }
@@ -85,107 +82,77 @@ type points struct {
 	outBits []rtlil.SigBit
 }
 
-func cutPoints(m *rtlil.Module) (*points, error) {
+// modulePoints lists m's port bits: inputs keyed in:<wire>[i], outputs
+// out:<wire>[i]. Cut at its flip-flops, each dff also contributes its Q
+// bits as inputs ff:<cell>.Q[i] and its D bits as outputs ff:<cell>.D[i].
+// Inputs are canonical (SigMap) bits, without constants or repeats.
+func modulePoints(m *rtlil.Module, cut bool) *points {
 	ix := rtlil.NewIndex(m)
 	p := &points{}
 	seenIn := map[rtlil.SigBit]bool{}
+	addIn := func(key string, b rtlil.SigBit) {
+		if b.IsConst() || seenIn[b] {
+			return
+		}
+		seenIn[b] = true
+		p.inKeys = append(p.inKeys, key)
+		p.inBits = append(p.inBits, b)
+	}
+	addOut := func(key string, b rtlil.SigBit) {
+		p.outKeys = append(p.outKeys, key)
+		p.outBits = append(p.outBits, b)
+	}
+	var ffs []*rtlil.Cell
+	if cut {
+		ffs = m.SeqCells()
+	}
 	for _, w := range m.Inputs() {
-		mapped := ix.Map(w.Bits())
-		for i, b := range mapped {
-			if b.IsConst() || seenIn[b] {
-				continue
-			}
-			seenIn[b] = true
-			p.inKeys = append(p.inKeys, fmt.Sprintf("in:%s[%d]", w.Name, i))
-			p.inBits = append(p.inBits, b)
+		for i, b := range ix.Map(w.Bits()) {
+			addIn(fmt.Sprintf("in:%s[%d]", w.Name, i), b)
 		}
 	}
-	for _, c := range m.Cells() {
-		if !rtlil.IsSequential(c.Type) {
-			continue
-		}
-		q := ix.Map(c.Port("Q"))
-		for i, b := range q {
-			if b.IsConst() || seenIn[b] {
-				continue
-			}
-			seenIn[b] = true
-			p.inKeys = append(p.inKeys, fmt.Sprintf("ff:%s.Q[%d]", c.Name, i))
-			p.inBits = append(p.inBits, b)
+	for _, c := range ffs {
+		for i, b := range ix.Map(c.Port("Q")) {
+			addIn(fmt.Sprintf("ff:%s.Q[%d]", c.Name, i), b)
 		}
 	}
 	for _, w := range m.Outputs() {
 		for i, b := range w.Bits() {
-			p.outKeys = append(p.outKeys, fmt.Sprintf("out:%s[%d]", w.Name, i))
-			p.outBits = append(p.outBits, b)
+			addOut(fmt.Sprintf("out:%s[%d]", w.Name, i), b)
 		}
 	}
-	for _, c := range m.Cells() {
-		if !rtlil.IsSequential(c.Type) {
-			continue
-		}
+	for _, c := range ffs {
 		for i, b := range c.Port("D") {
-			p.outKeys = append(p.outKeys, fmt.Sprintf("ff:%s.D[%d]", c.Name, i))
-			p.outBits = append(p.outBits, b)
+			addOut(fmt.Sprintf("ff:%s.D[%d]", c.Name, i), b)
 		}
 	}
-	return p, nil
+	return p
 }
 
 // Check proves combinational equivalence of a and b, returning nil when
 // equivalent, a *NotEquivalentError with a counterexample when not, and
-// other errors for interface mismatches or resource exhaustion.
+// other errors for interface mismatches, unmappable logic or resource
+// exhaustion.
 func Check(a, b *rtlil.Module, opt *Options) error {
 	o := opt.withDefaults()
-	pa, err := cutPoints(a)
+	ma, mb, err := newMachines(a, b, true)
 	if err != nil {
 		return err
 	}
-	pb, err := cutPoints(b)
-	if err != nil {
-		return err
-	}
-	if err := matchKeys(pa, pb); err != nil {
-		return err
-	}
-
-	// Phase 1: random simulation refutation.
-	rng := rand.New(rand.NewSource(o.Seed))
-	simA, err := sim.NewParallel(a)
-	if err != nil {
-		return fmt.Errorf("cec: module %s: %w", a.Name, err)
-	}
-	simB, err := sim.NewParallel(b)
-	if err != nil {
-		return fmt.Errorf("cec: module %s: %w", b.Name, err)
-	}
-	for round := 0; round < o.RandomRounds; round++ {
-		lanes := make([]uint64, len(pa.inBits))
-		inA := map[rtlil.SigBit]uint64{}
-		inB := map[rtlil.SigBit]uint64{}
-		for i := range lanes {
-			lanes[i] = rng.Uint64()
-			inA[pa.inBits[i]] = lanes[i]
-			inB[pb.bitForKey(pa.inKeys[i])] = lanes[i]
+	// Phase 1: random simulation refutation, one cycle per round.
+	cex, _, _ := simulate(ma, mb, checkSeed, o.RandomRounds, 1)
+	if cex == nil {
+		// Phase 2: the SAT miter on frame 0 of the product machine.
+		u := newUnroller(ma, mb, o.MaxConflicts)
+		switch u.solve(nil, u.miter(u.resetFrame(0))...) {
+		case sat.Unsat:
+			return nil
+		case sat.Unknown:
+			return fmt.Errorf("cec: SAT conflict budget exhausted (MaxConflicts=%d)", o.MaxConflicts)
 		}
-		ra := simA.Run(inA)
-		rb := simB.Run(inB)
-		for i, key := range pa.outKeys {
-			va := simA.Sig(ra, rtlil.SigSpec{pa.outBits[i]})[0]
-			vb := simB.Sig(rb, rtlil.SigSpec{pb.bitForKey(key)})[0]
-			if va != vb {
-				lane := firstDiffLane(va, vb)
-				ce := map[string]bool{}
-				for j, k := range pa.inKeys {
-					ce[k] = (lanes[j]>>lane)&1 == 1
-				}
-				return &NotEquivalentError{Output: key, Inputs: ce}
-			}
-		}
+		cex = u.extractCex(0)
 	}
-
-	// Phase 2: SAT miter.
-	return satMiter(a, b, pa, pb, o)
+	return &NotEquivalentError{Output: cex.Output, Inputs: cex.Inputs[0]}
 }
 
 func firstDiffLane(a, b uint64) uint {
@@ -196,22 +163,6 @@ func firstDiffLane(a, b uint64) uint {
 		}
 	}
 	return 0
-}
-
-func (p *points) bitForKey(key string) rtlil.SigBit {
-	// Linear scan is fine for the sizes we check; callers requiring
-	// speed should build their own map.
-	for i, k := range p.inKeys {
-		if k == key {
-			return p.inBits[i]
-		}
-	}
-	for i, k := range p.outKeys {
-		if k == key {
-			return p.outBits[i]
-		}
-	}
-	panic("cec: unknown key " + key)
 }
 
 func matchKeys(pa, pb *points) error {
@@ -235,84 +186,4 @@ func sameKeySet(kind string, a, b []string) error {
 		}
 	}
 	return nil
-}
-
-func satMiter(a, b *rtlil.Module, pa, pb *points, o Options) error {
-	mpA, err := aig.FromModule(a)
-	if err != nil {
-		return fmt.Errorf("cec: mapping %s: %w", a.Name, err)
-	}
-	mpB, err := aig.FromModule(b)
-	if err != nil {
-		return fmt.Errorf("cec: mapping %s: %w", b.Name, err)
-	}
-	solver := sat.NewSolver()
-	solver.MaxConflicts = o.MaxConflicts
-	cnfA := aig.NewCNF(mpA.G, solver)
-	cnfB := aig.NewCNF(mpB.G, solver)
-
-	// Tie the inputs together by key.
-	inLitA := map[string]sat.Lit{}
-	for i, key := range pa.inKeys {
-		l := cnfA.SatLit(mpA.LitOf(pa.inBits[i]))
-		inLitA[key] = l
-	}
-	bIdx := map[string]int{}
-	for i, key := range pb.inKeys {
-		bIdx[key] = i
-	}
-	for key, la := range inLitA {
-		lb := cnfB.SatLit(mpB.LitOf(pb.inBits[bIdx[key]]))
-		solver.AddClause(la.Not(), lb)
-		solver.AddClause(la, lb.Not())
-	}
-
-	// Miter: OR over output-pair XORs.
-	bOutIdx := map[string]int{}
-	for i, key := range pb.outKeys {
-		bOutIdx[key] = i
-	}
-	var miter []sat.Lit
-	outVars := make([]struct {
-		key    string
-		la, lb sat.Lit
-	}, 0, len(pa.outKeys))
-	for i, key := range pa.outKeys {
-		la := cnfA.SatLit(mpA.LitOf(pa.outBits[i]))
-		lb := cnfB.SatLit(mpB.LitOf(pb.outBits[bOutIdx[key]]))
-		x := solver.NewVar()
-		xl := sat.PosLit(x)
-		// x <-> la xor lb
-		solver.AddClause(xl.Not(), la, lb)
-		solver.AddClause(xl.Not(), la.Not(), lb.Not())
-		solver.AddClause(xl, la.Not(), lb)
-		solver.AddClause(xl, la, lb.Not())
-		miter = append(miter, xl)
-		outVars = append(outVars, struct {
-			key    string
-			la, lb sat.Lit
-		}{key, la, lb})
-	}
-	if len(miter) == 0 {
-		return nil
-	}
-	solver.AddClause(miter...)
-
-	switch solver.Solve() {
-	case sat.Unsat:
-		return nil
-	case sat.Unknown:
-		return fmt.Errorf("cec: SAT conflict budget exhausted (MaxConflicts=%d)", o.MaxConflicts)
-	}
-	// Satisfiable: extract the counterexample.
-	ce := map[string]bool{}
-	for key, l := range inLitA {
-		ce[key] = solver.ValueLit(l)
-	}
-	for _, ov := range outVars {
-		if solver.ValueLit(ov.la) != solver.ValueLit(ov.lb) {
-			return &NotEquivalentError{Output: ov.key, Inputs: ce}
-		}
-	}
-	return &NotEquivalentError{Output: "?", Inputs: ce}
 }

@@ -55,10 +55,10 @@ func TestNotEquivalentCaughtBySim(t *testing.T) {
 	}
 }
 
-// TestNotEquivalentNeedsSAT builds a mismatch so narrow random simulation
-// is unlikely to find it: the modules differ only when a 32-bit input is
-// exactly a magic constant.
-func TestNotEquivalentNeedsSAT(t *testing.T) {
+// magicPair returns a mismatch so narrow random simulation is unlikely
+// to find it: the modules differ only when a 32-bit input is exactly a
+// magic constant.
+func magicPair() (*rtlil.Module, *rtlil.Module) {
 	build := func(diff bool) *rtlil.Module {
 		m := rtlil.NewModule("m")
 		x := m.AddInput("x", 32).Bits()
@@ -71,7 +71,11 @@ func TestNotEquivalentNeedsSAT(t *testing.T) {
 		}
 		return m
 	}
-	a, b := build(true), build(false)
+	return build(true), build(false)
+}
+
+func TestNotEquivalentNeedsSAT(t *testing.T) {
+	a, b := magicPair()
 	err := Check(a, b, &Options{RandomRounds: 1})
 	var ne *NotEquivalentError
 	if !errors.As(err, &ne) {
@@ -114,34 +118,41 @@ func TestInterfaceMismatch(t *testing.T) {
 	}
 }
 
-func TestSequentialCut(t *testing.T) {
-	build := func(optimized bool) *rtlil.Module {
-		m := rtlil.NewModule("m")
-		clk := m.AddInput("clk", 1).Bits()
-		d := m.AddInput("d", 2).Bits()
-		s := m.AddInput("s", 1).Bits()
-		q := m.NewWire(2)
-		var next rtlil.SigSpec
-		if optimized {
-			next = m.Mux(d, q.Bits(), s)
-		} else {
-			// mux with both branches through an extra identity mux
-			mid := m.Mux(d, d, s)
-			next = m.Mux(mid, q.Bits(), s)
-		}
-		m.AddDff("state", clk, next, q.Bits())
-		y := m.AddOutput("y", 2)
-		m.Connect(y.Bits(), q.Bits())
-		return m
+// flopModule returns a register whose next state is a mux; unoptimized,
+// both mux branches pass through an extra identity mux.
+func flopModule(optimized bool) *rtlil.Module {
+	m := rtlil.NewModule("m")
+	clk := m.AddInput("clk", 1).Bits()
+	d := m.AddInput("d", 2).Bits()
+	s := m.AddInput("s", 1).Bits()
+	q := m.NewWire(2)
+	var next rtlil.SigSpec
+	if optimized {
+		next = m.Mux(d, q.Bits(), s)
+	} else {
+		mid := m.Mux(d, d, s)
+		next = m.Mux(mid, q.Bits(), s)
 	}
-	if err := Check(build(false), build(true), nil); err != nil {
+	m.AddDff("state", clk, next, q.Bits())
+	y := m.AddOutput("y", 2)
+	m.Connect(y.Bits(), q.Bits())
+	return m
+}
+
+// invertedD returns m with the flip-flop state's D inverted.
+func invertedD(m *rtlil.Module) *rtlil.Module {
+	ff := m.Cell("state")
+	ff.SetPort("D", m.Not(ff.Port("D")))
+	return m
+}
+
+func TestSequentialCut(t *testing.T) {
+	if err := Check(flopModule(false), flopModule(true), nil); err != nil {
 		t.Fatalf("equivalent sequential designs reported different: %v", err)
 	}
 	// Now a real sequential difference: invert D.
-	a := build(true)
-	b := build(true)
-	ff := b.Cell("state")
-	ff.SetPort("D", b.Not(ff.Port("D")))
+	a := flopModule(true)
+	b := invertedD(flopModule(true))
 	err := Check(a, b, nil)
 	var ne *NotEquivalentError
 	if !errors.As(err, &ne) {
@@ -189,4 +200,57 @@ func randomModule(rng *rand.Rand) *rtlil.Module {
 	y := m.AddOutput("y", len(last))
 	m.Connect(y.Bits(), last)
 	return m
+}
+
+// TestCheckUnmappable: a cell the AIG mapper cannot encode is an error
+// before simulation runs, never a verdict, even where simulation alone
+// would refute the pair (as the reference checker does).
+func TestCheckUnmappable(t *testing.T) {
+	build := func(invert bool) *rtlil.Module {
+		m := rtlil.NewModule("div")
+		x := m.AddInput("x", 3).Bits()
+		y := m.AddInput("y", 3).Bits()
+		q := m.NewWire(3)
+		m.AddBinary(rtlil.CellDiv, "div", x, y, q.Bits())
+		o := m.AddOutput("o", 3)
+		if invert {
+			m.Connect(o.Bits(), m.Not(q.Bits()))
+		} else {
+			m.Connect(o.Bits(), q.Bits())
+		}
+		return m
+	}
+	a, b := build(false), build(true)
+	err := Check(a, b, nil)
+	if err == nil || !strings.Contains(err.Error(), "cec: mapping div") {
+		t.Fatalf("verdict = %v, want the mapping error", err)
+	}
+	if errors.As(err, new(*NotEquivalentError)) {
+		t.Fatalf("unmappable pair got a counterexample: %v", err)
+	}
+	if !errors.As(refCheck(a, b, nil), new(*NotEquivalentError)) {
+		t.Fatalf("reference checker no longer refutes the pair by simulation")
+	}
+}
+
+// FuzzCheck compares Check with the reference checker (DiffCheck) on
+// random pairs: a random module against its clone, against a copy with
+// one cell's output inverted, and against a second random module.
+func FuzzCheck(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		m := randomModule(rng)
+		for _, p := range []CheckPair{
+			{"clone", m, m.Clone()},
+			{"inverted", m, invertedCell(m.Clone(), rng)},
+			{"other", m, randomModule(rng)},
+		} {
+			if _, _, diff := DiffCheck(p.A, p.B, nil); diff != "" {
+				t.Fatalf("seed %d, %s: %s", seed, p.Name, diff)
+			}
+		}
+	})
 }

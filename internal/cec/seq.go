@@ -1,6 +1,7 @@
 package cec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -54,14 +55,6 @@ type SeqOptions struct {
 	MaxConflicts int64
 	// Seed drives the random simulation (default 1).
 	Seed int64
-	// SimCycles is the number of clock cycles per random-simulation
-	// round (default 16); SimRounds the number of 64-lane rounds
-	// (default 2). Simulation both refutes cheap inequivalences and
-	// harvests the invariant candidates.
-	SimCycles int
-	SimRounds int
-	// MaxInvariants caps the candidate invariant set (default 512).
-	MaxInvariants int
 	// DisableInvariants turns off the van Eijk strengthening, leaving
 	// plain k-induction (ablation/testing knob).
 	DisableInvariants bool
@@ -78,17 +71,17 @@ func (o *SeqOptions) withDefaults() SeqOptions {
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
-	if out.SimCycles == 0 {
-		out.SimCycles = 16
-	}
-	if out.SimRounds == 0 {
-		out.SimRounds = 2
-	}
-	if out.MaxInvariants == 0 {
-		out.MaxInvariants = 512
-	}
 	return out
 }
+
+// The random simulation runs seqRounds rounds of 64 lanes, seqCycles
+// clock cycles each; it both refutes cheap inequivalences and harvests
+// the invariant candidates, at most maxInvariants of them.
+const (
+	seqRounds     = 2
+	seqCycles     = 16
+	maxInvariants = 512
+)
 
 // SeqNotEquivalentError is a concrete sequential counterexample: a
 // per-cycle input assignment (from reset) after which the named output
@@ -135,32 +128,6 @@ type UnknownError struct{ Reason string }
 // Error describes why the check was inconclusive.
 func (e *UnknownError) Error() string { return "cec: sequential check inconclusive: " + e.Reason }
 
-// portPoints is cutPoints restricted to real module ports: registers
-// stay internal so the two sides may differ in register structure.
-func portPoints(m *rtlil.Module) *points {
-	ix := rtlil.NewIndex(m)
-	p := &points{}
-	seenIn := map[rtlil.SigBit]bool{}
-	for _, w := range m.Inputs() {
-		mapped := ix.Map(w.Bits())
-		for i, b := range mapped {
-			if b.IsConst() || seenIn[b] {
-				continue
-			}
-			seenIn[b] = true
-			p.inKeys = append(p.inKeys, fmt.Sprintf("in:%s[%d]", w.Name, i))
-			p.inBits = append(p.inBits, b)
-		}
-	}
-	for _, w := range m.Outputs() {
-		for i, b := range w.Bits() {
-			p.outKeys = append(p.outKeys, fmt.Sprintf("out:%s[%d]", w.Name, i))
-			p.outBits = append(p.outBits, b)
-		}
-	}
-	return p
-}
-
 // seqReg is one register bit of one machine.
 type seqReg struct {
 	qLit aig.Lit // AIG input of the Q bit
@@ -180,15 +147,24 @@ type machine struct {
 	in, out []aig.Lit
 }
 
-func newMachine(m *rtlil.Module) (*machine, error) {
-	if err := rtlil.ValidateSequential(m); err != nil {
-		return nil, fmt.Errorf("cec: %w", err)
+// newMachine maps m to one side of the product machine. Its ports are
+// the module's, and its flip-flops are registers; cut, they are ports
+// too (modulePoints) and the machine has no registers, which is Check's
+// combinational view of the module.
+func newMachine(m *rtlil.Module, cut bool) (*machine, error) {
+	if !cut {
+		if err := rtlil.ValidateSequential(m); err != nil {
+			return nil, fmt.Errorf("cec: %w", err)
+		}
 	}
 	mp, err := aig.FromModule(m)
 	if err != nil {
 		return nil, fmt.Errorf("cec: mapping %s: %w", m.Name, err)
 	}
-	mc := &machine{mp: mp, pts: portPoints(m)}
+	mc := &machine{mp: mp, pts: modulePoints(m, cut)}
+	if cut {
+		return mc, nil
+	}
 	for _, c := range m.SeqCells() {
 		q := c.Port("Q")
 		d := c.Port("D")
@@ -202,14 +178,14 @@ func newMachine(m *rtlil.Module) (*machine, error) {
 	return mc, nil
 }
 
-// newMachines maps both modules, checks that their ports match and
-// aligns them (alignPorts).
-func newMachines(a, b *rtlil.Module) (*machine, *machine, error) {
-	ma, err := newMachine(a)
+// newMachines maps both modules (newMachine), checks that their ports
+// match and aligns them (alignPorts).
+func newMachines(a, b *rtlil.Module, cut bool) (*machine, *machine, error) {
+	ma, err := newMachine(a, cut)
 	if err != nil {
 		return nil, nil, err
 	}
-	mb, err := newMachine(b)
+	mb, err := newMachine(b, cut)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -257,17 +233,17 @@ type frame struct {
 	in         []aig.Lit // one input per input key, shared by both machines
 	dA, dB     []aig.Lit // next-state literal per register bit
 	outA, outB []aig.Lit // output literal per output key
-	diff       aig.Lit   // OR over the output-pair XORs
 }
 
-// unroller builds the k-induction miter inside one structurally hashed
-// AIG of the product machine and answers its queries with one lazily
-// encoded, incremental solver. Every frame copies both machines into
-// the graph (aig.Copy) with their Q inputs bound to the frame's state,
-// so reset, transition and invariants enter by substitution instead of
-// tie clauses, outputs the two machines compute alike strash to one
-// literal, and a query that folds to a constant never reaches the
-// solver. Two chains of frames hang off the graph:
+// unroller builds the miter (of Check's frame 0, BMC and k-induction
+// alike) inside one structurally hashed AIG of the product machine and
+// answers its queries with one lazily encoded, incremental solver.
+// Every frame copies both machines into the graph (aig.Copy) with their
+// Q inputs bound to the frame's state, so reset, transition and
+// invariants enter by substitution instead of tie clauses, outputs the
+// two machines compute alike strash to one literal, and a query that
+// folds to a constant never reaches the solver. Two chains of frames
+// hang off the graph:
 //
 //   - reset: frame 0's state is the all-zero reset state, frame f's the
 //     next-state literals of frame f-1 (BMC);
@@ -278,7 +254,6 @@ type frame struct {
 //     which keeps the formula equivalent to constraining every frame
 //     (refinement, induction).
 type unroller struct {
-	o      SeqOptions
 	a, b   *machine
 	g      *aig.AIG
 	cnf    *aig.CNF
@@ -287,11 +262,11 @@ type unroller struct {
 	invs   []invariant
 }
 
-func newUnroller(a, b *machine, o SeqOptions) *unroller {
+func newUnroller(a, b *machine, maxConflicts int64) *unroller {
 	g := aig.New()
 	s := sat.NewSolver()
-	s.MaxConflicts = o.MaxConflicts
-	return &unroller{o: o, a: a, b: b, g: g, cnf: aig.NewCNF(g, s), solver: s}
+	s.MaxConflicts = maxConflicts
+	return &unroller{a: a, b: b, g: g, cnf: aig.NewCNF(g, s), solver: s}
 }
 
 // newFrame copies both machines into the graph with fresh inputs and
@@ -303,10 +278,6 @@ func (u *unroller) newFrame(qA, qB []aig.Lit) *frame {
 	}
 	fr.outA, fr.dA = u.copyMachine(u.a, fr.in, qA)
 	fr.outB, fr.dB = u.copyMachine(u.b, fr.in, qB)
-	fr.diff = aig.Const0
-	for i := range fr.outA {
-		fr.diff = u.g.Or(fr.diff, u.g.Xor(fr.outA[i], fr.outB[i]))
-	}
 	return fr
 }
 
@@ -333,12 +304,26 @@ func (u *unroller) copyMachine(m *machine, in, q []aig.Lit) (out, d []aig.Lit) {
 	return out, d
 }
 
-// solve asks whether q can be true under the assumptions. A constant
-// query or a constant-false assumption is decided without the solver,
-// and constant-true assumptions are dropped.
-func (u *unroller) solve(assumps []aig.Lit, q aig.Lit) sat.Result {
+// miter returns the XOR of each output pair of frame fr: the machines
+// differ at fr exactly when one of them is true.
+func (u *unroller) miter(fr *frame) []aig.Lit {
+	xs := make([]aig.Lit, len(fr.outA))
+	for i := range xs {
+		xs[i] = u.g.Xor(fr.outA[i], fr.outB[i])
+	}
+	return xs
+}
+
+// solve asks whether one of the literals anyOf can be true under the
+// assumptions. Constants never reach the solver: a constant-false
+// assumption, or a disjunction with only constant-false literals, is
+// Unsat, and constant-true assumptions are dropped, as is the whole
+// disjunction when it holds a constant-true literal. A single disjunct
+// is assumed; several become one clause behind a fresh activation
+// literal, retired after the call.
+func (u *unroller) solve(assumps []aig.Lit, anyOf ...aig.Lit) sat.Result {
 	lits := make([]sat.Lit, 0, len(assumps)+1)
-	for _, l := range append(slices.Clip(assumps), q) {
+	for _, l := range assumps {
 		switch l {
 		case aig.Const0:
 			return sat.Unsat
@@ -347,7 +332,25 @@ func (u *unroller) solve(assumps []aig.Lit, q aig.Lit) sat.Result {
 		}
 		lits = append(lits, u.cnf.SatLit(l))
 	}
-	return u.solver.Solve(lits...)
+	if slices.Contains(anyOf, aig.Const1) {
+		return u.solver.Solve(lits...)
+	}
+	var clause []sat.Lit
+	for _, l := range anyOf {
+		if l != aig.Const0 {
+			clause = append(clause, u.cnf.SatLit(l))
+		}
+	}
+	switch len(clause) {
+	case 0:
+		return sat.Unsat
+	case 1:
+		return u.solver.Solve(append(lits, clause[0])...)
+	}
+	act := sat.PosLit(u.solver.NewVar())
+	u.solver.AddClause(append(clause, act.Not())...)
+	defer u.solver.AddClause(act.Not())
+	return u.solver.Solve(append(lits, act)...)
 }
 
 // resetFrame materializes the reset chain up to frame f and returns
@@ -400,11 +403,11 @@ func rep(q [2][]aig.Lit, inv invariant) aig.Lit {
 // Returns (cex, nil) when found, (nil, nil) when refuted, an
 // UnknownError on budget exhaustion.
 func (u *unroller) bmc(d int) (*SeqNotEquivalentError, error) {
-	switch u.solve(nil, u.resetFrame(d).diff) {
+	switch u.solve(nil, u.miter(u.resetFrame(d))...) {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Unknown:
-		return nil, &UnknownError{Reason: fmt.Sprintf("BMC conflict budget exhausted at depth %d (MaxConflicts=%d)", d, u.o.MaxConflicts)}
+		return nil, &UnknownError{Reason: fmt.Sprintf("BMC conflict budget exhausted at depth %d (MaxConflicts=%d)", d, u.solver.MaxConflicts)}
 	}
 	return u.extractCex(d), nil
 }
@@ -486,7 +489,9 @@ func (u *unroller) refine(cands []invariant) *frame {
 func (u *unroller) induction(k int, fr *frame) error {
 	var assumps []aig.Lit
 	for f := 1; f <= k; f++ {
-		assumps = append(assumps, fr.diff.Not())
+		for _, x := range u.miter(fr) { // quiet: no output pair differs
+			assumps = append(assumps, x.Not())
+		}
 		d := [2][]aig.Lit{fr.dA, fr.dB}
 		q := [2][]aig.Lit{slices.Clone(fr.dA), slices.Clone(fr.dB)}
 		for _, inv := range u.invs {
@@ -495,22 +500,24 @@ func (u *unroller) induction(k int, fr *frame) error {
 		u.substitute(q)
 		fr = u.newFrame(q[0], q[1])
 	}
-	switch u.solve(assumps, fr.diff) {
+	switch u.solve(assumps, u.miter(fr)...) {
 	case sat.Unsat:
 		return nil
 	case sat.Unknown:
-		return &UnknownError{Reason: fmt.Sprintf("induction conflict budget exhausted at k=%d (MaxConflicts=%d)", k, u.o.MaxConflicts)}
+		return &UnknownError{Reason: fmt.Sprintf("induction conflict budget exhausted at k=%d (MaxConflicts=%d)", k, u.solver.MaxConflicts)}
 	}
 	return &UnknownError{Reason: fmt.Sprintf("k-induction inconclusive at k=%d with %d invariants", k, len(u.invs))}
 }
 
-// simulate runs both machines from reset under shared random stimulus,
-// evaluating each machine's own AIG over 64 lanes; the lanes are
-// sim.Sequential's, since both follow the AIG lowering. It returns a
-// counterexample if the outputs ever differ, else the per-register
-// value signatures used to harvest invariant candidates.
-func simulate(a, b *machine, o SeqOptions) (*SeqNotEquivalentError, [][]uint64, [][]uint64) {
-	rng := rand.New(rand.NewSource(o.Seed))
+// simulate runs both machines from reset under shared random stimulus
+// drawn from seed, rounds rounds of 64 lanes and cycles clock cycles
+// each, evaluating each machine's own AIG; the lanes are sim.Sequential's
+// (sim.Parallel's for machines without registers), since both follow the
+// AIG lowering. It returns a counterexample if the outputs ever differ,
+// else the per-register value signatures used to harvest invariant
+// candidates.
+func simulate(a, b *machine, seed int64, rounds, cycles int) (*SeqNotEquivalentError, [][]uint64, [][]uint64) {
+	rng := rand.New(rand.NewSource(seed))
 	ms := [2]*machine{a, b}
 	var vals, next [2][]uint64 // lanes per AIG node; next state per register
 	var sigs [2][][]uint64
@@ -519,11 +526,11 @@ func simulate(a, b *machine, o SeqOptions) (*SeqNotEquivalentError, [][]uint64, 
 		next[s] = make([]uint64, len(m.regs))
 		sigs[s] = make([][]uint64, len(m.regs))
 	}
-	for round := 0; round < o.SimRounds; round++ {
+	for round := 0; round < rounds; round++ {
 		clear(vals[0]) // all-zero reset state
 		clear(vals[1])
 		var history [][]uint64
-		for cyc := 0; cyc < o.SimCycles; cyc++ {
+		for cyc := 0; cyc < cycles; cyc++ {
 			in := make([]uint64, len(a.in))
 			for i := range in {
 				in[i] = rng.Uint64()
@@ -577,14 +584,15 @@ func laneOf(vals []uint64, l aig.Lit) uint64 {
 
 // harvestInvariants groups register bits (of both machines) and the
 // constant 0 by simulation signature; each class yields member==rep
-// candidates.
-func harvestInvariants(a, b *machine, sigA, sigB [][]uint64, max int) []invariant {
-	sigKey := func(sig []uint64) string {
-		var sb strings.Builder
+// candidates, at most maxInvariants of them.
+func harvestInvariants(a, b *machine, sigA, sigB [][]uint64) []invariant {
+	var buf []byte
+	sigKey := func(sig []uint64) string { // the raw words
+		buf = buf[:0]
 		for _, v := range sig {
-			fmt.Fprintf(&sb, "%016x.", v)
+			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
-		return sb.String()
+		return string(buf)
 	}
 	type member struct{ side, idx int }
 	classes := map[string][]member{}
@@ -626,8 +634,8 @@ func harvestInvariants(a, b *machine, sigA, sigB [][]uint64, max int) []invarian
 			out = append(out, invariant{side: m.side, idx: m.idx, repSide: rep.side, repIdx: rep.idx})
 		}
 	}
-	if len(out) > max {
-		out = out[:max]
+	if len(out) > maxInvariants {
+		out = out[:maxInvariants]
 	}
 	return out
 }
@@ -652,19 +660,14 @@ func lap(d *time.Duration, t time.Time) time.Time {
 // *SeqNotEquivalentError with a multi-cycle counterexample when
 // refuted, a *UnknownError when the k-induction proof is inconclusive,
 // and other errors for interface mismatches, multiple clock domains or
-// unmappable logic.
-func CheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
-	return CheckSequentialTimed(a, b, opt, nil)
-}
-
-// CheckSequentialTimed is CheckSequential that adds the time of each
-// proof phase to *st (nil: untimed).
-func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) error {
+// unmappable logic. It adds the time of each proof phase to *st (nil:
+// untimed).
+func CheckSequential(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) error {
 	if st == nil {
 		st = &SeqTimes{}
 	}
 	o := opt.withDefaults()
-	ma, mb, err := newMachines(a, b)
+	ma, mb, err := newMachines(a, b, false)
 	if err != nil {
 		return err
 	}
@@ -672,7 +675,7 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 	// Phase 1: multi-cycle random simulation — cheap refuter and
 	// invariant-candidate harvest in one pass.
 	t := time.Now()
-	cex, sigA, sigB := simulate(ma, mb, o)
+	cex, sigA, sigB := simulate(ma, mb, o.Seed, seqRounds, seqCycles)
 	t = lap(&st.Simulate, t)
 	if cex != nil {
 		return cex
@@ -680,7 +683,7 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 
 	// Phase 2: BMC base case, cycles 0..K-1 from reset. Stateless on
 	// both sides, frame 0 covers the whole behavior.
-	u := newUnroller(ma, mb, o)
+	u := newUnroller(ma, mb, o.MaxConflicts)
 	stateless := len(ma.regs) == 0 && len(mb.regs) == 0
 	depth := o.K
 	if stateless {
@@ -697,7 +700,7 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 	if o.DisableInvariants {
 		start = u.newFrame(u.freeState())
 	} else {
-		start = u.refine(harvestInvariants(ma, mb, sigA, sigB, o.MaxInvariants))
+		start = u.refine(harvestInvariants(ma, mb, sigA, sigB))
 		t = lap(&st.Refine, t)
 	}
 	err = u.induction(o.K, start)
@@ -712,12 +715,12 @@ func CheckSequentialTimed(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) err
 // fuzzer cross-checks CheckSequential verdicts against BMC at k+2.
 func BMC(a, b *rtlil.Module, depth int, opt *SeqOptions) error {
 	o := opt.withDefaults()
-	ma, mb, err := newMachines(a, b)
+	ma, mb, err := newMachines(a, b, false)
 	if err != nil {
 		return err
 	}
 	if len(ma.regs) == 0 && len(mb.regs) == 0 && depth > 0 {
 		depth = 0 // stateless: deeper frames repeat frame 0
 	}
-	return newUnroller(ma, mb, o).baseCase(depth + 1)
+	return newUnroller(ma, mb, o.MaxConflicts).baseCase(depth + 1)
 }

@@ -303,11 +303,11 @@ func refSimulate(ma, mb *rtlil.Module, a, b *machine, o SeqOptions) (*SeqNotEqui
 	qA, qB := regBits(ma), regBits(mb)
 	sigA := make([][]uint64, len(a.regs))
 	sigB := make([][]uint64, len(b.regs))
-	for round := 0; round < o.SimRounds; round++ {
+	for round := 0; round < seqRounds; round++ {
 		simA.Reset()
 		simB.Reset()
 		var history []map[string]uint64
-		for cyc := 0; cyc < o.SimCycles; cyc++ {
+		for cyc := 0; cyc < seqCycles; cyc++ {
 			lanes := map[string]uint64{}
 			inA := map[rtlil.SigBit]uint64{}
 			inB := map[rtlil.SigBit]uint64{}
@@ -373,7 +373,7 @@ func regBits(m *rtlil.Module) []rtlil.SigBit {
 // refCheckSequential is CheckSequential on the reference unroller.
 func refCheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 	o := opt.withDefaults()
-	ma, mb, err := newMachines(a, b)
+	ma, mb, err := newMachines(a, b, false)
 	if err != nil {
 		return err
 	}
@@ -406,7 +406,7 @@ func refCheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 		}
 	}
 	if !o.DisableInvariants {
-		u.refineInvariants(harvestInvariants(ma, mb, sigA, sigB, o.MaxInvariants))
+		u.refineInvariants(harvestInvariants(ma, mb, sigA, sigB))
 	}
 	return u.induction(o.K)
 }
@@ -414,11 +414,12 @@ func refCheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 // verdictKind names the class of a check's verdict.
 func verdictKind(err error) string {
 	var cex *SeqNotEquivalentError
+	var ne *NotEquivalentError
 	var unk *UnknownError
 	switch {
 	case err == nil:
 		return "proved"
-	case errors.As(err, &cex):
+	case errors.As(err, &cex), errors.As(err, &ne):
 		return "counterexample"
 	case errors.As(err, &unk):
 		return "unknown"
@@ -436,17 +437,17 @@ func verdictKind(err error) string {
 // for unbounded checks: a conflict budget may decide the two unrollings'
 // queries differently.
 func DiffSequential(a, b *rtlil.Module, opt *SeqOptions) (got, want error, diff string) {
-	got = CheckSequential(a, b, opt)
+	got = CheckSequential(a, b, opt, nil)
 	want = refCheckSequential(a, b, opt)
 	if g, w := verdictKind(got), verdictKind(want); g != w {
 		return got, want, fmt.Sprintf("verdict %s (%v), reference %s (%v)", g, got, w, want)
 	}
 	o := opt.withDefaults()
-	ma, mb, err := newMachines(a, b)
+	ma, mb, err := newMachines(a, b, false)
 	if err != nil {
 		return got, want, ""
 	}
-	cex, sigA, sigB := simulate(ma, mb, o)
+	cex, sigA, sigB := simulate(ma, mb, o.Seed, seqRounds, seqCycles)
 	rcex, rsigA, rsigB, err := refSimulate(a, b, ma, mb, o)
 	if err != nil {
 		return got, want, "reference simulation: " + err.Error()
@@ -460,8 +461,8 @@ func DiffSequential(a, b *rtlil.Module, opt *SeqOptions) (got, want error, diff 
 	if !reflect.DeepEqual(sigA, rsigA) || !reflect.DeepEqual(sigB, rsigB) {
 		return got, want, "register signatures differ from sim.Sequential's"
 	}
-	cands := harvestInvariants(ma, mb, sigA, sigB, o.MaxInvariants)
-	if rc := harvestInvariants(ma, mb, rsigA, rsigB, o.MaxInvariants); !reflect.DeepEqual(cands, rc) {
+	cands := harvestInvariants(ma, mb, sigA, sigB)
+	if rc := harvestInvariants(ma, mb, rsigA, rsigB); !reflect.DeepEqual(cands, rc) {
 		return got, want, fmt.Sprintf("candidates %v, reference %v", cands, rc)
 	}
 	if len(ma.regs) == 0 && len(mb.regs) == 0 {
@@ -476,13 +477,13 @@ func DiffSequential(a, b *rtlil.Module, opt *SeqOptions) (got, want error, diff 
 		name string
 		invs []invariant
 	}{{"unrefined candidates", cands}, {"random claims", random}} {
-		u, ru := newUnroller(ma, mb, o), newRefUnroller(ma, mb, o)
+		u, ru := newUnroller(ma, mb, o.MaxConflicts), newRefUnroller(ma, mb, o)
 		u.invs, ru.invs = set.invs, set.invs
 		gi := u.induction(o.K, u.newFrame(u.freeState()))
 		if g, w := verdictKind(gi), verdictKind(ru.induction(o.K)); g != w {
 			return got, want, fmt.Sprintf("induction under %d %s: %s, reference %s", len(set.invs), set.name, g, w)
 		}
-		u, ru = newUnroller(ma, mb, o), newRefUnroller(ma, mb, o)
+		u, ru = newUnroller(ma, mb, o.MaxConflicts), newRefUnroller(ma, mb, o)
 		u.refine(set.invs)
 		if rr := ru.refineInvariants(set.invs); !slices.Equal(u.invs, rr) {
 			return got, want, fmt.Sprintf("refinement of %d %s: %v, reference %v", len(set.invs), set.name, u.invs, rr)

@@ -38,7 +38,7 @@ func pipePair() (*rtlil.Module, *rtlil.Module) {
 
 func TestCheckSequentialEquivalent(t *testing.T) {
 	a, b := pipePair()
-	if err := CheckSequential(a, b, nil); err != nil {
+	if err := CheckSequential(a, b, nil, nil); err != nil {
 		t.Fatalf("equivalent pipelines reported different: %v", err)
 	}
 }
@@ -70,7 +70,7 @@ func stuckPair() (*rtlil.Module, *rtlil.Module) {
 
 func TestCheckSequentialSelfLoopRemoval(t *testing.T) {
 	a, b := stuckPair()
-	if err := CheckSequential(a, b, nil); err != nil {
+	if err := CheckSequential(a, b, nil, nil); err != nil {
 		t.Fatalf("self-loop register removal not proven: %v", err)
 	}
 }
@@ -107,14 +107,14 @@ func TestCheckSequentialNeedsInvariants(t *testing.T) {
 	// Without invariant strengthening the pair must come back
 	// inconclusive — never "not equivalent", never "proven"...
 	a, b := deepStuckPair()
-	err := CheckSequential(a, b, &SeqOptions{DisableInvariants: true})
+	err := CheckSequential(a, b, &SeqOptions{DisableInvariants: true}, nil)
 	var unk *UnknownError
 	if !errors.As(err, &unk) {
 		t.Fatalf("plain k-induction verdict = %v, want UnknownError", err)
 	}
 	// ...and the harvested register-constant invariants close exactly
 	// this gap.
-	if err := CheckSequential(a, b, nil); err != nil {
+	if err := CheckSequential(a, b, nil, nil); err != nil {
 		t.Fatalf("invariant-strengthened induction failed: %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestCheckSequentialCounterexample(t *testing.T) {
 	a, b := pipePair()
 	ff := b.Cell("r2")
 	ff.SetPort("D", b.Not(ff.Port("D")))
-	err := CheckSequential(a, b, nil)
+	err := CheckSequential(a, b, nil, nil)
 	var cex *SeqNotEquivalentError
 	if !errors.As(err, &cex) {
 		t.Fatalf("mutated pipeline verdict = %v, want counterexample", err)
@@ -205,7 +205,7 @@ func TestCheckSequentialUnsoundConstRewrite(t *testing.T) {
 		y := b.AddOutput("y", 1)
 		b.Connect(y.Bits(), rtlil.Const(1, 1))
 	}
-	err := CheckSequential(a, b, nil)
+	err := CheckSequential(a, b, nil, nil)
 	var cex *SeqNotEquivalentError
 	if !errors.As(err, &cex) {
 		t.Fatalf("unsound constant rewrite verdict = %v, want counterexample", err)
@@ -252,7 +252,7 @@ func TestBMCFindsDeepDifference(t *testing.T) {
 
 func TestCheckSequentialStateless(t *testing.T) {
 	a, b := demorganPair()
-	if err := CheckSequential(a, b, nil); err != nil {
+	if err := CheckSequential(a, b, nil, nil); err != nil {
 		t.Fatalf("stateless equivalent pair: %v", err)
 	}
 	// Refutation: ~(x&y) against x&y.
@@ -261,7 +261,7 @@ func TestCheckSequentialStateless(t *testing.T) {
 	x2 := c.AddInput("y", 4).Bits()
 	yo := c.AddOutput("out", 4)
 	c.Connect(yo.Bits(), c.And(x1, x2))
-	err := CheckSequential(a, c, nil)
+	err := CheckSequential(a, c, nil, nil)
 	var cex *SeqNotEquivalentError
 	if !errors.As(err, &cex) {
 		t.Fatalf("stateless inequivalent pair verdict = %v, want counterexample", err)
@@ -285,7 +285,7 @@ func TestCheckSequentialClockDomains(t *testing.T) {
 		m.Connect(y.Bits(), m.Xor(q1.Bits(), q2.Bits()))
 		return m
 	}
-	err := CheckSequential(build(), build(), nil)
+	err := CheckSequential(build(), build(), nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "clock") {
 		t.Fatalf("multi-clock module verdict = %v, want clock-domain error", err)
 	}
@@ -305,7 +305,7 @@ func TestCheckSequentialInterfaceMismatch(t *testing.T) {
 	b.AddInput("clk", 1)
 	b.AddInput("x", 3)
 	b.AddOutput("y", 1)
-	if err := CheckSequential(a, b, nil); err == nil || !strings.Contains(err.Error(), "mismatch") {
+	if err := CheckSequential(a, b, nil, nil); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("interface mismatch not reported: %v", err)
 	}
 }
@@ -333,7 +333,7 @@ func TestCheckSequentialMerge(t *testing.T) {
 		y := merged.AddOutput("y", 2)
 		merged.Connect(y.Bits(), merged.Xor(q.Bits(), merged.Not(q.Bits())))
 	}
-	if err := CheckSequential(dup, merged, nil); err != nil {
+	if err := CheckSequential(dup, merged, nil, nil); err != nil {
 		t.Fatalf("register merge not proven: %v", err)
 	}
 }
@@ -360,12 +360,12 @@ func TestCheckSequentialBudget(t *testing.T) {
 		return m
 	}
 	a, b := build("xy", false), build("yx", true)
-	err := CheckSequential(a, b, &SeqOptions{MaxConflicts: 1})
+	err := CheckSequential(a, b, &SeqOptions{MaxConflicts: 1}, nil)
 	var unk *UnknownError
 	if !errors.As(err, &unk) || !strings.Contains(unk.Reason, "BMC conflict budget exhausted at depth 1") {
 		t.Fatalf("verdict under a 1-conflict budget = %v, want a BMC budget UnknownError at depth 1", err)
 	}
-	if err := CheckSequential(a, b, nil); err != nil {
+	if err := CheckSequential(a, b, nil, nil); err != nil {
 		t.Fatalf("unbounded verdict = %v, want proved", err)
 	}
 }

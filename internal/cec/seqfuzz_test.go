@@ -147,7 +147,7 @@ func FuzzKInduction(f *testing.F) {
 			t.Fatalf("seed %d: opt_dff left invalid module: %v", seed, err)
 		}
 		o := &cec.SeqOptions{Seed: seed + 7} // independent sim seed
-		verdict := cec.CheckSequential(orig, m, o)
+		verdict := cec.CheckSequential(orig, m, o, nil)
 		var cex *cec.SeqNotEquivalentError
 		if errors.As(verdict, &cex) {
 			if !fuzzReplay(t, orig, m, cex) {
@@ -182,7 +182,7 @@ func FuzzKInduction(f *testing.F) {
 		ff := regs[int(uint64(seed)%uint64(len(regs)))]
 		ff.SetPort("D", bad.Not(ff.Port("D")))
 		observable := simDiffers(t, orig, bad, seed)
-		badVerdict := cec.CheckSequential(orig, bad, o)
+		badVerdict := cec.CheckSequential(orig, bad, o, nil)
 		if observable && badVerdict == nil {
 			t.Fatalf("seed %d: injected unsound rewrite on %s proven equivalent", seed, ff.Name)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cec"
 	"repro/internal/rtlil"
 )
 
@@ -280,28 +279,21 @@ func (rw *Rewrite) newCellsOf(cls ClassID, seen map[ClassID]bool, out map[*regio
 	}
 }
 
-// Verify proves, for one rewired root, that the planned realization is
-// equivalent to the original cone over every leaf valuation. Both sides
-// are rebuilt in scratch modules sharing input ports named by leaf
-// class, then handed to the cec miter. Any failure — a counterexample,
-// an unmappable cell such as $div, a SAT budget blowout — means the
-// rewrite must not ship.
+// MiterModules builds, for one rewired root, the two scratch modules
+// whose equivalence proves that the planned realization matches the
+// original cone over every leaf valuation: both sides are rebuilt
+// sharing input ports named by leaf class, and the caller hands them to
+// cec.Check (and keys its proof cache on their canonical hashes). Any
+// failure — a counterexample, an unmappable cell such as $div, a SAT
+// budget blowout — means the rewrite must not ship.
 //
 // Cut points keep the miter proportional to what actually changed: a
 // cell whose full original cone would be replayed verbatim on BOTH
 // sides is replaced by one shared free input. The two occurrences are
 // structurally identical by construction, so generalizing their common
-// value is sound, and the solver is spared re-proving unchanged
-// subtrees against themselves — with no structural hashing across the
-// miter halves, an untouched multiplier would otherwise cost as much
-// as a changed one.
-func (rw *Rewrite) Verify(rc *regionCell, opts *cec.Options) error {
-	oldM, newM := rw.MiterModules(rc)
-	return cec.Check(oldM, newM, opts)
-}
-
-// MiterModules builds the two scratch modules Verify compares, so the
-// caller can key proof caches on their canonical hashes.
+// value is sound. The checker's structural hashing would merge the two
+// copies anyway, but only after mapping both; the cut also keeps an
+// unchanged unmappable cell out of the proof.
 func (rw *Rewrite) MiterModules(rc *regionCell) (oldM, newM *rtlil.Module) {
 	oldSet := map[*regionCell]bool{}
 	rw.oldCellsOf(rc, oldSet)

@@ -83,7 +83,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 					t.Errorf("state bits %d -> %d: no reduction",
 						c.Module.StateBits(), work.StateBits())
 				}
-				if err := cec.CheckSequential(c.Module, work, nil); err != nil {
+				if err := cec.CheckSequential(c.Module, work, nil, nil); err != nil {
 					t.Errorf("induction check: %v", err)
 				}
 			})

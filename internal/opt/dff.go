@@ -96,7 +96,7 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (res Result, err error) {
 		return res, nil
 	}
 	seqOpts := &cec.SeqOptions{K: o.K, MaxConflicts: o.VerifyConflicts}
-	if err := cec.CheckSequentialTimed(m, work, seqOpts, &proof); err != nil {
+	if err := cec.CheckSequential(m, work, seqOpts, &proof); err != nil {
 		// Counterexample, inconclusive induction or unencodable logic:
 		// the contract is the same — no proof, no rewrite.
 		res.Details["dff_verify_rejected"] = 1

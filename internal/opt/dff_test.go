@@ -12,7 +12,7 @@ import (
 // sequentially equivalent to the original.
 func checkSeqEquiv(t *testing.T, orig, got *rtlil.Module) {
 	t.Helper()
-	if err := cec.CheckSequential(orig, got, nil); err != nil {
+	if err := cec.CheckSequential(orig, got, nil, nil); err != nil {
 		t.Fatalf("opt_dff broke sequential equivalence: %v", err)
 	}
 }

@@ -72,7 +72,7 @@ func Area(m *Module) (int, error) { return aig.Area(m) }
 // nil when equivalent and a counterexample error when not.
 func CheckEquivalence(a, b *Module) error {
 	if a.StateBits() > 0 || b.StateBits() > 0 {
-		return cec.CheckSequential(a, b, nil)
+		return cec.CheckSequential(a, b, nil, nil)
 	}
 	return cec.Check(a, b, nil)
 }
