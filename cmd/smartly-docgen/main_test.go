@@ -11,7 +11,7 @@ func TestGenerateCoversRegistry(t *testing.T) {
 	out := string(generate())
 	for _, want := range []string{
 		"### `opt_expr`", "### `opt_muxtree`", "### `opt_clean`", "### `opt_reduce`",
-		"### `satmux`", "### `rebuild`", "### `smartly`", "### `fixpoint`",
+		"### `satmux`", "### `rebuild`", "### `opt_egraph`", "### `opt_dff`", "### `fixpoint`",
 		"`conflicts`", "`selector_bits`",
 		"| `yosys` |", "| `sat` |", "| `rebuild` |", "| `full` |",
 		"DO NOT EDIT",

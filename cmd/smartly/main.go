@@ -10,7 +10,7 @@
 // Usage:
 //
 //	smartly [-flow yosys|sat|rebuild|full] [-script "opt_expr; satmux(conflicts=64); opt_clean"]
-//	        [-remote http://host:8080] [-mode whole|design] [-j n] [-module-jobs n]
+//	        [-remote http://host:8080] [-mode whole|design] [-j n]
 //	        [-timings] [-o out.json] [-check] design.v
 //
 // -script and -flow are mutually exclusive. With -remote the design is
@@ -36,16 +36,15 @@ import (
 
 // options collects the CLI flags of one invocation.
 type options struct {
-	flowName   string
-	script     string
-	remote     string
-	mode       string
-	outPath    string
-	check      bool
-	quiet      bool
-	timings    bool
-	jobs       int
-	moduleJobs int
+	flowName string
+	script   string
+	remote   string
+	mode     string
+	outPath  string
+	check    bool
+	quiet    bool
+	timings  bool
+	jobs     int
 }
 
 func main() {
@@ -59,7 +58,6 @@ func main() {
 	flag.BoolVar(&o.quiet, "q", false, "print only the final area line")
 	flag.BoolVar(&o.timings, "timings", false, "include per-pass wall times in the run report")
 	flag.IntVar(&o.jobs, "j", 0, "worker budget, split between concurrently optimized modules and parallel SAT-mux queries (0 = all cores, 1 = sequential)")
-	flag.IntVar(&o.moduleJobs, "module-jobs", 0, "modules optimized concurrently, local runs only (0 = derive from -j; capped by -j; results identical for every value)")
 	flag.StringVar(&o.mode, "mode", "", "with -remote: daemon cache granularity, whole (one entry per design) or design (per-module entries, incremental resubmits); empty = daemon default")
 	flag.Parse()
 	if *listPasses {
@@ -83,10 +81,6 @@ func main() {
 	}
 	if o.mode != "" && o.remote == "" {
 		fmt.Fprintln(os.Stderr, "smartly: -mode selects the daemon's cache granularity and needs -remote")
-		os.Exit(2)
-	}
-	if o.moduleJobs != 0 && o.remote != "" {
-		fmt.Fprintln(os.Stderr, "smartly: -module-jobs tunes the local shard scheduler; the daemon manages its own split (drop it, or tune -j)")
 		os.Exit(2)
 	}
 	if err := run(flag.Arg(0), o); err != nil {
@@ -180,7 +174,7 @@ func run(path string, o options) error {
 	if err != nil {
 		return err
 	}
-	opts := []smartly.RunOption{smartly.WithWorkers(o.jobs), smartly.WithModuleJobs(o.moduleJobs)}
+	opts := []smartly.RunOption{smartly.WithWorkers(o.jobs)}
 	if o.timings {
 		opts = append(opts, smartly.WithTimings())
 	}

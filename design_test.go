@@ -27,7 +27,7 @@ func stripAll(reports map[string]RunReport) map[string]RunReport {
 // TestRunDesignShardedBitIdentical is the facade acceptance check: for
 // a generated 8-module design, the sharded RunDesign output — canonical
 // design hash and every per-module counter — is bit-identical to the
-// serial run at every worker budget and module-jobs split tested.
+// serial run at every worker budget tested.
 func TestRunDesignShardedBitIdentical(t *testing.T) {
 	flow, err := NamedFlow("yosys")
 	if err != nil {
@@ -35,7 +35,7 @@ func TestRunDesignShardedBitIdentical(t *testing.T) {
 	}
 	const modules = 8
 	serial := genDesign(modules, 11)
-	serialReports, err := flow.RunDesign(serial, WithWorkers(1), WithModuleJobs(1))
+	serialReports, err := flow.RunDesign(serial, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,29 +53,6 @@ func TestRunDesignShardedBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stripAll(reports), serialReports) {
 			t.Errorf("jobs=%d: reports diverge from serial:\n got %+v\nwant %+v", jobs, reports, serialReports)
-		}
-	}
-}
-
-// TestRunDesignModuleJobsSplit: an explicit module-jobs override still
-// produces identical results.
-func TestRunDesignModuleJobsSplit(t *testing.T) {
-	flow, err := NamedFlow("yosys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := genDesign(4, 5)
-	if _, err := flow.RunDesign(serial, WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	want := HashDesign(serial)
-	for _, mj := range []int{1, 2, 3, 4, 7} {
-		d := genDesign(4, 5)
-		if _, err := flow.RunDesign(d, WithWorkers(4), WithModuleJobs(mj)); err != nil {
-			t.Fatalf("moduleJobs=%d: %v", mj, err)
-		}
-		if got := HashDesign(d); got != want {
-			t.Errorf("moduleJobs=%d: hash %s, want %s", mj, got, want)
 		}
 	}
 }
@@ -101,22 +78,22 @@ func TestRunDesignCanceled(t *testing.T) {
 }
 
 // FuzzRunDesignDeterminism fuzzes the design shard scheduler's inputs —
-// module count, generator seed, worker budget and module-jobs split —
-// and asserts the sharded result always hashes identically to the
-// serial run, with identical per-module reports.
+// module count, generator seed and worker budget — and asserts the
+// sharded result always hashes identically to the serial run, with
+// identical per-module reports.
 func FuzzRunDesignDeterminism(f *testing.F) {
-	f.Add(uint8(3), int64(1), uint8(4), uint8(0))
-	f.Add(uint8(8), int64(42), uint8(16), uint8(3))
-	f.Add(uint8(1), int64(-9), uint8(0), uint8(1))
-	f.Add(uint8(5), int64(77), uint8(2), uint8(9))
+	f.Add(uint8(3), int64(1), uint8(4))
+	f.Add(uint8(8), int64(42), uint8(16))
+	f.Add(uint8(1), int64(-9), uint8(0))
+	f.Add(uint8(5), int64(77), uint8(2))
 	flow, err := NamedFlow("yosys")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, nMod uint8, seed int64, workers, moduleJobs uint8) {
+	f.Fuzz(func(t *testing.T, nMod uint8, seed int64, workers uint8) {
 		modules := 1 + int(nMod)%6
 		serial := genDesign(modules, seed)
-		serialReports, err := flow.RunDesign(serial, WithWorkers(1), WithModuleJobs(1))
+		serialReports, err := flow.RunDesign(serial, WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,14 +101,13 @@ func FuzzRunDesignDeterminism(f *testing.F) {
 		want := HashDesign(serial)
 
 		d := genDesign(modules, seed)
-		reports, err := flow.RunDesign(d,
-			WithWorkers(int(workers)%9), WithModuleJobs(int(moduleJobs)%9))
+		reports, err := flow.RunDesign(d, WithWorkers(int(workers)%9))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := HashDesign(d); got != want {
-			t.Fatalf("modules=%d seed=%d workers=%d moduleJobs=%d: sharded hash %s != serial %s",
-				modules, seed, workers%9, moduleJobs%9, got, want)
+			t.Fatalf("modules=%d seed=%d workers=%d: sharded hash %s != serial %s",
+				modules, seed, workers%9, got, want)
 		}
 		if !reflect.DeepEqual(stripAll(reports), serialReports) {
 			t.Fatalf("modules=%d seed=%d: reports diverge:\n got %+v\nwant %+v",

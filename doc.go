@@ -24,7 +24,7 @@
 //	design, _ := smartly.ParseVerilog(src)
 //	m := design.Top()
 //	before, _ := smartly.Area(m)
-//	flow, _ := smartly.ParseFlow("fixpoint { opt_expr; smartly; opt_clean }")
+//	flow, _ := smartly.ParseFlow("fixpoint { opt_expr; satmux; rebuild; opt_clean }")
 //	report, _ := flow.Run(m)
 //	after, _ := smartly.Area(m)
 //

@@ -33,7 +33,7 @@ func main() {
 	flows := []string{
 		"fixpoint { opt_expr; opt_muxtree; opt_clean }",          // Yosys baseline
 		"fixpoint { opt_expr; satmux(conflicts=64); opt_clean }", // tuned SAT budget
-		"fixpoint { opt_expr; smartly; opt_clean }",              // full smaRTLy
+		"fixpoint { opt_expr; satmux; rebuild; opt_clean }",      // full smaRTLy
 	}
 	for _, script := range flows {
 		flow, err := smartly.ParseFlow(script)

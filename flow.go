@@ -6,18 +6,9 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers the smaRTLy passes and the named flows
 	"repro/internal/opt"
 	"repro/internal/rtlil"
-)
-
-// Typed option structs of the smaRTLy passes, reachable both from flow
-// scripts ("satmux(conflicts=64)") and programmatically.
-type (
-	// SatMuxOptions tunes the SAT-based redundancy elimination (§II).
-	SatMuxOptions = core.SatMuxOptions
-	// RebuildOptions tunes the muxtree restructuring (§III).
-	RebuildOptions = core.RebuildOptions
 )
 
 // Structured run reporting.
@@ -46,7 +37,8 @@ type (
 
 // Passes lists every registered optimization pass, sorted by name:
 // the Yosys-style baselines (opt_expr, opt_muxtree, opt_clean,
-// opt_reduce) and the smaRTLy passes (satmux, rebuild, smartly).
+// opt_reduce), the smaRTLy passes (satmux, rebuild), the e-graph
+// rewriter (opt_egraph) and the register sweep (opt_dff).
 func Passes() []PassSpec { return opt.Passes() }
 
 // Flow is a composable optimization flow: an ordered sequence of
@@ -61,7 +53,7 @@ type Flow struct {
 // ParseFlow parses a Yosys-style flow script, e.g.
 //
 //	opt_expr; satmux(conflicts=64); rebuild; opt_clean
-//	fixpoint(iters=8) { opt_expr; smartly; opt_clean }
+//	fixpoint(iters=8) { opt_expr; satmux; rebuild; opt_clean }
 //
 // Grammar:
 //
@@ -115,12 +107,11 @@ func (f *Flow) Canonical() string {
 
 // runConfig collects the functional options of Run/RunDesign.
 type runConfig struct {
-	ctx        context.Context
-	workers    int
-	moduleJobs int
-	logf       func(format string, args ...any)
-	progress   func(PassEvent)
-	timings    bool
+	ctx      context.Context
+	workers  int
+	logf     func(format string, args ...any)
+	progress func(PassEvent)
+	timings  bool
 }
 
 // RunOption tunes a flow run.
@@ -137,22 +128,12 @@ func WithContext(ctx context.Context) RunOption {
 // WithWorkers bounds the total goroutines of parallel stages. For Run
 // this is the intra-pass budget (SAT-mux query batches); for RunDesign
 // the budget is split between concurrently optimized modules and each
-// module's intra-pass stages (see WithModuleJobs). 0 means all cores; 1
-// forces fully sequential execution. Results are bit-identical for
+// module's intra-pass stages: as many modules at once as the budget
+// allows, the rest of the budget shared among them. 0 means all cores;
+// 1 forces fully sequential execution. Results are bit-identical for
 // every value.
 func WithWorkers(n int) RunOption {
 	return func(c *runConfig) { c.workers = n }
-}
-
-// WithModuleJobs overrides how many modules RunDesign optimizes
-// concurrently. 0 (the default) derives the fan-out from the worker
-// budget (as many module jobs as modules, capped by the budget, with
-// the rest of the budget shared among them); 1 forces module-serial
-// execution. Explicit values are still capped by the WithWorkers
-// budget. Results are bit-identical for every value. Run ignores the
-// option.
-func WithModuleJobs(n int) RunOption {
-	return func(c *runConfig) { c.moduleJobs = n }
 }
 
 // WithLogf attaches a sink for structured progress lines (per-pass
@@ -214,11 +195,10 @@ func (f *Flow) Run(m *Module, opts ...RunOption) (RunReport, error) {
 // RunDesign executes the flow over every module of the design through
 // the engine's design shard scheduler: modules fan out to a bounded
 // worker pool, with the WithWorkers budget split between module-level
-// and intra-pass parallelism (override the fan-out with
-// WithModuleJobs). Modules are disjoint netlists and reports merge in
-// design order, so the optimized design and the per-module reports are
-// bit-identical to a serial run for any budget or split. It returns the
-// per-module reports keyed by module name and the first error
+// and intra-pass parallelism. Modules are disjoint netlists and reports
+// merge in design order, so the optimized design and the per-module
+// reports are bit-identical to a serial run for any budget. It returns
+// the per-module reports keyed by module name and the first error
 // encountered.
 func (f *Flow) RunDesign(d *Design, opts ...RunOption) (map[string]RunReport, error) {
 	cfg := newRunConfig(opts)
@@ -226,7 +206,7 @@ func (f *Flow) RunDesign(d *Design, opts ...RunOption) (map[string]RunReport, er
 		return nil, fmt.Errorf("smartly: nil flow")
 	}
 	ec := opt.NewCtx(cfg.ctx, opt.Config{Workers: cfg.workers, Logf: cfg.logf, Progress: cfg.progress})
-	runs, err := f.flow.RunDesign(ec, d, opt.DesignConfig{ModuleJobs: cfg.moduleJobs})
+	runs, err := f.flow.RunDesign(ec, d)
 	out := make(map[string]RunReport, len(runs))
 	for i := range runs {
 		if runs[i].Module == nil {

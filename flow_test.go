@@ -215,7 +215,7 @@ func TestNamedFlowsAndRegistry(t *testing.T) {
 	}
 	want := map[string]bool{
 		"opt_expr": false, "opt_muxtree": false, "opt_clean": false,
-		"opt_reduce": false, "satmux": false, "rebuild": false, "smartly": false,
+		"opt_reduce": false, "satmux": false, "rebuild": false,
 		"opt_egraph": false, "opt_dff": false,
 	}
 	for _, spec := range Passes() {

@@ -46,8 +46,8 @@ type ModuleKey struct {
 	// Flow is the normalized flow script (opt.Flow.Canonical).
 	Flow string
 	// Options encodes the request-level options that change the cached
-	// payload; the worker budget and the module-jobs split must stay
-	// out (results are bit-identical for every value).
+	// payload; the worker budget, and with it the module split, must
+	// stay out (results are bit-identical for every value).
 	Options string
 }
 

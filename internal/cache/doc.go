@@ -14,8 +14,8 @@
 //
 // Two requests hit the same entry exactly when they are guaranteed to
 // produce the same bytes: the engine's results are bit-identical for
-// every worker count and module-jobs split, which is why neither is
-// part of any key.
+// every worker count, and so for every split of it between modules,
+// which is why neither is part of any key.
 //
 // The cache has two tiers:
 //

@@ -150,22 +150,6 @@ func TestSatMuxOnPmuxBranches(t *testing.T) {
 	}
 }
 
-// TestSmartlyPassStats exposes both stat sets.
-func TestSmartlyPassStats(t *testing.T) {
-	m := buildFigure3()
-	p := &SmartlyPass{}
-	if _, err := p.Run(nil, m); err != nil {
-		t.Fatal(err)
-	}
-	if p.SatStats().Queries == 0 {
-		t.Error("no satmux queries recorded")
-	}
-	_ = p.RebuildStats()
-	if p.Name() != "smartly" {
-		t.Error("name wrong")
-	}
-}
-
 // TestDeepChainCollapse: a 10-deep dependent chain fully collapses.
 func TestDeepChainCollapse(t *testing.T) {
 	m := rtlil.NewModule("deep")

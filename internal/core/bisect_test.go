@@ -32,7 +32,7 @@ func TestPassCombinationsPreserveEquivalence(t *testing.T) {
 		"walker_clean": func() []opt.Pass { return []opt.Pass{walkerOnly(), opt.CleanPass{}} },
 		"satmux_clean": func() []opt.Pass { return []opt.Pass{&SatMuxPass{}, opt.ExprPass{}, opt.CleanPass{}} },
 		"rebuild":      func() []opt.Pass { return []opt.Pass{&RebuildPass{}, opt.CleanPass{}} },
-		"full":         func() []opt.Pass { return []opt.Pass{&SmartlyPass{}, opt.ExprPass{}, opt.CleanPass{}} },
+		"full":         func() []opt.Pass { return []opt.Pass{&SatMuxPass{}, &RebuildPass{}, opt.ExprPass{}, opt.CleanPass{}} },
 	}
 	for cname, r := range classes {
 		for pname, mkPasses := range passSets {

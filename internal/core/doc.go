@@ -18,21 +18,23 @@
 //     terminal-type-minimizing heuristic, deleting the comparison
 //     gates. RebuildPass; options in RebuildOptions.
 //
-// The combined SmartlyPass replaces Yosys' opt_muxtree, exactly as in
-// the paper's evaluation.
+// Together, "satmux; rebuild" replaces Yosys' opt_muxtree, exactly as
+// in the paper's evaluation; the full flow runs the two in sequence
+// inside its fixpoint, so the restructuring shortens the trees the next
+// iteration's SAT stage sees.
 //
 // At init, this package registers the passes in the internal/opt flow
-// registry under the script names "satmux", "rebuild", "smartly" and
-// "opt_egraph" (with typed option tables: satmux(conflicts=64,
-// inference=false), ...), and registers six named flows — the paper's
-// four pipelines plus e-graph datapath rewriting and the register sweep:
+// registry under the script names "satmux", "rebuild" and "opt_egraph"
+// (with typed option tables: satmux(conflicts=64, inference=false),
+// ...), and registers six named flows — the paper's four pipelines plus
+// e-graph datapath rewriting and the register sweep:
 //
 //	yosys     fixpoint { opt_expr; opt_muxtree; opt_clean }
 //	sat       fixpoint { opt_expr; satmux; opt_clean }
 //	rebuild   fixpoint { opt_expr; opt_muxtree; rebuild; opt_clean }
 //	datapath  fixpoint { opt_expr; opt_egraph; opt_clean }
 //	seq       fixpoint { opt_expr; opt_dff; opt_clean }
-//	full      fixpoint { opt_expr; smartly; opt_egraph; opt_dff; opt_clean }
+//	full      fixpoint { opt_expr; satmux; rebuild; opt_egraph; opt_dff; opt_clean }
 //
 // Importing this package (directly, or via the repro facade or
 // internal/harness) is what populates the registry.

@@ -26,7 +26,7 @@ const oracleScale = 0.04
 // satHeavy reports whether a flow invokes the SAT-based passes — the
 // expensive combinations skipped under -short.
 func satHeavy(script string) bool {
-	return strings.Contains(script, "satmux") || strings.Contains(script, "smartly")
+	return strings.Contains(script, "satmux")
 }
 
 func TestCECDifferentialOracle(t *testing.T) {

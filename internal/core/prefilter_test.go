@@ -14,15 +14,13 @@ import (
 )
 
 // noSimFilter derives the flow variant with the random-simulation
-// pre-filter off in every SAT-capable pass, so all SAT-bound queries
-// reach the solver.
+// pre-filter off in every satmux step, so all SAT-bound queries reach
+// the solver.
 func noSimFilter(t *testing.T, f *opt.Flow) *opt.Flow {
 	t.Helper()
-	for _, pass := range []string{"satmux", "smartly"} {
-		var err error
-		if f, err = f.WithArg(pass, "sim_filter", "false"); err != nil {
-			t.Fatal(err)
-		}
+	f, err := f.WithArg("satmux", "sim_filter", "false")
+	if err != nil {
+		t.Fatal(err)
 	}
 	return f
 }

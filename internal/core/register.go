@@ -93,18 +93,6 @@ func init() {
 		},
 	})
 	opt.Register(opt.PassSpec{
-		Name:    "smartly",
-		Summary: "full smaRTLy: SAT elimination + restructuring",
-		Options: append(append([]opt.OptionSpec{}, satMuxOptionSpecs...), rebuildOptionSpecs...),
-		Build: func(a opt.Args) (opt.Pass, error) {
-			return &SmartlyPass{
-				SatOpts:     satMuxOptionsFromArgs(a),
-				RebuildOpts: rebuildOptionsFromArgs(a),
-			}, nil
-		},
-	})
-
-	opt.Register(opt.PassSpec{
 		Name:    "opt_egraph",
 		Summary: "verified e-graph datapath rewriting (equality saturation + CEC)",
 		Options: egraphOptionSpecs,
@@ -118,5 +106,5 @@ func init() {
 	opt.RegisterFlow("rebuild", "fixpoint { opt_expr; opt_muxtree; rebuild; opt_clean }")
 	opt.RegisterFlow("datapath", "fixpoint { opt_expr; opt_egraph; opt_clean }")
 	opt.RegisterFlow("seq", "fixpoint { opt_expr; opt_dff; opt_clean }")
-	opt.RegisterFlow("full", "fixpoint { opt_expr; smartly; opt_egraph; opt_dff; opt_clean }")
+	opt.RegisterFlow("full", "fixpoint { opt_expr; satmux; rebuild; opt_egraph; opt_dff; opt_clean }")
 }

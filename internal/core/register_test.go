@@ -8,7 +8,7 @@ import (
 )
 
 func TestSmartlyPassesRegistered(t *testing.T) {
-	for _, name := range []string{"satmux", "rebuild", "smartly", "opt_egraph"} {
+	for _, name := range []string{"satmux", "rebuild", "opt_egraph"} {
 		spec, ok := opt.LookupPass(name)
 		if !ok {
 			t.Fatalf("pass %s not registered", name)
@@ -38,7 +38,7 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 		t.Errorf("opts = %+v, want %+v", sm.Opts, want)
 	}
 
-	f, err = opt.ParseFlow("rebuild(selector_bits=8, force=true); smartly(patterns=7, conflicts=9)")
+	f, err = opt.ParseFlow("rebuild(selector_bits=8, force=true)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,6 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 	rb := passes[0].(*RebuildPass)
 	if rb.Opts != (RebuildOptions{MaxSelectorBits: 8, Force: true}) {
 		t.Errorf("rebuild opts = %+v", rb.Opts)
-	}
-	sp := passes[1].(*SmartlyPass)
-	if sp.RebuildOpts.MaxPatterns != 7 || sp.SatOpts.MaxConflicts != 9 {
-		t.Errorf("smartly opts = %+v / %+v", sp.SatOpts, sp.RebuildOpts)
 	}
 
 	f, err = opt.ParseFlow("opt_egraph(iters=3, rules=arith+fold, verify=false, verify_conflicts=7)")
@@ -83,7 +79,7 @@ func TestUnknownScriptOptionRejected(t *testing.T) {
 func TestZeroBudgetRejected(t *testing.T) {
 	for _, script := range []string{
 		"satmux(conflicts=0)", "satmux(cells=0)", "satmux(depth=-1)",
-		"rebuild(patterns=0)", "smartly(selector_bits=0)",
+		"rebuild(patterns=0)", "rebuild(selector_bits=0)",
 		"opt_egraph(iters=0)", "opt_egraph(verify_conflicts=0)",
 	} {
 		if _, err := opt.ParseFlow(script); err == nil {

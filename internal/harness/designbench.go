@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"time"
 
+	"repro/client"
 	"repro/internal/genbench"
 	"repro/internal/rtlil"
 	"repro/internal/server"
@@ -69,11 +71,12 @@ func RunDesignBench(modules int, flow string, scale float64, rounds int) (Design
 		ts.Close()
 		s.Close()
 	}()
+	cl := client.New(ts.URL)
 
 	post := func(body []byte, noCache bool) (time.Duration, *api.OptimizeResponse, error) {
 		req := api.OptimizeRequest{Design: body, Flow: flow, Mode: api.ModeDesign, NoCache: noCache}
 		start := time.Now()
-		resp, err := postOptimize(ts.URL, req)
+		resp, err := cl.Optimize(context.Background(), req)
 		return time.Since(start), resp, err
 	}
 	best := func(slot *float64, el time.Duration) {

@@ -26,8 +26,9 @@
 // BenchReport (schema "smartly-bench/v2", written by cmd/smartly-bench
 // -json) carries every engine section in that one shape, plus the
 // serving sections: RunReplicaBench, RunDesignBench and RunLoadBench
-// spin in-process smartlyd stacks and measure the shared cache tier,
-// design-mode sharding and latency under concurrent load.
+// spin in-process smartlyd stacks, drive them through the client
+// package and measure the shared cache tier, design-mode sharding and
+// latency under concurrent load.
 // BENCH_baseline.json in the repository root is the committed
 // reference run.
 package harness

@@ -3,15 +3,14 @@ package harness
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/client"
 	"repro/internal/genbench"
 	"repro/internal/rtlil"
 	"repro/internal/server"
@@ -117,6 +116,7 @@ func RunLoadBench(caseName string, clients int, flow string, scale float64, roun
 		ts.Close()
 		s.Close()
 	}()
+	cl := client.New(ts.URL)
 
 	var mu sync.Mutex
 	latencies := map[string][]float64{}
@@ -136,7 +136,7 @@ func RunLoadBench(caseName string, clients int, flow string, scale float64, roun
 			req.Mode = api.ModeDesign
 		}
 		start := time.Now()
-		resp, err := postOptimize(ts.URL, req)
+		resp, err := cl.Optimize(context.Background(), req)
 		el := time.Since(start)
 		if err != nil {
 			return fmt.Errorf("harness: %s request: %w", class, err)
@@ -167,7 +167,7 @@ func RunLoadBench(caseName string, clients int, flow string, scale float64, roun
 		{Design: shardJSON, Flow: flow, Mode: api.ModeDesign},
 	} {
 		start := time.Now()
-		resp, err := postOptimize(ts.URL, prime)
+		resp, err := cl.Optimize(context.Background(), prime)
 		el := time.Since(start)
 		if err != nil {
 			return out, fmt.Errorf("harness: priming request: %w", err)
@@ -212,7 +212,7 @@ func RunLoadBench(caseName string, clients int, flow string, scale float64, roun
 	}
 
 	// The daemon's own view of the same run, for the cross-check.
-	health, err := getHealthz(ts.URL)
+	health, err := cl.Health(context.Background())
 	if err != nil {
 		return out, err
 	}
@@ -255,52 +255,6 @@ func (b LoadBench) Class(name string) *LoadClass {
 		}
 	}
 	return nil
-}
-
-// postOptimize is the harness's minimal HTTP client (the public client
-// package is not imported to keep the dependency direction
-// harness -> server only).
-func postOptimize(baseURL string, req api.OptimizeRequest) (*api.OptimizeResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hr, err := http.NewRequestWithContext(context.Background(),
-		http.MethodPost, baseURL+"/v1/optimize", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e api.Error
-		json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, e.Error)
-	}
-	var out api.OptimizeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// getHealthz fetches and decodes the daemon health snapshot.
-func getHealthz(baseURL string) (api.Health, error) {
-	var h api.Health
-	resp, err := http.Get(baseURL + "/healthz")
-	if err != nil {
-		return h, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return h, fmt.Errorf("GET /healthz: status %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&h)
-	return h, err
 }
 
 // String renders the bench result for the human-readable table mode.

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"time"
 
+	"repro/client"
 	"repro/internal/cache"
 	"repro/internal/genbench"
 	"repro/internal/rtlil"
@@ -80,7 +82,7 @@ func RunReplicaBench(modules int, flow string, scale float64) (ReplicaBench, err
 
 	post := func(url string) (float64, *api.OptimizeResponse, error) {
 		start := time.Now()
-		resp, err := postOptimize(url, api.OptimizeRequest{Design: designJSON, Flow: flow})
+		resp, err := client.New(url).Optimize(context.Background(), api.OptimizeRequest{Design: designJSON, Flow: flow})
 		return toMS(time.Since(start)), resp, err
 	}
 

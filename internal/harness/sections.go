@@ -27,9 +27,6 @@ func SatFlows(names ...string) ([]FlowSpec, error) {
 	var out []FlowSpec
 	for _, fs := range flows {
 		f, err := fs.Flow.WithArg("satmux", "sim_filter", "false")
-		if err == nil {
-			f, err = f.WithArg("smartly", "sim_filter", "false")
-		}
 		if err != nil {
 			return nil, fmt.Errorf("harness: sim_filter ablation of %q: %w", fs.Name, err)
 		}
@@ -108,7 +105,7 @@ func SatTable(s Section) string {
 // pass, so the section needs no whole-module Check, which would dwarf
 // the optimization wall-clock on multiplier-heavy designs.
 func EgraphFlows() []FlowSpec {
-	noEgraph, err := opt.ParseFlow("fixpoint { opt_expr; smartly; opt_clean }")
+	noEgraph, err := opt.ParseFlow("fixpoint { opt_expr; satmux; rebuild; opt_clean }")
 	if err != nil {
 		panic(fmt.Sprintf("harness: egraph ablation flow: %v", err))
 	}

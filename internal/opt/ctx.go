@@ -38,7 +38,7 @@ type PassEvent struct {
 	// Module labels the module being optimized (set by design-level
 	// runs; "" for single-module runs).
 	Module string
-	// Pass is the pass (or composite wrapper) name.
+	// Pass is the pass (or fixpoint wrapper) name.
 	Pass string
 	// Calls counts completed invocations of this pass so far, Last the
 	// duration of the invocation that just finished, Total the summed

@@ -18,16 +18,6 @@ import (
 // merged in design order, so the optimized design and every report are
 // bit-identical to a fully serial run for any split.
 
-// DesignConfig tunes one RunDesign invocation.
-type DesignConfig struct {
-	// ModuleJobs bounds how many modules optimize concurrently. 0
-	// derives the bound from the context's worker budget via
-	// SplitWorkers; 1 forces module-serial execution (each module still
-	// uses the full intra-pass budget). Explicit values are capped by
-	// the worker budget, so the fan-out never oversubscribes it.
-	ModuleJobs int
-}
-
 // SplitWorkers splits a total worker budget between module-level
 // fan-out and per-module intra-pass parallelism: as many module jobs as
 // modules (capped by the budget), with the remaining budget divided
@@ -67,15 +57,15 @@ type ModuleRun struct {
 
 // RunDesign executes the flow over every module of the design under c,
 // splitting c's worker budget between concurrently optimized modules
-// and each module's intra-pass parallelism (see SplitWorkers and
-// DesignConfig.ModuleJobs). Each module runs under its own child
-// context so its report is per-module; pass timings still aggregate
-// into c. The returned runs parallel d.Modules(). The error is the
-// first per-module error in design order, wrapped with the module name,
-// or the context error when the run was canceled mid-shard (modules not
-// yet started are skipped; finished ones are individually sound, so the
-// design stays equivalent to the input).
-func (f *Flow) RunDesign(c *Ctx, d *rtlil.Design, cfg DesignConfig) ([]ModuleRun, error) {
+// and each module's intra-pass parallelism (see SplitWorkers). Each
+// module runs under its own child context so its report is per-module;
+// pass timings still aggregate into c. The returned runs parallel
+// d.Modules(). The error is the first per-module error in design order,
+// wrapped with the module name, or the context error when the run was
+// canceled mid-shard (modules not yet started are skipped; finished
+// ones are individually sound, so the design stays equivalent to the
+// input).
+func (f *Flow) RunDesign(c *Ctx, d *rtlil.Design) ([]ModuleRun, error) {
 	if f == nil {
 		return nil, fmt.Errorf("opt: nil flow")
 	}
@@ -88,17 +78,6 @@ func (f *Flow) RunDesign(c *Ctx, d *rtlil.Design, cfg DesignConfig) ([]ModuleRun
 	mods := d.Modules()
 	runs := make([]ModuleRun, len(mods))
 	moduleJobs, perModule := SplitWorkers(c.Workers(), len(mods))
-	if cfg.ModuleJobs > 0 {
-		// An explicit fan-out is still capped by the worker budget (the
-		// two axes never multiply past it) and by the module count (a
-		// larger value would only shrink each module's intra-pass share
-		// for fan-out that cannot exist).
-		jobs := cfg.ModuleJobs
-		if jobs > len(mods) {
-			jobs = len(mods)
-		}
-		moduleJobs, perModule = SplitWorkers(c.Workers(), jobs)
-	}
 	ForEach(c.Context(), moduleJobs, len(mods), func(i int) {
 		mc := NewCtx(c.Context(), Config{Workers: perModule, Logf: c.sharedLogf(),
 			Progress: c.sharedProgress(), Module: mods[i].Name})

@@ -77,40 +77,38 @@ func testFlow(t *testing.T) *Flow {
 }
 
 // TestRunDesignShardedMatchesSerial is the scheduler's determinism
-// contract: for every worker budget and module-jobs split, the
-// optimized design (canonical hash) and the per-module reports are
-// bit-identical to the fully serial run.
+// contract: for every worker budget, the optimized design (canonical
+// hash) and the per-module reports are bit-identical to the fully
+// serial run.
 func TestRunDesignShardedMatchesSerial(t *testing.T) {
 	f := testFlow(t)
 	const modules = 8
 	serial := testDesign(modules)
-	runsSerial, err := f.RunDesign(NewCtx(nil, Config{Workers: 1}), serial, DesignConfig{ModuleJobs: 1})
+	runsSerial, err := f.RunDesign(NewCtx(nil, Config{Workers: 1}), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantHash := rtlil.CanonicalHashDesign(serial)
 
 	for _, workers := range []int{1, 2, 3, 8, 16} {
-		for _, moduleJobs := range []int{0, 1, 2, 8} {
-			d := testDesign(modules)
-			runs, err := f.RunDesign(NewCtx(nil, Config{Workers: workers}), d, DesignConfig{ModuleJobs: moduleJobs})
-			if err != nil {
-				t.Fatalf("workers=%d moduleJobs=%d: %v", workers, moduleJobs, err)
-			}
-			if got := rtlil.CanonicalHashDesign(d); got != wantHash {
-				t.Errorf("workers=%d moduleJobs=%d: design hash %s, want %s", workers, moduleJobs, got, wantHash)
-			}
-			if len(runs) != modules {
-				t.Fatalf("workers=%d moduleJobs=%d: %d runs, want %d", workers, moduleJobs, len(runs), modules)
-			}
-			for i := range runs {
-				got, want := runs[i].Report, runsSerial[i].Report
-				got.StripTimings()
-				want.StripTimings()
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("workers=%d moduleJobs=%d module %s: report %+v, want %+v",
-						workers, moduleJobs, runs[i].Module.Name, got, want)
-				}
+		d := testDesign(modules)
+		runs, err := f.RunDesign(NewCtx(nil, Config{Workers: workers}), d)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := rtlil.CanonicalHashDesign(d); got != wantHash {
+			t.Errorf("workers=%d: design hash %s, want %s", workers, got, wantHash)
+		}
+		if len(runs) != modules {
+			t.Fatalf("workers=%d: %d runs, want %d", workers, len(runs), modules)
+		}
+		for i := range runs {
+			got, want := runs[i].Report, runsSerial[i].Report
+			got.StripTimings()
+			want.StripTimings()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("workers=%d module %s: report %+v, want %+v",
+					workers, runs[i].Module.Name, got, want)
 			}
 		}
 	}
@@ -121,7 +119,7 @@ func TestRunDesignShardedMatchesSerial(t *testing.T) {
 func TestRunDesignPerModuleReports(t *testing.T) {
 	f := testFlow(t)
 	d := testDesign(3)
-	runs, err := f.RunDesign(Background(), d, DesignConfig{})
+	runs, err := f.RunDesign(Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestRunDesignCancellation(t *testing.T) {
 	d := testDesign(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := f.RunDesign(NewCtx(ctx, Config{Workers: 2}), d, DesignConfig{})
+	_, err := f.RunDesign(NewCtx(ctx, Config{Workers: 2}), d)
 	if err == nil {
 		t.Fatal("canceled design run returned nil error")
 	}
@@ -158,7 +156,7 @@ func TestRunDesignInvalidFlowFailsBeforeMutation(t *testing.T) {
 	bad := &Flow{steps: []Step{{Name: "no_such_pass"}}}
 	d := testDesign(2)
 	before := rtlil.CanonicalHashDesign(d)
-	if _, err := bad.RunDesign(Background(), d, DesignConfig{}); err == nil {
+	if _, err := bad.RunDesign(Background(), d); err == nil {
 		t.Fatal("invalid flow ran")
 	}
 	if got := rtlil.CanonicalHashDesign(d); got != before {
@@ -172,7 +170,7 @@ func TestRunDesignMergesTimings(t *testing.T) {
 	f := testFlow(t)
 	d := testDesign(3)
 	c := Background()
-	if _, err := f.RunDesign(c, d, DesignConfig{}); err != nil {
+	if _, err := f.RunDesign(c, d); err != nil {
 		t.Fatal(err)
 	}
 	timings := c.Timings()

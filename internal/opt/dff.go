@@ -21,11 +21,6 @@ type DffOptions struct {
 	// The sweep is deterministic, so verify-on and verify-off produce
 	// byte-identical netlists whenever the proof succeeds.
 	DisableVerify bool
-	// DisableConst / DisableMerge / DisableUnused switch off the three
-	// rewrite classes individually (ablation knobs).
-	DisableConst  bool
-	DisableMerge  bool
-	DisableUnused bool
 }
 
 func (o DffOptions) withDefaults() DffOptions {
@@ -47,11 +42,11 @@ func (o DffOptions) withDefaults() DffOptions {
 // constants into reader ports.
 //
 // Same verify-before-rewire contract as opt_egraph, lifted to sequential
-// logic: the sweep runs on a clone first and the result is proved
-// sequentially equivalent to the original by the k-induction miter
-// (cec.CheckSequential) before the identical deterministic sweep is
-// replayed on the real module. Any proof failure rejects the whole
-// sweep and leaves the module untouched.
+// logic: the sweep runs on a clone first, and only once the k-induction
+// miter (cec.CheckSequential) proves the clone sequentially equivalent
+// to the original does the clone's netlist replace the module's
+// (Module.MoveFrom). Any proof failure rejects the whole sweep and
+// leaves the module untouched.
 //
 // Modules with flip-flops on more than one clock are skipped
 // (dff_multiclock counter): the induction miter models a single shared
@@ -78,17 +73,16 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (res Result, err error) {
 	var proof cec.SeqTimes
 	defer func() { res.Stages = dffStages(sweep, proof) }()
 	if o.DisableVerify {
-		sres, err := timedSweep(m, o, &sweep)
+		sres, err := timedSweep(m, &sweep)
 		if err != nil {
 			return res, err
 		}
 		res.Merge(sres)
 		return res, nil
 	}
-	// Verify-before-rewire: sweep a clone, prove it, then replay the
-	// same deterministic sweep on the real module.
+	// Verify-before-rewire: sweep a clone, prove it, then keep it.
 	work := m.Clone()
-	wres, err := timedSweep(work, o, &sweep)
+	wres, err := timedSweep(work, &sweep)
 	if err != nil {
 		return res, err
 	}
@@ -102,26 +96,21 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (res Result, err error) {
 		res.Details["dff_verify_rejected"] = 1
 		return res, nil
 	}
-	sres, err := timedSweep(m, o, &sweep)
-	if err != nil {
-		return res, err
-	}
-	res.Merge(sres)
-	if res.Changed {
-		res.Details["dff_proved"] = 1
-	}
+	m.MoveFrom(work)
+	res.Merge(wres)
+	res.Details["dff_proved"] = 1
 	return res, nil
 }
 
 // timedSweep is sweepDffs charging its wall time to *d.
-func timedSweep(m *rtlil.Module, o DffOptions, d *time.Duration) (Result, error) {
+func timedSweep(m *rtlil.Module, d *time.Duration) (Result, error) {
 	t := time.Now()
-	res, err := sweepDffs(m, o)
+	res, err := sweepDffs(m)
 	*d += time.Since(t)
 	return res, err
 }
 
-// dffStages names the pass' stage times for Result.Stages: the sweeps,
+// dffStages names the pass' stage times for Result.Stages: the sweep,
 // then the phases of the sequential proof. Zero times are left out.
 func dffStages(sweep time.Duration, proof cec.SeqTimes) map[string]time.Duration {
 	st := map[string]time.Duration{
@@ -137,30 +126,20 @@ func dffStages(sweep time.Duration, proof cec.SeqTimes) map[string]time.Duration
 
 // sweepDffs runs the three rewrite classes to a joint fixpoint and then
 // propagates freed constants. It is a pure deterministic function of
-// the module, which is what makes the clone-verify-replay scheme sound.
-func sweepDffs(m *rtlil.Module, o DffOptions) (Result, error) {
+// the module, so verify-on and verify-off runs agree.
+func sweepDffs(m *rtlil.Module) (Result, error) {
 	res := NewResult()
 	for {
-		changed := false
-		if !o.DisableUnused {
-			n := removeUnusedDffs(m)
-			res.bump("dff_unused", n)
-			changed = changed || n > 0
+		unused := removeUnusedDffs(m)
+		res.bump("dff_unused", unused)
+		consts, err := removeConstDffs(m)
+		if err != nil {
+			return res, err
 		}
-		if !o.DisableConst {
-			n, err := removeConstDffs(m)
-			if err != nil {
-				return res, err
-			}
-			res.bump("dff_const", n)
-			changed = changed || n > 0
-		}
-		if !o.DisableMerge {
-			n := mergeDffs(m)
-			res.bump("dff_merged", n)
-			changed = changed || n > 0
-		}
-		if !changed {
+		res.bump("dff_const", consts)
+		merged := mergeDffs(m)
+		res.bump("dff_merged", merged)
+		if unused+consts+merged == 0 {
 			break
 		}
 	}
@@ -371,18 +350,12 @@ func init() {
 			{Key: "k", Kind: KindInt, Positive: true, Default: "2", Help: "induction depth of the sequential equivalence proof"},
 			{Key: "verify_conflicts", Kind: KindInt64, Positive: true, Default: "200000", Help: "SAT conflict budget for the proof; exhaustion rejects the sweep"},
 			{Key: "verify", Kind: KindBool, Default: "true", Help: "prove the sweep with the k-induction miter before applying it"},
-			{Key: "const", Kind: KindBool, Default: "true", Help: "remove registers provably stuck at the zero reset value"},
-			{Key: "merge", Kind: KindBool, Default: "true", Help: "merge registers with identical canonical D and CLK"},
-			{Key: "unused", Kind: KindBool, Default: "true", Help: "remove registers whose Q is never observed"},
 		},
 		Build: func(a Args) (Pass, error) {
 			return DffPass{Opts: DffOptions{
 				K:               a.Int("k", 0),
 				VerifyConflicts: a.Int64("verify_conflicts", 0),
 				DisableVerify:   !a.Bool("verify", true),
-				DisableConst:    !a.Bool("const", true),
-				DisableMerge:    !a.Bool("merge", true),
-				DisableUnused:   !a.Bool("unused", true),
 			}}, nil
 		},
 	})

@@ -234,36 +234,6 @@ func TestDffVerifyOnOffIdentical(t *testing.T) {
 	}
 }
 
-func TestDffAblationOptions(t *testing.T) {
-	for _, tc := range []struct {
-		script  string
-		counter string
-	}{
-		{"opt_dff(const=false)", "dff_const"},
-		{"opt_dff(merge=false)", "dff_merged"},
-		{"opt_dff(unused=false)", "dff_unused"},
-	} {
-		f, err := ParseFlow(tc.script)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.script, err)
-		}
-		m := dffTestbench()
-		r, err := f.Run(nil, m)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.script, err)
-		}
-		if got := r.Details[tc.counter]; got != 0 {
-			t.Errorf("%s: %s = %d, want 0", tc.script, tc.counter, got)
-		}
-	}
-	if _, err := ParseFlow("opt_dff(k=0)"); err == nil {
-		t.Error("opt_dff(k=0) accepted, want positive-option error")
-	}
-	if _, err := ParseFlow("opt_dff(bogus=1)"); err == nil {
-		t.Error("opt_dff(bogus=1) accepted, want unknown-option error")
-	}
-}
-
 // TestDffRejectsViaVerifier gives the prover logic it cannot encode: a
 // $div cell, which the AIG mapper refuses, beside the sweepable
 // registers. The sweep still finds work, so the pass must keep the

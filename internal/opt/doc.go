@@ -11,7 +11,9 @@
 // parallel stages, a per-pass timing sink and a log sink; a nil *Ctx
 // is valid everywhere and behaves sequentially. RunScript executes a
 // pass sequence with deterministic result merging; Fixpoint wraps a
-// body of passes and repeats it until no pass reports a change.
+// body of passes and repeats it until no pass reports a change. The
+// fixpoint wrapper is the only pass that runs other passes: flows, not
+// passes, compose the optimizations.
 // ForEach is the shared bounded worker pool: results are bit-identical
 // for every worker count.
 //
@@ -22,7 +24,7 @@
 // flow defined by a script. ParseFlow compiles a Yosys-style script —
 //
 //	opt_expr; satmux(conflicts=64); rebuild; opt_clean
-//	fixpoint(iters=8) { opt_expr; smartly; opt_clean }
+//	fixpoint(iters=8) { opt_expr; satmux; rebuild; opt_clean }
 //
 // — into an immutable *Flow, validating pass names and option values
 // against the registry and reporting errors with script:line:col
@@ -35,10 +37,10 @@
 // Flow.RunDesign runs a flow over every module of a design through a
 // bounded worker pool, splitting the Ctx worker budget between
 // module-level fan-out and each module's intra-pass parallelism
-// (SplitWorkers, DesignConfig.ModuleJobs). Each module runs under its
-// own child Ctx, so reports stay per-module while timings aggregate
-// into the parent; results merge in design order and are bit-identical
-// to a serial run for any budget or split.
+// (SplitWorkers). Each module runs under its own child Ctx, so reports
+// stay per-module while timings aggregate into the parent; results
+// merge in design order and are bit-identical to a serial run for any
+// budget.
 //
 // # Run reports
 //

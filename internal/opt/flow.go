@@ -48,40 +48,8 @@ var fixpointSpec = PassSpec{
 	},
 }
 
-// NewFlow builds a flow programmatically from steps, applying the same
-// validation as the script parser (registered names, known options,
-// well-typed values).
-func NewFlow(steps ...Step) (*Flow, error) {
-	f := &Flow{steps: steps}
-	if err := f.validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// NewStep builds a plain pass step.
-func NewStep(name string, args ...Arg) Step {
-	return Step{Name: name, Args: args}
-}
-
-// FixpointStep wraps body steps into a fixpoint with the given maximum
-// iteration count (0 means the default, 10).
-func FixpointStep(iters int, body ...Step) Step {
-	s := Step{Name: FixpointName, Body: &Flow{steps: body}}
-	if iters > 0 {
-		s.Args = []Arg{{Key: "iters", Value: fmt.Sprint(iters)}}
-	}
-	return s
-}
-
-// Steps returns a copy of the flow's steps.
-func (f *Flow) Steps() []Step {
-	if f == nil {
-		return nil
-	}
-	return append([]Step(nil), f.steps...)
-}
-
+// validate applies the registry checks of the script parser (registered
+// names, known options, well-typed values) to every step.
 func (f *Flow) validate() error {
 	for _, s := range f.steps {
 		if err := validateStep(s); err != nil {
@@ -223,13 +191,17 @@ func (s Step) canonical() string {
 // untouched; a flow that never invokes the pass comes back equal. The
 // result is validated, so an unknown option (or ill-typed value) for
 // that pass errors. This is how the bench harness derives ablation
-// variants ("the same flow, with satmux(incremental=false)") without
+// variants ("the same flow, with satmux(sim_filter=false)") without
 // fragile script-string rewriting.
 func (f *Flow) WithArg(pass, key, value string) (*Flow, error) {
 	if f == nil {
 		return nil, fmt.Errorf("opt: nil flow")
 	}
-	return NewFlow(withArgSteps(f.steps, pass, key, value)...)
+	out := &Flow{steps: withArgSteps(f.steps, pass, key, value)}
+	if err := out.validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func withArgSteps(steps []Step, pass, key, value string) []Step {

@@ -63,19 +63,12 @@ type Pass interface {
 	Run(c *Ctx, m *rtlil.Module) (Result, error)
 }
 
-// Composite marks passes that orchestrate other passes through a
-// nested RunScript (fixpoint wrappers, the combined smartly pass):
-// their children report their own counters, so RunScript skips the
-// wrapper when building the per-pass run report to avoid counting the
-// same rewrites twice.
-type Composite interface {
-	// Composite is a marker method; it is never called.
-	Composite()
-}
-
 // RunScript runs the passes in order under c, merging their results and
 // recording per-pass counters and timings in the context's run report
-// (see Ctx.Report). It stops at the first pass error or context
+// (see Ctx.Report). A fixpoint wrapper is the one pass that runs other
+// passes: its body passes record their own counters, so the wrapper
+// itself is left out of the per-pass report and contributes only its
+// iteration count. It stops at the first pass error or context
 // cancellation; the module is left in whatever (still semantically
 // equivalent) state the completed rewrites produced.
 func RunScript(c *Ctx, m *rtlil.Module, passes ...Pass) (Result, error) {
@@ -90,7 +83,7 @@ func RunScript(c *Ctx, m *rtlil.Module, passes ...Pass) (Result, error) {
 		if err != nil {
 			return total, fmt.Errorf("opt: pass %s: %w", p.Name(), err)
 		}
-		if _, isComposite := p.(Composite); !isComposite {
+		if _, isFixpoint := p.(fixpointPass); !isFixpoint {
 			c.recordPass(p.Name(), r, d)
 		}
 		total.Merge(r)
@@ -119,10 +112,6 @@ func (f fixpointPass) Name() string {
 	}
 	return "fixpoint(" + strings.Join(names, ";") + ")"
 }
-
-// Composite implements the report marker: the body passes report their
-// own counters; the wrapper contributes only its iteration count.
-func (fixpointPass) Composite() {}
 
 func (f fixpointPass) Run(c *Ctx, m *rtlil.Module) (Result, error) {
 	total := NewResult()

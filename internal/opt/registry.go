@@ -132,7 +132,7 @@ func (s PassSpec) option(key string) (OptionSpec, bool) {
 }
 
 // Args holds the validated key=value options of one flow step. The
-// typed getters never fail: the parser (or NewStep validation) has
+// typed getters never fail: the parser (or WithArg's validation) has
 // already checked every value against the option's kind.
 type Args struct {
 	m map[string]string
@@ -266,8 +266,8 @@ func FlowNames() []string {
 }
 
 // The baseline Yosys-style passes this package provides. They take no
-// options; the smaRTLy passes (satmux, rebuild, smartly) are registered
-// by internal/core.
+// options; the smaRTLy passes (satmux, rebuild) and opt_egraph are
+// registered by internal/core.
 func init() {
 	Register(PassSpec{
 		Name:    "opt_expr",

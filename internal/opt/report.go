@@ -183,7 +183,7 @@ func (rc *reportCollector) recordPass(name string, res Result, d time.Duration) 
 	}
 }
 
-// recordTiming merges a timing-only observation (composite passes and
+// recordTiming merges a timing-only observation (fixpoint wrappers and
 // direct StartPass callers). Caller holds the Ctx lock.
 func (rc *reportCollector) recordTiming(name string, d time.Duration) (calls int, total time.Duration) {
 	t := rc.timeOnly[name]

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestParseFlowBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := f.Steps()
+	steps := f.steps
 	if len(steps) != 3 || steps[0].Name != "opt_expr" || steps[2].Name != "opt_clean" {
 		t.Fatalf("steps = %+v", steps)
 	}
@@ -79,6 +80,8 @@ func TestParseFlowErrors(t *testing.T) {
 		{"fixpoint(iters) { opt_expr }", "expected '='"},
 		{"fixpoint(iters=2) { opt_expr", "unclosed '{'"},
 		{"opt_expr(", "expected option key"},
+		{"opt_dff(k=0)", "out of range"},
+		{"opt_dff(bogus=1)", "unknown option"},
 		{"(", "expected pass name"},
 	}
 	for _, c := range cases {
@@ -129,25 +132,6 @@ func TestFlowStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewFlowValidates(t *testing.T) {
-	f, err := NewFlow(NewStep("opt_expr"), FixpointStep(5, NewStep("opt_clean")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.String(); got != "opt_expr; fixpoint(iters=5) { opt_clean }" {
-		t.Errorf("String = %q", got)
-	}
-	if _, err := NewFlow(NewStep("nope")); err == nil {
-		t.Error("unknown pass accepted")
-	}
-	if _, err := NewFlow(NewStep("opt_expr", Arg{Key: "x", Value: "1"})); err == nil {
-		t.Error("unknown option accepted")
-	}
-	if _, err := NewFlow(FixpointStep(1)); err == nil {
-		t.Error("empty fixpoint body accepted")
-	}
-}
-
 func TestRegistrySpecs(t *testing.T) {
 	for _, name := range []string{"opt_expr", "opt_muxtree", "opt_clean", "opt_reduce"} {
 		spec, ok := LookupPass(name)
@@ -176,48 +160,78 @@ func TestRegistrySpecs(t *testing.T) {
 // TestFlowRunReport: a fixpoint flow run fills the structured report
 // with per-pass counters, call counts and fixpoint iterations that
 // match the flat legacy Result.
+// TestFlowRunReport: the run report records each leaf pass and each
+// fixpoint wrapper once, nested wrappers included, and never records a
+// wrapper as a pass (that would count its body's rewrites twice).
 func TestFlowRunReport(t *testing.T) {
-	f, err := ParseFlow("fixpoint { opt_expr; opt_clean }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rtlil.NewModule("rep")
-	a := m.AddInput("a", 4).Bits()
-	y := m.AddOutput("y", 4)
-	m.Connect(y.Bits(), m.And(a, rtlil.Const(0, 4)))
-	c := NewCtx(nil, Config{})
-	res, err := f.Run(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Report()
-	if rep.Changed != res.Changed || !rep.Changed {
-		t.Errorf("report changed=%v, result changed=%v", rep.Changed, res.Changed)
-	}
-	flat := rep.Counters()
-	if len(flat) != len(res.Details) {
-		t.Errorf("flat counters %v != result details %v", flat, res.Details)
-	}
-	for k, v := range res.Details {
-		if flat[k] != v {
-			t.Errorf("counter %s: report %d, result %d", k, flat[k], v)
-		}
-	}
-	if p := rep.Pass("opt_expr"); p == nil || p.Calls < 2 {
-		t.Errorf("opt_expr pass report = %+v (fixpoint should run it at least twice)", p)
-	}
-	if len(rep.Fixpoints) != 1 || rep.Fixpoints[0].Iterations < 2 || !rep.Fixpoints[0].Converged {
-		t.Errorf("fixpoint report = %+v", rep.Fixpoints)
-	}
-	if rep.Duration == 0 {
-		t.Error("report duration missing before strip")
-	}
-	rep.StripTimings()
-	if rep.Duration != 0 || rep.Passes[0].Duration != 0 {
-		t.Error("StripTimings left wall-clock values")
-	}
-	if !strings.Contains(rep.String(), "opt_expr") {
-		t.Errorf("report String lacks pass name:\n%s", rep.String())
+	for _, tc := range []struct {
+		script    string
+		fixpoints []string // in recording order: inner wrappers finish first
+	}{
+		{"fixpoint { opt_expr; opt_clean }", []string{"fixpoint(opt_expr;opt_clean)"}},
+		{"fixpoint { opt_expr; fixpoint { opt_clean } }",
+			[]string{"fixpoint(opt_clean)", "fixpoint(opt_expr;fixpoint(opt_clean))"}},
+	} {
+		t.Run(tc.script, func(t *testing.T) {
+			f, err := ParseFlow(tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := rtlil.NewModule("rep")
+			a := m.AddInput("a", 4).Bits()
+			y := m.AddOutput("y", 4)
+			m.Connect(y.Bits(), m.And(a, rtlil.Const(0, 4)))
+			c := NewCtx(nil, Config{})
+			res, err := f.Run(c, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := c.Report()
+			if rep.Changed != res.Changed || !rep.Changed {
+				t.Errorf("report changed=%v, result changed=%v", rep.Changed, res.Changed)
+			}
+			flat := rep.Counters()
+			if len(flat) != len(res.Details) {
+				t.Errorf("flat counters %v != result details %v", flat, res.Details)
+			}
+			for k, v := range res.Details {
+				if flat[k] != v {
+					t.Errorf("counter %s: report %d, result %d", k, flat[k], v)
+				}
+			}
+			var passes, fixpoints []string
+			for _, p := range rep.Passes {
+				passes = append(passes, p.Name)
+			}
+			for _, fp := range rep.Fixpoints {
+				fixpoints = append(fixpoints, fp.Name)
+				if fp.Iterations < 1 {
+					t.Errorf("fixpoint %s ran %d iterations", fp.Name, fp.Iterations)
+				}
+			}
+			if want := []string{"opt_expr", "opt_clean"}; !slices.Equal(passes, want) {
+				t.Errorf("passes %v, want %v", passes, want)
+			}
+			if !slices.Equal(fixpoints, tc.fixpoints) {
+				t.Errorf("fixpoints %v, want %v", fixpoints, tc.fixpoints)
+			}
+			if p := rep.Pass("opt_expr"); p == nil || p.Calls < 2 {
+				t.Errorf("opt_expr pass report = %+v (fixpoint should run it at least twice)", p)
+			}
+			if outer := rep.Fixpoints[len(rep.Fixpoints)-1]; outer.Iterations < 2 || !outer.Converged {
+				t.Errorf("outer fixpoint report = %+v", outer)
+			}
+			if rep.Duration == 0 {
+				t.Error("report duration missing before strip")
+			}
+			rep.StripTimings()
+			if rep.Duration != 0 || rep.Passes[0].Duration != 0 {
+				t.Error("StripTimings left wall-clock values")
+			}
+			if !strings.Contains(rep.String(), "opt_expr") {
+				t.Errorf("report String lacks pass name:\n%s", rep.String())
+			}
+		})
 	}
 }
 

@@ -291,6 +291,25 @@ func (m *Module) Connect(lhs, rhs SigSpec) {
 	m.Conns = append(m.Conns, Connection{LHS: lhs.Copy(), RHS: rhs.Copy()})
 }
 
+// MoveFrom replaces m's netlist with src's: m takes over src's wires,
+// cells, connections and naming counters, keeps its own Name and Attrs,
+// and re-owns the cells, while src is left empty and m's old cells
+// answer HasCell false. Signals still point at the same wires, so a
+// pass that rewrote a clone can keep the clone instead of replaying the
+// rewrite on the original.
+func (m *Module) MoveFrom(src *Module) {
+	for _, c := range m.cellOrder {
+		c.owner = nil
+	}
+	m.wires, m.cells = src.wires, src.cells
+	m.wireOrder, m.cellOrder, m.Conns = src.wireOrder, src.cellOrder, src.Conns
+	m.autoIdx, m.serials = src.autoIdx, src.serials
+	for _, c := range m.cellOrder {
+		c.owner = m
+	}
+	*src = Module{Name: src.Name, Attrs: src.Attrs, wires: map[string]*Wire{}, cells: map[string]*Cell{}}
+}
+
 // Clone returns a deep copy of the module. Cloned wires are distinct
 // objects; all signals in the clone reference the cloned wires.
 func (m *Module) Clone() *Module {

@@ -144,6 +144,48 @@ func TestCloneDeep(t *testing.T) {
 	}
 }
 
+// TestMoveFrom: the receiver takes the source's netlist as it stands
+// (every cell re-owned, same canonical hash, a valid module), its old
+// cells leave it, its naming counters continue the source's, and the
+// source is left empty.
+func TestMoveFrom(t *testing.T) {
+	m := buildMuxModule(false)
+	m.Attrs["keep"] = "1"
+	old := m.Cells()[0]
+	src := m.Clone()
+	src.RemoveCell(src.Cell("mux0"))
+	src.AddBinary(CellAnd, "", src.Wire("a").Bits(), src.Wire("b").Bits(), src.NewWire(2).Bits())
+	want := CanonicalHash(src)
+	nextWire := src.Clone().NewWire(1).Name
+	cells := append([]*Cell(nil), src.Cells()...)
+
+	m.MoveFrom(src)
+	for _, c := range cells {
+		if !m.HasCell(c) {
+			t.Errorf("moved cell %s not owned by the receiver", c.Name)
+		}
+	}
+	if m.HasCell(old) {
+		t.Error("the receiver still owns its old cell")
+	}
+	if got := CanonicalHash(m); got != want {
+		t.Errorf("hash after move %s, want the source's %s", got, want)
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("moved module invalid: %v", err)
+	}
+	if m.Name != "top" || m.Attrs["keep"] != "1" {
+		t.Errorf("receiver lost its name or attrs: %q %v", m.Name, m.Attrs)
+	}
+	if got := m.NewWire(1).Name; got != nextWire {
+		t.Errorf("next auto wire %s, want %s", got, nextWire)
+	}
+	if src.NumCells() != 0 || len(src.Wires()) != 0 || len(src.Conns) != 0 {
+		t.Errorf("source not emptied: %d cells, %d wires, %d conns",
+			src.NumCells(), len(src.Wires()), len(src.Conns))
+	}
+}
+
 func TestDesign(t *testing.T) {
 	d := NewDesign()
 	m1 := NewModule("alpha")
