@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -168,13 +167,13 @@ func (tm *stageTimes) add(o stageTimes) {
 // too many inputs — the simulation pre-filter and a one-shot SAT call.
 // Each SAT-bound query encodes its own cone into a fresh AIG mapping,
 // CNF and budgeted solver; the pre-filter settles most such queries
-// before any encoding happens. It caches each answer by target and path
-// facts.
+// before any encoding happens. Every query the facts leave open is
+// solved: the oracle keeps no answers between queries.
 //
 // The oracle is not safe for concurrent use from the outside, but
 // Values fans the open queries of one call out to Ctx.Workers()
 // goroutines: every query runs on worker-private state over the shared
-// read-only Index and path facts, and results, cache writes and counters
+// read-only Index and path facts, and answers, counters and stage times
 // are merged in submission order — bit-identical for every worker count.
 type SmartOracle struct {
 	Stats SatMuxStats
@@ -186,36 +185,25 @@ type SmartOracle struct {
 	ix    *rtlil.Index
 	graph *subgraph.Graph
 	o     SatMuxOptions
-	cache map[string]rtlil.State // Sx: unknown
 	times stageTimes
-	// unindexed numbers the bits cacheKey meets that the index does not
-	// know (see bitKey).
-	unindexed map[rtlil.SigBit]uint32
 
-	// The bookkeeping of one Values call, reused by the next: the
-	// queries to solve, the output slots waiting on them, the job index
-	// by cache key and the key buffer. facts holds the call's path
-	// facts for solveJob, which NewSmartOracle builds once; Values
-	// clears it on return.
+	// The open queries of one Values call, reused by the next. facts
+	// holds the call's path facts for solveJob, which NewSmartOracle
+	// builds once; Values clears it on return.
 	jobs     []job
-	waits    []wait
-	byKey    map[string]int
-	keyBuf   []byte
 	facts    *opt.PathFacts
 	solveJob func(i int)
 }
 
-// job is one open query of a Values call, solved on a worker.
+// job is one open query of a Values call, solved on a worker; slot is
+// the output slot that takes its answer.
 type job struct {
-	bit rtlil.SigBit
-	key string
-	v   rtlil.State
-	st  SatMuxStats
-	tm  stageTimes
+	bit  rtlil.SigBit
+	slot int
+	v    rtlil.State
+	st   SatMuxStats
+	tm   stageTimes
 }
-
-// wait is an output slot of a Values call that takes a job's answer.
-type wait struct{ slot, job int }
 
 // NewSmartOracle builds an oracle over the module index.
 func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
@@ -226,8 +214,6 @@ func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
 		// has culled the SAT calls.
 		graph: subgraph.NewGraph(ix),
 		o:     o.withDefaults(),
-		cache: map[string]rtlil.State{},
-		byKey: map[string]int{},
 	}
 	s.solveJob = func(i int) {
 		j := &s.jobs[i]
@@ -237,13 +223,12 @@ func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
 }
 
 // Values implements opt.Oracle with the full §II machinery. A bit the
-// facts answer counts as a fact hit, every other bit as a query. Queries
-// the cache cannot answer are deduplicated by cache key and solved on a
-// bounded worker pool; their results, cache writes and counters are
-// merged in submission order, as if solved one at a time.
+// facts answer counts as a fact hit, every other bit as a query. The
+// queries are solved on a bounded worker pool; their answers, counters
+// and stage times are merged in submission order, as if solved one at a
+// time. A query a cancellation skipped answers Sx.
 func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rtlil.State) {
-	s.jobs, s.waits = s.jobs[:0], s.waits[:0]
-	clear(s.byKey)
+	s.jobs = s.jobs[:0]
 	for i, bit := range bits {
 		if v, ok := facts.Lookup(bit); ok {
 			s.Stats.FactHits++
@@ -251,20 +236,7 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 			continue
 		}
 		s.Stats.Queries++
-		key := s.cacheKey(facts, bit)
-		if v, ok := s.cache[string(key)]; ok {
-			out[i] = v
-			continue
-		}
-		// A repeated key waits on the first occurrence's job, whose
-		// answer would have primed the cache one query earlier.
-		j, dup := s.byKey[string(key)]
-		if !dup {
-			j = len(s.jobs)
-			s.jobs = append(s.jobs, job{bit: bit, key: string(key), v: rtlil.Sx})
-			s.byKey[s.jobs[j].key] = j
-		}
-		s.waits = append(s.waits, wait{i, j})
+		s.jobs = append(s.jobs, job{bit: bit, slot: i, v: rtlil.Sx})
 	}
 	s.facts = facts
 	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(s.jobs), s.solveJob)
@@ -273,50 +245,8 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 		j := &s.jobs[i]
 		accumulate(&s.Stats, j.st)
 		s.times.add(j.tm)
-		s.cache[j.key] = j.v
+		out[j.slot] = j.v
 	}
-	for _, w := range s.waits {
-		out[w.slot] = s.jobs[w.job].v
-	}
-}
-
-// cacheKey identifies a query by its target and the path facts: the
-// target's bit key, then the (bit key, value) pairs of the facts in
-// their canonical order, as bytes. Two queries share a key exactly when
-// they ask about the same canonical bit under the same facts. The key
-// is valid until the next call.
-func (s *SmartOracle) cacheKey(facts *opt.PathFacts, bit rtlil.SigBit) []byte {
-	key := binary.LittleEndian.AppendUint32(s.keyBuf[:0], s.bitKey(bit))
-	vals := facts.States()
-	for i, b := range facts.Bits() {
-		key = binary.LittleEndian.AppendUint32(key, s.bitKey(b))
-		key = append(key, byte(vals[i]))
-	}
-	s.keyBuf = key
-	return key
-}
-
-// bitKey numbers a bit for cacheKey: its Index.ID, a distinct number
-// for each constant, and for a bit the index does not know one the
-// oracle assigns on first sight. Every number is unique to one
-// canonical bit.
-func (s *SmartOracle) bitKey(b rtlil.SigBit) uint32 {
-	if id := s.ix.ID(b); id >= 0 {
-		return uint32(id)
-	}
-	b = s.ix.MapBit(b)
-	if b.IsConst() {
-		return uint32(s.ix.NumIDs()) + uint32(b.Const)
-	}
-	k, ok := s.unindexed[b]
-	if !ok {
-		k = uint32(s.ix.NumIDs()) + uint32(rtlil.Sz) + 1 + uint32(len(s.unindexed))
-		if s.unindexed == nil {
-			s.unindexed = map[rtlil.SigBit]uint32{}
-		}
-		s.unindexed[b] = k
-	}
-	return k
 }
 
 // query is one control-value query that inference left open: the

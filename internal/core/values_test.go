@@ -7,12 +7,37 @@ import (
 	"repro/internal/rtlil"
 )
 
+// TestOracleSolvesRepeatedQuery: the oracle keeps no answers between
+// queries, so asking the same bit under the same facts twice solves it
+// twice, with the same answer both times.
+func TestOracleSolvesRepeatedQuery(t *testing.T) {
+	m := rtlil.NewModule("repeat")
+	a := m.AddInput("a", 1).Bits()
+	b := m.AddInput("b", 1).Bits()
+	s := m.And(a, b)
+	o := NewSmartOracle(rtlil.NewIndex(m), SatMuxOptions{})
+	var facts opt.PathFacts
+	facts.Push(a[0], rtlil.S0)
+	out := make([]rtlil.State, 1)
+	for call := 1; call <= 2; call++ {
+		out[0] = rtlil.Sz
+		o.Values(&facts, s, out)
+		if out[0] != rtlil.S0 {
+			t.Errorf("call %d: a&b under a=0 answered %v, want 0", call, out[0])
+		}
+	}
+	if st := o.Stats; st.Queries != 2 || st.InferenceHits != 2 {
+		t.Errorf("stats %s, want queries=2 inference=2", st)
+	}
+}
+
 // TestCacheKeyLookAlikeWireNames: a 1-bit wire named "w[3]" and bit 3
 // of an 8-bit wire w render the same, but they are different bits. The
 // 1-bit wire is a & ~a, constant 0, so the mux it selects collapses;
-// bit 3 of the input w is free, so the mux it selects must stay. A
-// cache keyed by rendered names answered the second query from the
-// first and collapsed both muxes, which cec.Check refutes at w[3]=1.
+// bit 3 of the input w is free, so the mux it selects must stay. An
+// oracle that identified bits by their rendered names (as an answer
+// cache keyed by them once did) collapses both muxes, which cec.Check
+// refutes at w[3]=1.
 func TestCacheKeyLookAlikeWireNames(t *testing.T) {
 	m := rtlil.NewModule("collide")
 	a := m.AddInput("a", 1).Bits()

@@ -22,8 +22,7 @@ endmodule
 `
 
 // TestSatMuxXFactScoped: a path fact on the constant x bit ends with the
-// subtree that pushed it, so neither the oracle's fact lookup nor its
-// cache key sees it in another tree.
+// subtree that pushed it, so no oracle query in another tree sees it.
 func TestSatMuxXFactScoped(t *testing.T) {
 	f, err := verilog.Parse(staleXSource)
 	if err != nil {

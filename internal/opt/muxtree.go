@@ -28,7 +28,7 @@ type Oracle interface {
 // the branches taken from the tree root down to the current cell. The
 // facts stay sorted, constants first, then by wire name and offset, an
 // order that depends only on the fact set, so oracles seed searches and
-// build cache keys from it without sorting.
+// order solver assumptions by it without sorting.
 type PathFacts struct {
 	bits []rtlil.SigBit
 	vals []rtlil.State
