@@ -1,12 +1,21 @@
 package rtlil
 
-import "fmt"
+// LoopError is TopoSort's error for a module with a combinational loop.
+// It names one cell on the loop.
+type LoopError struct {
+	Cell string
+}
+
+func (e *LoopError) Error() string {
+	return "rtlil: combinational loop through cell " + e.Cell
+}
 
 // TopoSort returns the indexed module's cells in a topological order of
 // the combinational dependency graph: every cell appears after the cells
 // driving its inputs. Sequential cells ($dff) break dependencies — their
 // outputs are treated as graph sources — so any cycle reported is a true
-// combinational loop. The index must be current for the module.
+// combinational loop, a *LoopError. The index must be current for the
+// module.
 func TopoSort(ix *Index) ([]*Cell, error) {
 	m := ix.Module()
 	const (
@@ -23,7 +32,7 @@ func TopoSort(ix *Index) ([]*Cell, error) {
 		case black:
 			return nil
 		case gray:
-			return fmt.Errorf("rtlil: combinational loop through cell %s", c.Name)
+			return &LoopError{Cell: c.Name}
 		}
 		color[c] = gray
 		if !IsSequential(c.Type) {

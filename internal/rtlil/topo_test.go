@@ -1,6 +1,9 @@
 package rtlil
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestTopoSortOrders(t *testing.T) {
 	m := NewModule("m")
@@ -33,8 +36,10 @@ func TestTopoSortDetectsLoop(t *testing.T) {
 	b := m.NewWire(1).Bits()
 	m.AddUnary(CellNot, "g1", a, b)
 	m.AddUnary(CellNot, "g2", b, a)
-	if _, err := TopoSort(NewIndex(m)); err == nil {
-		t.Error("combinational loop not detected")
+	_, err := TopoSort(NewIndex(m))
+	var loop *LoopError
+	if !errors.As(err, &loop) || (loop.Cell != "g1" && loop.Cell != "g2") {
+		t.Errorf("combinational loop not reported as a LoopError on g1 or g2: %v", err)
 	}
 }
 

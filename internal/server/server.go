@@ -373,6 +373,12 @@ func errStatus(err error) int {
 	if errors.As(err, &gone) {
 		return statusClientClosedRequest
 	}
+	// A combinational loop passes validation but no flow can run on it:
+	// the request is at fault.
+	var loop *smartly.LoopError
+	if errors.As(err, &loop) {
+		return http.StatusBadRequest
+	}
 	// RunDesign wraps cancellation as "module x: context canceled", so
 	// match the chain, not the sentinel value. Reaching here the cause
 	// is the server's own run context (shutdown), not the client.

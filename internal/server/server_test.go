@@ -36,6 +36,23 @@ func testDesignJSON(t *testing.T, path string) []byte {
 	return buf.Bytes()
 }
 
+// loopDesignJSON is a one-module netlist whose two cells form a
+// combinational loop: y = a & ~y.
+func loopDesignJSON(t *testing.T) []byte {
+	t.Helper()
+	m := smartly.NewModule("loop")
+	a := m.AddInput("a", 1).Bits()
+	y := m.AddOutput("y", 1).Bits()
+	m.Connect(y, m.And(a, m.Not(y)))
+	d := smartly.NewDesign()
+	d.AddModule(m)
+	var buf bytes.Buffer
+	if err := smartly.WriteJSON(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -251,6 +268,15 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 	if code, _ := post(api.OptimizeRequest{Design: []byte(`{"modules":{}}`)}); code != http.StatusBadRequest {
 		t.Errorf("empty design: %d", code)
+	}
+	// A well-formed module with a combinational loop fails the flow, in
+	// either cache granularity, and the input is at fault.
+	loop := loopDesignJSON(t)
+	for _, mode := range []string{api.ModeWhole, api.ModeDesign} {
+		if code, msg := post(api.OptimizeRequest{Design: loop, Flow: "yosys", Mode: mode}); code != http.StatusBadRequest ||
+			!strings.Contains(msg, "combinational loop") {
+			t.Errorf("combinational loop, mode %s: %d %q", mode, code, msg)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")

@@ -24,6 +24,9 @@ type (
 	SigSpec = rtlil.SigSpec
 	// SigBit is one bit of a signal.
 	SigBit = rtlil.SigBit
+	// LoopError reports a combinational loop in a module: no pass can
+	// order its cells, so the flow fails on that input.
+	LoopError = rtlil.LoopError
 )
 
 // NewDesign returns an empty design.
