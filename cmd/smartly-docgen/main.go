@@ -60,10 +60,9 @@ func generate() []byte {
 		writeOptions(&b, spec.Options)
 	}
 
-	fmt.Fprintf(&b, "### `fixpoint` (built-in wrapper)\n\n")
-	fmt.Fprintf(&b, "repeat the wrapped `{ body }` until no pass reports a change\n\n")
-	fmt.Fprintf(&b, "| Option | Kind | Default | Description |\n|---|---|---|---|\n")
-	fmt.Fprintf(&b, "| `iters` | int | `10` | maximum iterations |\n\n")
+	fix := smartly.FixpointSpec()
+	fmt.Fprintf(&b, "### `%s` (built-in wrapper)\n\n%s\n\n", fix.Name, fix.Summary)
+	writeOptions(&b, fix.Options)
 
 	fmt.Fprintf(&b, "## Named flows\n\n")
 	fmt.Fprintf(&b, "Registered flows, runnable by name (`smartly -flow`, `{\"flow\": ...}`\n")

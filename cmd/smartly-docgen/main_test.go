@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 func TestGenerateCoversRegistry(t *testing.T) {
@@ -22,6 +25,33 @@ func TestGenerateCoversRegistry(t *testing.T) {
 	}
 	if !bytes.Equal(generate(), generate()) {
 		t.Error("generation is not deterministic")
+	}
+}
+
+// TestFixpointTableFromSpec: the fixpoint wrapper's table has one row
+// per option of its spec, so a change to the spec reaches the reference.
+func TestFixpointTableFromSpec(t *testing.T) {
+	out := string(generate())
+	start := strings.Index(out, "### `fixpoint`")
+	if start < 0 {
+		t.Fatal("no fixpoint section")
+	}
+	section := out[start:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	spec := smartly.FixpointSpec()
+	if len(spec.Options) == 0 {
+		t.Fatal("the fixpoint spec has no options")
+	}
+	for _, o := range spec.Options {
+		row := fmt.Sprintf("| `%s` | %s | `%s` | %s", o.Key, o.Kind, o.Default, o.Help)
+		if !strings.Contains(section, row) {
+			t.Errorf("fixpoint table has no row %q:\n%s", row, section)
+		}
+	}
+	if rows := strings.Count(section, "\n| `"); rows != len(spec.Options) {
+		t.Errorf("fixpoint table has %d option rows, want %d", rows, len(spec.Options))
 	}
 }
 

@@ -102,15 +102,20 @@ func checkFlowFlags(flowSet bool, script string) error {
 func printPasses() {
 	fmt.Println("registered passes (compose with ';'):")
 	for _, spec := range smartly.Passes() {
-		fmt.Printf("  %-12s %s\n", spec.Name, spec.Summary)
-		for _, o := range spec.Options {
-			fmt.Printf("    %-22s %-6s default=%-5s %s\n", o.Key, o.Kind, o.Default, o.Help)
-		}
+		printSpec(spec)
 	}
 	fmt.Println("built-in wrapper:")
-	fmt.Println("  fixpoint     repeat { body } until no pass reports a change")
-	fmt.Printf("    %-22s %-6s default=%-5s %s\n", "iters", "int", "10", "maximum iterations")
+	printSpec(smartly.FixpointSpec())
 	fmt.Println("named flows:", strings.Join(smartly.FlowNames(), ", "))
+}
+
+// printSpec prints one pass spec: its name and summary, then one row per
+// option.
+func printSpec(spec smartly.PassSpec) {
+	fmt.Printf("  %-12s %s\n", spec.Name, spec.Summary)
+	for _, o := range spec.Options {
+		fmt.Printf("    %-22s %-6s default=%-5s %s\n", o.Key, o.Kind, o.Default, o.Help)
+	}
 }
 
 // selectFlow resolves the -script / -flow flags into a flow and a label

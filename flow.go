@@ -41,6 +41,10 @@ type (
 // rewriter (opt_egraph) and the register sweep (opt_dff).
 func Passes() []PassSpec { return opt.Passes() }
 
+// FixpointSpec describes the built-in fixpoint wrapper and its options,
+// which Passes does not list.
+func FixpointSpec() PassSpec { return opt.FixpointSpec() }
+
 // Flow is a composable optimization flow: an ordered sequence of
 // registered passes with typed options, optionally wrapped in fixpoint
 // iteration. Build one with ParseFlow (script DSL) or NamedFlow, then

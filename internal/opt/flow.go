@@ -48,6 +48,11 @@ var fixpointSpec = PassSpec{
 	},
 }
 
+// FixpointSpec describes the fixpoint wrapper: the options its steps are
+// validated against. The wrapper is built in, not registered, so Passes
+// does not list it.
+func FixpointSpec() PassSpec { return fixpointSpec }
+
 // validate applies the registry checks of the script parser (registered
 // names, known options, well-typed values) to every step.
 func (f *Flow) validate() error {
