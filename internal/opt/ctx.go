@@ -3,7 +3,6 @@ package opt
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -11,12 +10,12 @@ import (
 // Ctx is the engine context threaded through every pass. It carries the
 // caller's context.Context (cancellation and deadlines), the worker
 // budget for parallel stages (SAT-mux query batches, design-level and
-// harness fan-out), a per-pass timing sink and a structured log
-// function.
+// harness fan-out), the run report, a progress sink and a structured
+// log function.
 //
 // A nil *Ctx is valid everywhere and behaves like a background context
-// with a single worker, no timing sink and no logging, so sequential
-// callers and tests need not construct one.
+// with a single worker, no report and no sinks, so sequential callers
+// and tests need not construct one.
 type Ctx struct {
 	ctx      context.Context
 	workers  int
@@ -136,16 +135,10 @@ func (c *Ctx) Logf(format string, args ...any) {
 	c.logf(format, args...)
 }
 
-// PassTiming aggregates the run count and total wall time of one pass.
-type PassTiming struct {
-	Name  string
-	Calls int
-	Total time.Duration
-}
-
 // StartPass records the start of a named pass and returns the function
-// that records its completion (returning the measured duration). Safe
-// for concurrent use: design-level runs share one Ctx across modules.
+// that records its completion (returning the measured duration): it
+// counts the call and emits the log line and progress event. Safe for
+// concurrent use.
 func (c *Ctx) StartPass(name string) func() time.Duration {
 	if c == nil {
 		return func() time.Duration { return 0 }
@@ -154,7 +147,7 @@ func (c *Ctx) StartPass(name string) func() time.Duration {
 	return func() time.Duration {
 		d := time.Since(start)
 		c.mu.Lock()
-		calls, total := c.rep.recordTiming(name, d)
+		calls, total := c.rep.recordCall(name, d)
 		c.mu.Unlock()
 		c.Logf("pass=%s last=%s calls=%d total=%s", name, d, calls, total)
 		if c.progress != nil {
@@ -182,19 +175,4 @@ func (c *Ctx) recordFixpoint(name string, iters int, converged bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rep.recordFixpoint(name, iters, converged)
-}
-
-// Timings returns a snapshot of the per-pass timings, sorted by name.
-func (c *Ctx) Timings() []PassTiming {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]PassTiming, 0, len(c.rep.timeOnly))
-	for _, t := range c.rep.timeOnly {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -20,26 +20,39 @@ func TestNilCtxDefaults(t *testing.T) {
 		t.Error("nil ctx context is nil")
 	}
 	c.Logf("ignored %d", 1)
-	c.StartPass("x")() // must not panic
-	if got := c.Timings(); got != nil {
-		t.Errorf("nil ctx timings = %v", got)
+	if d := c.StartPass("x")(); d != 0 { // must not panic
+		t.Errorf("nil ctx timed a pass: %v", d)
+	}
+	if rep := c.Report(); len(rep.Passes) != 0 || len(rep.Fixpoints) != 0 {
+		t.Errorf("nil ctx report = %+v", rep)
 	}
 }
 
+// TestCtxWorkersAndTimings: each completed StartPass emits one progress
+// event carrying the pass's call count so far, the call's duration and
+// the running total of those durations.
 func TestCtxWorkersAndTimings(t *testing.T) {
-	c := NewCtx(nil, Config{Workers: 3})
+	var events []PassEvent
+	c := NewCtx(nil, Config{Workers: 3, Module: "top",
+		Progress: func(ev PassEvent) { events = append(events, ev) }})
 	if c.Workers() != 3 {
 		t.Errorf("workers = %d, want 3", c.Workers())
 	}
 	if NewCtx(nil, Config{}).Workers() < 1 {
 		t.Error("default workers < 1")
 	}
-	done := c.StartPass("demo")
-	done()
-	c.StartPass("demo")()
-	ts := c.Timings()
-	if len(ts) != 1 || ts[0].Name != "demo" || ts[0].Calls != 2 {
-		t.Errorf("timings = %+v", ts)
+	d1 := c.StartPass("demo")()
+	c.StartPass("other")()
+	d2 := c.StartPass("demo")()
+	if len(events) != 3 {
+		t.Fatalf("%d events, want 3: %+v", len(events), events)
+	}
+	want := PassEvent{Module: "top", Pass: "demo", Calls: 2, Last: d2, Total: d1 + d2}
+	if events[2] != want {
+		t.Errorf("second demo event = %+v, want %+v", events[2], want)
+	}
+	if ev := events[1]; ev.Pass != "other" || ev.Calls != 1 || ev.Total != ev.Last {
+		t.Errorf("other event = %+v, want its first call", ev)
 	}
 }
 

@@ -59,12 +59,12 @@ type ModuleRun struct {
 // splitting c's worker budget between concurrently optimized modules
 // and each module's intra-pass parallelism (see SplitWorkers). Each
 // module runs under its own child context so its report is per-module;
-// pass timings still aggregate into c. The returned runs parallel
-// d.Modules(). The error is the first per-module error in design order,
-// wrapped with the module name, or the context error when the run was
-// canceled mid-shard (modules not yet started are skipped; finished
-// ones are individually sound, so the design stays equivalent to the
-// input).
+// its log lines and progress events go to c's sinks. The returned runs
+// parallel d.Modules(). The error is the first per-module error in
+// design order, wrapped with the module name, or the context error when
+// the run was canceled mid-shard (modules not yet started are skipped;
+// finished ones are individually sound, so the design stays equivalent
+// to the input).
 func (f *Flow) RunDesign(c *Ctx, d *rtlil.Design) ([]ModuleRun, error) {
 	if f == nil {
 		return nil, fmt.Errorf("opt: nil flow")
@@ -87,7 +87,6 @@ func (f *Flow) RunDesign(c *Ctx, d *rtlil.Design) ([]ModuleRun, error) {
 		rep.Changed = res.Changed
 		rep.Duration = time.Since(start)
 		runs[i] = ModuleRun{Module: mods[i], Report: rep, Err: err}
-		c.mergeChild(mc)
 	})
 	var firstErr error
 	for i := range runs {
@@ -119,29 +118,4 @@ func (c *Ctx) sharedProgress() func(PassEvent) {
 		return nil
 	}
 	return c.progress
-}
-
-// mergeChild folds a child context's timing observations into c, so a
-// design-level Ctx still answers Timings() across all its modules.
-func (c *Ctx) mergeChild(child *Ctx) {
-	if c == nil || child == nil {
-		return
-	}
-	child.mu.Lock()
-	timings := make([]PassTiming, 0, len(child.rep.timeOnly))
-	for _, t := range child.rep.timeOnly {
-		timings = append(timings, *t)
-	}
-	child.mu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range timings {
-		tt := c.rep.timeOnly[t.Name]
-		if tt == nil {
-			tt = &PassTiming{Name: t.Name}
-			c.rep.timeOnly[t.Name] = tt
-		}
-		tt.Calls += t.Calls
-		tt.Total += t.Total
-	}
 }

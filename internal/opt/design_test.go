@@ -163,23 +163,3 @@ func TestRunDesignInvalidFlowFailsBeforeMutation(t *testing.T) {
 		t.Error("failed RunDesign mutated the design")
 	}
 }
-
-// TestRunDesignMergesTimings: the parent Ctx aggregates pass timings
-// across all modules.
-func TestRunDesignMergesTimings(t *testing.T) {
-	f := testFlow(t)
-	d := testDesign(3)
-	c := Background()
-	if _, err := f.RunDesign(c, d); err != nil {
-		t.Fatal(err)
-	}
-	timings := c.Timings()
-	if len(timings) == 0 {
-		t.Fatal("no aggregated timings on the design Ctx")
-	}
-	for _, tm := range timings {
-		if tm.Calls < 3 {
-			t.Errorf("pass %s timed %d calls, want >= one per module", tm.Name, tm.Calls)
-		}
-	}
-}

@@ -8,8 +8,8 @@
 // A Pass rewrites one module in place and reports what it did
 // (Result). Passes run under a *Ctx, which carries the caller's
 // context.Context (cancellation, deadlines), the worker budget for
-// parallel stages, a per-pass timing sink and a log sink; a nil *Ctx
-// is valid everywhere and behaves sequentially. RunScript executes a
+// parallel stages, the run report and the progress and log sinks; a
+// nil *Ctx is valid everywhere and behaves sequentially. RunScript executes a
 // pass sequence with deterministic result merging; Fixpoint wraps a
 // body of passes and repeats it until no pass reports a change. The
 // fixpoint wrapper is the only pass that runs other passes: flows, not

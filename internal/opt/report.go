@@ -151,15 +151,22 @@ func addStages(dst, src map[string]time.Duration) map[string]time.Duration {
 type reportCollector struct {
 	order     []string // leaf passes in first-recorded order
 	passes    map[string]*PassReport
-	timeOnly  map[string]*PassTiming // StartPass-only entries (wrappers)
+	calls     map[string]passCalls // StartPass observations, wrappers too
 	fixOrder  []string
 	fixpoints map[string]*FixpointReport
+}
+
+// passCalls is the call count and summed wall time of one pass name, as
+// StartPass's log line and PassEvent report them.
+type passCalls struct {
+	n     int
+	total time.Duration
 }
 
 func newReportCollector() *reportCollector {
 	return &reportCollector{
 		passes:    map[string]*PassReport{},
-		timeOnly:  map[string]*PassTiming{},
+		calls:     map[string]passCalls{},
 		fixpoints: map[string]*FixpointReport{},
 	}
 }
@@ -183,17 +190,15 @@ func (rc *reportCollector) recordPass(name string, res Result, d time.Duration) 
 	}
 }
 
-// recordTiming merges a timing-only observation (fixpoint wrappers and
-// direct StartPass callers). Caller holds the Ctx lock.
-func (rc *reportCollector) recordTiming(name string, d time.Duration) (calls int, total time.Duration) {
-	t := rc.timeOnly[name]
-	if t == nil {
-		t = &PassTiming{Name: name}
-		rc.timeOnly[name] = t
-	}
-	t.Calls++
-	t.Total += d
-	return t.Calls, t.Total
+// recordCall counts one completed StartPass call of name and returns
+// the name's call count and summed duration so far. Caller holds the
+// Ctx lock.
+func (rc *reportCollector) recordCall(name string, d time.Duration) (calls int, total time.Duration) {
+	pc := rc.calls[name]
+	pc.n++
+	pc.total += d
+	rc.calls[name] = pc
+	return pc.n, pc.total
 }
 
 // recordFixpoint merges one fixpoint invocation. Caller holds the lock.
