@@ -36,11 +36,10 @@ func TopoSort(ix *Index) ([]*Cell, error) {
 		}
 		color[c] = gray
 		if !IsSequential(c.Type) {
-			for port, sig := range c.Conn {
-				if !c.IsInputPort(port) {
-					continue
-				}
-				for _, b := range sig {
+			// The cell library's port order, not the Conn map's: the
+			// order must not change from call to call.
+			for _, port := range InputPorts(c.Type) {
+				for _, b := range c.Port(port) {
 					d := ix.DriverCell(b)
 					if d == nil || IsSequential(d.Type) {
 						continue

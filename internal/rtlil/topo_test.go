@@ -2,6 +2,8 @@ package rtlil
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +29,49 @@ func TestTopoSortOrders(t *testing.T) {
 	}
 	if !(pos[g1] < pos[g2] && pos[g2] < pos[g3]) {
 		t.Errorf("topo order wrong: g1=%d g2=%d g3=%d", pos[g1], pos[g2], pos[g3])
+	}
+}
+
+// TestTopoSortDeterministic: cells added against their dependency
+// order, each reading the two cells before it, leave the DFS a choice
+// of port order at every cell. TopoSort must make the same choice on
+// every call.
+func TestTopoSortDeterministic(t *testing.T) {
+	m := NewModule("m")
+	a := m.AddInput("a", 1).Bits()
+	b := m.AddInput("b", 1).Bits()
+	c := m.AddInput("c", 1).Bits()
+	const n = 16
+	w := make([]SigSpec, n)
+	for i := range w {
+		w[i] = m.NewWire(1).Bits()
+	}
+	for i := n - 1; i >= 0; i-- {
+		x, y := a, b
+		switch i {
+		case 0:
+		case 1:
+			x, y = b, c
+		default:
+			x, y = w[i-1], w[i-2]
+		}
+		m.AddBinary(CellAnd, fmt.Sprintf("g%d", i), x, y, w[i])
+	}
+	ix := NewIndex(m)
+	orders := map[string]bool{}
+	for range 50 {
+		order, err := TopoSort(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(order))
+		for i, c := range order {
+			names[i] = c.Name
+		}
+		orders[strings.Join(names, " ")] = true
+	}
+	if len(orders) != 1 {
+		t.Errorf("50 calls gave %d distinct orders: %v", len(orders), orders)
 	}
 }
 
