@@ -79,9 +79,6 @@ func (g *AIG) NewInput() Lit {
 	return MkLit(idx, false)
 }
 
-// IsInput reports whether the literal's node is a primary input.
-func (g *AIG) IsInput(l Lit) bool { return g.nodes[l.Node()].isInput() }
-
 // And returns a literal for the conjunction of a and b, applying constant
 // folding, idempotence/complement rules and structural hashing.
 func (g *AIG) And(a, b Lit) Lit {
@@ -167,15 +164,6 @@ func (g *AIG) Simulate(vals []uint64) {
 		}
 	}
 }
-
-// Fanins returns the two fanin literals of an AND node.
-func (g *AIG) Fanins(nodeIdx int32) (Lit, Lit) {
-	n := g.nodes[nodeIdx]
-	return n.f0, n.f1
-}
-
-// IsAnd reports whether nodeIdx is an AND node.
-func (g *AIG) IsAnd(nodeIdx int32) bool { return g.nodes[nodeIdx].isAnd() }
 
 // CountReachable returns the number of AND nodes reachable from the given
 // root literals. This is the area figure reported by the benchmark

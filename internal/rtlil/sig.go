@@ -216,16 +216,6 @@ func ParseConst(lit string) (SigSpec, error) {
 
 func (s State) asBit() SigBit { return ConstBit(s) }
 
-// MustParseConst is ParseConst but panics on malformed input. It is meant
-// for literals in tests and generators.
-func MustParseConst(lit string) SigSpec {
-	s, err := ParseConst(lit)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Width returns the number of bits in the signal.
 func (s SigSpec) Width() int { return len(s) }
 
