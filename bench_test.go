@@ -1,20 +1,16 @@
 package smartly_test
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md, per-experiment index):
+// paper's evaluation:
 //
-//	BenchmarkTableII     — Table II rows (areas + extra-reduction ratio)
-//	BenchmarkTableIII    — Table III rows (SAT / Rebuild / Full splits)
-//	BenchmarkIndustrial  — §IV-B industrial summary
-//	BenchmarkFigure3     — the dependent-control collapse (Figure 3)
-//	BenchmarkListing2ADD — greedy vs bad variable assignment (Listing 2)
+//	BenchmarkTableII          — Table II rows (areas + extra-reduction ratio)
+//	BenchmarkTableIII         — Table III rows (SAT / Rebuild / Full splits)
+//	BenchmarkIndustrial       — §IV-B industrial summary
+//	BenchmarkFigure3          — the dependent-control collapse (Figure 3)
+//	BenchmarkRebuildHeuristic — greedy vs bad ADD variable assignment (Listing 2)
 //
-// plus the ablations DESIGN.md calls out:
-//
-//	BenchmarkSubgraphFilter  — Theorem II.1 pruning on vs off
-//	BenchmarkInferenceRules  — Table I rules on vs off
-//	BenchmarkSimVsSAT        — simulation/SAT decision threshold
-//	BenchmarkRebuildHeuristic— ADD ordering heuristics
+// plus BenchmarkSimVsSAT, which sweeps the simulation/SAT decision
+// threshold.
 //
 // Benchmarks run at a reduced scale (default 0.1, override with
 // SMARTLY_BENCH_SCALE); cmd/smartly-bench reproduces the full calibrated
@@ -133,7 +129,7 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ReportMetric(float64(after), "area_after")
 }
 
-// BenchmarkListing2ADD compares the greedy ADD variable assignment with
+// BenchmarkRebuildHeuristic compares the greedy ADD variable assignment with
 // the paper's bad order on the Listing 2 table (3 vs 7 muxes).
 func BenchmarkRebuildHeuristic(b *testing.B) {
 	patterns := []bdd.Pattern{
@@ -163,67 +159,6 @@ func BenchmarkRebuildHeuristic(b *testing.B) {
 		}
 		b.ReportMetric(float64(nodes), "muxes")
 	})
-}
-
-// BenchmarkSubgraphFilter measures the Theorem II.1 pruning: sub-graph
-// size and satmux runtime with the connectivity filter on vs off.
-func BenchmarkSubgraphFilter(b *testing.B) {
-	recipe := genbench.Recipe{
-		Name: "filter-probe", Seed: 8,
-		PlainBlocks: 40, DepBlocks: 30,
-		CaseSelBits: [2]int{3, 4}, DataWidth: 8, PmuxFraction: 0.5,
-	}
-	for _, disabled := range []bool{false, true} {
-		name := "filter_on"
-		if disabled {
-			name = "filter_off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var stats core.SatMuxStats
-			for i := 0; i < b.N; i++ {
-				m := genbench.Generate(recipe, 1)
-				pass := &core.SatMuxPass{Opts: core.SatMuxOptions{DisableSubgraphFilter: disabled}}
-				if _, err := pass.Run(nil, m); err != nil {
-					b.Fatal(err)
-				}
-				stats = pass.LastStats
-			}
-			if stats.Queries > 0 {
-				b.ReportMetric(float64(stats.SubgraphCells)/float64(stats.Queries), "cells/query")
-				b.ReportMetric(float64(stats.CandidateCells)/float64(stats.Queries), "candidates/query")
-			}
-		})
-	}
-}
-
-// BenchmarkInferenceRules measures how many SAT/simulation calls the
-// Table I inference rules avoid.
-func BenchmarkInferenceRules(b *testing.B) {
-	recipe := genbench.Recipe{
-		Name: "rules-probe", Seed: 9,
-		DepBlocks:   60,
-		CaseSelBits: [2]int{3, 4}, DataWidth: 8, PmuxFraction: 0.5,
-	}
-	for _, disabled := range []bool{false, true} {
-		name := "rules_on"
-		if disabled {
-			name = "rules_off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var stats core.SatMuxStats
-			for i := 0; i < b.N; i++ {
-				m := genbench.Generate(recipe, 1)
-				pass := &core.SatMuxPass{Opts: core.SatMuxOptions{DisableInference: disabled}}
-				if _, err := pass.Run(nil, m); err != nil {
-					b.Fatal(err)
-				}
-				stats = pass.LastStats
-			}
-			b.ReportMetric(float64(stats.InferenceHits), "inference_hits")
-			b.ReportMetric(float64(stats.SimHits), "sim_hits")
-			b.ReportMetric(float64(stats.SATCalls), "sat_calls")
-		})
-	}
 }
 
 // BenchmarkSimVsSAT sweeps the simulation/SAT decision threshold (the

@@ -18,7 +18,7 @@ import (
 func sweptPair(t *testing.T, m *rtlil.Module) (*rtlil.Module, *rtlil.Module) {
 	t.Helper()
 	swept := m.Clone()
-	if _, err := opt.RunScript(nil, swept, opt.DffPass{Opts: opt.DffOptions{DisableVerify: true}}); err != nil {
+	if _, err := opt.SweepDffs(swept); err != nil {
 		t.Fatal(err)
 	}
 	return m, swept

@@ -8,9 +8,9 @@ import (
 	"repro/internal/rtlil"
 )
 
-// TestAblationsPreserveCorrectness runs satmux under every ablation
-// configuration on a mixed circuit and equivalence-checks each result:
-// ablations may lose optimizations, never correctness.
+// TestAblationsPreserveCorrectness runs satmux under tight and loose
+// budgets on a mixed circuit and equivalence-checks each result: a
+// budget may lose optimizations, never correctness.
 func TestAblationsPreserveCorrectness(t *testing.T) {
 	recipe := genbench.Recipe{
 		Name: "ablate", Seed: 33,
@@ -18,13 +18,10 @@ func TestAblationsPreserveCorrectness(t *testing.T) {
 		CaseSelBits: [2]int{3, 3}, DataWidth: 4, PmuxFraction: 0.5,
 	}
 	configs := map[string]SatMuxOptions{
-		"default":      {},
-		"no_inference": {DisableInference: true},
-		"no_sat":       {DisableSAT: true},
-		"no_filter":    {DisableSubgraphFilter: true},
-		"sat_only":     {SimInputLimit: -1},
-		"tiny_budget":  {MaxConflicts: 1},
-		"shallow":      {SubgraphDepth: 1},
+		"default":     {},
+		"sat_only":    {SimInputLimit: -1},
+		"tiny_budget": {MaxConflicts: 1},
+		"shallow":     {SubgraphDepth: 1},
 	}
 	for name, opts := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -39,62 +36,35 @@ func TestAblationsPreserveCorrectness(t *testing.T) {
 	}
 }
 
-// TestAblationEffectOrdering: the default configuration must remove at
-// least as much as each crippled one on the dependent-control workload.
+// TestAblationEffectOrdering: satmux must remove at least as much as
+// the facts-only walk (opt_muxtree, the walk without an oracle) on the
+// dependent-control workload, and strictly more.
 func TestAblationEffectOrdering(t *testing.T) {
 	recipe := genbench.Recipe{
 		Name: "ordering", Seed: 34,
 		DepBlocks:   20,
 		CaseSelBits: [2]int{3, 3}, DataWidth: 6, PmuxFraction: 0.5,
 	}
-	run := func(opts SatMuxOptions) int {
+	run := func(pass opt.Pass) int {
 		m := genbench.Generate(recipe, 1)
-		pass := &SatMuxPass{Opts: opts}
 		if _, err := opt.RunScript(nil, m, pass, opt.ExprPass{}, opt.CleanPass{}); err != nil {
 			t.Fatal(err)
 		}
-		a := areaOf(t, m)
-		return a
+		return areaOf(t, m)
 	}
-	full := run(SatMuxOptions{})
-	noInfNoSAT := run(SatMuxOptions{DisableInference: true, DisableSAT: true})
-	if full > noInfNoSAT {
-		t.Errorf("default (%d) should be <= fully crippled (%d)", full, noInfNoSAT)
+	full := run(&SatMuxPass{})
+	walker := run(opt.MuxtreePass{})
+	if full > walker {
+		t.Errorf("satmux (%d) should be <= the facts-only walk (%d)", full, walker)
 	}
-	if full == noInfNoSAT {
-		t.Error("default removed nothing beyond the baseline on dep blocks")
+	if full == walker {
+		t.Error("satmux removed nothing beyond the baseline on dep blocks")
 	}
 }
 
 func areaOf(t *testing.T, m *rtlil.Module) int {
 	t.Helper()
 	return area(t, m)
-}
-
-// TestRebuildForce: Force rebuilds even losing trees; the result must
-// still be equivalent.
-func TestRebuildForce(t *testing.T) {
-	m := rtlil.NewModule("force")
-	s := m.AddInput("s", 2).Bits()
-	p0 := m.AddInput("p0", 2).Bits()
-	p1 := m.AddInput("p1", 2).Bits()
-	p2 := m.AddInput("p2", 2).Bits()
-	eq0 := m.Eq(s, rtlil.Const(0, 2))
-	eq1 := m.Eq(s, rtlil.Const(1, 2))
-	t1 := m.Mux(p2, p1, eq1)
-	t0 := m.Mux(t1, p0, eq0)
-	y := m.AddOutput("y", 2)
-	m.Connect(y.Bits(), t0)
-	orig := m.Clone()
-
-	pass := &RebuildPass{Opts: RebuildOptions{Force: true}}
-	if _, err := opt.RunScript(nil, m, pass, opt.CleanPass{}); err != nil {
-		t.Fatal(err)
-	}
-	if pass.LastStats.TreesRebuilt != 1 {
-		t.Fatalf("force did not rebuild: %+v", pass.LastStats)
-	}
-	checkEquiv(t, orig, m)
 }
 
 // TestRebuildSelectorLimit: selectors wider than MaxSelectorBits are
@@ -112,7 +82,7 @@ func TestRebuildSelectorLimit(t *testing.T) {
 	y := m.AddOutput("y", 2)
 	m.Connect(y.Bits(), t0)
 
-	pass := &RebuildPass{Opts: RebuildOptions{MaxSelectorBits: 4, Force: true}}
+	pass := &RebuildPass{Opts: RebuildOptions{MaxSelectorBits: 4}}
 	if _, err := pass.Run(nil, m); err != nil {
 		t.Fatal(err)
 	}

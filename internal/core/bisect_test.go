@@ -24,12 +24,9 @@ func TestPassCombinationsPreserveEquivalence(t *testing.T) {
 		"red":  mk(func(r *genbench.Recipe) { r.RedundantBlocks = 8 }),
 		"mix":  mk(func(r *genbench.Recipe) { r.PlainBlocks = 5; r.RedundantBlocks = 5; r.DepBlocks = 10; r.CaseBlocks = 4 }),
 	}
-	walkerOnly := func() opt.Pass {
-		return &SatMuxPass{Opts: SatMuxOptions{DisableInference: true, DisableSAT: true}}
-	}
 	passSets := map[string]func() []opt.Pass{
-		"walker_only":  func() []opt.Pass { return []opt.Pass{walkerOnly()} },
-		"walker_clean": func() []opt.Pass { return []opt.Pass{walkerOnly(), opt.CleanPass{}} },
+		"walker_only":  func() []opt.Pass { return []opt.Pass{opt.MuxtreePass{}} },
+		"walker_clean": func() []opt.Pass { return []opt.Pass{opt.MuxtreePass{}, opt.CleanPass{}} },
 		"satmux_clean": func() []opt.Pass { return []opt.Pass{&SatMuxPass{}, opt.ExprPass{}, opt.CleanPass{}} },
 		"rebuild":      func() []opt.Pass { return []opt.Pass{&RebuildPass{}, opt.CleanPass{}} },
 		"full":         func() []opt.Pass { return []opt.Pass{&SatMuxPass{}, &RebuildPass{}, opt.ExprPass{}, opt.CleanPass{}} },

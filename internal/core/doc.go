@@ -25,7 +25,7 @@
 //
 // At init, this package registers the passes in the internal/opt flow
 // registry under the script names "satmux", "rebuild" and "opt_egraph"
-// (with typed option tables: satmux(conflicts=64, inference=false),
+// (with typed option tables: satmux(conflicts=64, sim_filter=false),
 // ...), and registers six named flows — the paper's four pipelines plus
 // e-graph datapath rewriting and the register sweep:
 //

@@ -17,10 +17,6 @@ type RebuildOptions struct {
 	// MaxPatterns skips trees with more than this many rows
 	// (default 512).
 	MaxPatterns int
-	// Force rebuilds every eligible tree regardless of the cost model
-	// (for tests and ablations; the paper notes this "may even
-	// deteriorate the circuit").
-	Force bool
 }
 
 func (o RebuildOptions) withDefaults() RebuildOptions {
@@ -160,7 +156,7 @@ func (p *RebuildPass) Run(ec *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 			continue
 		}
 		p.LastStats.TreesEligible++
-		if p.rebuildTree(m, ix, info, o) {
+		if p.rebuildTree(m, ix, info) {
 			p.LastStats.TreesRebuilt++
 			for _, tc := range info.cells {
 				consumed[tc] = true
@@ -362,7 +358,7 @@ func cubeFromEq(sig, konst rtlil.SigSpec) cube {
 
 // rebuildTree runs the greedy ADD construction, the cost check, and the
 // physical rewrite.
-func (p *RebuildPass) rebuildTree(m *rtlil.Module, ix *rtlil.Index, info *treeInfo, o RebuildOptions) bool {
+func (p *RebuildPass) rebuildTree(m *rtlil.Module, ix *rtlil.Index, info *treeInfo) bool {
 	varIdx := map[rtlil.SigBit]int{}
 	for i, b := range info.selBits {
 		varIdx[b] = i
@@ -430,7 +426,7 @@ func (p *RebuildPass) rebuildTree(m *rtlil.Module, ix *rtlil.Index, info *treeIn
 		}
 	}
 	after := 3 * w * add.CountNodes()
-	if !o.Force && after >= before {
+	if after >= before {
 		return false
 	}
 

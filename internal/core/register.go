@@ -10,8 +10,7 @@ import (
 // onto one field of SatMuxOptions / RebuildOptions.
 // The numeric options are Positive: their option-struct fields treat 0
 // as "use the default", so an explicit zero would silently run the
-// default budget — the bool switches (inference, sat) are the supported
-// way to disable a stage.
+// default budget.
 var satMuxOptionSpecs = []opt.OptionSpec{
 	{Key: "depth", Kind: opt.KindInt, Positive: true, Default: "6", Help: "sub-graph BFS radius k"},
 	{Key: "cells", Kind: opt.KindInt, Positive: true, Default: "300", Help: "max cells kept per sub-graph"},
@@ -19,32 +18,25 @@ var satMuxOptionSpecs = []opt.OptionSpec{
 	{Key: "sat_inputs", Kind: opt.KindInt, Positive: true, Default: "200", Help: "skip SAT above this many inputs"},
 	{Key: "conflicts", Kind: opt.KindInt64, Positive: true, Default: "2000", Help: "CDCL conflict budget per query"},
 	{Key: "sim_rounds", Kind: opt.KindInt, Positive: true, Default: "4", Help: "64-vector simulation rounds per cone in the SAT pre-filter"},
-	{Key: "inference", Kind: opt.KindBool, Default: "true", Help: "enable the Table I inference rules"},
-	{Key: "sat", Kind: opt.KindBool, Default: "true", Help: "enable simulation/SAT queries"},
-	{Key: "subgraph_filter", Kind: opt.KindBool, Default: "true", Help: "enable the Theorem II.1 pruning"},
 	{Key: "sim_filter", Kind: opt.KindBool, Default: "true", Help: "64-lane random-simulation pre-filter in front of the SAT stage"},
 }
 
 var rebuildOptionSpecs = []opt.OptionSpec{
 	{Key: "selector_bits", Kind: opt.KindInt, Positive: true, Default: "24", Help: "skip trees with wider selectors"},
 	{Key: "patterns", Kind: opt.KindInt, Positive: true, Default: "512", Help: "skip trees with more pattern rows"},
-	{Key: "force", Kind: opt.KindBool, Default: "false", Help: "rebuild every eligible tree, ignoring the cost model"},
 }
 
 // satMuxOptionsFromArgs translates validated script args into the typed
 // option struct (zero fields fall through to withDefaults).
 func satMuxOptionsFromArgs(a opt.Args) SatMuxOptions {
 	return SatMuxOptions{
-		SubgraphDepth:         a.Int("depth", 0),
-		MaxSubgraphCells:      a.Int("cells", 0),
-		SimInputLimit:         a.Int("sim_inputs", 0),
-		SATInputLimit:         a.Int("sat_inputs", 0),
-		MaxConflicts:          a.Int64("conflicts", 0),
-		SimFilterRounds:       a.Int("sim_rounds", 0),
-		DisableInference:      !a.Bool("inference", true),
-		DisableSAT:            !a.Bool("sat", true),
-		DisableSubgraphFilter: !a.Bool("subgraph_filter", true),
-		DisableSimFilter:      !a.Bool("sim_filter", true),
+		SubgraphDepth:    a.Int("depth", 0),
+		MaxSubgraphCells: a.Int("cells", 0),
+		SimInputLimit:    a.Int("sim_inputs", 0),
+		SATInputLimit:    a.Int("sat_inputs", 0),
+		MaxConflicts:     a.Int64("conflicts", 0),
+		SimFilterRounds:  a.Int("sim_rounds", 0),
+		DisableSimFilter: !a.Bool("sim_filter", true),
 	}
 }
 
@@ -52,15 +44,12 @@ func rebuildOptionsFromArgs(a opt.Args) RebuildOptions {
 	return RebuildOptions{
 		MaxSelectorBits: a.Int("selector_bits", 0),
 		MaxPatterns:     a.Int("patterns", 0),
-		Force:           a.Bool("force", false),
 	}
 }
 
 var egraphOptionSpecs = []opt.OptionSpec{
 	{Key: "iters", Kind: opt.KindInt, Positive: true, Default: "8", Help: "equality-saturation iteration budget"},
 	{Key: "node_limit", Kind: opt.KindInt, Positive: true, Default: "20000", Help: "e-graph size budget in nodes"},
-	{Key: "rules", Kind: opt.KindString, Default: "all", Help: "rule groups: all, or a '+'-joined subset of arith, bitwise, shift, cmp, fold"},
-	{Key: "verify", Kind: opt.KindBool, Default: "true", Help: "prove every rewritten cone with the cec miter before applying it"},
 	{Key: "verify_conflicts", Kind: opt.KindInt64, Positive: true, Default: "100000", Help: "SAT conflict budget per proof; a blowout rejects the extraction"},
 }
 
@@ -68,8 +57,6 @@ func egraphOptionsFromArgs(a opt.Args) egraph.Options {
 	return egraph.Options{
 		Iters:           a.Int("iters", 0),
 		NodeLimit:       a.Int("node_limit", 0),
-		Rules:           a.Str("rules", ""),
-		DisableVerify:   !a.Bool("verify", true),
 		VerifyConflicts: a.Int64("verify_conflicts", 0),
 	}
 }

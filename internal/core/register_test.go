@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/egraph"
@@ -21,7 +22,7 @@ func TestSmartlyPassesRegistered(t *testing.T) {
 }
 
 func TestScriptOptionsReachTypedOptions(t *testing.T) {
-	f, err := opt.ParseFlow("satmux(conflicts=64, depth=3, inference=false)")
+	f, err := opt.ParseFlow("satmux(conflicts=64, depth=3, sim_filter=false)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +34,12 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 	if !ok {
 		t.Fatalf("compiled %T, want *SatMuxPass", passes[0])
 	}
-	want := SatMuxOptions{MaxConflicts: 64, SubgraphDepth: 3, DisableInference: true}
+	want := SatMuxOptions{MaxConflicts: 64, SubgraphDepth: 3, DisableSimFilter: true}
 	if sm.Opts != want {
 		t.Errorf("opts = %+v, want %+v", sm.Opts, want)
 	}
 
-	f, err = opt.ParseFlow("rebuild(selector_bits=8, force=true)")
+	f, err = opt.ParseFlow("rebuild(selector_bits=8, patterns=16)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := passes[0].(*RebuildPass)
-	if rb.Opts != (RebuildOptions{MaxSelectorBits: 8, Force: true}) {
+	if rb.Opts != (RebuildOptions{MaxSelectorBits: 8, MaxPatterns: 16}) {
 		t.Errorf("rebuild opts = %+v", rb.Opts)
 	}
 
-	f, err = opt.ParseFlow("opt_egraph(iters=3, rules=arith+fold, verify=false, verify_conflicts=7)")
+	f, err = opt.ParseFlow("opt_egraph(iters=3, node_limit=500, verify_conflicts=7)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,18 +59,29 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	eg := passes[0].(*egraph.Pass)
-	want2 := egraph.Options{Iters: 3, Rules: "arith+fold", DisableVerify: true, VerifyConflicts: 7}
+	want2 := egraph.Options{Iters: 3, NodeLimit: 500, VerifyConflicts: 7}
 	if eg.Opts != want2 {
 		t.Errorf("opt_egraph opts = %+v, want %+v", eg.Opts, want2)
 	}
 }
 
+// TestUnknownScriptOptionRejected: a key the pass does not take is an
+// unknown option. The options are budgets, so that covers every stage
+// switch too: no script can turn a satmux stage or the sub-graph filter
+// off, force a rebuild the cost model rejects, pick e-graph rule
+// groups, or skip a proof.
 func TestUnknownScriptOptionRejected(t *testing.T) {
-	if _, err := opt.ParseFlow("satmux(gain=2)"); err == nil {
-		t.Error("unknown satmux option accepted")
-	}
-	if _, err := opt.ParseFlow("rebuild(conflicts=1)"); err == nil {
-		t.Error("satmux option on rebuild accepted")
+	for _, script := range []string{
+		"satmux(gain=2)", "rebuild(conflicts=1)",
+		"satmux(inference=false)", "satmux(sat=false)", "satmux(subgraph_filter=false)",
+		"rebuild(force=true)",
+		"opt_egraph(rules=cmp)", "opt_egraph(verify=false)",
+		"opt_dff(verify=false)",
+	} {
+		_, err := opt.ParseFlow(script)
+		if err == nil || !strings.Contains(err.Error(), "unknown option") {
+			t.Errorf("ParseFlow(%q) = %v, want an unknown-option error", script, err)
+		}
 	}
 }
 

@@ -38,17 +38,9 @@ type SatMuxOptions struct {
 	// without disabling the stage's bookkeeping; use DisableSimFilter to
 	// turn the stage off.
 	SimFilterRounds int
-	// DisableInference turns the rule engine off (ablation).
-	DisableInference bool
 	// DisableSimFilter turns the bit-parallel simulation pre-filter in
 	// front of the SAT stage off (ablation).
 	DisableSimFilter bool
-	// DisableSAT turns simulation/SAT off, leaving inference only
-	// (ablation).
-	DisableSAT bool
-	// DisableSubgraphFilter turns the Theorem II.1 pruning off
-	// (ablation).
-	DisableSubgraphFilter bool
 }
 
 func (o SatMuxOptions) withDefaults() SatMuxOptions {
@@ -83,8 +75,6 @@ type SatMuxStats struct {
 	SATHits         int
 	SATCalls        int
 	Unknown         int
-	SubgraphCells   int // total kept cells across queries
-	CandidateCells  int // total pre-filter cells across queries
 
 	// SAT-stage counters.
 	LearntClauses int // learnt clauses produced across all SAT calls
@@ -98,10 +88,10 @@ type SatMuxStats struct {
 
 // String renders the counters.
 func (s SatMuxStats) String() string {
-	return fmt.Sprintf("queries=%d facts=%d unreachable=%d inference=%d sim=%d sat=%d/%d unknown=%d subgraph=%d/%d learnt=%d mapfail=%d trips=%d simfilter=%d/%d",
+	return fmt.Sprintf("queries=%d facts=%d unreachable=%d inference=%d sim=%d sat=%d/%d unknown=%d learnt=%d mapfail=%d trips=%d simfilter=%d/%d",
 		s.Queries, s.FactHits, s.UnreachablePath, s.InferenceHits, s.SimHits,
-		s.SATHits, s.SATCalls, s.Unknown, s.SubgraphCells, s.CandidateCells,
-		s.LearntClauses, s.MapFailures, s.BudgetTrips, s.SimFiltered, s.SimVectors)
+		s.SATHits, s.SATCalls, s.Unknown, s.LearntClauses, s.MapFailures,
+		s.BudgetTrips, s.SimFiltered, s.SimVectors)
 }
 
 // Details renders the oracle counters as report-sink counter entries,
@@ -217,7 +207,7 @@ func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
 	}
 	s.solveJob = func(i int) {
 		j := &s.jobs[i]
-		j.v, _ = s.solve(s.facts, j.bit, &j.st, &j.tm)
+		j.v = s.solve(s.facts, j.bit, &j.st, &j.tm)
 	}
 	return s
 }
@@ -266,12 +256,13 @@ type query struct {
 // inference, then an exhaustive sweep for few inputs, or the random
 // pre-filter sweep followed by SAT. It writes counters to st and stage
 // times to tm (worker-local sinks during parallel batches, merged in
-// order afterwards) and touches no shared mutable state.
-func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) (rtlil.State, bool) {
+// order afterwards) and touches no shared mutable state. It returns the
+// decided value, or Sx when the query stays open.
+func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) rtlil.State {
 	if s.Ctx.Err() != nil {
 		// Canceled: report unknown; the pass surfaces the context error.
 		st.Unknown++
-		return rtlil.Sx, false
+		return rtlil.Sx
 	}
 	t := time.Now()
 	// The facts' canonical order seeds the sub-graph BFS and orders the
@@ -279,32 +270,23 @@ func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxSt
 	// between runs.
 	knowns, vals := facts.Bits(), facts.States()
 	sg := s.graph.Extract(bit, knowns, subgraph.Options{
-		Depth:         s.o.SubgraphDepth,
-		MaxCells:      s.o.MaxSubgraphCells,
-		DisableFilter: s.o.DisableSubgraphFilter,
+		Depth:    s.o.SubgraphDepth,
+		MaxCells: s.o.MaxSubgraphCells,
 	})
 	t = tm.lap(stageExtract, t)
-	st.SubgraphCells += len(sg.Cells)
-	st.CandidateCells += sg.CandidateCells
 
 	// Stage 1: inference rules (paper Table I).
-	if !s.o.DisableInference {
-		v, decided := s.infer(bit, sg, knowns, vals, st)
-		t = tm.lap(stageInfer, t)
-		if decided {
-			return v, true
-		}
-	}
-	if s.o.DisableSAT {
-		st.Unknown++
-		return rtlil.Sx, false
+	v := s.infer(bit, sg, knowns, vals, st)
+	t = tm.lap(stageInfer, t)
+	if v != rtlil.Sx {
+		return v
 	}
 
 	// Stage 2: exhaustive simulation for few inputs, SAT otherwise.
 	n := len(sg.Inputs)
 	if n > s.o.SimInputLimit && n > s.o.SATInputLimit {
 		st.Unknown++
-		return rtlil.Sx, false
+		return rtlil.Sx
 	}
 	q := &query{
 		target: s.ix.MapBit(bit),
@@ -314,14 +296,14 @@ func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxSt
 		vals:   vals,
 	}
 	if n <= s.o.SimInputLimit {
-		v, ok := s.sweep(q, true, st)
+		v = s.sweep(q, true, st)
 		tm.lap(stageSim, t)
-		if ok {
+		if v != rtlil.Sx {
 			st.SimHits++
-			return v, true
+			return v
 		}
 		st.Unknown++
-		return rtlil.Sx, false
+		return rtlil.Sx
 	}
 	// $div cones skip the pre-filter: the AIG mapper cannot encode them,
 	// and satSolve counts that map failure.
@@ -335,32 +317,32 @@ func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxSt
 			// — decided here without touching SAT at all.
 			st.SimFiltered++
 			st.Unknown++
-			return rtlil.Sx, false
+			return rtlil.Sx
 		}
 	}
-	v, ok := s.satSolve(q, st)
+	v = s.satSolve(q, st)
 	tm.lap(stageSAT, t)
-	return v, ok
+	return v
 }
 
 // infer runs the Table I rule engine over the sub-graph under the path
-// facts. It reports decided=true with the value when the rules settle
-// the query: the target's inferred value, or S0 for an unreachable path
-// (the mux output is never observed there, so either branch is sound).
-func (s *SmartOracle) infer(bit rtlil.SigBit, sg *subgraph.Result, knowns []rtlil.SigBit, vals []rtlil.State, st *SatMuxStats) (v rtlil.State, decided bool) {
+// facts. It returns the value when the rules settle the query, the
+// target's inferred value or S0 for an unreachable path (the mux output
+// is never observed there, so either branch is sound), and Sx otherwise.
+func (s *SmartOracle) infer(bit rtlil.SigBit, sg *subgraph.Result, knowns []rtlil.SigBit, vals []rtlil.State, st *SatMuxStats) rtlil.State {
 	e := infer.NewScoped(s.graph, sg.IDs)
 	for i, b := range knowns {
 		e.Assume(b, vals[i])
 	}
 	if !e.Propagate() {
 		st.UnreachablePath++
-		return rtlil.S0, true
+		return rtlil.S0
 	}
 	if v, ok := e.Value(bit); ok {
 		st.InferenceHits++
-		return v, true
+		return v
 	}
-	return rtlil.Sx, false
+	return rtlil.Sx
 }
 
 // enumPatterns are the lane vectors of the six low input variables under
@@ -403,26 +385,26 @@ func enumLanes(i, w int) uint64 {
 //     nothing; its witnesses only spare Solve calls.
 //
 // Either sweep stops once both values are seen. sweep returns the proven
-// value, or (x, false) when it proved none: a random sweep, both values
-// seen, a cancellation, or a cone it cannot simulate.
+// value, or Sx when it proved none: a random sweep, both values seen, a
+// cancellation, or a cone it cannot simulate.
 //
 // Determinism: the RNG is seeded from the query's own shape (its cell
 // and input counts) and the facts are scanned in their order, so the
 // lane schedule depends only on the query, never on worker count or
 // scheduling.
-func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.State, bool) {
+func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.State {
 	cone, err := sim.NewCone(s.ix, q.order)
 	if err != nil {
-		return rtlil.Sx, false
+		return rtlil.Sx
 	}
 	tslot, ok := cone.Slot(q.target)
 	if !ok {
-		return rtlil.Sx, false // the target is not computed in the cone
+		return rtlil.Sx // the target is not computed in the cone
 	}
 	inSlots := make([]int, len(q.sg.Inputs))
 	for i, b := range q.sg.Inputs {
 		if inSlots[i], ok = cone.Slot(b); !ok {
-			return rtlil.Sx, false
+			return rtlil.Sx
 		}
 	}
 	type factCheck struct {
@@ -446,7 +428,7 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 			want = ^uint64(0)
 		default:
 			if !exhaustive {
-				return rtlil.Sx, false // no lane encoding: decline to filter
+				return rtlil.Sx // no lane encoding: decline to filter
 			}
 			live = 0 // no two-valued assignment reproduces the fact
 			continue
@@ -472,7 +454,7 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 		if s.Ctx.Err() != nil {
 			// Canceled: stop simulating; the pass surfaces the context
 			// error and discards the run's results.
-			return rtlil.Sx, false
+			return rtlil.Sx
 		}
 		for i, slot := range inSlots {
 			if exhaustive {
@@ -500,18 +482,18 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) (rtlil.S
 		q.seen0 = q.seen0 || ^tv&valid != 0
 		q.seen1 = q.seen1 || tv&valid != 0
 		if q.seen0 && q.seen1 {
-			return rtlil.Sx, false
+			return rtlil.Sx
 		}
 	}
 	switch {
 	case !exhaustive:
-		return rtlil.Sx, false
+		return rtlil.Sx
 	case q.seen0 != q.seen1:
-		return rtlil.BoolState(q.seen1), true
+		return rtlil.BoolState(q.seen1)
 	}
 	// No consistent assignment: unreachable path.
 	st.UnreachablePath++
-	return rtlil.S0, true
+	return rtlil.S0
 }
 
 // rngPool recycles the pre-filter's generators. Re-seeding one yields
@@ -525,7 +507,7 @@ var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 // the paper's "SAT(S=0)=false or SAT(S=1)=false" criterion. A polarity
 // the pre-filter witnessed is known Sat (sim.Cone mirrors the AIG
 // lowering cell for cell), so its call is skipped.
-func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) (rtlil.State, bool) {
+func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) rtlil.State {
 	mp := aig.NewPartialMapping(s.ix)
 	for _, b := range q.sg.Inputs {
 		mp.AddInputBit(b)
@@ -536,12 +518,12 @@ func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) (rtlil.State, bool) {
 			// query stays undecided.
 			st.MapFailures++
 			st.Unknown++
-			return rtlil.Sx, false
+			return rtlil.Sx
 		}
 	}
 	if q.target.IsConst() || !mp.HasBit(q.target) {
 		st.Unknown++
-		return rtlil.Sx, false
+		return rtlil.Sx
 	}
 	solver := sat.NewSolver()
 	solver.MaxConflicts = s.o.MaxConflicts
@@ -583,18 +565,18 @@ func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) (rtlil.State, bool) {
 		// other outcome of this stage.
 		st.SATHits++
 		st.UnreachablePath++
-		return rtlil.S0, true
+		return rtlil.S0
 	case r0 == sat.Unsat:
 		// target=0 impossible (even if the other call hit its budget,
 		// an Unsat verdict transfers through the abstraction).
 		st.SATHits++
-		return rtlil.S1, true
+		return rtlil.S1
 	case r1 == sat.Unsat:
 		st.SATHits++
-		return rtlil.S0, true
+		return rtlil.S0
 	}
 	st.Unknown++
-	return rtlil.Sx, false
+	return rtlil.Sx
 }
 
 // SatMuxPass is smaRTLy's SAT-based redundancy elimination: the muxtree
@@ -664,8 +646,6 @@ func accumulate(dst *SatMuxStats, s SatMuxStats) {
 	dst.SATHits += s.SATHits
 	dst.SATCalls += s.SATCalls
 	dst.Unknown += s.Unknown
-	dst.SubgraphCells += s.SubgraphCells
-	dst.CandidateCells += s.CandidateCells
 	dst.LearntClauses += s.LearntClauses
 	dst.MapFailures += s.MapFailures
 	dst.BudgetTrips += s.BudgetTrips

@@ -5,7 +5,7 @@
 //
 // The pipeline is: ingest the module's datapath region (arithmetic,
 // bitwise, shift and comparison cells) into an e-graph whose e-nodes
-// carry cell type, result width and signedness; saturate it under a
+// carry cell type and result width; saturate it under a
 // rule library of datapath identities (commutativity, associativity,
 // distributivity, shift/multiply exchanges for power-of-two constants,
 // constant folding, self-cancellation, comparison canonicalization)
@@ -13,8 +13,8 @@
 // of every needed class under the AIG area cost model; and only then
 // rewrite the module — after every changed output cone has been proved
 // equivalent to the original by the internal/cec miter. A failed proof
-// rejects the whole extraction: the pass never ships an unverified
-// netlist.
+// rejects that cone's rewrite, and no option skips the proofs: the pass
+// never ships an unverified netlist.
 //
 // Widths follow the repository's canonical two-valued semantics (the
 // AIG lowering in internal/aig): operands of arithmetic and bitwise
@@ -28,7 +28,7 @@
 //
 // Representation. An e-node (Node) is a 32-byte comparable value with
 // no pointers: a uint8 operator (Op, one per region cell type plus
-// leaf, const and resize), the width and signedness, a constant
+// leaf, const and resize), the width, a constant
 // payload, two inline child slots, and for leaves an index into the
 // graph's leaf table, which holds the signal. Hash-consing is keyed by
 // the node value itself (Node.key clears the fields the operator does
@@ -46,5 +46,5 @@
 // class IDs follow Add order and a merge keeps the lower ID, and rules
 // run in library order over each class's nodes in insertion order. So
 // class IDs, the pass counters, extractions and netlists depend only on
-// the input module and the options.
+// the input module and the budgets.
 package egraph

@@ -142,10 +142,6 @@ type Node struct {
 	// Leaf is the OpLeaf signal's index in the graph's leaf table.
 	Leaf int32
 	Op   Op
-	// Signed is part of the node key for forward compatibility;
-	// the current cell library is entirely unsigned, so it is always
-	// false today and no rule may assume otherwise.
-	Signed bool
 }
 
 // bin returns the binary node op(a, b) at width w.
@@ -173,8 +169,8 @@ func (n Node) valueWidth() int {
 // key returns the node's hash-cons identity: the node with every field
 // its operator ignores cleared (Val off constants, Leaf off leaves, the
 // kid slots past the arity). Two nodes share a key exactly when they
-// apply the same operator, at the same width and signedness, to the
-// same payload and children. Children must already be canonical.
+// apply the same operator, at the same width, to the same payload and
+// children. Children must already be canonical.
 func (n Node) key() Node {
 	if n.Op != OpConst {
 		n.Val = 0

@@ -23,11 +23,7 @@ func cellNode(op Op, w int, kids ...ClassID) Node {
 
 func saturateAll(t *testing.T, g *EGraph) int {
 	t.Helper()
-	rules, err := ParseRules("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, applied := Saturate(g, rules, 16, 100000)
+	_, applied := Saturate(g, ruleLibrary(), 16, 100000)
 	return applied
 }
 
@@ -235,9 +231,8 @@ func TestSaturateNodeBudget(t *testing.T) {
 	for _, id := range ids[1:] {
 		acc = g.Add(cellNode(OpAdd, 8, acc, id))
 	}
-	rules, _ := ParseRules("all")
 	limit := g.NodeCount() + 5
-	Saturate(g, rules, 100, limit)
+	Saturate(g, ruleLibrary(), 100, limit)
 	// The budget is a soft stop: one rule application may overshoot by
 	// the few nodes it allocates, but growth must halt near the limit.
 	if g.NodeCount() > limit+8 {
@@ -261,28 +256,6 @@ func TestDivIsOpaque(t *testing.T) {
 	}
 	if got := g.Class(dc).Nodes; len(got) != 1 {
 		t.Errorf("$div class grew %d nodes, want 1 (no rewrites through $div)", len(got))
-	}
-}
-
-func TestParseRules(t *testing.T) {
-	if _, err := ParseRules("arith+shift"); err != nil {
-		t.Errorf("arith+shift rejected: %v", err)
-	}
-	if _, err := ParseRules("bogus"); err == nil {
-		t.Error("unknown group accepted")
-	} else if !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("error does not name the bad group: %v", err)
-	}
-	all, _ := ParseRules("all")
-	sub, _ := ParseRules("cmp")
-	if len(sub) >= len(all) {
-		t.Errorf("cmp-only rule set has %d rules, all has %d", len(sub), len(all))
-	}
-	names := RuleNames()
-	for _, group := range []string{"arith", "bitwise", "shift", "cmp", "fold", "structural"} {
-		if len(names[group]) == 0 {
-			t.Errorf("group %s has no rules", group)
-		}
 	}
 }
 
@@ -330,16 +303,13 @@ func TestExtractionDeterministic(t *testing.T) {
 
 // signature is the string hash-cons key nodes were interned under
 // before keys became node values, kept here as the reference the value
-// key must agree with: operator, width, signedness, then the constant
-// payload or the leaf's canonical signal render, then the children.
+// key must agree with: operator, width, then the constant payload or
+// the leaf's canonical signal render, then the children.
 func signature(g *EGraph, n Node) string {
 	var b strings.Builder
 	b.WriteString(n.Op.String())
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(n.Width))
-	if n.Signed {
-		b.WriteString("|s")
-	}
 	switch n.Op {
 	case OpConst:
 		b.WriteByte('#')
@@ -356,7 +326,7 @@ func signature(g *EGraph, n Node) string {
 }
 
 // TestNodeKeyMatchesSignature: over every operator, widths 1/8/64,
-// both signedness values, the operator's 0-2 children (plus stray ids
+// the operator's 0-2 children (plus stray ids
 // in the unused kid slots), several leaves and a stray Val and leaf
 // index on the nodes that do not use them, two nodes share a key
 // exactly when their reference signatures are equal.
@@ -378,21 +348,19 @@ func TestNodeKeyMatchesSignature(t *testing.T) {
 	n := 0
 	for op := Op(0); op < numOps; op++ {
 		for _, w := range []int{1, 8, 64} {
-			for _, signed := range []bool{false, true} {
-				for _, kids := range [][2]ClassID{{0, 0}, {0, 1}, {1, 0}, {2, 2}, {1, 2}} {
-					for _, val := range []uint64{0, 1, 0xff, 1 << 63} {
-						for _, lf := range leaves {
-							node := Node{Op: op, Width: w, Signed: signed, Kids: kids, Val: val, Leaf: lf}
-							sig, key := signature(g, node), node.key()
-							if k, ok := bySig[sig]; ok && k != key {
-								t.Fatalf("signature %q has keys %+v and %+v", sig, k, key)
-							}
-							if s, ok := byKey[key]; ok && s != sig {
-								t.Fatalf("key %+v has signatures %q and %q", key, s, sig)
-							}
-							bySig[sig], byKey[key] = key, sig
-							n++
+			for _, kids := range [][2]ClassID{{0, 0}, {0, 1}, {1, 0}, {2, 2}, {1, 2}} {
+				for _, val := range []uint64{0, 1, 0xff, 1 << 63} {
+					for _, lf := range leaves {
+						node := Node{Op: op, Width: w, Kids: kids, Val: val, Leaf: lf}
+						sig, key := signature(g, node), node.key()
+						if k, ok := bySig[sig]; ok && k != key {
+							t.Fatalf("signature %q has keys %+v and %+v", sig, k, key)
 						}
+						if s, ok := byKey[key]; ok && s != sig {
+							t.Fatalf("key %+v has signatures %q and %q", key, s, sig)
+						}
+						bySig[sig], byKey[key] = key, sig
+						n++
 					}
 				}
 			}

@@ -23,19 +23,12 @@ const (
 )
 
 // Options configures the opt_egraph pass. The zero value uses the
-// default budgets, the full rule library, and verified extraction.
+// default budgets.
 type Options struct {
 	// Iters bounds the saturation iterations (0 = DefaultIters).
 	Iters int
 	// NodeLimit bounds the e-graph size in nodes (0 = DefaultNodeLimit).
 	NodeLimit int
-	// Rules selects rule groups: "all" (or empty) or a '+'-separated
-	// subset of arith, bitwise, shift, cmp, fold.
-	Rules string
-	// DisableVerify skips the per-cone equivalence proofs. Only for
-	// experiments that check equivalence externally: the pass' contract
-	// is that every shipped rewrite is proved.
-	DisableVerify bool
 	// VerifyConflicts bounds the SAT effort per proof; a blowout counts
 	// as a failed proof. 0 = DefaultVerifyConflicts, negative =
 	// unlimited.
@@ -48,9 +41,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.NodeLimit <= 0 {
 		o.NodeLimit = DefaultNodeLimit
-	}
-	if o.Rules == "" {
-		o.Rules = "all"
 	}
 	if o.VerifyConflicts == 0 {
 		o.VerifyConflicts = DefaultVerifyConflicts
@@ -87,10 +77,6 @@ func (p *Pass) Name() string { return "opt_egraph" }
 func (p *Pass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	res := opt.NewResult()
 	o := p.Opts.withDefaults()
-	rules, err := ParseRules(o.Rules)
-	if err != nil {
-		return res, err
-	}
 	b, err := BuildModule(m)
 	if err != nil {
 		return res, fmt.Errorf("opt_egraph: %w", err)
@@ -106,7 +92,7 @@ func (p *Pass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 	origCost := b.OriginalCost(cm, roots)
 
 	g := b.EGraph()
-	iters, applied := Saturate(g, rules, o.Iters, o.NodeLimit)
+	iters, applied := Saturate(g, ruleLibrary(), o.Iters, o.NodeLimit)
 	set := func(key string, v int) {
 		if v != 0 {
 			res.Details[key] = v
@@ -134,36 +120,34 @@ func (p *Pass) Run(c *opt.Ctx, m *rtlil.Module) (opt.Result, error) {
 		return res, nil
 	}
 
-	if !o.DisableVerify {
-		if p.failedProofs == nil {
-			p.failedProofs = map[string]bool{}
-		}
-		opts := &cec.Options{RandomRounds: 2, MaxConflicts: o.VerifyConflicts}
-		start := time.Now()
-		rejected := 0
-		for _, rc := range append([]*regionCell(nil), rw.Rewired...) {
-			oldM, newM := rw.MiterModules(rc)
-			key := rtlil.CanonicalHash(oldM) + "|" + rtlil.CanonicalHash(newM)
-			if p.failedProofs[key] {
-				rw.Reject(rc)
-				rejected++
-				continue
-			}
-			if err := cec.Check(oldM, newM, opts); err != nil {
-				c.Logf("opt_egraph: proof failed for %s, rejecting its rewrite: %v", rc.cell.Name, err)
-				p.failedProofs[key] = true
-				rw.Reject(rc)
-				rejected++
-			}
-		}
-		set("egraph_verify_rejected", rejected)
-		if len(rw.Rewired) == 0 {
-			return res, nil
-		}
-		c.Logf("opt_egraph: proved %d rewritten cones in %v (%d rejected)",
-			len(rw.Rewired), time.Since(start).Round(time.Microsecond), rejected)
-		set("egraph_verified", len(rw.Rewired))
+	if p.failedProofs == nil {
+		p.failedProofs = map[string]bool{}
 	}
+	opts := &cec.Options{RandomRounds: 2, MaxConflicts: o.VerifyConflicts}
+	start := time.Now()
+	rejected := 0
+	for _, rc := range append([]*regionCell(nil), rw.Rewired...) {
+		oldM, newM := rw.MiterModules(rc)
+		key := rtlil.CanonicalHash(oldM) + "|" + rtlil.CanonicalHash(newM)
+		if p.failedProofs[key] {
+			rw.Reject(rc)
+			rejected++
+			continue
+		}
+		if err := cec.Check(oldM, newM, opts); err != nil {
+			c.Logf("opt_egraph: proof failed for %s, rejecting its rewrite: %v", rc.cell.Name, err)
+			p.failedProofs[key] = true
+			rw.Reject(rc)
+			rejected++
+		}
+	}
+	set("egraph_verify_rejected", rejected)
+	if len(rw.Rewired) == 0 {
+		return res, nil
+	}
+	c.Logf("opt_egraph: proved %d rewritten cones in %v (%d rejected)",
+		len(rw.Rewired), time.Since(start).Round(time.Microsecond), rejected)
+	set("egraph_verified", len(rw.Rewired))
 
 	emitted := rw.Apply()
 	res.Changed = true

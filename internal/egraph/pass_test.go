@@ -211,37 +211,6 @@ func TestPassDivCSERejectedByVerify(t *testing.T) {
 	}
 }
 
-func TestPassVerifyOffStillSound(t *testing.T) {
-	m, in := newDUT()
-	out(m, "y0", m.AddOp(m.MulOp(in[0], in[1]), m.MulOp(in[0], in[2])))
-	_, before, after := runPass(t, m, Options{DisableVerify: true})
-	if after >= before {
-		t.Errorf("area %d -> %d with verify off", before, after)
-	}
-}
-
-func TestPassRuleSubsets(t *testing.T) {
-	m, in := newDUT()
-	out(m, "y0", m.AddOp(m.MulOp(in[0], in[1]), m.MulOp(in[0], in[2])))
-	// Comparison rules alone cannot touch an arithmetic cone.
-	res, err := (&Pass{Opts: Options{Rules: "cmp"}}).Run(nil, m.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Changed {
-		t.Error("cmp-only rules rewrote an arithmetic design")
-	}
-	// An unknown group is a configuration error.
-	if _, err := (&Pass{Opts: Options{Rules: "nope"}}).Run(nil, m.Clone()); err == nil {
-		t.Error("unknown rule group accepted")
-	}
-	// The arith group suffices for factoring.
-	_, before, after := runPass(t, m, Options{Rules: "arith+fold"})
-	if after >= before {
-		t.Errorf("area %d -> %d with arith+fold", before, after)
-	}
-}
-
 func TestPassDeterministic(t *testing.T) {
 	m, in := newDUT()
 	out(m, "y0", m.AddOp(m.MulOp(in[0], in[1]), m.MulOp(in[0], in[2])))

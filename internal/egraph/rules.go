@@ -1,11 +1,6 @@
 package egraph
 
-import (
-	"fmt"
-	"math/bits"
-	"sort"
-	"strings"
-)
+import "math/bits"
 
 // A Rule inspects one e-node and, when it matches, adds an equivalent
 // representation to the node's class (and/or unions classes). Apply
@@ -15,75 +10,11 @@ import (
 // extraction, and the e-graph panics outright when a rule proves two
 // distinct constants equal.
 type Rule struct {
-	Name  string
-	Group string
+	Name string
 	// ops is the set of operators the rule matches: Saturate calls
 	// Apply only on nodes whose operator is in it.
 	ops   opSet
 	Apply func(g *EGraph, id ClassID, n Node) int
-}
-
-// The rule groups selectable through the pass' rules option.
-const (
-	GroupArith   = "arith"   // add/sub/mul identities, distributivity
-	GroupBitwise = "bitwise" // and/or/xor/xnor/not identities
-	GroupShift   = "shift"   // shift-by-constant and mul/shl exchange
-	GroupCmp     = "cmp"     // comparison canonicalization
-	GroupFold    = "fold"    // constant folding
-)
-
-// allGroups lists every group in the order rules run.
-var allGroups = []string{GroupArith, GroupBitwise, GroupShift, GroupCmp, GroupFold}
-
-// ParseRules resolves a rules option value — "all" or a '+'-separated
-// list of group names — to the selected rule set.
-func ParseRules(spec string) ([]Rule, error) {
-	if spec == "" || spec == "all" {
-		return Rules(allGroups...), nil
-	}
-	parts := strings.Split(spec, "+")
-	known := map[string]bool{}
-	for _, g := range allGroups {
-		known[g] = true
-	}
-	for _, p := range parts {
-		if !known[p] {
-			return nil, fmt.Errorf("egraph: unknown rule group %q (have all, %s)", p, strings.Join(allGroups, ", "))
-		}
-	}
-	return Rules(parts...), nil
-}
-
-// Rules returns the rules of the named groups, in library order, plus
-// the always-on structural resize rules.
-func Rules(groups ...string) []Rule {
-	want := map[string]bool{}
-	for _, g := range groups {
-		want[g] = true
-	}
-	var out []Rule
-	for _, r := range ruleLibrary() {
-		if r.Group == "" || want[r.Group] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// RuleNames lists every library rule name per group (for docs/tests).
-func RuleNames() map[string][]string {
-	out := map[string][]string{}
-	for _, r := range ruleLibrary() {
-		g := r.Group
-		if g == "" {
-			g = "structural"
-		}
-		out[g] = append(out[g], r.Name)
-	}
-	for _, names := range out {
-		sort.Strings(names)
-	}
-	return out
 }
 
 // matchScanLimit bounds how many nodes of a class a single rule match
@@ -136,14 +67,14 @@ var (
 // library is rebuilt per call so rules carry no shared state.
 func ruleLibrary() []Rule {
 	var rules []Rule
-	add := func(name, group string, ops opSet, apply func(g *EGraph, id ClassID, n Node) int) {
-		rules = append(rules, Rule{Name: name, Group: group, ops: ops, Apply: apply})
+	add := func(name string, ops opSet, apply func(g *EGraph, id ClassID, n Node) int) {
+		rules = append(rules, Rule{Name: name, ops: ops, Apply: apply})
 	}
 
-	// --- structural (always on) ---------------------------------------
+	// --- structural ----------------------------------------------------
 
 	// resize(w, x) with width(x) == w is the identity.
-	add("resize_identity", "", opsOf(OpResize), func(g *EGraph, id ClassID, n Node) int {
+	add("resize_identity", opsOf(OpResize), func(g *EGraph, id ClassID, n Node) int {
 		kid := g.Find(n.Kids[0])
 		if g.Class(kid).width != n.Width {
 			return 0
@@ -155,7 +86,7 @@ func ruleLibrary() []Rule {
 	})
 	// resize(w1, resize(w2, x)) == resize(w1, x) when w1 <= w2
 	// (truncation composes; zero-extension below w1 does not).
-	add("resize_resize", "", opsOf(OpResize), func(g *EGraph, id ClassID, n Node) int {
+	add("resize_resize", opsOf(OpResize), func(g *EGraph, id ClassID, n Node) int {
 		applied := 0
 		for _, inner := range matchNodes(g, n.Kids[0]) {
 			if inner.Op == OpResize && n.Width <= inner.Width {
@@ -167,14 +98,14 @@ func ruleLibrary() []Rule {
 
 	// --- commutativity / associativity --------------------------------
 
-	add("commute", GroupArith, commutativeOps, func(g *EGraph, id ClassID, n Node) int {
+	add("commute", commutativeOps, func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a == b {
 			return 0
 		}
 		return unionWith(g, id, bin(n.Op, n.Width, b, a))
 	})
-	add("associate", GroupArith, associativeOps, func(g *EGraph, id ClassID, n Node) int {
+	add("associate", associativeOps, func(g *EGraph, id ClassID, n Node) int {
 		// (x ∘ y) ∘ z  ->  x ∘ (y ∘ z)
 		applied := 0
 		a, z := binKids(g, n)
@@ -193,7 +124,7 @@ func ruleLibrary() []Rule {
 
 	// a*b + a*c -> a*(b+c), checking every operand pairing (the shared
 	// factor may sit on either side of either multiply).
-	add("distrib_factor", GroupArith, opsOf(OpAdd), func(g *EGraph, id ClassID, n Node) int {
+	add("distrib_factor", opsOf(OpAdd), func(g *EGraph, id ClassID, n Node) int {
 		l, r := binKids(g, n)
 		applied := 0
 		for _, ln := range matchNodes(g, l) {
@@ -222,7 +153,7 @@ func ruleLibrary() []Rule {
 	})
 	// a*(b+c) -> a*b + a*c (the expansion direction feeds further
 	// factorings; extraction keeps whichever form is cheaper).
-	add("distrib_expand", GroupArith, opsOf(OpMul), func(g *EGraph, id ClassID, n Node) int {
+	add("distrib_expand", opsOf(OpMul), func(g *EGraph, id ClassID, n Node) int {
 		a, s := binKids(g, n)
 		applied := 0
 		expand := func(a, s ClassID) {
@@ -243,7 +174,7 @@ func ruleLibrary() []Rule {
 		return applied
 	})
 	// x - x -> 0.
-	add("sub_self", GroupArith, opsOf(OpSub), func(g *EGraph, id ClassID, n Node) int {
+	add("sub_self", opsOf(OpSub), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
@@ -254,13 +185,13 @@ func ruleLibrary() []Rule {
 		return 0
 	})
 	// x - y -> x + (-y): bridges sub into the add/mul rule space.
-	add("sub_to_add", GroupArith, opsOf(OpSub), func(g *EGraph, id ClassID, n Node) int {
+	add("sub_to_add", opsOf(OpSub), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		nb := g.Add(un(OpNeg, n.Width, b))
 		return unionWith(g, id, bin(OpAdd, n.Width, a, nb))
 	})
 	// x + 0 -> x, x - 0 -> x, x * 1 -> x, x * 0 -> 0.
-	add("arith_identity", GroupArith, opsOf(OpAdd, OpSub, OpMul), func(g *EGraph, id ClassID, n Node) int {
+	add("arith_identity", opsOf(OpAdd, OpSub, OpMul), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		applied := 0
 		try := func(x, c ClassID) {
@@ -291,7 +222,7 @@ func ruleLibrary() []Rule {
 	})
 	// x + x -> x * 2 (which mul_to_shl turns into x << 1; at width 1 the
 	// doubling wraps to zero).
-	add("add_self", GroupArith, opsOf(OpAdd), func(g *EGraph, id ClassID, n Node) int {
+	add("add_self", opsOf(OpAdd), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
@@ -306,7 +237,7 @@ func ruleLibrary() []Rule {
 		return unionWith(g, id, bin(OpMul, n.Width, a, two))
 	})
 	// -(-x) -> x.
-	add("neg_neg", GroupArith, opsOf(OpNeg), func(g *EGraph, id ClassID, n Node) int {
+	add("neg_neg", opsOf(OpNeg), func(g *EGraph, id ClassID, n Node) int {
 		applied := 0
 		for _, inner := range matchNodes(g, n.Kids[0]) {
 			if inner.Op == OpNeg {
@@ -321,7 +252,7 @@ func ruleLibrary() []Rule {
 	// --- bitwise -------------------------------------------------------
 
 	// x&x -> x, x|x -> x, x^x -> 0, xnor(x,x) -> ~0.
-	add("bitwise_self", GroupBitwise, opsOf(OpAnd, OpOr, OpXor, OpXnor), func(g *EGraph, id ClassID, n Node) int {
+	add("bitwise_self", opsOf(OpAnd, OpOr, OpXor, OpXnor), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
@@ -343,7 +274,7 @@ func ruleLibrary() []Rule {
 		return 0
 	})
 	// x&0 -> 0, x&~0 -> x, x|0 -> x, x|~0 -> ~0, x^0 -> x.
-	add("bitwise_identity", GroupBitwise, opsOf(OpAnd, OpOr, OpXor), func(g *EGraph, id ClassID, n Node) int {
+	add("bitwise_identity", opsOf(OpAnd, OpOr, OpXor), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		applied := 0
 		try := func(x, c ClassID) {
@@ -376,7 +307,7 @@ func ruleLibrary() []Rule {
 		return applied
 	})
 	// ~~x -> x.
-	add("not_not", GroupBitwise, opsOf(OpNot), func(g *EGraph, id ClassID, n Node) int {
+	add("not_not", opsOf(OpNot), func(g *EGraph, id ClassID, n Node) int {
 		applied := 0
 		for _, inner := range matchNodes(g, n.Kids[0]) {
 			if inner.Op == OpNot {
@@ -388,7 +319,7 @@ func ruleLibrary() []Rule {
 		return applied
 	})
 	// xnor(a,b) -> ~(a^b): lets an xnor share an existing xor.
-	add("xnor_not_xor", GroupBitwise, opsOf(OpXnor), func(g *EGraph, id ClassID, n Node) int {
+	add("xnor_not_xor", opsOf(OpXnor), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		x := g.Add(bin(OpXor, n.Width, a, b))
 		return unionWith(g, id, un(OpNot, n.Width, x))
@@ -397,7 +328,7 @@ func ruleLibrary() []Rule {
 	// --- shifts --------------------------------------------------------
 
 	// x << 0 -> x, x >> 0 -> x; x << k -> 0 and x >> k -> 0 for k >= w.
-	add("shift_const", GroupShift, opsOf(OpShl, OpShr), func(g *EGraph, id ClassID, n Node) int {
+	add("shift_const", opsOf(OpShl, OpShr), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		k, ok := g.constOf(b)
 		if !ok {
@@ -417,7 +348,7 @@ func ruleLibrary() []Rule {
 	})
 	// x << k -> x * 2^k for constant 0 < k < w (2^k is representable at
 	// width w exactly when k < w).
-	add("shl_to_mul", GroupShift, opsOf(OpShl), func(g *EGraph, id ClassID, n Node) int {
+	add("shl_to_mul", opsOf(OpShl), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		k, ok := g.constOf(b)
 		if !ok || k == 0 || k >= uint64(n.Width) || n.Width > 64 {
@@ -428,7 +359,7 @@ func ruleLibrary() []Rule {
 	})
 	// x * 2^k -> x << k: the power-of-two strength reduction the paper's
 	// datapath class gains most from.
-	add("mul_to_shl", GroupShift, opsOf(OpMul), func(g *EGraph, id ClassID, n Node) int {
+	add("mul_to_shl", opsOf(OpMul), func(g *EGraph, id ClassID, n Node) int {
 		if n.Width > 64 {
 			return 0
 		}
@@ -455,7 +386,7 @@ func ruleLibrary() []Rule {
 	// --- comparison canonicalization ----------------------------------
 
 	// a>b -> b<a and a>=b -> b<=a: one comparator direction per pair.
-	add("cmp_swap", GroupCmp, opsOf(OpGt, OpGe), func(g *EGraph, id ClassID, n Node) int {
+	add("cmp_swap", opsOf(OpGt, OpGe), func(g *EGraph, id ClassID, n Node) int {
 		flip := OpLt
 		if n.Op == OpGe {
 			flip = OpLe
@@ -465,7 +396,7 @@ func ruleLibrary() []Rule {
 	})
 	// a<=b -> ~(b<a) and a!=b -> ~(a==b): complements share the
 	// comparator through a 1-bit inverter.
-	add("cmp_complement", GroupCmp, opsOf(OpLe, OpNe), func(g *EGraph, id ClassID, n Node) int {
+	add("cmp_complement", opsOf(OpLe, OpNe), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		inner := bin(OpEq, n.Width, a, b)
 		if n.Op == OpLe {
@@ -475,7 +406,7 @@ func ruleLibrary() []Rule {
 	})
 	// x==x -> 1, x!=x -> 0, x<x -> 0, x<=x -> 1 (gt/ge reach these via
 	// cmp_swap).
-	add("cmp_self", GroupCmp, opsOf(OpEq, OpNe, OpLt, OpLe), func(g *EGraph, id ClassID, n Node) int {
+	add("cmp_self", opsOf(OpEq, OpNe, OpLt, OpLe), func(g *EGraph, id ClassID, n Node) int {
 		a, b := binKids(g, n)
 		if a != b {
 			return 0
@@ -492,7 +423,7 @@ func ruleLibrary() []Rule {
 
 	// --- constant folding ---------------------------------------------
 
-	add("const_fold", GroupFold, foldOps, func(g *EGraph, id ClassID, n Node) int {
+	add("const_fold", foldOps, func(g *EGraph, id ClassID, n Node) int {
 		var vals [2]uint64
 		for i, k := range n.kids() {
 			v, ok := g.constOf(k)

@@ -17,10 +17,6 @@ type DffOptions struct {
 	// VerifyConflicts bounds the SAT effort of the proof (default
 	// 200000); exhaustion rejects the sweep.
 	VerifyConflicts int64
-	// DisableVerify applies the sweep without the k-induction proof.
-	// The sweep is deterministic, so verify-on and verify-off produce
-	// byte-identical netlists whenever the proof succeeds.
-	DisableVerify bool
 }
 
 func (o DffOptions) withDefaults() DffOptions {
@@ -72,14 +68,6 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (res Result, err error) {
 	var sweep time.Duration
 	var proof cec.SeqTimes
 	defer func() { res.Stages = dffStages(sweep, proof) }()
-	if o.DisableVerify {
-		sres, err := timedSweep(m, &sweep)
-		if err != nil {
-			return res, err
-		}
-		res.Merge(sres)
-		return res, nil
-	}
 	// Verify-before-rewire: sweep a clone, prove it, then keep it.
 	work := m.Clone()
 	wres, err := timedSweep(work, &sweep)
@@ -102,10 +90,10 @@ func (p DffPass) Run(c *Ctx, m *rtlil.Module) (res Result, err error) {
 	return res, nil
 }
 
-// timedSweep is sweepDffs charging its wall time to *d.
+// timedSweep is SweepDffs charging its wall time to *d.
 func timedSweep(m *rtlil.Module, d *time.Duration) (Result, error) {
 	t := time.Now()
-	res, err := sweepDffs(m)
+	res, err := SweepDffs(m)
 	*d += time.Since(t)
 	return res, err
 }
@@ -124,10 +112,13 @@ func dffStages(sweep time.Duration, proof cec.SeqTimes) map[string]time.Duration
 	return st
 }
 
-// sweepDffs runs the three rewrite classes to a joint fixpoint and then
-// propagates freed constants. It is a pure deterministic function of
-// the module, so verify-on and verify-off runs agree.
-func sweepDffs(m *rtlil.Module) (Result, error) {
+// SweepDffs is the sweep DffPass proves, applied to m in place without
+// the proof: it runs the three rewrite classes to a joint fixpoint and
+// then propagates freed constants. It is a pure deterministic function
+// of the module, so DffPass keeps exactly what it produces on a clone
+// whenever the proof succeeds. No pass runs it unproved; it is exported
+// for checking the checker on sweeps no proof has vetted.
+func SweepDffs(m *rtlil.Module) (Result, error) {
 	res := NewResult()
 	for {
 		unused := removeUnusedDffs(m)
@@ -349,13 +340,11 @@ func init() {
 		Options: []OptionSpec{
 			{Key: "k", Kind: KindInt, Positive: true, Default: "2", Help: "induction depth of the sequential equivalence proof"},
 			{Key: "verify_conflicts", Kind: KindInt64, Positive: true, Default: "200000", Help: "SAT conflict budget for the proof; exhaustion rejects the sweep"},
-			{Key: "verify", Kind: KindBool, Default: "true", Help: "prove the sweep with the k-induction miter before applying it"},
 		},
 		Build: func(a Args) (Pass, error) {
 			return DffPass{Opts: DffOptions{
 				K:               a.Int("k", 0),
 				VerifyConflicts: a.Int64("verify_conflicts", 0),
-				DisableVerify:   !a.Bool("verify", true),
 			}}, nil
 		},
 	})

@@ -85,38 +85,31 @@ func TestDffSweep(t *testing.T) {
 }
 
 // TestDffStageTimes: the pass reports the sweep and the phases of its
-// proof by stage name, only the sweep when the proof is off, and
-// stripping the report's timings drops them while the counters stay.
+// proof by stage name, and stripping the report's timings drops them
+// while the counters stay.
 func TestDffStageTimes(t *testing.T) {
-	for _, tc := range []struct {
-		opts   DffOptions
-		stages []string
-	}{
-		{DffOptions{}, []string{"sweep", "simulate", "bmc", "refine", "induction"}},
-		{DffOptions{DisableVerify: true}, []string{"sweep"}},
-	} {
-		ec := NewCtx(nil, Config{})
-		if _, err := RunScript(ec, dffTestbench(), DffPass{Opts: tc.opts}); err != nil {
-			t.Fatal(err)
+	stages := []string{"sweep", "simulate", "bmc", "refine", "induction"}
+	ec := NewCtx(nil, Config{})
+	if _, err := RunScript(ec, dffTestbench(), DffPass{}); err != nil {
+		t.Fatal(err)
+	}
+	rep := ec.Report()
+	p := rep.Pass("opt_dff")
+	if p == nil || p.Counters["dff_removed"] == 0 {
+		t.Fatalf("opt_dff swept nothing: %+v", p)
+	}
+	for _, stage := range stages {
+		if p.Stages[stage] <= 0 {
+			t.Errorf("stage %s has no time: %v", stage, p.Stages)
 		}
-		rep := ec.Report()
-		p := rep.Pass("opt_dff")
-		if p == nil || p.Counters["dff_removed"] == 0 {
-			t.Fatalf("opt_dff swept nothing: %+v", p)
-		}
-		for _, stage := range tc.stages {
-			if p.Stages[stage] <= 0 {
-				t.Errorf("verify=%v: stage %s has no time: %v", !tc.opts.DisableVerify, stage, p.Stages)
-			}
-		}
-		if len(p.Stages) != len(tc.stages) {
-			t.Errorf("verify=%v: stages %v, want exactly %v", !tc.opts.DisableVerify, p.Stages, tc.stages)
-		}
-		counters := maps.Clone(p.Counters)
-		rep.StripTimings()
-		if p := rep.Pass("opt_dff"); p.Stages != nil || !maps.Equal(p.Counters, counters) {
-			t.Errorf("stripped report: stages %v, counters changed %v", p.Stages, !maps.Equal(p.Counters, counters))
-		}
+	}
+	if len(p.Stages) != len(stages) {
+		t.Errorf("stages %v, want exactly %v", p.Stages, stages)
+	}
+	counters := maps.Clone(p.Counters)
+	rep.StripTimings()
+	if p := rep.Pass("opt_dff"); p.Stages != nil || !maps.Equal(p.Counters, counters) {
+		t.Errorf("stripped report: stages %v, counters changed %v", p.Stages, !maps.Equal(p.Counters, counters))
 	}
 }
 
@@ -205,8 +198,9 @@ func TestDffCombinationalNoop(t *testing.T) {
 	}
 }
 
-// TestDffVerifyOnOffIdentical: the sweep is deterministic, so the
-// verified and unverified paths must produce byte-identical netlists.
+// TestDffVerifyOnOffIdentical: the sweep is deterministic, so what the
+// pass keeps once its proof succeeds is byte-identical to the unverified
+// sweep (SweepDffs) of a clone, counters included.
 func TestDffVerifyOnOffIdentical(t *testing.T) {
 	src := dffTestbench()
 	on := src.Clone()
@@ -215,21 +209,21 @@ func TestDffVerifyOnOffIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roff, err := RunScript(nil, off, DffPass{Opts: DffOptions{DisableVerify: true}})
+	roff, err := SweepDffs(off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rtlil.CanonicalHash(on) != rtlil.CanonicalHash(off) {
-		t.Fatal("verify-on and verify-off netlists differ")
+		t.Fatal("the proved and the unverified sweep's netlists differ")
 	}
 	for _, counter := range []string{"dff_const", "dff_merged", "dff_unused", "dff_removed", "dff_const_bits"} {
 		if ron.Details[counter] != roff.Details[counter] {
-			t.Errorf("%s: verify-on %d != verify-off %d",
+			t.Errorf("%s: proved %d != unverified %d",
 				counter, ron.Details[counter], roff.Details[counter])
 		}
 	}
 	if ron.Details["dff_proved"] != 1 || roff.Details["dff_proved"] != 0 {
-		t.Errorf("dff_proved on/off = %d/%d, want 1/0",
+		t.Errorf("dff_proved proved/unverified = %d/%d, want 1/0",
 			ron.Details["dff_proved"], roff.Details["dff_proved"])
 	}
 }

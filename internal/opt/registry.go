@@ -15,11 +15,6 @@ const (
 	KindInt OptionKind = iota
 	KindInt64
 	KindBool
-	// KindString accepts any bare token the script lexer produces
-	// (letters, digits and most punctuation except delimiters). Used for
-	// enumeration-style options such as rule-group selections; the pass'
-	// Build func validates the actual vocabulary.
-	KindString
 )
 
 // String names the kind as shown in error messages and docs.
@@ -31,8 +26,6 @@ func (k OptionKind) String() string {
 		return "int64"
 	case KindBool:
 		return "bool"
-	case KindString:
-		return "string"
 	}
 	return fmt.Sprintf("OptionKind(%d)", int(k))
 }
@@ -164,14 +157,6 @@ func (a Args) Bool(key string, def bool) bool {
 		if b, err := strconv.ParseBool(v); err == nil {
 			return b
 		}
-	}
-	return def
-}
-
-// Str returns the key's raw string value, or def when absent.
-func (a Args) Str(key string, def string) string {
-	if v, ok := a.m[key]; ok {
-		return v
 	}
 	return def
 }

@@ -262,6 +262,11 @@ func TestOptimizeErrors(t *testing.T) {
 		!strings.Contains(msg, "unknown option") {
 		t.Errorf("bad script: %d %q", code, msg)
 	}
+	// No script can skip a proof: "verify" is an unknown option.
+	if code, msg := post(api.OptimizeRequest{Design: designJSON, Script: "opt_egraph(verify=false)"}); code != http.StatusBadRequest ||
+		!strings.Contains(msg, `unknown option "verify"`) {
+		t.Errorf("proof switch: %d %q", code, msg)
+	}
 	if code, msg := post(api.OptimizeRequest{Design: designJSON, Flow: "full", Script: "opt_clean"}); code != http.StatusBadRequest ||
 		!strings.Contains(msg, "both") {
 		t.Errorf("flow+script: %d %q", code, msg)

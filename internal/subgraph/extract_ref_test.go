@@ -6,9 +6,8 @@ import "repro/internal/rtlil"
 // it must agree with: Extract resolves every driver and reader through
 // the Index's maps per query and orders the candidates by scanning the
 // live module, and TopoCells orders a cell set by a DFS over the live
-// ports. Graph.Extract must return the same Cells, Inputs and
-// CandidateCells as Extract, and an Order equal to TopoCells of those
-// Cells.
+// ports. Graph.Extract must return the same Cells and Inputs as
+// Extract, and an Order equal to TopoCells of those Cells.
 
 // Extract collects the sub-graph around target, keeping only logic that
 // can interact with target or with one of the known (path-condition)
@@ -79,13 +78,8 @@ func Extract(ix *rtlil.Index, target rtlil.SigBit, known []rtlil.SigBit, opt Opt
 			candidates = append(candidates, c)
 		}
 	}
-	res := &Result{CandidateCells: len(candidates)}
-
-	kept := candidates
-	if !o.DisableFilter {
-		kept = filterByConnectivity(ix, candidates, inSet, target, known)
-	}
-	res.Cells = kept
+	kept := filterByConnectivity(ix, candidates, inSet, target, known)
+	res := &Result{Cells: kept}
 
 	// Free inputs of the kept set.
 	keptSet := map[*rtlil.Cell]bool{}

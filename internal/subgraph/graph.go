@@ -262,7 +262,7 @@ func (g *Graph) putScratch(sc *scratch) {
 // Extract collects the sub-graph around target: the cells within
 // opt.Depth of the drivers of the target and the known bits (at most
 // opt.MaxCells of them), pruned to the backward cones of those bits
-// (Theorem II.1) unless opt.DisableFilter is set.
+// (Theorem II.1).
 func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) *Result {
 	o := opt.withDefaults()
 	sc := getScratch(len(g.cells), len(g.drv))
@@ -312,34 +312,30 @@ func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) 
 			sc.cand = append(sc.cand, id)
 		}
 	}
-	res := &Result{CandidateCells: len(sc.cand)}
-	if !o.DisableFilter {
-		// Theorem II.1: keep only the combined backward cones of the
-		// target and the known bits within the BFS set.
-		push := func(id int32) {
-			if id >= 0 && mark[id]&(inSet|visited) == inSet {
-				mark[id] |= visited
-				sc.stack = append(sc.stack, id)
-			}
+	// Theorem II.1: keep only the combined backward cones of the target
+	// and the known bits within the BFS set.
+	push := func(id int32) {
+		if id >= 0 && mark[id]&(inSet|visited) == inSet {
+			mark[id] |= visited
+			sc.stack = append(sc.stack, id)
 		}
-		push(g.driverOf(target))
-		for _, k := range known {
-			push(g.driverOf(k))
-		}
-		for len(sc.stack) > 0 {
-			id := sc.stack[len(sc.stack)-1]
-			sc.stack = sc.stack[:len(sc.stack)-1]
-			for _, nb := range g.fanin.of(id) {
-				push(nb)
-			}
-		}
-		sc.cand = slices.DeleteFunc(sc.cand, func(id int32) bool { return mark[id]&visited == 0 })
 	}
-	keptIDs := sc.cand
+	push(g.driverOf(target))
+	for _, k := range known {
+		push(g.driverOf(k))
+	}
+	for len(sc.stack) > 0 {
+		id := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		for _, nb := range g.fanin.of(id) {
+			push(nb)
+		}
+	}
+	keptIDs := slices.DeleteFunc(sc.cand, func(id int32) bool { return mark[id]&visited == 0 })
 	slices.Sort(keptIDs)
 
 	n := len(keptIDs)
-	res.IDs = slices.Clone(keptIDs)
+	res := &Result{IDs: slices.Clone(keptIDs)}
 	cells := make([]*rtlil.Cell, 2*n)
 	res.Cells, res.Order = cells[:n:n], cells[n:n]
 	for i, id := range keptIDs {

@@ -25,9 +25,6 @@ type Options struct {
 	Depth int
 	// MaxCells caps the candidate set before filtering (default 300).
 	MaxCells int
-	// DisableFilter turns the Theorem II.1 pruning off (for the
-	// ablation benchmark).
-	DisableFilter bool
 }
 
 func (o Options) withDefaults() Options {
@@ -51,7 +48,4 @@ type Result struct {
 	// Inputs are the free bits of the sub-graph: bits read by kept
 	// cells but not driven inside it (canonical form).
 	Inputs []rtlil.SigBit
-	// CandidateCells is the pre-filter cell count (for statistics and
-	// the ablation study).
-	CandidateCells int
 }

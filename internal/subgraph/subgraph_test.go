@@ -24,8 +24,8 @@ func TestFilterDismissesUnrelatedLogic(t *testing.T) {
 
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(orSR[0], []rtlil.SigBit{s[0]}, Options{Depth: 10})
-	if res.CandidateCells < 1 {
-		t.Fatalf("no candidates found")
+	if len(res.Cells) < 1 {
+		t.Fatalf("no cells kept")
 	}
 	for _, c := range res.Cells {
 		out := c.Port("Y")
@@ -81,6 +81,8 @@ func TestFilterKeepsCommonAncestor(t *testing.T) {
 
 func TestDepthBound(t *testing.T) {
 	// A long inverter chain: with depth 2 only nearby cells collected.
+	// Every cell of the chain is in the target's backward cone, so the
+	// filter keeps every cell the BFS collects.
 	m := rtlil.NewModule("m")
 	cur := m.AddInput("a", 1).Bits()
 	for i := 0; i < 10; i++ {
@@ -90,12 +92,12 @@ func TestDepthBound(t *testing.T) {
 	m.Connect(y.Bits(), cur)
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(cur[0], nil, Options{Depth: 2})
-	if res.CandidateCells > 3 {
-		t.Errorf("depth 2 collected %d cells", res.CandidateCells)
+	if len(res.Cells) > 3 {
+		t.Errorf("depth 2 collected %d cells", len(res.Cells))
 	}
 	resAll := NewGraph(ix).Extract(cur[0], nil, Options{Depth: 100})
-	if resAll.CandidateCells != 10 {
-		t.Errorf("unbounded depth collected %d cells, want 10", resAll.CandidateCells)
+	if len(resAll.Cells) != 10 {
+		t.Errorf("unbounded depth collected %d cells, want 10", len(resAll.Cells))
 	}
 }
 
@@ -109,8 +111,8 @@ func TestMaxCellsCap(t *testing.T) {
 	m.Connect(y.Bits(), acc)
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(acc[0], nil, Options{Depth: 100, MaxCells: 5})
-	if res.CandidateCells > 5 {
-		t.Errorf("cap exceeded: %d cells", res.CandidateCells)
+	if len(res.Cells) > 5 {
+		t.Errorf("cap exceeded: %d cells", len(res.Cells))
 	}
 }
 
@@ -190,8 +192,10 @@ func TestFilterReductionOnRandomDAGs(t *testing.T) {
 		y := m.AddOutput("y", 1)
 		m.Connect(y.Bits(), join)
 		ix := rtlil.NewIndex(m)
+		// Depth 50 and the default cap reach every cell of these modules,
+		// so the candidate set before the filter is the whole module.
 		res := NewGraph(ix).Extract(tg[0], []rtlil.SigBit{s[0]}, Options{Depth: 50})
-		totalCand += res.CandidateCells
+		totalCand += len(m.Cells())
 		totalKept += len(res.Cells)
 	}
 	if totalKept*10 > totalCand*6 {
