@@ -6,13 +6,21 @@ import "repro/internal/rtlil"
 // it must agree with: Extract resolves every driver and reader through
 // the Index's maps per query and orders the candidates by scanning the
 // live module, and TopoCells orders a cell set by a DFS over the live
-// ports. Graph.Extract must return the same Cells and Inputs as
-// Extract, and an Order equal to TopoCells of those Cells.
+// ports. Graph.Extract must keep the same cells (its IDs, in module
+// order) and Inputs as Extract, and return an Order equal to TopoCells
+// of those cells.
+
+// refResult is the reference Extract's sub-graph.
+type refResult struct {
+	// Cells are the kept combinational cells, in module cell order.
+	Cells  []*rtlil.Cell
+	Inputs []rtlil.SigBit
+}
 
 // Extract collects the sub-graph around target, keeping only logic that
 // can interact with target or with one of the known (path-condition)
 // bits.
-func Extract(ix *rtlil.Index, target rtlil.SigBit, known []rtlil.SigBit, opt Options) *Result {
+func Extract(ix *rtlil.Index, target rtlil.SigBit, known []rtlil.SigBit, opt Options) *refResult {
 	o := opt.withDefaults()
 
 	// Phase 1: undirected BFS from the target's driver up to depth k.
@@ -79,7 +87,7 @@ func Extract(ix *rtlil.Index, target rtlil.SigBit, known []rtlil.SigBit, opt Opt
 		}
 	}
 	kept := filterByConnectivity(ix, candidates, inSet, target, known)
-	res := &Result{Cells: kept}
+	res := &refResult{Cells: kept}
 
 	// Free inputs of the kept set.
 	keptSet := map[*rtlil.Cell]bool{}

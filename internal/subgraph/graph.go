@@ -334,13 +334,9 @@ func (g *Graph) Extract(target rtlil.SigBit, known []rtlil.SigBit, opt Options) 
 	keptIDs := slices.DeleteFunc(sc.cand, func(id int32) bool { return mark[id]&visited == 0 })
 	slices.Sort(keptIDs)
 
-	n := len(keptIDs)
-	res := &Result{IDs: slices.Clone(keptIDs)}
-	cells := make([]*rtlil.Cell, 2*n)
-	res.Cells, res.Order = cells[:n:n], cells[n:n]
-	for i, id := range keptIDs {
+	res := &Result{IDs: slices.Clone(keptIDs), Order: make([]*rtlil.Cell, 0, len(keptIDs))}
+	for _, id := range keptIDs {
 		mark[id] |= kept
-		res.Cells[i] = g.cells[id]
 	}
 	for _, id := range keptIDs {
 		res.Order = g.topo(mark, id, res.Order)

@@ -39,11 +39,11 @@ func (o Options) withDefaults() Options {
 
 // Result is an extracted sub-graph.
 type Result struct {
-	// Cells are the kept combinational cells, in module cell order.
-	Cells []*rtlil.Cell
-	// IDs are the Graph ids of Cells (ascending).
+	// IDs are the Graph ids of the kept combinational cells, ascending
+	// (module cell order).
 	IDs []int32
-	// Order holds Cells in topological order, drivers before readers.
+	// Order holds the kept cells in topological order, drivers before
+	// readers.
 	Order []*rtlil.Cell
 	// Inputs are the free bits of the sub-graph: bits read by kept
 	// cells but not driven inside it (canonical form).

@@ -24,10 +24,10 @@ func TestFilterDismissesUnrelatedLogic(t *testing.T) {
 
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(orSR[0], []rtlil.SigBit{s[0]}, Options{Depth: 10})
-	if len(res.Cells) < 1 {
+	if len(res.Order) < 1 {
 		t.Fatalf("no cells kept")
 	}
-	for _, c := range res.Cells {
+	for _, c := range res.Order {
 		out := c.Port("Y")
 		if out.Equal(side) || out.Equal(side2) {
 			t.Errorf("unrelated cell %s kept", c.Name)
@@ -35,7 +35,7 @@ func TestFilterDismissesUnrelatedLogic(t *testing.T) {
 	}
 	// The OR driving the target must be kept.
 	found := false
-	for _, c := range res.Cells {
+	for _, c := range res.Order {
 		if c.Port("Y").Equal(orSR) {
 			found = true
 		}
@@ -61,7 +61,7 @@ func TestFilterKeepsCommonAncestor(t *testing.T) {
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(tg[0], []rtlil.SigBit{k[0]}, Options{Depth: 10})
 	keptOr, keptAnd, keptIsland := false, false, false
-	for _, c := range res.Cells {
+	for _, c := range res.Order {
 		switch {
 		case c.Port("Y").Equal(tg):
 			keptOr = true
@@ -92,12 +92,12 @@ func TestDepthBound(t *testing.T) {
 	m.Connect(y.Bits(), cur)
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(cur[0], nil, Options{Depth: 2})
-	if len(res.Cells) > 3 {
-		t.Errorf("depth 2 collected %d cells", len(res.Cells))
+	if len(res.Order) > 3 {
+		t.Errorf("depth 2 collected %d cells", len(res.Order))
 	}
 	resAll := NewGraph(ix).Extract(cur[0], nil, Options{Depth: 100})
-	if len(resAll.Cells) != 10 {
-		t.Errorf("unbounded depth collected %d cells, want 10", len(resAll.Cells))
+	if len(resAll.Order) != 10 {
+		t.Errorf("unbounded depth collected %d cells, want 10", len(resAll.Order))
 	}
 }
 
@@ -111,8 +111,8 @@ func TestMaxCellsCap(t *testing.T) {
 	m.Connect(y.Bits(), acc)
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(acc[0], nil, Options{Depth: 100, MaxCells: 5})
-	if len(res.Cells) > 5 {
-		t.Errorf("cap exceeded: %d cells", len(res.Cells))
+	if len(res.Order) > 5 {
+		t.Errorf("cap exceeded: %d cells", len(res.Order))
 	}
 }
 
@@ -147,7 +147,7 @@ func TestSequentialExcluded(t *testing.T) {
 	m.Connect(y.Bits(), g)
 	ix := rtlil.NewIndex(m)
 	res := NewGraph(ix).Extract(g[0], nil, Options{Depth: 10})
-	for _, c := range res.Cells {
+	for _, c := range res.Order {
 		if rtlil.IsSequential(c.Type) {
 			t.Error("sequential cell in sub-graph")
 		}
@@ -196,7 +196,7 @@ func TestFilterReductionOnRandomDAGs(t *testing.T) {
 		// so the candidate set before the filter is the whole module.
 		res := NewGraph(ix).Extract(tg[0], []rtlil.SigBit{s[0]}, Options{Depth: 50})
 		totalCand += len(m.Cells())
-		totalKept += len(res.Cells)
+		totalKept += len(res.Order)
 	}
 	if totalKept*10 > totalCand*6 {
 		t.Errorf("filter kept %d of %d cells (>60%%)", totalKept, totalCand)

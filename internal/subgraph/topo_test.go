@@ -31,13 +31,15 @@ func buildCmpCone(prefix string, k uint64) (*rtlil.Module, rtlil.SigBit) {
 func TestTopoCellsOrder(t *testing.T) {
 	m, tg := buildCmpCone("t_", 1)
 	ix := rtlil.NewIndex(m)
-	sg := NewGraph(ix).Extract(tg, nil, Options{Depth: 10})
+	g := NewGraph(ix)
+	sg := g.Extract(tg, nil, Options{Depth: 10})
 	order := sg.Order
-	if !slices.Equal(order, TopoCells(ix, sg.Cells)) {
+	cells := keptCells(g, sg)
+	if !slices.Equal(order, TopoCells(ix, cells)) {
 		t.Fatalf("Order differs from TopoCells")
 	}
-	if len(order) != len(sg.Cells) {
-		t.Fatalf("topo dropped cells: %d vs %d", len(order), len(sg.Cells))
+	if len(order) != len(cells) {
+		t.Fatalf("topo dropped cells: %d vs %d", len(order), len(cells))
 	}
 	pos := map[*rtlil.Cell]int{}
 	for i, c := range order {
