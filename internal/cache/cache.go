@@ -154,6 +154,20 @@ func New(maxBytes int64, dir string) (*Cache, error) {
 // the shared remote tier (when attached) last. A remote refill lands in
 // both local tiers so the next lookup is local.
 func (c *Cache) Get(id string) ([]byte, bool) {
+	if val, ok := c.Probe(id); ok {
+		return val, true
+	}
+	c.mu.Lock()
+	c.stats.Misses++
+	c.mu.Unlock()
+	return nil, false
+}
+
+// Probe is Get without counting a miss: a hit is counted in its tier,
+// a miss in nothing. It serves callers that answer a miss by falling
+// back to Do, whose own lookup then counts it, so one request never
+// counts two misses.
+func (c *Cache) Probe(id string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.byID[id]; ok {
 		c.lru.MoveToFront(el)
@@ -188,10 +202,6 @@ func (c *Cache) Get(id string) ([]byte, bool) {
 			return val, true
 		}
 	}
-
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
 	return nil, false
 }
 

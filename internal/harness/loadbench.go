@@ -50,6 +50,21 @@ type LoadBench struct {
 	// /healthz after the run: histogram-estimated percentiles over the
 	// same requests the "all" class measured from the client side.
 	ServerSync api.LatencySummary `json:"server_sync"`
+	// Stages splits ServerSync by request stage, in api.RequestStages
+	// order: a warm request skips parse, validate and hash, which is
+	// where its time went before.
+	Stages []LoadStage `json:"stages"`
+}
+
+// LoadStage is the daemon's digest of one request stage over the run:
+// how many requests ran it, the histogram-estimated p50/p99 and the
+// exact sum.
+type LoadStage struct {
+	Stage string  `json:"stage"`
+	Count uint64  `json:"count"`
+	P50MS float64 `json:"p50_ms"`
+	P99MS float64 `json:"p99_ms"`
+	SumMS float64 `json:"sum_ms"`
 }
 
 // LoadClass is one workload class's client-side latency digest.
@@ -220,7 +235,26 @@ func RunLoadBench(caseName string, clients int, flow string, scale float64, roun
 		return out, fmt.Errorf("harness: /healthz has no metrics summary")
 	}
 	out.ServerSync = health.Metrics.OptimizeSync
+	for _, name := range api.RequestStages {
+		st, ok := health.Metrics.Stages[name]
+		if !ok {
+			return out, fmt.Errorf("harness: /healthz has no %q stage", name)
+		}
+		out.Stages = append(out.Stages, LoadStage{
+			Stage: name, Count: st.Count, P50MS: st.P50MS, P99MS: st.P99MS, SumMS: st.SumMS,
+		})
+	}
 	return out, nil
+}
+
+// Stage returns the named stage digest (nil when absent).
+func (b LoadBench) Stage(name string) *LoadStage {
+	for i := range b.Stages {
+		if b.Stages[i].Stage == name {
+			return &b.Stages[i]
+		}
+	}
+	return nil
 }
 
 // digestClass sorts one class's samples and reads the percentiles the
@@ -268,5 +302,8 @@ func (b LoadBench) String() string {
 	}
 	fmt.Fprintf(&sb, "  server optimize_sync: n=%d p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",
 		b.ServerSync.Count, b.ServerSync.P50MS, b.ServerSync.P95MS, b.ServerSync.P99MS, b.ServerSync.MaxMS)
+	for _, st := range b.Stages {
+		fmt.Fprintf(&sb, "    stage %-8s n=%-4d p50 %8.3fms  p99 %8.3fms\n", st.Stage, st.Count, st.P50MS, st.P99MS)
+	}
 	return sb.String()
 }

@@ -9,10 +9,11 @@ import (
 
 // TestRunLoadBench is the e2e check of the load bench AND of the
 // /metrics latency instrumentation: the daemon's histogram-estimated
-// percentiles (scraped through /healthz) must agree with the bench's
-// own sort-based client-side percentiles over the same requests —
-// within one histogram bucket growth factor upward (the documented
-// estimation bound) and the client's transport overhead downward.
+// percentiles (scraped through /healthz) must not exceed the bench's
+// own sort-based client-side percentiles over the same requests by
+// more than one histogram bucket growth factor (the documented
+// estimation bound), and the sync span must cover every stage the
+// requests ran.
 func TestRunLoadBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a server and optimizes under concurrent load")
@@ -45,30 +46,53 @@ func TestRunLoadBench(t *testing.T) {
 
 	// Cross-check: the server histogram observed exactly the requests
 	// the client measured ("all" includes the priming pair), and its
-	// percentile estimates bracket the client-side reference.
+	// percentile estimates do not overshoot the client-side reference.
 	all := b.Class("all")
 	if got, want := b.ServerSync.Count, uint64(all.Requests); got != want {
 		t.Fatalf("server histogram count %d, client measured %d", got, want)
 	}
 	growth := metrics.GrowthFactor()
 	check := func(name string, server, client float64) {
-		// Upward: a histogram quantile may overshoot the true value by
-		// one bucket growth factor (plus a little float slack). Downward:
-		// the client measures the server span plus HTTP transport, so
-		// the server value may sit well below — but not implausibly so.
+		// A histogram quantile may overshoot the true value by one
+		// bucket growth factor (plus a little float slack). Below the
+		// client there is no useful bound: a memo hit's handler takes
+		// about a millisecond while the client's transport carries the
+		// whole design both ways.
 		if server > client*growth+1 {
 			t.Errorf("%s: server %.3fms exceeds client %.3fms beyond the %.2fx bucket bound",
 				name, server, client, growth)
-		}
-		if server < client*0.2-1 {
-			t.Errorf("%s: server %.3fms implausibly far below client %.3fms",
-				name, server, client)
 		}
 	}
 	check("p50", b.ServerSync.P50MS, all.P50MS)
 	check("p95", b.ServerSync.P95MS, all.P95MS)
 	check("p99", b.ServerSync.P99MS, all.P99MS)
 	check("max", b.ServerSync.MaxMS, all.MaxMS)
+
+	// The sync span misses no stage: it starts before the body decode
+	// and ends after the response encode, so its sum covers the stage
+	// sums (equal up to float rounding). And every request either
+	// parsed or was a memo hit: each warm request resubmits the bytes
+	// the whole-mode priming request left in the memo, while cold,
+	// design-mode and priming requests parse.
+	var stageSum float64
+	for _, st := range b.Stages {
+		stageSum += st.SumMS
+	}
+	if slack := 1e-6 * float64(b.ServerSync.Count); b.ServerSync.SumMS+slack < stageSum {
+		t.Errorf("sync span sum %.6fms below the stage sums' %.6fms: the span misses a stage",
+			b.ServerSync.SumMS, stageSum)
+	}
+	parse, memo := b.Stage("parse"), b.Stage("memo")
+	if parse == nil || memo == nil {
+		t.Fatalf("stages %+v lack parse or memo", b.Stages)
+	}
+	warm := uint64(b.Class("warm").Requests)
+	if parse.Count+warm != b.ServerSync.Count {
+		t.Errorf("parse count %d + memo hits %d != sync count %d", parse.Count, warm, b.ServerSync.Count)
+	}
+	if memo.Count != warm+1 {
+		t.Errorf("memo count %d, want the %d warm requests and the whole-mode priming request", memo.Count, warm)
+	}
 
 	if !strings.Contains(b.String(), "req/s") || !strings.Contains(b.String(), "optimize_sync") {
 		t.Errorf("String() = %q", b.String())

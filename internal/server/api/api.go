@@ -211,14 +211,21 @@ type StoreStats struct {
 
 // LatencySummary digests one latency histogram for /healthz. The full
 // bucket detail is on GET /metrics; percentiles here are histogram
-// estimates (within one bucket growth factor of exact).
+// estimates (within one bucket growth factor of exact). SumMS is the
+// exact sum of the observations (the histogram's _sum).
 type LatencySummary struct {
 	Count uint64  `json:"count"`
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
 	MaxMS float64 `json:"max_ms"`
+	SumMS float64 `json:"sum_ms"`
 }
+
+// RequestStages names the stages of a sync optimize request, the keys
+// of MetricsSummary.Stages, in the order a request that parses runs
+// them.
+var RequestStages = [...]string{"decode", "memo", "parse", "validate", "hash", "queue", "serve", "encode"}
 
 // MetricsSummary is the /healthz digest of the daemon's /metrics
 // instruments.
@@ -226,14 +233,22 @@ type MetricsSummary struct {
 	// Requests counts every HTTP request served since startup.
 	Requests uint64 `json:"requests"`
 	// OptimizeSync summarizes successful synchronous optimize requests
-	// from the start of the handler to just before the response write
-	// (body decode, ReadJSON, Validate, HashDesign, run-slot wait, serve
-	// and the response encode); OptimizeAsync the run span of async jobs
-	// (background start to terminal state); QueueWait the run-slot wait
-	// of admitted requests.
-	OptimizeSync  LatencySummary `json:"optimize_sync"`
-	OptimizeAsync LatencySummary `json:"optimize_async"`
-	QueueWait     LatencySummary `json:"queue_wait"`
+	// from the start of the handler to just before the response write;
+	// OptimizeAsync the run span of async jobs (background start to
+	// terminal state); QueueWait the run-slot wait of admitted requests.
+	OptimizeSync LatencySummary `json:"optimize_sync"`
+	// Stages splits OptimizeSync by stage: "decode" (request body),
+	// "memo" (exact-bytes digest and memo), "parse" (ReadJSON),
+	// "validate", "hash" (HashDesign and cache key), "queue" (admission
+	// and run-slot wait), "serve" (cache or flow run) and "encode"
+	// (response body). Each successful sync request observes the stages
+	// it ran, which sum to its OptimizeSync observation. A memo hit skips
+	// parse, validate and hash, so "memo" counts the requests that
+	// consulted the memo and "parse" those that parsed: on a workload
+	// of whole-mode resubmissions, parse counts the memo misses.
+	Stages        map[string]LatencySummary `json:"stages,omitempty"`
+	OptimizeAsync LatencySummary            `json:"optimize_async"`
+	QueueWait     LatencySummary            `json:"queue_wait"`
 	// SSESubscribers is the number of currently connected events
 	// streams.
 	SSESubscribers int64 `json:"sse_subscribers"`

@@ -301,7 +301,10 @@ func TestDesignModeCancelLeavesCacheUsable(t *testing.T) {
 
 // TestCorruptCachedPayloadFailsSoft plants undecodable bytes under both
 // a whole-design key and a module key; the server must evict and
-// recompute (a slow miss), not fail the request.
+// recompute (a slow miss), not fail the request. A whole-mode
+// resubmission meets the poisoned entry on either path: through the
+// memo (the exact bytes of the priming request) or not (the same
+// design re-indented), and both count the same lookups.
 func TestCorruptCachedPayloadFailsSoft(t *testing.T) {
 	designJSON, _ := genDesignJSON(t, 2, 3)
 	s, ts := newTestServer(t, Config{})
@@ -311,16 +314,41 @@ func TestCorruptCachedPayloadFailsSoft(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("priming whole: status %d", code)
 	}
-	s.Cache().Put(whole.Key, []byte("not json"))
-	resp, code := postOptimize(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys"})
-	if code != http.StatusOK {
-		t.Fatalf("whole mode with poisoned entry: status %d, want 200", code)
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, designJSON, "", "\t"); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Cache != "miss" {
-		t.Errorf("poisoned whole entry served as %q, want miss (recomputed)", resp.Cache)
+	var deltas []cache.Stats
+	for _, c := range []struct {
+		path   string
+		design []byte
+	}{{"slow", spaced.Bytes()}, {"fast", designJSON}} {
+		s.Cache().Put(whole.Key, []byte("not json"))
+		before := s.Cache().Stats()
+		code, body := postRaw(t, s.Handler(), rawBody(c.design, `"flow":"yosys"`))
+		if code != http.StatusOK {
+			t.Fatalf("%s path, whole mode with poisoned entry: status %d (%s), want 200", c.path, code, body)
+		}
+		after := s.Cache().Stats()
+		var resp api.OptimizeResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cache != "miss" {
+			t.Errorf("%s path: poisoned whole entry served as %q, want miss (recomputed)", c.path, resp.Cache)
+		}
+		if !bytes.Equal(resp.Design, whole.Design) {
+			t.Errorf("%s path: recomputed whole-design bytes differ", c.path)
+		}
+		deltas = append(deltas, cache.Stats{
+			Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses, Puts: after.Puts - before.Puts,
+		})
 	}
-	if !bytes.Equal(compactJSON(t, resp.Design), compactJSON(t, whole.Design)) {
-		t.Error("recomputed whole-design bytes differ")
+	// One hit reads the poisoned entry, one miss recomputes it.
+	for i, d := range deltas {
+		if d != (cache.Stats{Hits: 1, Misses: 1, Puts: 1}) {
+			t.Errorf("%s path counted %+v, want one hit, one miss and one put", []string{"slow", "fast"}[i], d)
+		}
 	}
 
 	// Module tier: poison every module entry via the cache's own keys.
@@ -340,7 +368,7 @@ func TestCorruptCachedPayloadFailsSoft(t *testing.T) {
 		key := cache.ModuleKey{Module: smartly.Hash(m), Flow: flow.Canonical()}
 		s.Cache().Put(key.ID(), []byte("{broken"))
 	}
-	resp, code = postOptimize(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys", Mode: api.ModeDesign})
+	resp, code := postOptimize(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys", Mode: api.ModeDesign})
 	if code != http.StatusOK {
 		t.Fatalf("design mode with poisoned modules: status %d, want 200", code)
 	}

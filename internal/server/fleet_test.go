@@ -210,22 +210,17 @@ func TestDrainStopsAdmission(t *testing.T) {
 // as the 503 that makes a healthy server look unavailable; server
 // shutdown keeps mapping to 503.
 func TestClientGoneMapsTo499(t *testing.T) {
-	designJSON := testDesignJSON(t, "../../testdata/fig3.v")
 	s := New(Config{Jobs: 1})
 	defer s.Close()
 	s.sem <- struct{}{} // occupy the only run slot
 	defer func() { <-s.sem }()
 
-	pr, err := s.validateRequest(api.OptimizeRequest{Design: designJSON, Flow: "yosys"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
-	_, err = s.execute(ctx, pr)
+	_, err := s.runSlot(ctx)
 	var gone errClientGone
 	if !errors.As(err, &gone) {
-		t.Fatalf("execute returned %v, want errClientGone", err)
+		t.Fatalf("runSlot returned %v, want errClientGone", err)
 	}
 	if got := errStatus(err); got != statusClientClosedRequest {
 		t.Errorf("errStatus = %d, want 499", got)

@@ -429,7 +429,7 @@ func (s *Server) runJob(j *job, pr *request, request json.RawMessage, release fu
 			return
 		}
 		s.jobs.setState(j, api.JobRunning, "", nil, request)
-		resp, err := s.serve(pr)
+		resp, _, err := s.serve(pr)
 		// The async histogram observes the run span of every completed
 		// job — slot wait included, failures included: an async caller's
 		// Wait experiences the whole span either way, unlike the sync
@@ -468,7 +468,7 @@ func (s *Server) recoverJobs() {
 			s.jobs.setState(j, api.JobFailed, fmt.Sprintf("recovery: damaged request record: %v", err), nil, nil)
 			continue
 		}
-		pr, err := s.validateRequest(req)
+		pr, err := s.validateRequest(req, nil)
 		if err != nil {
 			s.jobs.setState(j, api.JobFailed, "recovery: "+err.Error(), nil, nil)
 			continue

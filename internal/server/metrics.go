@@ -11,9 +11,10 @@ import (
 )
 
 // The metrics facility instruments the serving path end to end:
-// request counts by endpoint and status, sync/async optimize latency
-// and queue-wait histograms, job lifecycle transitions, cache tier
-// outcomes, job-store GC work and live SSE subscriber counts — all
+// request counts by endpoint and status, sync/async optimize latency,
+// the stages of a sync optimize and queue-wait histograms, job
+// lifecycle transitions, cache tier outcomes, job-store GC work and
+// live SSE subscriber counts — all
 // exposed on GET /metrics in the Prometheus text format and summarized
 // (latency percentiles, store usage) in /healthz. Counters that mirror
 // an externally maintained source (the cache's stats, the job store's
@@ -30,13 +31,15 @@ type serverMetrics struct {
 	requests metrics.Counter
 
 	// optSync observes successful synchronous optimize requests from
-	// the top of handleOptimize to just before the response write: body
-	// decode, ReadJSON, Validate, HashDesign, admission, run-slot wait,
-	// serve and the response encode. Only the write itself and the
-	// HTTP transport are outside it. optAsync observes an async job's run span: from its background
-	// goroutine starting (queued, holding an admission slot) to its
-	// terminal state.
+	// the top of handleOptimize to just before the response write; the
+	// write itself and the HTTP transport are outside it. stages splits
+	// the same span: each successful sync request observes every stage
+	// it ran, and those stages sum to its optSync observation. optAsync
+	// observes an async job's run span: from its background goroutine
+	// starting (queued, holding an admission slot) to its terminal
+	// state.
 	optSync  *metrics.Histogram
+	stages   [numStages]*metrics.Histogram
 	optAsync *metrics.Histogram
 	// queueWait observes the time an admitted request (sync or async)
 	// waited for a run slot.
@@ -51,6 +54,7 @@ type serverMetrics struct {
 const (
 	mRequests       = "smartlyd_requests_total"
 	mOptimize       = "smartlyd_optimize_seconds"
+	mStage          = "smartlyd_request_stage_seconds"
 	mQueueWait      = "smartlyd_queue_wait_seconds"
 	mJobTransitions = "smartlyd_job_transitions_total"
 	mJobs           = "smartlyd_jobs"
@@ -74,7 +78,7 @@ func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
 		optSync: reg.Histogram(mOptimize,
-			"successful sync optimize requests, from the start of the handler to just before the response write: body decode, ReadJSON, Validate, HashDesign, run-slot wait, serve and response encode",
+			"successful sync optimize requests, from the start of the handler to just before the response write: the sum of the stages in smartlyd_request_stage_seconds that the request ran",
 			metrics.Labels{"kind": "sync"}),
 		optAsync: reg.Histogram(mOptimize, "",
 			metrics.Labels{"kind": "async"}),
@@ -82,7 +86,66 @@ func newServerMetrics() *serverMetrics {
 			"time admitted requests waited for a run slot", nil),
 		sse: reg.Gauge(mSSE, "currently connected events subscribers", nil),
 	}
+	for i, name := range api.RequestStages {
+		help := ""
+		if i == 0 {
+			help = "stages of successful sync optimize requests, each observed once per request that ran it: decode (request body), memo (exact-bytes digest and memo), parse (ReadJSON), validate, hash (HashDesign and cache key), queue (admission and run-slot wait), serve (cache or flow run) and encode (response body)"
+		}
+		m.stages[i] = reg.Histogram(mStage, help, metrics.Labels{"stage": name})
+	}
 	return m
+}
+
+// Stages of a sync optimize request, indexing api.RequestStages. A memo
+// hit runs decode, memo, queue, serve and encode; a fast path that
+// falls back runs queue and serve twice, and its stage observations
+// sum both visits.
+const (
+	stageDecode   = iota // request body decode
+	stageMemo            // exact-bytes digest, memo lookup and fill
+	stageParse           // flow resolution and rtlil.ReadJSON
+	stageValidate        // Module.Validate of every module
+	stageHash            // HashDesign and the cache key
+	stageQueue           // admission and run-slot wait
+	stageServe           // cache tiers, coalescing or the flow run
+	stageEncode          // response body
+	numStages     = len(api.RequestStages)
+)
+
+// stageClock splits one sync optimize request into consecutive stages:
+// each lap charges the time since the previous lap to a stage, so the
+// stages a request ran sum exactly to its span. A nil clock ignores
+// laps (job recovery validates requests outside any handler).
+type stageClock struct {
+	start, last time.Time
+	spent       [numStages]time.Duration
+	ran         [numStages]bool
+}
+
+func newStageClock() *stageClock {
+	now := time.Now()
+	return &stageClock{start: now, last: now}
+}
+
+func (c *stageClock) lap(stage int) {
+	if c == nil {
+		return
+	}
+	now := time.Now()
+	c.spent[stage] += now.Sub(c.last)
+	c.ran[stage] = true
+	c.last = now
+}
+
+// observeSync records one successful sync optimize: each stage it ran,
+// then its span, which those stages sum to.
+func (m *serverMetrics) observeSync(c *stageClock) {
+	for i, ran := range c.ran {
+		if ran {
+			m.stages[i].Observe(c.spent[i])
+		}
+	}
+	m.optSync.Observe(c.last.Sub(c.start))
 }
 
 // request records one served HTTP request.
@@ -168,9 +231,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // metricsSummary digests the instrument set for /healthz.
 func (s *Server) metricsSummary() *api.MetricsSummary {
 	m := s.metrics
+	stages := make(map[string]api.LatencySummary, numStages)
+	for i, name := range api.RequestStages {
+		stages[name] = latencySummary(m.stages[i])
+	}
 	return &api.MetricsSummary{
 		Requests:       m.requests.Value(),
 		OptimizeSync:   latencySummary(m.optSync),
+		Stages:         stages,
 		OptimizeAsync:  latencySummary(m.optAsync),
 		QueueWait:      latencySummary(m.queueWait),
 		SSESubscribers: m.sse.Value(),
@@ -185,6 +253,7 @@ func latencySummary(h *metrics.Histogram) api.LatencySummary {
 		P95MS: toMillis(sn.P95),
 		P99MS: toMillis(sn.P99),
 		MaxMS: toMillis(sn.Max),
+		SumMS: toMillis(sn.Sum),
 	}
 }
 

@@ -81,6 +81,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		`smartlyd_optimize_seconds_count{kind="sync"} 2`,
 		`smartlyd_optimize_seconds_count{kind="async"} 1`,
 		`smartlyd_optimize_seconds_bucket{kind="sync",le="+Inf"} 2`,
+		// The hit resubmits the miss's exact bytes: a memo hit, which
+		// skips parse, validate and hash.
+		"# TYPE smartlyd_request_stage_seconds histogram",
+		`smartlyd_request_stage_seconds_count{stage="decode"} 2`,
+		`smartlyd_request_stage_seconds_count{stage="memo"} 2`,
+		`smartlyd_request_stage_seconds_count{stage="parse"} 1`,
+		`smartlyd_request_stage_seconds_count{stage="validate"} 1`,
+		`smartlyd_request_stage_seconds_count{stage="hash"} 1`,
+		`smartlyd_request_stage_seconds_count{stage="queue"} 2`,
+		`smartlyd_request_stage_seconds_count{stage="serve"} 2`,
+		`smartlyd_request_stage_seconds_count{stage="encode"} 2`,
 		"# TYPE smartlyd_queue_wait_seconds histogram",
 		"smartlyd_queue_wait_seconds_count 3",
 		`smartlyd_job_transitions_total{state="queued"} 1`,

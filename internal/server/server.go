@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,6 +94,9 @@ type Server struct {
 
 	jobs    jobStore
 	metrics *serverMetrics
+	// memo maps the exact bytes of accepted sync whole-mode requests to
+	// their cache keys (see memo.go).
+	memo keyMemo
 
 	// gcDone closes when the background job-store GC goroutine (if
 	// configured) has exited; Close waits for nothing — the goroutine
@@ -228,20 +233,19 @@ type request struct {
 	progress func(api.JobEvent)
 }
 
-// parseRequest decodes and validates an optimize request body.
-func (s *Server) parseRequest(r *http.Request) (*request, error) {
-	var req api.OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request body: %w", err)
+// resolveMode is the request's cache granularity: its own, or the
+// server default.
+func (s *Server) resolveMode(req api.OptimizeRequest) string {
+	if req.Mode == "" {
+		return s.cfg.DefaultMode
 	}
-	return s.validateRequest(req)
+	return req.Mode
 }
 
-// validateRequest validates a decoded optimize request. Split from
-// parseRequest so job recovery can re-validate persisted request
-// records through the same path.
-func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
+// validateRequest validates a decoded optimize request. Job recovery
+// re-validates persisted request records through it too; clk, nil
+// there, times the parse, validate and hash stages of a sync request.
+func (s *Server) validateRequest(req api.OptimizeRequest, clk *stageClock) (*request, error) {
 	if len(req.Design) == 0 || string(req.Design) == "null" {
 		return nil, fmt.Errorf("request has no design")
 	}
@@ -261,10 +265,7 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = s.cfg.DefaultMode
-	}
+	mode := s.resolveMode(req)
 	if mode != api.ModeWhole && mode != api.ModeDesign {
 		return nil, fmt.Errorf("unknown mode %q (want %q or %q)", req.Mode, api.ModeWhole, api.ModeDesign)
 	}
@@ -273,6 +274,7 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 	if err != nil {
 		return nil, err
 	}
+	clk.lap(stageParse)
 	if len(design.Modules()) == 0 {
 		return nil, fmt.Errorf("design has no modules")
 	}
@@ -281,7 +283,8 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 			return nil, fmt.Errorf("invalid design: module %s: %w", m.Name, err)
 		}
 	}
-	return &request{
+	clk.lap(stageValidate)
+	pr := &request{
 		req:    req,
 		design: design,
 		flow:   flow,
@@ -291,7 +294,9 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 			Options: optionsKey(req),
 		},
 		mode: mode,
-	}, nil
+	}
+	clk.lap(stageHash)
+	return pr, nil
 }
 
 // optionsKey encodes the request options that change the cached payload.
@@ -304,12 +309,48 @@ func optionsKey(req api.OptimizeRequest) string {
 	return ""
 }
 
+// handleOptimize serves POST /v1/optimize. A sync whole-mode request
+// whose exact bytes this process already accepted takes the fast path
+// (serveMemo), which skips parse, validate and hash; every other
+// request, and a fast path that finds nothing to serve, takes the slow
+// path below. A stage clock times both for the sync histograms.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	pr, err := s.parseRequest(r)
+	clk := newStageClock()
+	var req api.OptimizeRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
+	if err := dec.Decode(&req); err != nil {
+		s.writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+		return
+	}
+	clk.lap(stageDecode)
+	mode := s.resolveMode(req)
+	memoable := !req.Async && !req.NoCache && mode == api.ModeWhole
+	var digest [sha256.Size]byte
+	if memoable {
+		digest = memoDigest(req, mode)
+		key, ok := s.memo.get(digest)
+		clk.lap(stageMemo)
+		if ok {
+			resp, reports, err := s.serveMemo(r.Context(), key, clk)
+			if err != nil {
+				s.writeError(w, errStatus(err), "%v", err)
+				return
+			}
+			if resp != nil {
+				s.writeSync(w, clk, resp, reports)
+				return
+			}
+		}
+	}
+
+	pr, err := s.validateRequest(req, clk)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	if memoable {
+		s.memo.put(digest, pr.key)
+		clk.lap(stageMemo)
 	}
 	if pr.req.Async {
 		job, err := s.submitJob(pr)
@@ -321,27 +362,74 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusAccepted, job)
 		return
 	}
-	resp, err := s.execute(r.Context(), pr)
+	release, err := s.runSlot(r.Context())
 	if err != nil {
 		s.writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	// The sync histogram times the whole request up to the write, the
-	// response encode included. It observes before writing, so a client
-	// that has read its response always finds it counted. Only
-	// successes count: 4xx/503 rejections and failed runs would drag the
-	// percentiles below what a successful request experiences.
-	body, err := json.Marshal(resp)
+	clk.lap(stageQueue)
+	resp, reports, err := s.serve(pr)
+	release()
+	clk.lap(stageServe)
+	if err != nil {
+		s.writeError(w, errStatus(err), "%v", err)
+		return
+	}
+	s.writeSync(w, clk, resp, reports)
+}
+
+// writeSync writes the body of a successful sync optimize: json.Marshal
+// of resp plus a newline. Given the raw reports of a whole-mode
+// payload, it encodes only the response's own fields and splices
+// resp.Design and the raw reports in after them. For every payload
+// runFlow caches (json.Marshal output, so already compact) the bytes
+// are the same, without decoding the reports again or re-compacting
+// the design.
+//
+// The sync histogram and the stage histograms observe before the
+// write, so a client that has read its response always finds it
+// counted. Only successes count: 4xx/503 rejections and failed runs
+// would drag the percentiles below what a successful request
+// experiences.
+func (s *Server) writeSync(w http.ResponseWriter, clk *stageClock, resp *api.OptimizeResponse, reports json.RawMessage) {
+	body, err := syncBody(resp, reports)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
-	s.metrics.optSync.Observe(time.Since(start))
+	clk.lap(stageEncode)
+	s.metrics.observeSync(clk)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(append(body, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.logf("writing response (status %d): %v", http.StatusOK, err)
 	}
+}
+
+// nullTail ends the encoding of a response whose Design and Reports are
+// unset: the two fields syncBody splices in.
+var nullTail = []byte(`"design":null,"reports":null}`)
+
+// syncBody renders a sync optimize body; see writeSync.
+func syncBody(resp *api.OptimizeResponse, reports json.RawMessage) ([]byte, error) {
+	if reports == nil {
+		body, err := json.Marshal(resp)
+		return append(body, '\n'), err
+	}
+	head := *resp
+	head.Design, head.Reports = nil, nil
+	body, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	body, ok := bytes.CutSuffix(body, nullTail)
+	if !ok {
+		return nil, fmt.Errorf("response fields %q do not end in design and reports", body)
+	}
+	body = slices.Grow(body, len(resp.Design)+len(reports)+len(`"design":,"reports":}`)+1)
+	body = append(append(body, `"design":`...), resp.Design...)
+	body = append(append(body, `,"reports":`...), reports...)
+	return append(body, "}\n"...), nil
 }
 
 // errServerBusy rejects admissions beyond the queue depth (or during a
@@ -411,65 +499,69 @@ func (s *Server) admit() (func(), error) {
 	}, nil
 }
 
-// execute runs one synchronous request end to end: admission, run-slot
-// wait, then serve. waitCtx aborts waiting in the queue (client gone);
-// the computation itself runs under the server's run context so that a
-// result shared via the cache does not die with one impatient client.
-func (s *Server) execute(waitCtx context.Context, pr *request) (*api.OptimizeResponse, error) {
+// runSlot admits one synchronous request and waits for a run slot; the
+// returned release gives both back. waitCtx aborts waiting in the
+// queue (client gone); whatever runs in the slot runs under the
+// server's run context, so that a result shared via the cache does not
+// die with one impatient client.
+func (s *Server) runSlot(waitCtx context.Context) (func(), error) {
 	start := time.Now()
 	release, err := s.admit()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-
 	select {
 	case s.sem <- struct{}{}:
 		s.metrics.queueWait.Observe(time.Since(start))
-		defer func() { <-s.sem }()
+		return func() {
+			<-s.sem
+			release()
+		}, nil
 	case <-waitCtx.Done():
+		release()
 		// The client's own context died, not the server: report 499,
 		// never the 503 that would make a monitored fleet look
 		// unavailable because one caller got impatient.
 		return nil, errClientGone{err: waitCtx.Err()}
 	case <-s.runCtx.Done():
+		release()
 		return nil, s.runCtx.Err()
 	}
-	return s.serve(pr)
 }
 
 // serve produces the response for a request that holds a run slot:
-// from the cache, a coalesced in-flight computation, or its own run.
-func (s *Server) serve(pr *request) (*api.OptimizeResponse, error) {
+// from the cache, a coalesced in-flight computation, or its own run. A
+// whole-mode response also returns the cached payload's raw reports
+// (see writeSync); resp.Design is that payload's design bytes.
+func (s *Server) serve(pr *request) (resp *api.OptimizeResponse, reports json.RawMessage, err error) {
 	if pr.mode == api.ModeDesign {
-		return s.serveDesign(pr)
+		resp, err = s.serveDesign(pr)
+		return resp, nil, err
 	}
 	start := time.Now()
-	var p payload
-	// Decode into a fresh payload each attempt: a mid-stream failure
-	// leaves partial state behind, and Unmarshal merges into (rather
-	// than replaces) non-nil maps.
-	decode := func(raw []byte) error {
-		p = payload{}
-		return json.Unmarshal(raw, &p)
+	resp = &api.OptimizeResponse{}
+	decode := func(raw []byte) (err error) {
+		reports, err = decodePayload(raw, resp)
+		return err
 	}
 	status, err := s.serveCached(pr.req.NoCache, pr.key.ID(),
 		func() ([]byte, error) { return s.compute(pr) }, decode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	resp := &api.OptimizeResponse{
-		Key:       pr.key.ID(),
-		Cache:     status,
-		Mode:      api.ModeWhole,
-		Flow:      pr.key.Flow,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	resp.Design = p.Design
-	resp.Reports = p.Reports
+	s.finishWhole(resp, pr.key, status, start)
+	return resp, reports, nil
+}
+
+// finishWhole fills a whole-mode response's own fields and logs it.
+func (s *Server) finishWhole(resp *api.OptimizeResponse, key cache.Key, status string, start time.Time) {
+	resp.Key = key.ID()
+	resp.Cache = status
+	resp.Mode = api.ModeWhole
+	resp.Flow = key.Flow
+	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.logf("optimize flow=%q key=%s cache=%s elapsed=%s",
-		pr.key.Flow, pr.key.ID()[:12], status, time.Since(start).Round(time.Microsecond))
-	return resp, nil
+		key.Flow, resp.Key[:12], status, time.Since(start).Round(time.Microsecond))
 }
 
 // serveCached resolves one cacheable unit (a whole design, or one
@@ -611,6 +703,74 @@ func fromRunReport(r smartly.RunReport) api.Report {
 type payload struct {
 	Design  json.RawMessage       `json:"design"`
 	Reports map[string]api.Report `json:"reports"`
+}
+
+// The layout json.Marshal gives a payload: the design object, then the
+// reports.
+var (
+	payloadHead    = []byte(`{"design":`)
+	payloadReports = []byte(`,"reports":`)
+)
+
+// decodePayload decodes a cached whole-design payload into resp's
+// Design and Reports and returns the payload's raw reports. It does
+// not copy or decode the design: resp.Design is the payload's own
+// bytes, checked to be valid JSON. A payload decodes when it has the
+// layout runFlow's json.Marshal gives it, with an object for a design
+// and reports that decode; anything else (damage, or a format from
+// another version) is an error, which serveCached answers by evicting
+// the entry and recomputing it.
+func decodePayload(raw []byte, resp *api.OptimizeResponse) (json.RawMessage, error) {
+	rest, ok := bytes.CutPrefix(raw, payloadHead)
+	n := objectEnd(rest)
+	if !ok || n < 0 {
+		return nil, errors.New("payload does not start with a design object")
+	}
+	design := rest[:n]
+	rest, ok = bytes.CutPrefix(rest[n:], payloadReports)
+	if !ok {
+		return nil, errors.New("payload design is not followed by its reports")
+	}
+	reports, ok := bytes.CutSuffix(rest, []byte("}"))
+	if !ok {
+		return nil, errors.New("payload does not end after its reports")
+	}
+	if !json.Valid(design) {
+		return nil, errors.New("payload design is not valid JSON")
+	}
+	var decoded map[string]api.Report
+	if err := json.Unmarshal(reports, &decoded); err != nil {
+		return nil, fmt.Errorf("payload reports: %w", err)
+	}
+	resp.Design, resp.Reports = design, decoded
+	return reports, nil
+}
+
+// objectEnd returns the length of the JSON object at the start of b,
+// or -1 when b does not start with '{' or ends first. It only matches
+// brackets outside strings; the caller checks validity.
+func objectEnd(b []byte) int {
+	if len(b) == 0 || b[0] != '{' {
+		return -1
+	}
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
 }
 
 // validCacheID admits exactly the ids the peer protocol can legally

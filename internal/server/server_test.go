@@ -19,7 +19,7 @@ import (
 
 // testDesignJSON parses a testdata case and returns it as JSON netlist
 // bytes — the exact body a client would submit.
-func testDesignJSON(t *testing.T, path string) []byte {
+func testDesignJSON(t testing.TB, path string) []byte {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
