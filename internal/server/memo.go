@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -95,7 +96,7 @@ func memoDigest(req api.OptimizeRequest, mode string) [sha256.Size]byte {
 // its payload does not decode. Such a payload is evicted here, so the
 // slow path recomputes it, and a miss is left for the slow path's own
 // lookup to count: the fallback counts each lookup once.
-func (s *Server) serveMemo(ctx context.Context, key cache.Key, clk *stageClock) (*api.OptimizeResponse, []byte, error) {
+func (s *Server) serveMemo(ctx context.Context, key cache.Key, clk *stageClock) (*api.OptimizeResponse, json.RawMessage, error) {
 	release, err := s.runSlot(ctx)
 	if err != nil {
 		return nil, nil, err

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,7 +71,7 @@ func TestSyncBodyIsMarshal(t *testing.T) {
 
 	for _, timings := range []bool{false, true} {
 		fields := fmt.Sprintf(`"flow":"yosys","timings":%t`, timings)
-		var bodies = map[string][]byte{}
+		bodies := map[string][]byte{}
 		for _, c := range []struct {
 			name, cache string
 			design      []byte
@@ -307,7 +306,7 @@ func FuzzOptimizeHandler(f *testing.F) {
 			out []byte
 			r   *api.OptimizeResponse
 		}{{out1, &r1}, {out2, &r2}} {
-			if err := json.NewDecoder(io.Reader(bytes.NewReader(d.out))).Decode(d.r); err != nil {
+			if err := json.Unmarshal(d.out, d.r); err != nil {
 				t.Fatalf("decoding %q: %v", d.out, err)
 			}
 		}
