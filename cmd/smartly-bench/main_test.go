@@ -143,11 +143,18 @@ func TestBenchSatMode(t *testing.T) {
 		if queries == 0 {
 			t.Errorf("flow %s: no oracle queries recorded", f)
 		}
-		// Every run that queried the oracle carries its stage times.
+		// Every run that queried the oracle carries its stage times: the
+		// extraction, or, when the module signatures refuted every query
+		// before any extraction, the simulation that refuted them.
 		for _, c := range rep.Sat.Cases {
 			r := c.Runs[f]
-			if r.Counter("smartly_satmux", "oracle_queries") > 0 && r.StagesMS["smartly_satmux"]["extract"] <= 0 {
-				t.Errorf("%s/%s: no extract stage time in %v", c.Name, f, r.StagesMS)
+			queries := r.Counter("smartly_satmux", "oracle_queries")
+			stage := "extract"
+			if queries > 0 && r.Counter("smartly_satmux", "oracle_sim_filtered") == queries {
+				stage = "sim"
+			}
+			if queries > 0 && r.StagesMS["smartly_satmux"][stage] <= 0 {
+				t.Errorf("%s/%s: no %s stage time in %v", c.Name, f, stage, r.StagesMS)
 			}
 		}
 	}

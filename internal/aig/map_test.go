@@ -67,7 +67,7 @@ func buildRandomModule(rng *rand.Rand, nOps int) *rtlil.Module {
 // sim.Parallel on random circuits (free, possibly multi-hot pmux selects
 // included) and random inputs. Parallel is one sim.Cone, so this pins the
 // lane formulas of every 64-lane simulation to the AIG lowering: it is
-// what makes a SAT-mux pre-filter witness a model of the cone's CNF.
+// what makes a SAT-mux signature witness a model of the cone's CNF.
 func TestMappingMatchesParallelSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {

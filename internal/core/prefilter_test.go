@@ -13,9 +13,9 @@ import (
 	"repro/internal/subgraph"
 )
 
-// noSimFilter derives the flow variant with the random-simulation
-// pre-filter off in every satmux step, so all SAT-bound queries reach
-// the solver.
+// noSimFilter derives the flow variant with the simulation signatures
+// off in every satmux step, so every query the path facts leave open
+// reaches extraction.
 func noSimFilter(t *testing.T, f *opt.Flow) *opt.Flow {
 	t.Helper()
 	f, err := f.WithArg("satmux", "sim_filter", "false")
@@ -26,11 +26,10 @@ func noSimFilter(t *testing.T, f *opt.Flow) *opt.Flow {
 }
 
 // filterInvariantCounters strips the counters that legitimately differ
-// when the pre-filter intercepts SAT-bound queries (solver-call
-// bookkeeping, the filter's own counters), keeping every
-// decided-bit outcome: filtered queries are exactly the both-values-
-// witnessed ones, which the solver would have answered Sat/Sat →
-// unknown.
+// when the signatures refute queries (solver-call bookkeeping, the
+// filter's own counters), keeping every decided-bit outcome: refuted
+// queries are exactly the both-values-witnessed ones, which every later
+// stage would have left unknown.
 func filterInvariantCounters(c map[string]int) map[string]int {
 	out := map[string]int{}
 	for k, v := range c {
@@ -44,10 +43,10 @@ func filterInvariantCounters(c map[string]int) map[string]int {
 	return out
 }
 
-// TestSimFilterMatchesUnfilteredOnTestdata is the tentpole's acceptance
-// bar: on every testdata case and named flow, the pre-filtered oracle
-// must produce a bit-identical netlist and identical decided-bit
-// counters to the filter-off oracle, at every worker count.
+// TestSimFilterMatchesUnfilteredOnTestdata: on every testdata case and
+// named flow, the filtered oracle must produce a bit-identical netlist
+// and identical decided-bit counters to the filter-off oracle, at every
+// worker count.
 func TestSimFilterMatchesUnfilteredOnTestdata(t *testing.T) {
 	mods := loadTestdataModules(t)
 	for _, name := range opt.FlowNames() {
@@ -90,8 +89,9 @@ func TestSimFilterMatchesUnfilteredOnTestdata(t *testing.T) {
 // TestSimFilterEffectiveness: on a SAT-heavy workload with an
 // effectively unlimited conflict budget (no budget-tripped verdicts, so
 // netlist equality is a hard guarantee, not a statistical one), the
-// pre-filter must intercept queries and cut SAT calls, and the final
-// netlist must be byte-identical to the filter-off oracle's.
+// module signatures must refute queries before they reach the solver
+// and cut SAT calls, and the final netlist must be byte-identical to
+// the filter-off oracle's.
 func TestSimFilterEffectiveness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAT-heavy; skipped under -short")
@@ -105,7 +105,7 @@ func TestSimFilterEffectiveness(t *testing.T) {
 	}
 	st := filtered.LastStats
 	if st.SimFiltered == 0 {
-		t.Errorf("pre-filter decided no queries: %s", st)
+		t.Errorf("signatures refuted no queries: %s", st)
 	}
 	if st.SimVectors == 0 {
 		t.Errorf("no simulation vectors recorded: %s", st)
@@ -121,10 +121,10 @@ func TestSimFilterEffectiveness(t *testing.T) {
 		t.Errorf("filter-off oracle reported filter activity: %s", unfiltered.LastStats)
 	}
 	if st.SATCalls >= unfiltered.LastStats.SATCalls {
-		t.Errorf("pre-filter did not reduce SAT calls: %d vs %d", st.SATCalls, unfiltered.LastStats.SATCalls)
+		t.Errorf("signatures did not reduce SAT calls: %d vs %d", st.SATCalls, unfiltered.LastStats.SATCalls)
 	}
 	if !bytes.Equal(netlistJSON(t, mf), netlistJSON(t, mu)) {
-		t.Error("pre-filtered and filter-off netlists differ with unlimited budget")
+		t.Error("filtered and filter-off netlists differ with unlimited budget")
 	}
 	checkEquiv(t, m, mf)
 }
@@ -148,11 +148,11 @@ func multiHotModule() *rtlil.Module {
 }
 
 // TestSimulationAgreesWithSAT: the exhaustive sweep and the SAT stage
-// give the same value (Sx when undecided) on the same query. The queries are every
-// mux-control sub-graph with at most 10 inputs from four generated
-// workloads and the multi-hot pmux module, each asked with no fact and
-// with one random input fact; the SAT stage has an unlimited conflict
-// budget. The multi-hot module's satmux and sat-flow results must also
+// give the same value (Sx when undecided) on the same query. The queries
+// are every mux-control sub-graph with at most 10 inputs from four
+// generated workloads and the multi-hot pmux module, each asked with no
+// fact and with one random input fact and extracted from the test's own
+// sub-graph adjacency; the SAT stage has an unlimited conflict budget. The multi-hot module's satmux and sat-flow results must also
 // keep the root mux and pass CEC.
 func TestSimulationAgreesWithSAT(t *testing.T) {
 	mods := []*rtlil.Module{multiHotModule()}
@@ -164,6 +164,7 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 	for _, m := range mods {
 		ix := rtlil.NewIndex(m)
 		s := NewSmartOracle(ix, SatMuxOptions{SimInputLimit: -1, DisableSimFilter: true, MaxConflicts: 1 << 40})
+		g := subgraph.NewGraph(ix)
 		for _, c := range m.Cells() {
 			if c.Type != rtlil.CellMux && c.Type != rtlil.CellPmux {
 				continue
@@ -172,7 +173,7 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 				if target.IsConst() {
 					continue
 				}
-				sg := s.graph.Extract(target, nil, subgraph.Options{})
+				sg := g.Extract(target, nil, subgraph.Options{})
 				if len(sg.Inputs) == 0 || len(sg.Inputs) > 10 {
 					continue
 				}
@@ -183,13 +184,12 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 						return &query{
 							target: target,
 							sg:     sg,
-							order:  sg.Order,
 							knowns: facts.Bits(),
 							vals:   facts.States(),
 						}
 					}
 					var st SatMuxStats
-					simV := s.sweep(newQuery(), true, &st)
+					simV := s.sweep(newQuery(), &st)
 					satV := s.satSolve(newQuery(), &st)
 					if simV != satV {
 						t.Fatalf("%s: target %v facts %v=%v: sweep=%v sat=%v",
@@ -225,9 +225,9 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 	}
 }
 
-// TestSimFilterCancellation: a canceled context aborts a pre-filter-
-// heavy run with the context error, and every already-applied rewrite
-// is sound.
+// TestSimFilterCancellation: a canceled context aborts a filter-heavy
+// run with the context error, and every already-applied rewrite is
+// sound.
 func TestSimFilterCancellation(t *testing.T) {
 	m := genbench.Generate(satRecipe, 0.5)
 	orig := m.Clone()

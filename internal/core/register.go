@@ -17,8 +17,8 @@ var satMuxOptionSpecs = []opt.OptionSpec{
 	{Key: "sim_inputs", Kind: opt.KindInt, Positive: true, Default: "11", Help: "exhaustive simulation up to this many inputs"},
 	{Key: "sat_inputs", Kind: opt.KindInt, Positive: true, Default: "200", Help: "skip SAT above this many inputs"},
 	{Key: "conflicts", Kind: opt.KindInt64, Positive: true, Default: "2000", Help: "CDCL conflict budget per query"},
-	{Key: "sim_rounds", Kind: opt.KindInt, Positive: true, Default: "4", Help: "64-vector simulation rounds per cone in the SAT pre-filter"},
-	{Key: "sim_filter", Kind: opt.KindBool, Default: "true", Help: "64-lane random-simulation pre-filter in front of the SAT stage"},
+	{Key: "sim_rounds", Kind: opt.KindInt, Positive: true, Default: "4", Help: "64-lane words of module simulation signatures per pass iteration"},
+	{Key: "sim_filter", Kind: opt.KindBool, Default: "true", Help: "refute queries from module simulation signatures before any extraction"},
 }
 
 var rebuildOptionSpecs = []opt.OptionSpec{

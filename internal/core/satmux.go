@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
-	"sync"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/aig"
@@ -32,14 +30,12 @@ type SatMuxOptions struct {
 	SATInputLimit int
 	// MaxConflicts bounds each SAT call (default 2000).
 	MaxConflicts int64
-	// SimFilterRounds is how many 64-lane vector rounds the simulation
-	// pre-filter runs per SAT-bound cone before the solver is consulted
-	// (default 4, i.e. 256 input vectors). Negative disables rounds
-	// without disabling the stage's bookkeeping; use DisableSimFilter to
-	// turn the stage off.
+	// SimFilterRounds is how many 64-lane words of module simulation
+	// signatures each pass iteration evaluates (≤ 0 means the default 4,
+	// i.e. 256 patterns).
 	SimFilterRounds int
-	// DisableSimFilter turns the bit-parallel simulation pre-filter in
-	// front of the SAT stage off (ablation).
+	// DisableSimFilter turns the simulation signatures off, so every
+	// query the path facts leave open reaches extraction (ablation).
 	DisableSimFilter bool
 }
 
@@ -59,7 +55,7 @@ func (o SatMuxOptions) withDefaults() SatMuxOptions {
 	if o.MaxConflicts == 0 {
 		o.MaxConflicts = 2000
 	}
-	if o.SimFilterRounds == 0 {
+	if o.SimFilterRounds <= 0 {
 		o.SimFilterRounds = 4
 	}
 	return o
@@ -81,9 +77,9 @@ type SatMuxStats struct {
 	MapFailures   int // SAT queries abandoned because a cone cell is not AIG-mappable
 	BudgetTrips   int // Solve calls that exhausted the conflict budget
 
-	// Simulation pre-filter counters.
-	SimFiltered int // SAT-bound queries decided unknowable by the pre-filter (no solver call)
-	SimVectors  int // 64-lane simulation words evaluated (pre-filter rounds + exhaustive sweep)
+	// Simulation counters.
+	SimFiltered int // queries the signatures refuted (no extraction, no solver call)
+	SimVectors  int // 64-lane simulation words evaluated (signature words + exhaustive sweeps)
 }
 
 // String renders the counters.
@@ -128,7 +124,7 @@ const (
 	stageIndex   = iota // rtlil.NewIndex + subgraph.NewGraph, once per pass iteration
 	stageExtract        // sub-graph extraction
 	stageInfer          // the Table I rule engine
-	stageSim            // cone compile plus exhaustive or pre-filter sweeps
+	stageSim            // module signatures and their checks; cone compile plus exhaustive sweeps
 	stageSAT            // AIG mapping, CNF and Solve calls
 	numStages
 )
@@ -153,15 +149,15 @@ func (tm *stageTimes) add(o stageTimes) {
 }
 
 // SmartOracle is the smaRTLy control-value oracle: path facts first, then
-// sub-graph inference, then exhaustive simulation or — for cones with
-// too many inputs — the simulation pre-filter and a one-shot SAT call.
-// Each SAT-bound query encodes its own cone into a fresh AIG mapping,
-// CNF and budgeted solver; the pre-filter settles most such queries
-// before any encoding happens. Every query the facts leave open is
-// solved: the oracle keeps no answers between queries.
+// the module's simulation signatures, then sub-graph inference, then
+// exhaustive simulation or — for cones with too many inputs — a one-shot
+// SAT call. The signatures settle most queries the facts leave open
+// before any extraction; each surviving SAT-bound query encodes its own
+// cone into a fresh AIG mapping, CNF and budgeted solver. The oracle
+// keeps no answers between queries.
 //
 // The oracle is not safe for concurrent use from the outside, but
-// Values fans the open queries of one call out to Ctx.Workers()
+// Values fans the surviving queries of one call out to Ctx.Workers()
 // goroutines: every query runs on worker-private state over the shared
 // read-only Index and path facts, and answers, counters and stage times
 // are merged in submission order — bit-identical for every worker count.
@@ -173,52 +169,56 @@ type SmartOracle struct {
 	Ctx *opt.Ctx
 
 	ix    *rtlil.Index
-	graph *subgraph.Graph
 	o     SatMuxOptions
 	times stageTimes
 
-	// The open queries of one Values call, reused by the next. facts
-	// holds the call's path facts for solveJob, which NewSmartOracle
-	// builds once; Values clears it on return.
+	// Built at first need: the signatures at the first query the facts
+	// leave open (nil when the filter is off or the module has a
+	// combinational loop), the sub-graph adjacency at the first query
+	// the signatures leave open.
+	sigs     *signatures
+	sigsDone bool
+	graph    *subgraph.Graph
+
+	// The surviving queries of one Values call, reused by the next.
+	// facts holds the call's path facts for solveJob, which
+	// NewSmartOracle builds once; Values clears it on return.
 	jobs     []job
 	facts    *opt.PathFacts
 	solveJob func(i int)
 }
 
-// job is one open query of a Values call, solved on a worker; slot is
-// the output slot that takes its answer.
+// job is one surviving query of a Values call, solved on a worker; slot
+// is the output slot that takes its answer, seen0 and seen1 the target
+// values a signature lane witnessed.
 type job struct {
-	bit  rtlil.SigBit
-	slot int
-	v    rtlil.State
-	st   SatMuxStats
-	tm   stageTimes
+	bit          rtlil.SigBit
+	slot         int
+	seen0, seen1 bool
+	v            rtlil.State
+	st           SatMuxStats
+	tm           stageTimes
 }
 
 // NewSmartOracle builds an oracle over the module index.
 func NewSmartOracle(ix *rtlil.Index, o SatMuxOptions) *SmartOracle {
-	s := &SmartOracle{
-		ix: ix,
-		// One adjacency build amortized over every query of the pass:
-		// extraction is the hottest per-query stage once the pre-filter
-		// has culled the SAT calls.
-		graph: subgraph.NewGraph(ix),
-		o:     o.withDefaults(),
-	}
+	s := &SmartOracle{ix: ix, o: o.withDefaults()}
 	s.solveJob = func(i int) {
 		j := &s.jobs[i]
-		j.v = s.solve(s.facts, j.bit, &j.st, &j.tm)
+		j.v = s.solve(s.facts, j)
 	}
 	return s
 }
 
 // Values implements opt.Oracle with the full §II machinery. A bit the
-// facts answer counts as a fact hit, every other bit as a query. The
-// queries are solved on a bounded worker pool; their answers, counters
-// and stage times are merged in submission order, as if solved one at a
-// time. A query a cancellation skipped answers Sx.
+// facts answer counts as a fact hit, every other bit as a query. A query
+// the signatures refute answers Sx at once; the rest are solved on a
+// bounded worker pool, and their answers, counters and stage times are
+// merged in submission order, as if solved one at a time. A query a
+// cancellation skipped answers Sx.
 func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rtlil.State) {
 	s.jobs = s.jobs[:0]
+	t := time.Now()
 	for i, bit := range bits {
 		if v, ok := facts.Lookup(bit); ok {
 			s.Stats.FactHits++
@@ -226,7 +226,28 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 			continue
 		}
 		s.Stats.Queries++
-		s.jobs = append(s.jobs, job{bit: bit, slot: i, v: rtlil.Sx})
+		j := job{bit: bit, slot: i, v: rtlil.Sx}
+		if sigs := s.moduleSignatures(); sigs != nil {
+			if j.seen0, j.seen1 = sigs.witness(facts, bit); j.seen0 && j.seen1 {
+				s.Stats.SimFiltered++
+				s.Stats.Unknown++
+				out[i] = rtlil.Sx
+				continue
+			}
+		}
+		s.jobs = append(s.jobs, j)
+	}
+	if !s.o.DisableSimFilter {
+		t = s.times.lap(stageSim, t)
+	}
+	if len(s.jobs) == 0 {
+		return
+	}
+	if s.graph == nil {
+		// One adjacency build amortized over every surviving query of the
+		// pass iteration: extraction is the hottest per-query stage.
+		s.graph = subgraph.NewGraph(s.ix)
+		s.times.lap(stageIndex, t)
 	}
 	s.facts = facts
 	opt.ForEach(s.Ctx.Context(), s.Ctx.Workers(), len(s.jobs), s.solveJob)
@@ -239,26 +260,126 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 	}
 }
 
+// moduleSignatures returns the iteration's signatures, simulating the
+// snapshot at the first call.
+func (s *SmartOracle) moduleSignatures() *signatures {
+	if !s.sigsDone {
+		s.sigsDone = true
+		if !s.o.DisableSimFilter {
+			s.sigs = newSignatures(s.ix, s.o.SimFilterRounds)
+		}
+		if s.sigs != nil {
+			s.Stats.SimVectors += s.o.SimFilterRounds
+		}
+	}
+	return s.sigs
+}
+
+// signatures are the simulation signatures of one pass iteration's
+// snapshot, in the manner of FRAIG sweeping (Mishchenko, Chatterjee,
+// Jiang, Brayton, 2005): the module's combinational cells compiled into
+// one sim.Cone and evaluated on fixed-seed random words, 64 patterns
+// each. This is the paper's §II simulation pre-filter, run once per
+// module instead of once per cone.
+//
+// Each lane is a two-valued assignment under the Cone semantics, which
+// the exhaustive sweep and the AIG/CNF encoding share (constant x and z
+// bits evaluate as 0). Projected onto any extracted sub-graph, a lane is
+// therefore a model satisfying every fact inside that sub-graph. When
+// the lanes consistent with the path facts show the target as both 0
+// and 1, the exhaustive sweep would see both values, SAT would answer
+// Sat twice, and the four-state inference can neither fix the target
+// nor find a conflict: the query is refuted without extraction.
+type signatures struct {
+	cone  *sim.Cone
+	lanes []uint64 // word w is lanes[w*n : (w+1)*n], n = cone.NumSlots()
+	valid []uint64 // witness's lane mask, one per word
+}
+
+// newSignatures evaluates words 64-lane words over the indexed module.
+// It returns nil when the module does not compile (a combinational
+// loop).
+func newSignatures(ix *rtlil.Index, words int) *signatures {
+	cone, err := sim.NewModuleCone(ix)
+	if err != nil {
+		return nil
+	}
+	n := cone.NumSlots()
+	g := &signatures{cone: cone, lanes: make([]uint64, words*n), valid: make([]uint64, words)}
+	// A fixed seed: the same lanes on every run, whatever the worker
+	// count.
+	rng := rand.NewPCG(0x5eed, 0)
+	for w := range words {
+		// Fill every slot: Eval overwrites the driven ones, and the free
+		// ones (primary inputs, $dff Q bits) keep their draw.
+		row := g.lanes[w*n : (w+1)*n]
+		for i := range row {
+			row[i] = rng.Uint64()
+		}
+		cone.Eval(row)
+	}
+	return g
+}
+
+// witness reports which values of bit the lanes consistent with the path
+// facts show; a bit without a slot shows neither. The mask skips facts
+// on constant bits, which every oracle stage drops, and on bits no
+// combinational cell touches, which are free variables.
+func (g *signatures) witness(facts *opt.PathFacts, bit rtlil.SigBit) (seen0, seen1 bool) {
+	tslot, ok := g.cone.Slot(bit)
+	if !ok {
+		return false, false
+	}
+	n := g.cone.NumSlots()
+	for w := range g.valid {
+		g.valid[w] = ^uint64(0)
+	}
+	vals := facts.States()
+	for i, b := range facts.Bits() {
+		slot, ok := g.cone.Slot(b)
+		if !ok {
+			continue
+		}
+		var want uint64
+		switch vals[i] {
+		case rtlil.S0:
+		case rtlil.S1:
+			want = ^uint64(0)
+		default:
+			return false, false // no two-valued lane reproduces the fact
+		}
+		for w := range g.valid {
+			g.valid[w] &^= g.lanes[w*n+slot] ^ want
+		}
+	}
+	for w, valid := range g.valid {
+		tv := g.lanes[w*n+tslot]
+		seen0 = seen0 || ^tv&valid != 0
+		seen1 = seen1 || tv&valid != 0
+	}
+	return seen0, seen1
+}
+
 // query is one control-value query that inference left open: the
-// extracted cone in topological order, the path facts that the sweeps
-// mask by and SAT assumes, and the target values a sweep witnessed. A
-// witnessed value is known Sat, so satSolve skips that Solve call.
+// extracted cone, the path facts that the sweep masks by and SAT
+// assumes, and the target values a lane witnessed. A witnessed value is
+// known Sat, so satSolve skips that Solve call.
 type query struct {
 	target       rtlil.SigBit // the queried bit, sigmapped
 	sg           *subgraph.Result
-	order        []*rtlil.Cell
 	knowns       []rtlil.SigBit // the fact bits, in the facts' order
 	vals         []rtlil.State  // their values
 	seen0, seen1 bool
 }
 
-// solve runs the §II stages for one query: sub-graph extraction,
-// inference, then an exhaustive sweep for few inputs, or the random
-// pre-filter sweep followed by SAT. It writes counters to st and stage
-// times to tm (worker-local sinks during parallel batches, merged in
-// order afterwards) and touches no shared mutable state. It returns the
-// decided value, or Sx when the query stays open.
-func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxStats, tm *stageTimes) rtlil.State {
+// solve runs the §II stages for one query the signatures left open:
+// sub-graph extraction, inference, then an exhaustive sweep for few
+// inputs or SAT otherwise. It writes counters and stage times to the
+// job (worker-local sinks, merged in order afterwards) and touches no
+// shared mutable state. It returns the decided value, or Sx when the
+// query stays open.
+func (s *SmartOracle) solve(facts *opt.PathFacts, j *job) rtlil.State {
+	st, tm := &j.st, &j.tm
 	if s.Ctx.Err() != nil {
 		// Canceled: report unknown; the pass surfaces the context error.
 		st.Unknown++
@@ -269,14 +390,14 @@ func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxSt
 	// SAT assumptions, so conflict-bounded solver outcomes cannot vary
 	// between runs.
 	knowns, vals := facts.Bits(), facts.States()
-	sg := s.graph.Extract(bit, knowns, subgraph.Options{
+	sg := s.graph.Extract(j.bit, knowns, subgraph.Options{
 		Depth:    s.o.SubgraphDepth,
 		MaxCells: s.o.MaxSubgraphCells,
 	})
 	t = tm.lap(stageExtract, t)
 
 	// Stage 1: inference rules (paper Table I).
-	v := s.infer(bit, sg, knowns, vals, st)
+	v := s.infer(j.bit, sg, knowns, vals, st)
 	t = tm.lap(stageInfer, t)
 	if v != rtlil.Sx {
 		return v
@@ -289,14 +410,15 @@ func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxSt
 		return rtlil.Sx
 	}
 	q := &query{
-		target: s.ix.MapBit(bit),
+		target: s.ix.MapBit(j.bit),
 		sg:     sg,
-		order:  sg.Order,
 		knowns: knowns,
 		vals:   vals,
+		seen0:  j.seen0,
+		seen1:  j.seen1,
 	}
 	if n <= s.o.SimInputLimit {
-		v = s.sweep(q, true, st)
+		v = s.sweep(q, st)
 		tm.lap(stageSim, t)
 		if v != rtlil.Sx {
 			st.SimHits++
@@ -304,21 +426,6 @@ func (s *SmartOracle) solve(facts *opt.PathFacts, bit rtlil.SigBit, st *SatMuxSt
 		}
 		st.Unknown++
 		return rtlil.Sx
-	}
-	// $div cones skip the pre-filter: the AIG mapper cannot encode them,
-	// and satSolve counts that map failure.
-	isDiv := func(c *rtlil.Cell) bool { return c.Type == rtlil.CellDiv }
-	if !s.o.DisableSimFilter && !slices.ContainsFunc(q.order, isDiv) {
-		s.sweep(q, false, st)
-		t = tm.lap(stageSim, t)
-		if q.seen0 && q.seen1 {
-			// Both target values witnessed under the path facts: the
-			// solver would answer Sat twice, so the query is unknowable
-			// — decided here without touching SAT at all.
-			st.SimFiltered++
-			st.Unknown++
-			return rtlil.Sx
-		}
 	}
 	v = s.satSolve(q, st)
 	tm.lap(stageSAT, t)
@@ -369,31 +476,20 @@ func enumLanes(i, w int) uint64 {
 	return 0
 }
 
-// sweep simulates q's cone through one sim.Cone, 64 lanes per word, and
-// records on q which target values a lane consistent with the path facts
-// showed. Facts on bits outside the cone cannot be checked and are
-// dropped (precision loss only: the SAT assumptions drop them the same
-// way).
+// sweep enumerates all 2^n assignments of q's n sub-graph inputs through
+// one sim.Cone, in 2^(n-6) words of 64 lanes (one word below six
+// inputs), and records on q which target values a lane consistent with
+// the path facts showed. Facts on bits outside the cone cannot be
+// checked and are dropped (precision loss only: the SAT assumptions
+// drop them the same way). The verdict is exact: one value seen proves
+// the bit constant, none seen proves the path unreachable. A value a
+// signature lane witnessed counts as seen from the start, so the sweep
+// stops as soon as it sees the other one.
 //
-//   - An exhaustive sweep enumerates all 2^n input assignments in
-//     2^(n-6) words (one word below six inputs) and masks lanes by every
-//     fact, so its verdict is exact: one value seen proves the bit
-//     constant, none seen proves the path unreachable.
-//   - A random sweep, the SAT stage's pre-filter, runs SimFilterRounds
-//     words of random vectors with the fact inputs pinned (round 0's
-//     lanes 0 and 1 are the all-zeros and all-ones inputs). It proves
-//     nothing; its witnesses only spare Solve calls.
-//
-// Either sweep stops once both values are seen. sweep returns the proven
-// value, or Sx when it proved none: a random sweep, both values seen, a
-// cancellation, or a cone it cannot simulate.
-//
-// Determinism: the RNG is seeded from the query's own shape (its cell
-// and input counts) and the facts are scanned in their order, so the
-// lane schedule depends only on the query, never on worker count or
-// scheduling.
-func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.State {
-	cone, err := sim.NewCone(s.ix, q.order)
+// sweep returns the proven value, or Sx when it proved none: both values
+// seen, a cancellation, or a cone it cannot simulate.
+func (s *SmartOracle) sweep(q *query, st *SatMuxStats) rtlil.State {
+	cone, err := sim.NewCone(s.ix, q.sg.Order)
 	if err != nil {
 		return rtlil.Sx
 	}
@@ -411,10 +507,7 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.St
 		slot int
 		want uint64
 	}
-	// Every fact in the cone masks lanes after Eval; a random sweep also
-	// pins the fact inputs to their fact's lanes.
 	var checks []factCheck
-	pinned := map[int]uint64{}
 	live := ^uint64(0) // the lanes that count in every word
 	for i, b := range q.knowns {
 		slot, ok := cone.Slot(b)
@@ -427,24 +520,14 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.St
 		case rtlil.S1:
 			want = ^uint64(0)
 		default:
-			if !exhaustive {
-				return rtlil.Sx // no lane encoding: decline to filter
-			}
 			live = 0 // no two-valued assignment reproduces the fact
 			continue
 		}
 		checks = append(checks, factCheck{slot, want})
-		pinned[slot] = want
 	}
 
-	words := s.o.SimFilterRounds
-	var rng *rand.Rand
-	if !exhaustive {
-		rng = rngPool.Get().(*rand.Rand)
-		defer rngPool.Put(rng)
-		rng.Seed(int64(len(q.order))<<32 | int64(len(inSlots)))
-	} else if n := len(inSlots); n < 6 {
-		words = 1
+	words := 1
+	if n := len(inSlots); n < 6 {
 		live &= 1<<(1<<uint(n)) - 1
 	} else {
 		words = 1 << uint(n-6)
@@ -457,20 +540,7 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.St
 			return rtlil.Sx
 		}
 		for i, slot := range inSlots {
-			if exhaustive {
-				vals[slot] = enumLanes(i, word)
-				continue
-			}
-			v, pin := pinned[slot]
-			if !pin {
-				v = rng.Uint64()
-				if word == 0 {
-					// Guided lanes: all-zeros and all-ones inputs, the
-					// classic sweeping probes for stuck-at candidates.
-					v = v&^1 | 2
-				}
-			}
-			vals[slot] = v
+			vals[slot] = enumLanes(i, word)
 		}
 		cone.Eval(vals)
 		st.SimVectors++
@@ -485,10 +555,7 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.St
 			return rtlil.Sx
 		}
 	}
-	switch {
-	case !exhaustive:
-		return rtlil.Sx
-	case q.seen0 != q.seen1:
+	if q.seen0 != q.seen1 {
 		return rtlil.BoolState(q.seen1)
 	}
 	// No consistent assignment: unreachable path.
@@ -496,23 +563,18 @@ func (s *SmartOracle) sweep(q *query, exhaustive bool, st *SatMuxStats) rtlil.St
 	return rtlil.S0
 }
 
-// rngPool recycles the pre-filter's generators. Re-seeding one yields
-// the same draws as rand.New(rand.NewSource(seed)) without allocating
-// the source's 4.9 KB state for every query.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // satSolve answers one SAT-bound query on a private encoding: the AIG
 // mapping of the cone's cells in topological order, its Tseitin CNF in a
 // fresh budgeted solver, and up to two assumption-based Solve calls —
 // the paper's "SAT(S=0)=false or SAT(S=1)=false" criterion. A polarity
-// the pre-filter witnessed is known Sat (sim.Cone mirrors the AIG
+// a signature lane witnessed is known Sat (sim.Cone mirrors the AIG
 // lowering cell for cell), so its call is skipped.
 func (s *SmartOracle) satSolve(q *query, st *SatMuxStats) rtlil.State {
 	mp := aig.NewPartialMapping(s.ix)
 	for _, b := range q.sg.Inputs {
 		mp.AddInputBit(b)
 	}
-	for _, c := range q.order {
+	for _, c := range q.sg.Order {
 		if err := mp.MapCell(c); err != nil {
 			// The cone contains a cell the AIG mapper cannot encode; the
 			// query stays undecided.

@@ -90,8 +90,8 @@ var satRecipe = genbench.Recipe{
 
 // TestSatHeavyOracle drives every undecided query through the solver:
 // SimInputLimit -1 skips exhaustive simulation (the ablation_test
-// "sat_only" pattern) and DisableSimFilter keeps the random-simulation
-// pre-filter from deciding queries first. The committed workloads mostly
+// "sat_only" pattern) and DisableSimFilter keeps the module signatures
+// from refuting queries first. The committed workloads mostly
 // fit exhaustive simulation, and this test is about the SAT stage: it
 // must run, and every rewrite it drives must preserve equivalence.
 func TestSatHeavyOracle(t *testing.T) {
@@ -148,9 +148,11 @@ func unmappableModule(t *testing.T) *rtlil.Module {
 // counted (once per abandoned SAT query), and must not crash or decide
 // the queried bit. (cec cannot miter $div either, so the soundness
 // assertion here is structural: the undecidable root mux survives.)
+// The module signatures refute both queries before they reach SAT, so
+// the filter is off here: this test is about the SAT stage.
 func TestMapFailuresCounted(t *testing.T) {
 	m := unmappableModule(t)
-	pass := &SatMuxPass{}
+	pass := &SatMuxPass{Opts: SatMuxOptions{DisableSimFilter: true}}
 	if _, err := opt.RunScript(nil, m, pass); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ module stalex(input a, input c, input d, input y, input a2, input b2, output o1,
 endmodule
 `
 
-// TestSatMuxXFactScoped: a path fact on the constant x bit ends with the
-// subtree that pushed it, so no oracle query in another tree sees it.
-func TestSatMuxXFactScoped(t *testing.T) {
+// staleXModule elaborates staleXSource.
+func staleXModule(t *testing.T) *rtlil.Module {
+	t.Helper()
 	f, err := verilog.Parse(staleXSource)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +32,13 @@ func TestSatMuxXFactScoped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// TestSatMuxXFactScoped: a path fact on the constant x bit ends with the
+// subtree that pushed it, so no oracle query in another tree sees it.
+func TestSatMuxXFactScoped(t *testing.T) {
+	m := staleXModule(t)
 	orig := m.Clone()
 	if _, err := (&SatMuxPass{}).Run(opt.Background(), m); err != nil {
 		t.Fatal(err)

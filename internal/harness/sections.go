@@ -38,11 +38,12 @@ func SatFlows(names ...string) ([]FlowSpec, error) {
 // CheckSimFilter enforces the sat section's rule on every case: a flow
 // and its _nofilter ablation must produce the same netlist unless a
 // Solve call on either side ran out of its conflict budget. With no
-// trip every SAT verdict was a proof and every pre-filter skip a
-// concrete witness, so both runs decided the same constants and the
-// rewrites are forced; after a trip a pre-filter witness may stand in
-// for a Solve call that would have given up, so the netlists may
-// legitimately differ.
+// trip every SAT verdict was a proof, every signature refutation saw
+// both target values and every skipped Solve call had a concrete
+// witness, so both runs decided the same constants and the rewrites are
+// forced; after a trip a signature witness may stand in for a Solve
+// call that would have given up, so the netlists may legitimately
+// differ.
 func CheckSimFilter(s Section) error {
 	for _, c := range s.Cases {
 		for _, name := range s.Flows {

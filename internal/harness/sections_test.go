@@ -66,14 +66,14 @@ func TestRunSatBench(t *testing.T) {
 			t.Errorf("%s: no oracle queries recorded", f)
 		}
 		if total(s, f, satPass, "oracle_sim_filtered") == 0 {
-			t.Errorf("%s: simulation pre-filter decided no queries", f)
+			t.Errorf("%s: simulation signatures refuted no queries", f)
 		}
 		if total(s, f, satPass, "oracle_sim_vectors") == 0 {
 			t.Errorf("%s: no simulation vectors recorded", f)
 		}
 		calls, nfCalls := total(s, f, satPass, "sat_calls"), total(s, f+noFilter, satPass, "sat_calls")
 		if calls >= nfCalls {
-			t.Errorf("%s: pre-filter did not reduce SAT calls: %d filtered vs %d unfiltered", f, calls, nfCalls)
+			t.Errorf("%s: signatures did not reduce SAT calls: %d filtered vs %d unfiltered", f, calls, nfCalls)
 		}
 	}
 	if back := roundTrip(t, s); total(back, FlowSAT, satPass, "oracle_queries") != total(s, FlowSAT, satPass, "oracle_queries") {

@@ -10,7 +10,7 @@ import (
 // cell slice: every bit carries a uint64 lane vector in a dense
 // slot-indexed buffer, so one Eval runs 64 input patterns. Every 64-lane
 // simulation in the repository runs through a Cone: the SAT-mux oracle's
-// exhaustive sweep and random pre-filter, and Parallel and Sequential,
+// module signatures and exhaustive sweep, and Parallel and Sequential,
 // which cec and the benchmark's output check use.
 //
 // A Cone has one cell semantics: the AIG lowering of internal/aig, cell
@@ -111,6 +111,24 @@ func NewCone(ix *rtlil.Index, order []*rtlil.Cell) (*Cone, error) {
 		}
 	}
 	return c, nil
+}
+
+// NewModuleCone compiles the indexed module's combinational cells, in
+// rtlil.TopoSort order, into one cone. $dff cells stay out, so their Q
+// bits are free variables like the primary inputs. It fails on
+// combinational loops.
+func NewModuleCone(ix *rtlil.Index) (*Cone, error) {
+	order, err := rtlil.TopoSort(ix)
+	if err != nil {
+		return nil, err
+	}
+	comb := order[:0]
+	for _, c := range order {
+		if !rtlil.IsSequential(c.Type) {
+			comb = append(comb, c)
+		}
+	}
+	return NewCone(ix, comb)
 }
 
 // code returns the slot of b's canonical bit, adding one on first sight,

@@ -24,17 +24,7 @@ type Parallel struct {
 // combinational loops.
 func NewParallel(m *rtlil.Module) (*Parallel, error) {
 	ix := rtlil.NewIndex(m)
-	order, err := rtlil.TopoSort(ix)
-	if err != nil {
-		return nil, err
-	}
-	var comb []*rtlil.Cell // $dff cells stay out: Q bits are free variables
-	for _, c := range order {
-		if !rtlil.IsSequential(c.Type) {
-			comb = append(comb, c)
-		}
-	}
-	cone, err := NewCone(ix, comb)
+	cone, err := NewModuleCone(ix)
 	if err != nil {
 		return nil, err
 	}
