@@ -5,7 +5,7 @@
 // Usage:
 //
 //	smartly-bench [-scale 1.0] [-table 2|3|all|none] [-industrial n] [-j n] [-check] [-v]
-//	              [-json] [-replica n] [-design n] [-load n] [-sat] [-egraph] [-corpus dir] [-flow name|name=script]...
+//	              [-json] [-replica n] [-design n] [-load n] [-egraph] [-corpus dir] [-flow name|name=script]...
 //	              [-compare baseline.json] [-cpuprofile file]
 //
 // Scale 1.0 runs the calibrated case sizes (minutes); smaller scales
@@ -17,9 +17,9 @@
 // -flow "tuned=fixpoint { opt_expr; satmux(conflicts=64); opt_clean }".
 // Without -flow the paper's four pipelines run.
 //
-// The engine sections (the tables, -industrial, -sat, -egraph and
-// -corpus) all run through harness.RunCases; -check proves every
-// result of every engine section, and -corpus always does.
+// The engine sections (the tables, -industrial, -egraph and -corpus)
+// all run through harness.RunCases; -check proves every result of
+// every engine section, and -corpus always does.
 //
 // -json replaces the tables with one machine-readable report on stdout
 // (schema smartly-bench/v2): every engine section as its flows plus,
@@ -75,7 +75,6 @@ type benchConfig struct {
 	replica    int
 	design     int
 	load       int
-	sat        bool
 	egraph     bool
 	corpus     string
 	flows      []string
@@ -95,7 +94,6 @@ func main() {
 	flag.IntVar(&cfg.replica, "replica", 0, "also measure the two-replica shared cache tier (HTTP peer protocol) on an n-module design (0 = off)")
 	flag.IntVar(&cfg.design, "design", 0, "also measure design-mode sharding cold/warm/incremental latency on an n-module design (0 = off)")
 	flag.IntVar(&cfg.load, "load", 0, "also measure the daemon under n concurrent clients on a mixed cold/warm/design workload: throughput + p50/p95/p99 per class (0 = off)")
-	flag.BoolVar(&cfg.sat, "sat", false, "also measure the SAT oracle (counters + wall-clock vs the sim_filter=false ablation) on the sat and full flows")
 	flag.BoolVar(&cfg.egraph, "egraph", false, "also measure verified e-graph rewriting on the datapath benchmark set (yosys vs pre-egraph full vs datapath vs full)")
 	flag.StringVar(&cfg.corpus, "corpus", "", "also measure an external benchmark-corpus directory (manifest.json + Verilog) under the yosys/seq/full flows, proving every result")
 	flag.StringVar(&cfg.compare, "compare", "", "check the run against a saved -json report: exit 1 on any netlist hash, area or state-bit drift (e.g. BENCH_baseline.json)")
@@ -234,18 +232,6 @@ func runBench(cfg benchConfig, out io.Writer) (err error) {
 		}
 		rep.Load = &lb
 		text = append(text, lb.String())
-	}
-	if cfg.sat {
-		satFlows, err := harness.SatFlows(harness.FlowSAT, harness.FlowFull)
-		if err != nil {
-			return err
-		}
-		if rep.Sat, err = run(harness.RecipeCases(genbench.Recipes()), satFlows, false, harness.SatTable); err != nil {
-			return err
-		}
-		if err := harness.CheckSimFilter(*rep.Sat); err != nil {
-			return err
-		}
 	}
 	if cfg.egraph {
 		if rep.Egraph, err = run(harness.RecipeCases(genbench.DatapathRecipes()), harness.EgraphFlows(), false, harness.EgraphTable); err != nil {

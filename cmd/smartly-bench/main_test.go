@@ -114,41 +114,28 @@ func TestBenchDesignMode(t *testing.T) {
 	}
 }
 
-// TestBenchSatMode: -sat attaches the SAT-oracle section to the JSON
-// report, with counters populated and both wall-clocks measured.
-func TestBenchSatMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the SAT-exercising flows twice over the benchmark set")
-	}
+// TestBenchStageTimes: in the JSON report every sat or full run that
+// queried the SAT-mux oracle carries its stage times: the extraction,
+// or, when the module signatures refuted every query before any
+// extraction, the simulation that refuted them.
+func TestBenchStageTimes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runBench(benchConfig{scale: 0.05, table: "", sat: true, jsonOut: true}, &buf); err != nil {
+	if err := runBench(benchConfig{scale: 0.05, table: "2", jsonOut: true}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var rep harness.BenchReport
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if rep.Sat == nil {
-		t.Fatal("report has no sat section")
+	if rep.Tables == nil {
+		t.Fatal("report has no tables section")
 	}
-	want := []string{harness.FlowSAT, harness.FlowSAT + "_nofilter", harness.FlowFull, harness.FlowFull + "_nofilter"}
-	if strings.Join(rep.Sat.Flows, ",") != strings.Join(want, ",") {
-		t.Fatalf("sat section flows: %v, want %v", rep.Sat.Flows, want)
-	}
-	for _, f := range want {
-		queries := 0
-		for _, c := range rep.Sat.Cases {
-			queries += c.Runs[f].Counter("smartly_satmux", "oracle_queries")
-		}
-		if queries == 0 {
-			t.Errorf("flow %s: no oracle queries recorded", f)
-		}
-		// Every run that queried the oracle carries its stage times: the
-		// extraction, or, when the module signatures refuted every query
-		// before any extraction, the simulation that refuted them.
-		for _, c := range rep.Sat.Cases {
+	for _, f := range []string{harness.FlowSAT, harness.FlowFull} {
+		total := 0
+		for _, c := range rep.Tables.Cases {
 			r := c.Runs[f]
 			queries := r.Counter("smartly_satmux", "oracle_queries")
+			total += queries
 			stage := "extract"
 			if queries > 0 && r.Counter("smartly_satmux", "oracle_sim_filtered") == queries {
 				stage = "sim"
@@ -157,15 +144,9 @@ func TestBenchSatMode(t *testing.T) {
 				t.Errorf("%s/%s: no %s stage time in %v", c.Name, f, stage, r.StagesMS)
 			}
 		}
-	}
-
-	// The table mode prints the human-readable section.
-	buf.Reset()
-	if err := runBench(benchConfig{scale: 0.05, table: "", sat: true, flows: []string{"yosys"}}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "SAT oracle") {
-		t.Errorf("table output:\n%s", buf.String())
+		if total == 0 {
+			t.Errorf("flow %s: no oracle queries recorded", f)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
 )
@@ -85,9 +86,16 @@ func writeOptions(b *bytes.Buffer, opts []smartly.OptionSpec) {
 	}
 	fmt.Fprintf(b, "| Option | Kind | Default | Description |\n|---|---|---|---|\n")
 	for _, o := range opts {
-		help := o.Help
+		var bounds []string
 		if o.Positive {
-			help += " (must be >= 1)"
+			bounds = append(bounds, ">= 1")
+		}
+		if o.Max != 0 {
+			bounds = append(bounds, fmt.Sprintf("<= %d", o.Max))
+		}
+		help := o.Help
+		if len(bounds) > 0 {
+			help += " (must be " + strings.Join(bounds, " and ") + ")"
 		}
 		fmt.Fprintf(b, "| `%s` | %s | `%s` | %s |\n", o.Key, o.Kind, o.Default, help)
 	}

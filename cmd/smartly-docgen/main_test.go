@@ -15,7 +15,7 @@ func TestGenerateCoversRegistry(t *testing.T) {
 	for _, want := range []string{
 		"### `opt_expr`", "### `opt_muxtree`", "### `opt_clean`", "### `opt_reduce`",
 		"### `satmux`", "### `rebuild`", "### `opt_egraph`", "### `opt_dff`", "### `fixpoint`",
-		"`conflicts`", "`selector_bits`",
+		"`conflicts`", "`selector_bits`", "(must be >= 1 and <= 20)",
 		"| `yosys` |", "| `sat` |", "| `rebuild` |", "| `full` |",
 		"DO NOT EDIT",
 	} {

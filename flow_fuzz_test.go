@@ -15,7 +15,7 @@ func FuzzParseFlow(f *testing.F) {
 		"opt_expr; satmux(conflicts=64); rebuild; opt_clean",
 		"fixpoint { opt_expr; satmux; rebuild; opt_clean }",
 		"fixpoint(iters=3) { opt_expr; fixpoint { opt_clean } }",
-		"satmux(depth=2, cells=10, sim_inputs=4, sat_inputs=50, conflicts=100, sim_rounds=2, sim_filter=false)",
+		"satmux(depth=2, cells=10, sim_inputs=4, sat_inputs=50, conflicts=100)",
 		"rebuild(selector_bits=8, patterns=16); opt_egraph(iters=3, node_limit=500, verify_conflicts=10); opt_dff(k=1, verify_conflicts=10)",
 		"satmux(conflicts=10); rebuild(patterns=4)",
 		"opt_expr;;opt_clean;",

@@ -55,9 +55,10 @@ type SeqOptions struct {
 	MaxConflicts int64
 	// Seed drives the random simulation (default 1).
 	Seed int64
-	// DisableInvariants turns off the van Eijk strengthening, leaving
-	// plain k-induction (ablation/testing knob).
-	DisableInvariants bool
+
+	// noInvariants turns off the van Eijk strengthening, leaving plain
+	// k-induction: the package's tests show the invariants are needed.
+	noInvariants bool
 }
 
 func (o *SeqOptions) withDefaults() SeqOptions {
@@ -697,7 +698,7 @@ func CheckSequential(a, b *rtlil.Module, opt *SeqOptions, st *SeqTimes) error {
 
 	// Phase 3: strengthen and close the induction.
 	var start *frame
-	if o.DisableInvariants {
+	if o.noInvariants {
 		start = u.newFrame(u.freeState())
 	} else {
 		start = u.refine(harvestInvariants(ma, mb, sigA, sigB))

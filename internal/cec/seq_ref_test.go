@@ -405,7 +405,7 @@ func refCheckSequential(a, b *rtlil.Module, opt *SeqOptions) error {
 			return c
 		}
 	}
-	if !o.DisableInvariants {
+	if !o.noInvariants {
 		u.refineInvariants(harvestInvariants(ma, mb, sigA, sigB))
 	}
 	return u.induction(o.K)

@@ -107,7 +107,7 @@ func TestCheckSequentialNeedsInvariants(t *testing.T) {
 	// Without invariant strengthening the pair must come back
 	// inconclusive — never "not equivalent", never "proven"...
 	a, b := deepStuckPair()
-	err := CheckSequential(a, b, &SeqOptions{DisableInvariants: true}, nil)
+	err := CheckSequential(a, b, &SeqOptions{noInvariants: true}, nil)
 	var unk *UnknownError
 	if !errors.As(err, &unk) {
 		t.Fatalf("plain k-induction verdict = %v, want UnknownError", err)

@@ -3,26 +3,50 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/egraph"
 	"repro/internal/genbench"
 	"repro/internal/opt"
 	"repro/internal/rtlil"
 	"repro/internal/subgraph"
 )
 
-// noSimFilter derives the flow variant with the simulation signatures
-// off in every satmux step, so every query the path facts leave open
-// reaches extraction.
-func noSimFilter(t *testing.T, f *opt.Flow) *opt.Flow {
+// unfilteredPasses returns fresh passes of the named flow with the
+// module signatures off in its satmux step, so every query the path
+// facts leave open reaches extraction. The sat and full flows are
+// rebuilt pass for pass, and their pass names are checked against the
+// registered scripts; a flow without satmux compiles as registered.
+func unfilteredPasses(t *testing.T, name string) []opt.Pass {
 	t.Helper()
-	f, err := f.WithArg("satmux", "sim_filter", "false")
+	registered, err := namedFlow(t, name).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	satmux := &SatMuxPass{Opts: SatMuxOptions{noSignatures: true}}
+	var body []opt.Pass
+	switch name {
+	case "sat":
+		body = []opt.Pass{opt.ExprPass{}, satmux, opt.CleanPass{}}
+	case "full":
+		body = []opt.Pass{opt.ExprPass{}, satmux, &RebuildPass{}, &egraph.Pass{}, opt.DffPass{}, opt.CleanPass{}}
+	default:
+		for _, p := range registered {
+			if strings.Contains(p.Name(), satmux.Name()) {
+				t.Fatalf("flow %s runs satmux but has no filter-off twin", name)
+			}
+		}
+		return registered
+	}
+	unfiltered := opt.Fixpoint(0, body...)
+	if len(registered) != 1 || unfiltered.Name() != registered[0].Name() {
+		t.Fatalf("filter-off %s flow %s does not match the registered flow", name, unfiltered.Name())
+	}
+	return []opt.Pass{unfiltered}
 }
 
 // filterInvariantCounters strips the counters that legitimately differ
@@ -43,45 +67,65 @@ func filterInvariantCounters(c map[string]int) map[string]int {
 	return out
 }
 
-// TestSimFilterMatchesUnfilteredOnTestdata: on every testdata case and
-// named flow, the filtered oracle must produce a bit-identical netlist
-// and identical decided-bit counters to the filter-off oracle, at every
-// worker count.
+// TestSimFilterMatchesUnfilteredOnTestdata: the filtered oracle must
+// produce a bit-identical netlist and identical decided-bit counters to
+// the filter-off oracle, at every worker count: on every testdata case
+// under every named flow, and on the benchmark recipes and three
+// industrial points under the sat and full flows.
 func TestSimFilterMatchesUnfilteredOnTestdata(t *testing.T) {
+	check := func(t *testing.T, name string, m *rtlil.Module) {
+		run := func(workers int, passes ...opt.Pass) (map[string]int, []byte) {
+			work := m.Clone()
+			ec := opt.NewCtx(context.Background(), opt.Config{Workers: workers})
+			if _, err := opt.RunScript(ec, work, passes...); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			rep := ec.Report()
+			p := rep.Pass("smartly_satmux")
+			if p == nil {
+				return nil, netlistJSON(t, work)
+			}
+			return p.Counters, netlistJSON(t, work)
+		}
+		baseCounters, baseJSON := run(1, unfilteredPasses(t, name)...)
+		for _, workers := range []int{1, 2, 8} {
+			passes, err := namedFlow(t, name).Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, j := run(workers, passes...)
+			if !bytes.Equal(baseJSON, j) {
+				t.Errorf("netlist with the signatures (workers=%d) differs from the filter-off oracle's", workers)
+			}
+			if !reflect.DeepEqual(filterInvariantCounters(baseCounters), filterInvariantCounters(c)) {
+				t.Errorf("decided-bit counters differ (workers=%d):\nfiltered:   %v\nunfiltered: %v",
+					workers, filterInvariantCounters(c), filterInvariantCounters(baseCounters))
+			}
+		}
+	}
 	mods := loadTestdataModules(t)
 	for _, name := range opt.FlowNames() {
-		named, err := opt.NamedFlow(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unfiltered := noSimFilter(t, named)
 		for key, m := range mods {
-			t.Run(name+"/"+key, func(t *testing.T) {
-				run := func(f *opt.Flow, workers int) (map[string]int, []byte) {
-					work := m.Clone()
-					ec := opt.NewCtx(context.Background(), opt.Config{Workers: workers})
-					if _, err := f.Run(ec, work); err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					rep := ec.Report()
-					p := rep.Pass("smartly_satmux")
-					if p == nil {
-						return nil, netlistJSON(t, work)
-					}
-					return p.Counters, netlistJSON(t, work)
-				}
-				baseCounters, baseJSON := run(unfiltered, 1)
-				for _, workers := range []int{1, 2, 8} {
-					c, j := run(named, workers)
-					if !bytes.Equal(baseJSON, j) {
-						t.Errorf("netlist with sim_filter (workers=%d) differs from filter-off oracle", workers)
-					}
-					if !reflect.DeepEqual(filterInvariantCounters(baseCounters), filterInvariantCounters(c)) {
-						t.Errorf("decided-bit counters differ (workers=%d):\nfiltered:   %v\nunfiltered: %v",
-							workers, filterInvariantCounters(c), filterInvariantCounters(baseCounters))
-					}
-				}
-			})
+			t.Run(name+"/"+key, func(t *testing.T) { check(t, name, m) })
+		}
+	}
+
+	scale := 0.05
+	if testing.Short() {
+		scale = 0.01
+	}
+	var keys []string
+	var gen []*rtlil.Module
+	for _, r := range genbench.Recipes() {
+		keys, gen = append(keys, r.Name), append(gen, genbench.Generate(r, scale))
+	}
+	for point := range 3 {
+		keys = append(keys, fmt.Sprintf("point-%d", point))
+		gen = append(gen, genbench.Generate(genbench.IndustrialRecipe(point), scale))
+	}
+	for _, name := range []string{"sat", "full"} {
+		for i, m := range gen {
+			t.Run(name+"/genbench/"+keys[i], func(t *testing.T) { check(t, name, m) })
 		}
 	}
 }
@@ -112,7 +156,7 @@ func TestSimFilterEffectiveness(t *testing.T) {
 	}
 
 	unfiltered := &SatMuxPass{Opts: SatMuxOptions{
-		SimInputLimit: -1, MaxConflicts: 1 << 40, DisableSimFilter: true,
+		SimInputLimit: -1, MaxConflicts: 1 << 40, noSignatures: true,
 	}}
 	if _, err := opt.RunScript(nil, mu, opt.ExprPass{}, unfiltered, opt.CleanPass{}); err != nil {
 		t.Fatal(err)
@@ -163,7 +207,7 @@ func TestSimulationAgreesWithSAT(t *testing.T) {
 	compared, decided := 0, 0
 	for _, m := range mods {
 		ix := rtlil.NewIndex(m)
-		s := NewSmartOracle(ix, SatMuxOptions{SimInputLimit: -1, DisableSimFilter: true, MaxConflicts: 1 << 40})
+		s := NewSmartOracle(ix, SatMuxOptions{SimInputLimit: -1, noSignatures: true, MaxConflicts: 1 << 40})
 		g := subgraph.NewGraph(ix)
 		for _, c := range m.Cells() {
 			if c.Type != rtlil.CellMux && c.Type != rtlil.CellPmux {

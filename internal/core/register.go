@@ -8,17 +8,15 @@ import (
 // Script-level option tables for the smaRTLy passes. The keys are the
 // names accepted in flow scripts ("satmux(conflicts=64)"); each maps
 // onto one field of SatMuxOptions / RebuildOptions.
-// The numeric options are Positive: their option-struct fields treat 0
-// as "use the default", so an explicit zero would silently run the
-// default budget.
+// The options are Positive: their option-struct fields treat 0 as "use
+// the default", so an explicit zero would silently run the default
+// budget.
 var satMuxOptionSpecs = []opt.OptionSpec{
 	{Key: "depth", Kind: opt.KindInt, Positive: true, Default: "6", Help: "sub-graph BFS radius k"},
 	{Key: "cells", Kind: opt.KindInt, Positive: true, Default: "300", Help: "max cells kept per sub-graph"},
-	{Key: "sim_inputs", Kind: opt.KindInt, Positive: true, Default: "11", Help: "exhaustive simulation up to this many inputs"},
+	{Key: "sim_inputs", Kind: opt.KindInt, Positive: true, Max: maxSimInputs, Default: "11", Help: "exhaustive simulation up to this many inputs"},
 	{Key: "sat_inputs", Kind: opt.KindInt, Positive: true, Default: "200", Help: "skip SAT above this many inputs"},
 	{Key: "conflicts", Kind: opt.KindInt64, Positive: true, Default: "2000", Help: "CDCL conflict budget per query"},
-	{Key: "sim_rounds", Kind: opt.KindInt, Positive: true, Default: "4", Help: "64-lane words of module simulation signatures per pass iteration"},
-	{Key: "sim_filter", Kind: opt.KindBool, Default: "true", Help: "refute queries from module simulation signatures before any extraction"},
 }
 
 var rebuildOptionSpecs = []opt.OptionSpec{
@@ -35,8 +33,6 @@ func satMuxOptionsFromArgs(a opt.Args) SatMuxOptions {
 		SimInputLimit:    a.Int("sim_inputs", 0),
 		SATInputLimit:    a.Int("sat_inputs", 0),
 		MaxConflicts:     a.Int64("conflicts", 0),
-		SimFilterRounds:  a.Int("sim_rounds", 0),
-		DisableSimFilter: !a.Bool("sim_filter", true),
 	}
 }
 

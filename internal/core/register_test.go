@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/egraph"
 	"repro/internal/opt"
+	"repro/internal/rtlil"
 )
 
 func TestSmartlyPassesRegistered(t *testing.T) {
@@ -22,7 +23,7 @@ func TestSmartlyPassesRegistered(t *testing.T) {
 }
 
 func TestScriptOptionsReachTypedOptions(t *testing.T) {
-	f, err := opt.ParseFlow("satmux(conflicts=64, depth=3, sim_filter=false)")
+	f, err := opt.ParseFlow("satmux(conflicts=64, depth=3, sim_inputs=20)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 	if !ok {
 		t.Fatalf("compiled %T, want *SatMuxPass", passes[0])
 	}
-	want := SatMuxOptions{MaxConflicts: 64, SubgraphDepth: 3, DisableSimFilter: true}
+	want := SatMuxOptions{MaxConflicts: 64, SubgraphDepth: 3, SimInputLimit: 20}
 	if sm.Opts != want {
 		t.Errorf("opts = %+v, want %+v", sm.Opts, want)
 	}
@@ -67,13 +68,14 @@ func TestScriptOptionsReachTypedOptions(t *testing.T) {
 
 // TestUnknownScriptOptionRejected: a key the pass does not take is an
 // unknown option. The options are budgets, so that covers every stage
-// switch too: no script can turn a satmux stage or the sub-graph filter
-// off, force a rebuild the cost model rejects, pick e-graph rule
-// groups, or skip a proof.
+// switch too: no script can turn a satmux stage, the sub-graph filter
+// or the module signatures off, resize the signatures, force a rebuild
+// the cost model rejects, pick e-graph rule groups, or skip a proof.
 func TestUnknownScriptOptionRejected(t *testing.T) {
 	for _, script := range []string{
 		"satmux(gain=2)", "rebuild(conflicts=1)",
 		"satmux(inference=false)", "satmux(sat=false)", "satmux(subgraph_filter=false)",
+		"satmux(sim_filter=false)", "satmux(sim_rounds=8)",
 		"rebuild(force=true)",
 		"opt_egraph(rules=cmp)", "opt_egraph(verify=false)",
 		"opt_dff(verify=false)",
@@ -97,5 +99,48 @@ func TestZeroBudgetRejected(t *testing.T) {
 		if _, err := opt.ParseFlow(script); err == nil {
 			t.Errorf("ParseFlow(%q) accepted an explicit zero/negative budget", script)
 		}
+	}
+}
+
+// wideOrModule builds y = (|a) ? d1 : d0 over an 80-bit a: the control
+// is not constant, and its cone has 80 inputs.
+func wideOrModule() *rtlil.Module {
+	m := rtlil.NewModule("wideor")
+	a := m.AddInput("a", 80).Bits()
+	d0 := m.AddInput("d0", 4).Bits()
+	d1 := m.AddInput("d1", 4).Bits()
+	y := m.AddOutput("y", 4)
+	m.AddMux("root", d0, d1, m.ReduceOr(a), y.Bits())
+	return m
+}
+
+// TestSimInputsBounded: an exhaustive sweep over n inputs runs 2^(n-6)
+// words, so sim_inputs stops at 20. Without the bound, a limit of 69 or
+// more overflows the word count: no word runs, and the sweep decides
+// the wide-OR control from the one value the signatures saw. Within the
+// bound, and for a Go caller whose larger limit acts as 20, the
+// 80-input cone goes to SAT and the mux stays.
+func TestSimInputsBounded(t *testing.T) {
+	if _, err := opt.ParseFlow("satmux(sim_inputs=21)"); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("sim_inputs=21: %v, want an out-of-range error", err)
+	}
+	f, err := opt.ParseFlow("satmux(sim_inputs=20); opt_clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := wideOrModule()
+	got := orig.Clone()
+	if _, err := f.Run(opt.Background(), got); err != nil {
+		t.Fatal(err)
+	}
+	direct := orig.Clone()
+	if _, err := opt.RunScript(nil, direct, &SatMuxPass{Opts: SatMuxOptions{SimInputLimit: 100}}, opt.CleanPass{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*rtlil.Module{"sim_inputs=20": got, "SimInputLimit 100": direct} {
+		if n := countType(m, rtlil.CellMux); n != 1 {
+			t.Errorf("%s: %d $mux cells left, want the root mux", name, n)
+		}
+		checkEquiv(t, orig, m)
 	}
 }

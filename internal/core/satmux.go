@@ -23,21 +23,28 @@ type SatMuxOptions struct {
 	// SimInputLimit: with at most this many sub-graph inputs the query
 	// is answered by exhaustive simulation instead of SAT (default 11,
 	// the paper's "for a smaller number of inputs, simulation is more
-	// efficient").
+	// efficient"). The sweep runs 2^(n-6) words, so a limit above 20
+	// acts as 20.
 	SimInputLimit int
 	// SATInputLimit: above this many sub-graph inputs the SAT query is
 	// skipped entirely (the paper's input-count threshold; default 200).
 	SATInputLimit int
 	// MaxConflicts bounds each SAT call (default 2000).
 	MaxConflicts int64
-	// SimFilterRounds is how many 64-lane words of module simulation
-	// signatures each pass iteration evaluates (≤ 0 means the default 4,
-	// i.e. 256 patterns).
-	SimFilterRounds int
-	// DisableSimFilter turns the simulation signatures off, so every
-	// query the path facts leave open reaches extraction (ablation).
-	DisableSimFilter bool
+
+	// noSignatures turns the module simulation signatures off, so every
+	// query the path facts leave open reaches extraction: the reference
+	// oracle the package's tests check the signatures against.
+	noSignatures bool
 }
+
+// maxSimInputs bounds SimInputLimit: an exhaustive sweep over 20 inputs
+// runs 2^14 words.
+const maxSimInputs = 20
+
+// signatureWords is how many 64-lane words of module simulation
+// signatures each pass iteration evaluates: 256 patterns.
+const signatureWords = 4
 
 func (o SatMuxOptions) withDefaults() SatMuxOptions {
 	if o.SubgraphDepth == 0 {
@@ -55,9 +62,7 @@ func (o SatMuxOptions) withDefaults() SatMuxOptions {
 	if o.MaxConflicts == 0 {
 		o.MaxConflicts = 2000
 	}
-	if o.SimFilterRounds <= 0 {
-		o.SimFilterRounds = 4
-	}
+	o.SimInputLimit = min(o.SimInputLimit, maxSimInputs)
 	return o
 }
 
@@ -173,8 +178,8 @@ type SmartOracle struct {
 	times stageTimes
 
 	// Built at first need: the signatures at the first query the facts
-	// leave open (nil when the filter is off or the module has a
-	// combinational loop), the sub-graph adjacency at the first query
+	// leave open (nil for the tests' reference oracle or a module with
+	// a combinational loop), the sub-graph adjacency at the first query
 	// the signatures leave open.
 	sigs     *signatures
 	sigsDone bool
@@ -237,7 +242,7 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 		}
 		s.jobs = append(s.jobs, j)
 	}
-	if !s.o.DisableSimFilter {
+	if !s.o.noSignatures {
 		t = s.times.lap(stageSim, t)
 	}
 	if len(s.jobs) == 0 {
@@ -265,11 +270,11 @@ func (s *SmartOracle) Values(facts *opt.PathFacts, bits []rtlil.SigBit, out []rt
 func (s *SmartOracle) moduleSignatures() *signatures {
 	if !s.sigsDone {
 		s.sigsDone = true
-		if !s.o.DisableSimFilter {
-			s.sigs = newSignatures(s.ix, s.o.SimFilterRounds)
+		if !s.o.noSignatures {
+			s.sigs = newSignatures(s.ix, signatureWords)
 		}
 		if s.sigs != nil {
-			s.Stats.SimVectors += s.o.SimFilterRounds
+			s.Stats.SimVectors += signatureWords
 		}
 	}
 	return s.sigs

@@ -90,7 +90,7 @@ var satRecipe = genbench.Recipe{
 
 // TestSatHeavyOracle drives every undecided query through the solver:
 // SimInputLimit -1 skips exhaustive simulation (the ablation_test
-// "sat_only" pattern) and DisableSimFilter keeps the module signatures
+// "sat_only" pattern) and noSignatures keeps the module signatures
 // from refuting queries first. The committed workloads mostly
 // fit exhaustive simulation, and this test is about the SAT stage: it
 // must run, and every rewrite it drives must preserve equivalence.
@@ -100,7 +100,7 @@ func TestSatHeavyOracle(t *testing.T) {
 	}
 	m := genbench.Generate(satRecipe, 0.5)
 	work := m.Clone()
-	pass := &SatMuxPass{Opts: SatMuxOptions{SimInputLimit: -1, DisableSimFilter: true}}
+	pass := &SatMuxPass{Opts: SatMuxOptions{SimInputLimit: -1, noSignatures: true}}
 	if _, err := opt.RunScript(nil, work, opt.ExprPass{}, pass, opt.CleanPass{}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func unmappableModule(t *testing.T) *rtlil.Module {
 // the filter is off here: this test is about the SAT stage.
 func TestMapFailuresCounted(t *testing.T) {
 	m := unmappableModule(t)
-	pass := &SatMuxPass{Opts: SatMuxOptions{DisableSimFilter: true}}
+	pass := &SatMuxPass{Opts: SatMuxOptions{noSignatures: true}}
 	if _, err := opt.RunScript(nil, m, pass); err != nil {
 		t.Fatal(err)
 	}

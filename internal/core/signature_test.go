@@ -53,7 +53,7 @@ func checkRefutations(t testing.TB, m *rtlil.Module) int {
 			t:        t,
 			filtered: NewSmartOracle(ix, SatMuxOptions{}),
 			ref: NewSmartOracle(ix, SatMuxOptions{
-				DisableSimFilter: true, MaxConflicts: 1 << 40, SATInputLimit: 1 << 30,
+				noSignatures: true, MaxConflicts: 1 << 40, SATInputLimit: 1 << 30,
 			}),
 		}
 		r, err := (&opt.MuxtreeWalk{Oracle: c}).Run(opt.Background(), ix)

@@ -92,7 +92,7 @@ func TestCompareReports(t *testing.T) {
 
 	// A section only one side carries is not compared.
 	cur := compareBase()
-	cur.Sat = cur.Tables
+	cur.Egraph = cur.Tables
 	if err := CompareReports(compareBase(), cur, &bytes.Buffer{}); err != nil {
 		t.Errorf("extra section: %v", err)
 	}

@@ -15,9 +15,6 @@
 //   - the paper's Tables II and III (TableII, TableIII, or TableFlows
 //     for custom flows) and the §IV-B industrial summary
 //     (IndustrialSummary) over DefaultFlows;
-//   - sat: SatFlows pairs each flow with its sim_filter=false ablation,
-//     CheckSimFilter enforces that the pair's netlists match unless a
-//     Solve call ran out of its conflict budget, SatTable renders;
 //   - egraph: EgraphFlows over the datapath recipes, EgraphTable;
 //   - corpus: CorpusCases under CorpusFlows with Check on, CorpusTable.
 //

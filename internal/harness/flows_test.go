@@ -85,7 +85,7 @@ func TestBenchReportJSON(t *testing.T) {
 	if back.Tables == nil || len(back.Tables.Flows) != 4 || back.Tables.Flows[0] != FlowYosys {
 		t.Fatalf("tables = %+v", back.Tables)
 	}
-	if back.Sat != nil || back.Load != nil {
+	if back.Egraph != nil || back.Load != nil {
 		t.Error("sections that did not run are present")
 	}
 	c := back.Tables.Cases[0]

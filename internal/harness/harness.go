@@ -39,24 +39,15 @@ func DefaultFlows() []FlowSpec {
 
 // mustFlows looks up built-in named flows; a missing one is a bug.
 func mustFlows(names ...string) []FlowSpec {
-	flows, err := namedFlows(names...)
-	if err != nil {
-		panic(fmt.Sprintf("harness: built-in %v", err))
-	}
-	return flows
-}
-
-// namedFlows looks up registered named flows.
-func namedFlows(names ...string) ([]FlowSpec, error) {
 	out := make([]FlowSpec, 0, len(names))
 	for _, name := range names {
 		f, err := opt.NamedFlow(name)
 		if err != nil {
-			return nil, fmt.Errorf("harness: flow %q: %w", name, err)
+			panic(fmt.Sprintf("harness: built-in flow %q: %v", name, err))
 		}
 		out = append(out, FlowSpec{Name: name, Flow: f})
 	}
-	return out, nil
+	return out
 }
 
 // ParseFlows parses "name=script" (or bare named-flow "name") specs

@@ -11,8 +11,8 @@ import (
 
 // BenchReport is the machine-readable output of cmd/smartly-bench
 // -json. Each engine section is one Section: the paper's tables, the
-// industrial points, sat, egraph and corpus. The serving sections keep
-// their own shapes. A section is absent when its mode did not run.
+// industrial points, egraph and corpus. The serving sections keep their
+// own shapes. A section is absent when its mode did not run.
 type BenchReport struct {
 	Schema string  `json:"schema"`
 	Scale  float64 `json:"scale"`
@@ -22,9 +22,8 @@ type BenchReport struct {
 	// (Tables II and III); Industrial the §IV-B test points.
 	Tables     *Section `json:"tables,omitempty"`
 	Industrial *Section `json:"industrial,omitempty"`
-	// Sat, Egraph and Corpus are the -sat, -egraph and -corpus
-	// sections (see SatFlows, EgraphFlows and CorpusCases).
-	Sat    *Section `json:"sat,omitempty"`
+	// Egraph and Corpus are the -egraph and -corpus sections (see
+	// EgraphFlows and CorpusCases).
 	Egraph *Section `json:"egraph,omitempty"`
 	Corpus *Section `json:"corpus,omitempty"`
 	// Replica holds the two-replica shared-cache-tier measurement
@@ -59,7 +58,7 @@ type namedSection struct {
 func (r BenchReport) engineSections() []namedSection {
 	return []namedSection{
 		{"tables", r.Tables}, {"industrial", r.Industrial},
-		{"sat", r.Sat}, {"egraph", r.Egraph}, {"corpus", r.Corpus},
+		{"egraph", r.Egraph}, {"corpus", r.Corpus},
 	}
 }
 

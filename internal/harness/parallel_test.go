@@ -79,15 +79,11 @@ func TestRunIndustrialParallel(t *testing.T) {
 	sameSections(t, "industrial", seq, par)
 }
 
-// TestSectionsParallelDeterministic: the sat, egraph and corpus
-// sections give the same report, timings removed, at -j 1 and -j 4.
+// TestSectionsParallelDeterministic: the egraph and corpus sections
+// give the same report, timings removed, at -j 1 and -j 4.
 func TestSectionsParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAT-heavy; skipped under -short")
-	}
-	satFlows, err := SatFlows(FlowSAT, FlowFull)
-	if err != nil {
-		t.Fatal(err)
 	}
 	corpus, err := CorpusCases(corpusDir)
 	if err != nil {
@@ -98,7 +94,6 @@ func TestSectionsParallelDeterministic(t *testing.T) {
 		cases []Case
 		o     Options
 	}{
-		{"sat", RecipeCases(genbench.Recipes()), Options{Scale: 0.02, Flows: satFlows}},
 		{"egraph", RecipeCases(genbench.DatapathRecipes()), Options{Scale: minScale, Flows: EgraphFlows()}},
 		{"corpus", corpus, Options{Flows: CorpusFlows(), Check: true}},
 	} {

@@ -53,27 +53,6 @@ var fixpointSpec = PassSpec{
 // does not list it.
 func FixpointSpec() PassSpec { return fixpointSpec }
 
-// validate applies the registry checks of the script parser (registered
-// names, known options, well-typed values) to every step.
-func (f *Flow) validate() error {
-	for _, s := range f.steps {
-		if err := validateStep(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func validateStep(s Step) error {
-	if _, err := checkStep(s); err != nil {
-		return fmt.Errorf("opt: %w", err)
-	}
-	if s.Body != nil {
-		return s.Body.validate()
-	}
-	return nil
-}
-
 // stepSpec resolves the spec governing a step's options, enforcing the
 // shape rules (fixpoint needs a body, plain passes must not have one).
 func stepSpec(s Step) (PassSpec, error) {
@@ -141,11 +120,10 @@ func (f *Flow) String() string {
 
 // Canonical renders the flow in normalized script syntax, the form the
 // serving layer uses in cache keys: options are sorted by key and their
-// values reduced to a canonical spelling per kind ("TRUE" -> "true",
-// "064" -> "64"), so flows that differ only in option order, value
-// spelling or script whitespace render identically. Flows with
-// different passes, structure or effective option values render
-// differently.
+// values reduced to a canonical spelling per kind ("064" -> "64"), so
+// flows that differ only in option order, value spelling or script
+// whitespace render identically. Flows with different passes,
+// structure or effective option values render differently.
 func (f *Flow) Canonical() string {
 	if f == nil {
 		return ""
@@ -188,45 +166,6 @@ func (s Step) canonical() string {
 		sb.WriteString(" }")
 	}
 	return sb.String()
-}
-
-// WithArg returns a flow in which every step invoking the named pass —
-// including steps inside fixpoint bodies — carries key=value, replacing
-// any existing spelling of that option. Steps of other passes are
-// untouched; a flow that never invokes the pass comes back equal. The
-// result is validated, so an unknown option (or ill-typed value) for
-// that pass errors. This is how the bench harness derives ablation
-// variants ("the same flow, with satmux(sim_filter=false)") without
-// fragile script-string rewriting.
-func (f *Flow) WithArg(pass, key, value string) (*Flow, error) {
-	if f == nil {
-		return nil, fmt.Errorf("opt: nil flow")
-	}
-	out := &Flow{steps: withArgSteps(f.steps, pass, key, value)}
-	if err := out.validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func withArgSteps(steps []Step, pass, key, value string) []Step {
-	out := make([]Step, len(steps))
-	for i, s := range steps {
-		if s.Body != nil {
-			s.Body = &Flow{steps: withArgSteps(s.Body.steps, pass, key, value)}
-		}
-		if s.Name == pass {
-			args := make([]Arg, 0, len(s.Args)+1)
-			for _, a := range s.Args {
-				if a.Key != key {
-					args = append(args, a)
-				}
-			}
-			s.Args = append(args, Arg{Key: key, Value: value})
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // Compile builds fresh pass instances for every step. Passes carry

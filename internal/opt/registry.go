@@ -14,7 +14,6 @@ type OptionKind int
 const (
 	KindInt OptionKind = iota
 	KindInt64
-	KindBool
 )
 
 // String names the kind as shown in error messages and docs.
@@ -24,16 +23,14 @@ func (k OptionKind) String() string {
 		return "int"
 	case KindInt64:
 		return "int64"
-	case KindBool:
-		return "bool"
 	}
 	return fmt.Sprintf("OptionKind(%d)", int(k))
 }
 
 // canonicalValue reduces a valid raw option value to its canonical
-// spelling for the kind ("TRUE" -> "true", "064" -> "64"). Invalid
-// values are returned unchanged; callers only normalize values that
-// already passed checkValue.
+// spelling for the kind ("064" -> "64"). Invalid values are returned
+// unchanged; callers only normalize values that already passed
+// checkValue.
 func (k OptionKind) canonicalValue(v string) string {
 	switch k {
 	case KindInt:
@@ -43,10 +40,6 @@ func (k OptionKind) canonicalValue(v string) string {
 	case KindInt64:
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 			return strconv.FormatInt(n, 10)
-		}
-	case KindBool:
-		if b, err := strconv.ParseBool(v); err == nil {
-			return strconv.FormatBool(b)
 		}
 	}
 	return v
@@ -60,8 +53,6 @@ func (k OptionKind) checkValue(v string) error {
 		_, err = strconv.Atoi(v)
 	case KindInt64:
 		_, err = strconv.ParseInt(v, 10, 64)
-	case KindBool:
-		_, err = strconv.ParseBool(v)
 	}
 	if err != nil {
 		return fmt.Errorf("invalid %s value %q", k, v)
@@ -79,6 +70,9 @@ type OptionSpec struct {
 	// it because their option structs treat 0 as "use the default": an
 	// explicit zero would be silently coerced, misreporting ablations.
 	Positive bool
+	// Max, when nonzero, is the largest accepted value: a bound for a
+	// budget whose work grows exponentially in its value.
+	Max int64
 	// Default documents the value used when the option is omitted.
 	Default string
 	// Help is a one-line description for registry listings.
@@ -90,10 +84,13 @@ func (o OptionSpec) check(v string) error {
 	if err := o.Kind.checkValue(v); err != nil {
 		return err
 	}
-	if o.Positive {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n < 1 {
-			return fmt.Errorf("value %s out of range (must be >= 1; omit the option for the default, %s)", v, o.Default)
-		}
+	// Every kind is an integer, so a value checkValue passed parses.
+	n, _ := strconv.ParseInt(v, 10, 64)
+	if o.Positive && n < 1 {
+		return fmt.Errorf("value %s out of range (must be >= 1; omit the option for the default, %s)", v, o.Default)
+	}
+	if o.Max != 0 && n > o.Max {
+		return fmt.Errorf("value %s out of range (must be <= %d)", v, o.Max)
 	}
 	return nil
 }
@@ -125,8 +122,8 @@ func (s PassSpec) option(key string) (OptionSpec, bool) {
 }
 
 // Args holds the validated key=value options of one flow step. The
-// typed getters never fail: the parser (or WithArg's validation) has
-// already checked every value against the option's kind.
+// typed getters never fail: the parser has already checked every value
+// against the option's kind.
 type Args struct {
 	m map[string]string
 }
@@ -146,16 +143,6 @@ func (a Args) Int64(key string, def int64) int64 {
 	if v, ok := a.m[key]; ok {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 			return n
-		}
-	}
-	return def
-}
-
-// Bool returns the key's value, or def when absent.
-func (a Args) Bool(key string, def bool) bool {
-	if v, ok := a.m[key]; ok {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
 		}
 	}
 	return def

@@ -99,6 +99,18 @@ func TestParseFlowErrors(t *testing.T) {
 	}
 }
 
+// TestOptionSpecMax: a bounded option accepts its bound and rejects the
+// next value with an error naming the bound.
+func TestOptionSpecMax(t *testing.T) {
+	o := OptionSpec{Key: "n", Kind: KindInt, Positive: true, Max: 20, Default: "11"}
+	if err := o.check("20"); err != nil {
+		t.Errorf("check(20) = %v", err)
+	}
+	if err := o.check("21"); err == nil || !strings.Contains(err.Error(), "must be <= 20") {
+		t.Errorf("check(21) = %v, want an out-of-range error naming 20", err)
+	}
+}
+
 func TestParseFlowErrorPositions(t *testing.T) {
 	_, err := ParseFlow("opt_expr; nope_pass")
 	if err == nil || !strings.Contains(err.Error(), "script:1:11") {

@@ -267,6 +267,16 @@ func TestOptimizeErrors(t *testing.T) {
 		!strings.Contains(msg, `unknown option "verify"`) {
 		t.Errorf("proof switch: %d %q", code, msg)
 	}
+	// Nor turn the module signatures off.
+	if code, msg := post(api.OptimizeRequest{Design: designJSON, Script: "satmux(sim_filter=false)"}); code != http.StatusBadRequest ||
+		!strings.Contains(msg, `unknown option "sim_filter"`) {
+		t.Errorf("signature switch: %d %q", code, msg)
+	}
+	// An exhaustive sweep runs 2^(n-6) words, so sim_inputs is bounded.
+	if code, msg := post(api.OptimizeRequest{Design: designJSON, Script: "satmux(sim_inputs=21)"}); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "out of range") {
+		t.Errorf("sim_inputs above its bound: %d %q", code, msg)
+	}
 	if code, msg := post(api.OptimizeRequest{Design: designJSON, Flow: "full", Script: "opt_clean"}); code != http.StatusBadRequest ||
 		!strings.Contains(msg, "both") {
 		t.Errorf("flow+script: %d %q", code, msg)
